@@ -36,25 +36,38 @@ Failure handling, in one place:
 * **Hot-key warming** — keys hotter than ``hot_threshold`` forwards
   get one fire-and-forget plan sent to their replica, so the replica's
   memo tables are warm *before* a failover makes it primary.
+
+Byte relay: a forwarded ``plan`` or ``amend`` is answered with the
+shard's own bytes.  The router takes the shard's ``"ok":true`` line
+(:meth:`PlanClient.request_raw`), swaps the id-first prefix for its
+client's id and appends ``,"shard":<sid>`` — the plan body is never
+decoded or re-encoded on this hop.  It drops a shard's ``"amended"``
+echo, so a routed amend answers ``{"id", "ok", "result", "shard"}``
+like a routed plan.  Only lines that are not ``"ok":true`` are parsed,
+to classify the error for failover.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set, Union
 
 from ..durable.errors import check_positive_int, check_positive_number
 from ..obs.exposition import render_prometheus_cluster
 from ..obs.metrics import GLOBAL_METRICS
+from ..service import framing
 from ..service.client import (
     OverloadedError,
     PlanClient,
     PlanServiceError,
     PlanTimeoutError,
+    _amend_payload,
+    _plan_payload,
+    _raise_for,
 )
 from ..service.metrics import Counter
-from ..service.server import MAX_LINE_BYTES, _BadRequest, _error, _parse_plan_request
+from ..service.server import _BadRequest, _encode, _error, _parse_plan_request, _too_large
 from .ring import HashRing, plan_key
 from .shard import ShardSpec
 
@@ -62,6 +75,11 @@ __all__ = ["ClusterRouter"]
 
 #: Failures that mean "this shard, right now" — worth the replica hop.
 _TRANSIENT = (PlanTimeoutError, ConnectionError)
+
+#: What follows the id of a shard's successful answer.
+_OK = b'"ok":true,'
+#: Where a shard's amend answer starts the echo the relay drops.
+_AMENDED = b',"amended":'
 
 
 def _is_transient(exc: Exception) -> bool:
@@ -224,7 +242,7 @@ class ClusterRouter:
             raise RuntimeError("router already started")
         await self._configure_members()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
+            self._handle_connection, self.host, self.port, limit=framing.MAX_FRAME_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._probe_task = asyncio.ensure_future(self._probe_loop())
@@ -394,18 +412,17 @@ class ClusterRouter:
             asyncio.ensure_future(self._warm_replica(chain[1], request))
 
     async def _warm_replica(self, shard_id: int, request) -> None:
-        """Fire-and-forget: have the replica compute (and memoize) the key."""
+        """Fire-and-forget: have the replica compute (and memoize) the key.
+
+        The answer is only a side effect, so its bytes are dropped
+        undecoded.
+        """
         client = await self._client(shard_id)
         if client is None:
             return
+        wire = _plan_payload(request.n, request.m, request.params, request.exclude)
         try:
-            await client.plan(
-                request.n,
-                request.m,
-                request.params,
-                exclude=request.exclude,
-                timeout=self.request_timeout,
-            )
+            await client.request_raw(wire, timeout=self.request_timeout)
         except (PlanServiceError, ConnectionError, RuntimeError):
             pass
 
@@ -424,7 +441,7 @@ class ClusterRouter:
                     await self._write(
                         writer,
                         write_lock,
-                        _error(None, "bad_request", "request line too long"),
+                        _encode(_error(None, "bad_request", "request line too long")),
                     )
                     break
                 if not line:
@@ -505,23 +522,18 @@ class ClusterRouter:
         except Exception as exc:  # noqa: BLE001 - the router must answer
             self.errors.inc()
             response = _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
-        await self._write(writer, write_lock, response)
+        data = response if isinstance(response, bytes) else _encode(response)
+        if len(data) > framing.MAX_FRAME_BYTES:
+            self.errors.inc()
+            data = _encode(_too_large(request_id, len(data)))
+        await self._write(writer, write_lock, data)
 
-    async def _forward_plan(self, payload: dict, request_id) -> dict:
+    async def _forward_plan(self, payload: dict, request_id) -> Union[bytes, dict]:
         request = _parse_plan_request(payload, self.max_n)
+        wire = _plan_payload(request.n, request.m, request.params, request.exclude)
+        return await self._forward(request, request_id, wire)
 
-        def send(client: PlanClient):
-            return client.plan(
-                request.n,
-                request.m,
-                request.params,
-                exclude=request.exclude,
-                timeout=self.request_timeout,
-            )
-
-        return await self._forward(request, request_id, send)
-
-    async def _forward_amend(self, payload: dict, request_id) -> dict:
+    async def _forward_amend(self, payload: dict, request_id) -> Union[bytes, dict]:
         """Route an amend by its *amended* plan key.
 
         The delta is folded into the equivalent plan request first
@@ -540,22 +552,21 @@ class ClusterRouter:
             self.errors.inc()
             return _error(request_id, "source_failed", str(exc))
         delta = payload.get("delta") or {}
+        wire = _amend_payload(
+            payload["n"],
+            payload["m"],
+            request.params,
+            tuple(payload.get("exclude", ())),
+            delta.get("join", 0),
+            tuple(delta.get("leave", ())),
+        )
+        return await self._forward(request, request_id, wire)
 
-        def send(client: PlanClient):
-            return client.amend(
-                payload["n"],
-                payload["m"],
-                request.params,
-                exclude=tuple(payload.get("exclude", ())),
-                join=delta.get("join", 0),
-                leave=tuple(delta.get("leave", ())),
-                timeout=self.request_timeout,
-            )
+    async def _forward(self, request, request_id, wire: dict) -> Union[bytes, dict]:
+        """Walk the key's replica chain, sending ``wire`` to each shard.
 
-        return await self._forward(request, request_id, send)
-
-    async def _forward(self, request, request_id, send) -> dict:
-        """Walk the key's replica chain, calling ``send`` per shard."""
+        Returns the relayed answer line, or an error response.
+        """
         key = plan_key(request.n, request.m, request.params)
         chain = self.ring.chain(key, self.replication)
         self._note_hot(key, request, chain)
@@ -574,7 +585,8 @@ class ClusterRouter:
                 # The router is the map's authority: forwards are not
                 # epoch-stamped, so a mid-failover epoch bump never
                 # fences the router's own traffic.
-                result = await send(client)
+                line = await client.request_raw(wire, timeout=self.request_timeout)
+                body = _ok_body(line, amend=wire["type"] == "amend")
             except Exception as exc:  # noqa: BLE001 - classified below
                 if not _is_transient(exc):
                     if isinstance(exc, PlanServiceError):
@@ -590,12 +602,9 @@ class ClusterRouter:
                 continue
             if hop > 0:
                 self.failovers.inc()
-            return {
-                "id": request_id,
-                "ok": True,
-                "result": result.to_dict(),
-                "shard": sid,
-            }
+            return b"".join(
+                (framing.ID_PREFIX, framing.encode_id(request_id), body, b',"shard":%d}\n' % sid)
+            )
         self.errors.inc()
         error = last_error or {"code": "unavailable", "message": "no shard answered"}
         return _error(
@@ -606,12 +615,26 @@ class ClusterRouter:
 
     @staticmethod
     async def _write(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: dict
+        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, data: bytes
     ) -> None:
-        data = json.dumps(response, separators=(",", ":")).encode() + b"\n"
         try:
             async with write_lock:
                 writer.write(data)
                 await writer.drain()
         except ConnectionError:  # client went away; nothing to tell it
             pass
+
+
+def _ok_body(line: bytes, amend: bool) -> bytes:
+    """A shard's ``"ok":true`` answer minus its id and closing brace.
+
+    Any other answer is decoded and raised as its typed
+    :class:`PlanServiceError`.  ``amend`` drops the shard's trailing
+    ``"amended"`` echo.
+    """
+    _, end = framing.leading_id(line)
+    if not (end and line.startswith(_OK, end + 1)):
+        response = json.loads(line)
+        _raise_for(response.get("error") or {"message": "answer is not id-first framed"})
+    stop = line.rfind(_AMENDED, end) if amend else -1
+    return line[end : stop if stop > 0 else -2]

@@ -31,6 +31,10 @@ Layers, innermost out:
   :func:`plan_remote` / :func:`stats_remote` sync conveniences, with
   :class:`RetryPolicy` backoff over typed transient failures
   (``unavailable`` / :class:`PlanTimeoutError` / ``overloaded``).
+* :mod:`~repro.service.framing` — the line format every hop shares:
+  one ``MAX_FRAME_BYTES`` limit for readers and writers (an oversize
+  answer becomes a ``response_too_large`` error) and id-first answers,
+  so a plan is encoded once and relayed as bytes.
 * :mod:`~repro.service.journal` — :class:`RequestJournal`: checksummed
   append-only log of distinct accepted plan requests, replayed on
   restart to pre-warm the plan memo tables (``recovered_entries`` on

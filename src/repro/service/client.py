@@ -15,6 +15,13 @@ failure mode carries a typed exception — connection refusal is
 :class:`PlanTimeoutError`, shedding is :class:`OverloadedError` — so
 callers branch on class, never on string-matching codes.
 
+Answers are routed by their id-first prefix (:mod:`.framing`) without
+being decoded: :meth:`PlanClient.request_raw` hands back the answer line
+as bytes (the cluster router relays a shard's plan that way), and
+:meth:`PlanClient.request` decodes it for everyone else.  A connection
+whose reader has died fails the next request at once with
+``ConnectionError`` instead of waiting out its timeout.
+
 For scripts and the CLI, :func:`plan_remote` and :func:`stats_remote`
 wrap one connect/request/close round trip in ``asyncio.run``.
 """
@@ -29,6 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence
 
 from ..params import MachineParams
+from . import framing
 from .planner import PlanResult
 
 __all__ = [
@@ -108,6 +116,41 @@ def _raise_for(error: dict) -> None:
     raise PlanServiceError(code, message)
 
 
+def _plan_result(response: dict) -> PlanResult:
+    """The plan of a decoded ``plan``/``amend`` answer; raises its error."""
+    if not response.get("ok"):
+        _raise_for(response.get("error", {}))
+    return PlanResult.from_dict(response["result"])
+
+
+def _plan_payload(n, m, params=None, exclude=(), epoch=None) -> dict:
+    """The ``plan`` request object (without its ``id``)."""
+    payload: dict = {"type": "plan", "n": n, "m": m}
+    if params is not None:
+        payload["params"] = params.to_dict()
+    if exclude:
+        payload["exclude"] = sorted(set(exclude))
+    if epoch is not None:
+        payload["epoch"] = epoch
+    return payload
+
+
+def _amend_payload(n, m, params=None, exclude=(), join=0, leave=(), epoch=None) -> dict:
+    """The ``amend`` request object (without its ``id``)."""
+    payload: dict = {"type": "amend", "n": n, "m": m, "delta": {}}
+    if join:
+        payload["delta"]["join"] = join
+    if leave:
+        payload["delta"]["leave"] = sorted(set(leave))
+    if params is not None:
+        payload["params"] = params.to_dict()
+    if exclude:
+        payload["exclude"] = sorted(set(exclude))
+    if epoch is not None:
+        payload["epoch"] = epoch
+    return payload
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with deterministic jitter.
@@ -163,6 +206,8 @@ class PlanClient:
         self._waiters: Dict[int, asyncio.Future] = {}
         self._reader_task = asyncio.ensure_future(self._read_loop())
         self._closed = False
+        #: Why the read loop stopped, once it has.
+        self._lost: Optional[Exception] = None
 
     @classmethod
     async def connect(
@@ -173,15 +218,15 @@ class PlanClient:
         Connection failures (refused, unreachable, DNS) raise
         ``PlanServiceError(code="unavailable")`` rather than a raw
         ``OSError``, and ``timeout`` seconds (if given) bounds the
-        attempt with :class:`PlanTimeoutError` — both retryable.
+        attempt with :class:`PlanTimeoutError` — both retryable.  Answer
+        lines may be up to :data:`~.framing.MAX_FRAME_BYTES` long.
         """
+        dial = asyncio.open_connection(host, port, limit=framing.MAX_FRAME_BYTES)
         try:
             if timeout is not None:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), timeout
-                )
+                reader, writer = await asyncio.wait_for(dial, timeout)
             else:
-                reader, writer = await asyncio.open_connection(host, port)
+                reader, writer = await dial
         except asyncio.TimeoutError:
             raise PlanTimeoutError(
                 f"connect to {host}:{port} timed out after {timeout}s"
@@ -210,14 +255,23 @@ class PlanClient:
 
     # -- requests -----------------------------------------------------------
     async def request(self, payload: dict, timeout: Optional[float] = None) -> dict:
-        """Send one raw request object, await its routed response.
+        """Send one raw request object, await its decoded response
+        (see :meth:`request_raw`)."""
+        return json.loads(await self.request_raw(payload, timeout))
+
+    async def request_raw(self, payload: dict, timeout: Optional[float] = None) -> bytes:
+        """Send one raw request object, await its response line undecoded.
 
         ``timeout`` (seconds) bounds the wait with
         :class:`PlanTimeoutError`; the stale response, if it ever
-        arrives, is dropped by the router (its waiter is gone).
+        arrives, is dropped by the router (its waiter is gone).  A
+        closed client raises ``RuntimeError``; a connection whose
+        reader has died raises ``ConnectionError`` at once.
         """
         if self._closed:
             raise RuntimeError("client is closed")
+        if self._reader_task.done():
+            raise ConnectionError(f"connection lost: {self._lost!r}")
         request_id = next(self._ids)
         payload = dict(payload, id=request_id)
         future = asyncio.get_running_loop().create_future()
@@ -260,27 +314,8 @@ class PlanClient:
         refresh their map and re-route — deliberately *not* part of
         the blind retry loop here).
         """
-        payload: dict = {"type": "plan", "n": n, "m": m}
-        if params is not None:
-            payload["params"] = params.to_dict()
-        if exclude:
-            payload["exclude"] = sorted(set(exclude))
-        if epoch is not None:
-            payload["epoch"] = epoch
-        delays = retry.delays() if retry is not None else iter(())
-        while True:
-            try:
-                response = await self.request(payload, timeout=timeout)
-                if not response.get("ok"):
-                    _raise_for(response.get("error", {}))
-                return PlanResult.from_dict(response["result"])
-            except PlanServiceError as exc:
-                if exc.code not in RETRYABLE_CODES:
-                    raise
-                delay = next(delays, None)
-                if delay is None:
-                    raise
-                await asyncio.sleep(delay)
+        payload = _plan_payload(n, m, params, exclude, epoch)
+        return await self._plan_call(payload, timeout, retry)
 
     async def amend(
         self,
@@ -305,24 +340,17 @@ class PlanClient:
         (not retryable).  ``retry`` and ``epoch`` behave exactly as in
         :meth:`plan`.
         """
-        payload: dict = {"type": "amend", "n": n, "m": m, "delta": {}}
-        if join:
-            payload["delta"]["join"] = join
-        if leave:
-            payload["delta"]["leave"] = sorted(set(leave))
-        if params is not None:
-            payload["params"] = params.to_dict()
-        if exclude:
-            payload["exclude"] = sorted(set(exclude))
-        if epoch is not None:
-            payload["epoch"] = epoch
+        payload = _amend_payload(n, m, params, exclude, join, leave, epoch)
+        return await self._plan_call(payload, timeout, retry)
+
+    async def _plan_call(
+        self, payload: dict, timeout: Optional[float], retry: Optional[RetryPolicy]
+    ) -> PlanResult:
+        """Send a ``plan``/``amend`` payload, re-sending transient failures."""
         delays = retry.delays() if retry is not None else iter(())
         while True:
             try:
-                response = await self.request(payload, timeout=timeout)
-                if not response.get("ok"):
-                    _raise_for(response.get("error", {}))
-                return PlanResult.from_dict(response["result"])
+                return _plan_result(await self.request(payload, timeout=timeout))
             except PlanServiceError as exc:
                 if exc.code not in RETRYABLE_CODES:
                     raise
@@ -389,13 +417,16 @@ class PlanClient:
                 line = await self._reader.readline()
                 if not line:
                     raise ConnectionError("server closed the connection")
-                response = json.loads(line)
-                waiter = self._waiters.pop(response.get("id"), None)
+                request_id, _ = framing.leading_id(line)
+                if request_id is None:  # not id-first: parse to find the id
+                    request_id = json.loads(line).get("id")
+                waiter = self._waiters.pop(request_id, None)
                 if waiter is not None and not waiter.done():
-                    waiter.set_result(response)
+                    waiter.set_result(line)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - fan the failure out
+            self._lost = exc
             self._fail_waiters(exc)
 
     def _fail_waiters(self, exc: Exception) -> None:
@@ -422,15 +453,8 @@ def plan_remote(
     exclude: Sequence[int] = (),
 ) -> PlanResult:
     """Synchronous one-shot plan request (the CLI's ``--connect`` path)."""
-    payload: dict = {"type": "plan", "n": n, "m": m}
-    if params is not None:
-        payload["params"] = params.to_dict()
-    if exclude:
-        payload["exclude"] = sorted(set(exclude))
-    response = asyncio.run(_one_shot(host, port, payload))
-    if not response.get("ok"):
-        _raise_for(response.get("error", {}))
-    return PlanResult.from_dict(response["result"])
+    response = asyncio.run(_one_shot(host, port, _plan_payload(n, m, params, exclude)))
+    return _plan_result(response)
 
 
 def amend_remote(
@@ -445,19 +469,8 @@ def amend_remote(
     leave: Sequence[int] = (),
 ) -> PlanResult:
     """Synchronous one-shot amend request (the CLI's ``--connect`` path)."""
-    payload: dict = {"type": "amend", "n": n, "m": m, "delta": {}}
-    if join:
-        payload["delta"]["join"] = join
-    if leave:
-        payload["delta"]["leave"] = sorted(set(leave))
-    if params is not None:
-        payload["params"] = params.to_dict()
-    if exclude:
-        payload["exclude"] = sorted(set(exclude))
-    response = asyncio.run(_one_shot(host, port, payload))
-    if not response.get("ok"):
-        _raise_for(response.get("error", {}))
-    return PlanResult.from_dict(response["result"])
+    payload = _amend_payload(n, m, params, exclude, join, leave)
+    return _plan_result(asyncio.run(_one_shot(host, port, payload)))
 
 
 def stats_remote(host: str, port: int) -> dict:

@@ -50,7 +50,18 @@ only dedupe locality does.
 
 Errors come back as ``{"id": ..., "ok": false, "error": {"code": ...,
 "message": ...}}`` with codes ``bad_request``, ``overloaded``,
-``timeout``, ``stale_map``, ``source_failed``, and ``internal``.
+``timeout``, ``stale_map``, ``source_failed``, ``response_too_large``,
+and ``internal``.
+
+Framing (:mod:`repro.service.framing`): every line, request or answer,
+is at most ``MAX_FRAME_BYTES`` long, newline included.  A longer
+request line is answered ``bad_request`` and closes the connection; an
+answer that would be longer is replaced by the non-retryable
+``response_too_large`` error and the connection keeps serving.  Every
+answer begins ``{"id":<id>,``.  A plan computation's whole answer is
+encoded once; each waiter sharing it (single-flight followers, and
+amends that fold into the same plan) gets those bytes behind its own
+id, an amend with its ``"amended"`` echo spliced in.
 
 Overload policy (the load-shedding half of the ISSUE): at most
 ``max_inflight`` plan requests may be in flight server-wide; the
@@ -71,7 +82,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Optional, Set
+from typing import Dict, Optional, Set, Union
 
 from ..durable.errors import check_positive_int, check_positive_number
 from ..obs.exposition import render_prometheus
@@ -80,16 +91,13 @@ from ..obs.profiler import NULL_PROFILER
 from ..obs.slo import SLOSet
 from ..obs.tracer import Tracer
 from ..params import MachineParams
+from . import framing
 from .batching import PlanBatcher
 from .journal import RequestJournal
 from .metrics import ServiceMetrics
-from .planner import PlanRequest
+from .planner import PlanRequest, PlanResult
 
 __all__ = ["PlanServer"]
-
-#: Longest accepted request line (a plan request is tiny; anything
-#: bigger is a confused or hostile client).
-MAX_LINE_BYTES = 64 * 1024
 
 
 class _BadRequest(ValueError):
@@ -273,6 +281,9 @@ class PlanServer:
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self._active_plans = 0
+        # Plan key -> [waiters, result, encoded answer]: the answer is
+        # encoded once per computation and dropped with its last waiter.
+        self._answers: Dict[PlanRequest, list] = {}
         self._request_tasks: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
         self._draining = False
@@ -353,7 +364,7 @@ class PlanServer:
                 None, self.journal.replay
             )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
+            self._handle_connection, self.host, self.port, limit=framing.MAX_FRAME_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.profiler.enabled:
@@ -428,7 +439,7 @@ class PlanServer:
                     await self._write(
                         writer,
                         write_lock,
-                        _error(None, "bad_request", "request line too long"),
+                        _encode(_error(None, "bad_request", "request line too long")),
                     )
                     break
                 if not line:
@@ -496,17 +507,23 @@ class PlanServer:
         except Exception as exc:  # noqa: BLE001 - the service must answer
             response = _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
             self.metrics.errors.inc()
+        data = response if isinstance(response, bytes) else _encode(response)
+        if len(data) > framing.MAX_FRAME_BYTES:
+            self.metrics.errors.inc()
+            response = _too_large(request_id, len(data))
+            data = _encode(response)
+        ok = isinstance(response, bytes) or bool(response.get("ok"))
         if tracer is not None and tracer.enabled:
             tracer.complete(
                 str(kind) if kind is not None else "invalid",
                 self._obs_track,
                 span_start,
                 cat="service",
-                args={"id": request_id, "ok": bool(response.get("ok"))},
+                args={"id": request_id, "ok": ok},
             )
         if self.slos is not None and kind == "plan" and "request_errors" in self.slos.trackers:
-            self.slos.record("request_errors", bool(response.get("ok")))
-        await self._write(writer, write_lock, response)
+            self.slos.record("request_errors", ok)
+        await self._write(writer, write_lock, data)
 
     def _handle_configure(self, payload: dict, request_id) -> dict:
         """Adopt a new ring epoch (and optionally a shard id) from the router."""
@@ -562,7 +579,7 @@ class PlanServer:
         self.metrics.errors.inc()
         return _error(request_id, code, "injected fault (testing mode)")
 
-    async def _handle_plan(self, payload: dict, request_id) -> dict:
+    async def _handle_plan(self, payload: dict, request_id) -> Union[bytes, dict]:
         fenced = self._fence_epoch(payload, request_id)
         if fenced is not None:
             return fenced
@@ -572,7 +589,7 @@ class PlanServer:
         request = _parse_plan_request(payload, self.max_n)
         return await self._submit_plan(request, request_id)
 
-    async def _handle_amend(self, payload: dict, request_id) -> dict:
+    async def _handle_amend(self, payload: dict, request_id) -> Union[bytes, dict]:
         from ..faults.repair import SourceFailedError
 
         fenced = self._fence_epoch(payload, request_id)
@@ -587,18 +604,20 @@ class PlanServer:
             self.metrics.errors.inc()
             return _error(request_id, "source_failed", str(exc))
         self.metrics.amends.inc()
-        response = await self._submit_plan(request, request_id)
-        if response.get("ok"):
-            # Echo the equivalent plan request so the caller can track
-            # the amended group without re-deriving the delta fold.
-            response["amended"] = {
-                "n": request.n,
-                "m": request.m,
-                "exclude": sorted(request.exclude),
-            }
-        return response
+        # Echo the equivalent plan request so the caller can track the
+        # amended group without re-deriving the delta fold.
+        echo = {"n": request.n, "m": request.m, "exclude": sorted(request.exclude)}
+        return await self._submit_plan(request, request_id, echo)
 
-    async def _submit_plan(self, request: PlanRequest, request_id) -> dict:
+    async def _submit_plan(
+        self, request: PlanRequest, request_id, echo: Optional[dict] = None
+    ) -> Union[bytes, dict]:
+        """Plan ``request``: the answer line for ``request_id``, or an error.
+
+        The computation's answer is encoded by whichever of its waiters
+        wakes first and shared by the rest; ``echo`` (an amend's
+        ``"amended"`` object) is spliced in after the result.
+        """
         if self._active_plans >= self.max_inflight:
             self.metrics.shed.inc()
             self.metrics.errors.inc()
@@ -612,6 +631,8 @@ class PlanServer:
             # Journal after validation and admission: only requests the
             # server actually plans are worth replaying at restart.
             self.journal.record(request)
+        answer = self._answers.setdefault(request, [0, None, b""])
+        answer[0] += 1
         self._active_plans += 1
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -629,6 +650,9 @@ class PlanServer:
             )
         finally:
             self._active_plans -= 1
+            answer[0] -= 1
+            if not answer[0]:
+                del self._answers[request]
         elapsed = loop.time() - started
         self.metrics.plan_latency.record(elapsed)
         if self.slos is not None:
@@ -636,19 +660,50 @@ class PlanServer:
             if tracker is not None:
                 bound = tracker.spec.bound or float("inf")
                 self.slos.record("plan_latency_p99", elapsed * 1e6 <= bound)
-        return {"id": request_id, "ok": True, "result": result.to_dict()}
+        if answer[1] is not result:  # first waiter of this computation
+            answer[1], answer[2] = result, _encode_answer(result)
+        body = answer[2]
+        if echo is not None:
+            body = b"".join(
+                (body[:-1], b',"amended":', json.dumps(echo, separators=(",", ":")).encode(), b"}")
+            )
+        return b"".join((framing.ID_PREFIX, framing.encode_id(request_id), body, b"\n"))
 
     @staticmethod
     async def _write(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: dict
+        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, data: bytes
     ) -> None:
-        data = json.dumps(response, separators=(",", ":")).encode() + b"\n"
         try:
             async with write_lock:
                 writer.write(data)
                 await writer.drain()
         except ConnectionError:  # client went away; nothing to tell it
             pass
+
+
+def _encode(response: dict) -> bytes:
+    """One answer line."""
+    return json.dumps(response, separators=(",", ":")).encode() + b"\n"
+
+
+def _encode_answer(result: PlanResult) -> bytes:
+    """A plan answer minus its id: ``,"ok":true,"result":{...}}``.
+
+    Encoded as the whole answer object with a null id, which is then
+    cut off, so the bytes are exactly what ``json.dumps`` writes for
+    the answer whatever id goes in front.
+    """
+    line = json.dumps({"id": None, "ok": True, "result": result.to_dict()}, separators=(",", ":"))
+    return line[len('{"id":null'):].encode()
+
+
+def _too_large(request_id, size: int) -> dict:
+    """The error that replaces an answer line over the frame limit."""
+    return _error(
+        request_id,
+        "response_too_large",
+        f"the answer is {size} bytes, over the {framing.MAX_FRAME_BYTES}-byte frame limit",
+    )
 
 
 def _error(request_id, code: str, message: str, **extra) -> dict:

@@ -1,0 +1,269 @@
+"""Wire parity of the encode-once and byte-relay paths (service tier).
+
+A plan answer is encoded once per computation and shared by every
+waiter behind its own id, and the cluster router relays a shard's bytes
+with only the id swapped.  These properties pin what that must not
+change: every line the server writes and every line the router relays
+is ``json.dumps(answer, separators=(",", ":")) + "\\n"`` of the answer
+object the service has always built, for any id, for ``plan`` and
+``amend``; error answers keep their codes, and injected transient
+errors still fail over; and N concurrent waiters on one computation
+cost one ``PlanResult.to_dict``.
+
+The servers run on an event loop in a background thread for the whole
+module; each example talks to them over plain blocking sockets, so the
+bytes checked are the bytes on the wire.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import socket
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import ClusterRouter, ShardSpec, plan_key
+from repro.params import MachineParams
+from repro.service import PlanClient, PlanRequest, PlanResult, PlanServer, plan
+
+pytestmark = pytest.mark.service
+
+#: Request ids as clients send them: JSON ints, strings (non-ASCII
+#: included), or null.
+IDS = st.one_of(st.integers(-(2**64), 2**64), st.text(max_size=6), st.none())
+
+
+@st.composite
+def plan_keys(draw):
+    """``(n, m, exclude)`` with n in [2, 300], m in [1, 32], >= 2 survivors."""
+    n = draw(st.integers(2, 300))
+    m = draw(st.integers(1, 32))
+    exclude = draw(st.sets(st.integers(1, n - 1), max_size=min(n - 2, 6)))
+    return n, m, tuple(sorted(exclude))
+
+
+@st.composite
+def amend_deltas(draw, key):
+    """``(join, leave)`` against ``key`` that leaves >= 2 survivors."""
+    n, _, exclude = key
+    join = draw(st.integers(0, 4))
+    free = [p for p in range(1, n) if p not in exclude]
+    leave = draw(st.sets(st.sampled_from(free), max_size=min(len(free) + join - 1, 4)))
+    return join, tuple(sorted(leave))
+
+
+def line(answer: dict) -> bytes:
+    """The answer line as the seed encoder wrote it."""
+    return (json.dumps(answer, separators=(",", ":")) + "\n").encode()
+
+
+class Connection:
+    """One blocking JSON-lines connection."""
+
+    def __init__(self, port: int) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+        self.lines = self.sock.makefile("rb")
+
+    def ask(self, payload: dict) -> bytes:
+        self.sock.sendall(json.dumps(payload).encode() + b"\n")
+        return self.lines.readline()
+
+    def close(self) -> None:
+        self.lines.close()
+        self.sock.close()
+
+
+class Services:
+    """A standalone server and a 2-shard cluster on a background loop."""
+
+    def __init__(self) -> None:
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.thread.start()
+        self.run(self._start())
+        self.server = Connection(self.single.port)
+        self.router = Connection(self.cluster.port)
+
+    def run(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(60)
+
+    async def _start(self) -> None:
+        # A 20 ms batch window lets concurrent identical requests meet.
+        self.single = PlanServer(port=0, max_delay=0.02)
+        self.shards = [PlanServer(port=0, shard_id=sid) for sid in range(2)]
+        for server in [self.single, *self.shards]:
+            await server.start()
+        # No warm-ups, probes or evictions: every forward's route is
+        # the ring's, and an injected fault meets exactly one forward.
+        self.cluster = ClusterRouter(
+            [ShardSpec(sid, "127.0.0.1", s.port) for sid, s in enumerate(self.shards)],
+            port=0,
+            hot_threshold=0,
+            probe_interval=3600.0,
+            fail_after=10**6,
+        )
+        await self.cluster.start()
+
+    async def _stop(self) -> None:
+        await self.cluster.shutdown()
+        for server in [self.single, *self.shards]:
+            await server.shutdown()
+
+    def chain(self, n: int, m: int):
+        return self.cluster.ring.chain(plan_key(n, m, MachineParams()), 2)
+
+    def inject(self, server: PlanServer, code: str) -> None:
+        async def arm():
+            server.inject_fault(code, 1)
+
+        self.run(arm())
+
+    def planned(self) -> int:
+        return sum(s.metrics.planned.value for s in [self.single, *self.shards])
+
+    def close(self) -> None:
+        self.server.close()
+        self.router.close()
+        self.run(self._stop())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+        self.loop.close()
+
+
+@pytest.fixture(scope="module")
+def services():
+    running = Services()
+    yield running
+    running.close()
+
+
+def plan_payload(rid, n, m, exclude) -> dict:
+    return {"type": "plan", "id": rid, "n": n, "m": m, "exclude": list(exclude)}
+
+
+def amend_payload(rid, n, m, exclude, join, leave) -> dict:
+    payload = plan_payload(rid, n, m, exclude)
+    payload.update(type="amend", delta={"join": join, "leave": list(leave)})
+    return payload
+
+
+@settings(max_examples=25, deadline=None)
+@given(key=plan_keys(), rid=IDS)
+def test_plan_lines_are_the_seed_bytes(services, key, rid):
+    n, m, exclude = key
+    payload = plan_payload(rid, n, m, exclude)
+    result = plan(PlanRequest(n=n, m=m, exclude=exclude)).to_dict()
+    assert services.server.ask(payload) == line({"id": rid, "ok": True, "result": result})
+    shard = services.chain(n, m)[0]
+    assert services.router.ask(payload) == line(
+        {"id": rid, "ok": True, "result": result, "shard": shard}
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), key=plan_keys(), rid=IDS)
+def test_amend_lines_are_the_seed_bytes(services, data, key, rid):
+    n, m, exclude = key
+    join, leave = data.draw(amend_deltas(key))
+    payload = amend_payload(rid, n, m, exclude, join, leave)
+    folded = tuple(sorted(set(exclude) | set(leave)))
+    result = plan(PlanRequest(n=n + join, m=m, exclude=folded)).to_dict()
+    amended = {"n": n + join, "m": m, "exclude": list(folded)}
+    assert services.server.ask(payload) == line(
+        {"id": rid, "ok": True, "result": result, "amended": amended}
+    )
+    # The router has always answered an amend without the echo.
+    shard = services.chain(n + join, m)[0]
+    assert services.router.ask(payload) == line(
+        {"id": rid, "ok": True, "result": result, "shard": shard}
+    )
+
+
+def assert_error(raw: bytes, rid, code: str) -> None:
+    answer = json.loads(raw)
+    assert raw == line(answer)
+    assert answer["id"] == rid
+    assert answer["ok"] is False
+    assert answer["error"]["code"] == code
+
+
+@settings(max_examples=15, deadline=None)
+@given(key=plan_keys(), rid=IDS, kind=st.sampled_from(["plan", "amend"]))
+def test_error_answers_keep_their_codes(services, key, rid, kind):
+    n, m, exclude = key
+    # n = 1 fails validation on both paths; so does an amend naming
+    # an exclude position past n.
+    bad = plan_payload(rid, 1, m, ()) if kind == "plan" else amend_payload(rid, n, m, (n,), 0, ())
+    for hop in (services.server, services.router):
+        assert_error(hop.ask(bad), rid, "bad_request")
+        source_left = amend_payload(rid, n, m, exclude, 0, (0,))
+        assert_error(hop.ask(source_left), rid, "source_failed")
+
+
+@settings(max_examples=15, deadline=None)
+@given(key=plan_keys(), rid=IDS, code=st.sampled_from(["overloaded", "unavailable"]))
+def test_injected_transient_errors_fail_over(services, key, rid, code):
+    n, m, exclude = key
+    payload = plan_payload(rid, n, m, exclude)
+    services.inject(services.single, code)
+    assert_error(services.server.ask(payload), rid, code)
+
+    primary, replica = services.chain(n, m)
+    failovers = services.cluster.failovers.value
+    services.inject(services.shards[primary], code)
+    result = plan(PlanRequest(n=n, m=m, exclude=exclude)).to_dict()
+    assert services.router.ask(payload) == line(
+        {"id": rid, "ok": True, "result": result, "shard": replica}
+    )
+    assert services.cluster.failovers.value == failovers + 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    key=plan_keys(),
+    waiters=st.integers(2, 12),
+    via=st.sampled_from(["server", "router"]),
+    amends=st.booleans(),
+)
+def test_concurrent_waiters_share_one_encode(services, key, waiters, via, amends):
+    """Identical requests (and amends folding onto the same plan) that
+    meet in one computation are encoded once for all of them."""
+    n, m, exclude = key
+    plain = {"type": "plan", "n": n + 1, "m": m, "exclude": list(exclude)}
+    folded = {"type": "amend", "n": n, "m": m, "exclude": list(exclude), "delta": {"join": 1}}
+    payloads = [folded if amends and i % 2 else plain for i in range(waiters)]
+    port = services.single.port if via == "server" else services.cluster.port
+
+    async def burst():
+        async with await PlanClient.connect("127.0.0.1", port) as client:
+            return await asyncio.gather(*(client.request_raw(p, timeout=30) for p in payloads))
+
+    encodes = []
+    to_dict = PlanResult.to_dict
+
+    def counted(result):
+        encodes.append(result)
+        return to_dict(result)
+
+    planned = services.planned()
+    PlanResult.to_dict = counted
+    try:
+        lines = asyncio.run(burst())
+    finally:
+        PlanResult.to_dict = to_dict
+    computations = services.planned() - planned
+    assert computations >= 1
+    assert len(encodes) == computations
+
+    expected = plan(PlanRequest(n=n + 1, m=m, exclude=exclude)).to_dict()
+    for raw, payload in zip(lines, payloads):
+        answer = json.loads(raw)
+        assert raw == line(answer)
+        assert answer["result"] == expected
+        echoed = via == "server" and payload is folded
+        assert ("amended" in answer) == echoed
