@@ -27,7 +27,7 @@ def _setup():
 
 
 def test_perf_broadcast_8pkt(benchmark):
-    """Full 63-destination broadcast, 8 packets (~1000 NI sends)."""
+    """Full 63-destination broadcast, 8 packets (504 NI sends)."""
     simulator, chain = _setup()
     tree = build_kbinomial_tree(chain, 2)
     result = benchmark(simulator.run, tree, 8)
@@ -35,7 +35,7 @@ def test_perf_broadcast_8pkt(benchmark):
 
 
 def test_perf_broadcast_32pkt(benchmark):
-    """Stress case: 63 destinations x 32 packets (~4000 NI sends)."""
+    """Stress case: 63 destinations x 32 packets (2,016 NI sends)."""
     simulator, chain = _setup()
     tree = build_kbinomial_tree(chain, 2)
     result = benchmark.pedantic(simulator.run, args=(tree, 32), rounds=3, iterations=1)

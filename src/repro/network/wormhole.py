@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Hashable, Sequence
 
 from ..params import SystemParams
-from ..sim import Environment
+from ..sim import Environment, Request, Timeout
 from .links import ChannelPool
 
 __all__ = ["transmit", "transmit_windowed", "path_latency"]
@@ -38,20 +38,30 @@ def transmit(
     Yields until the tail flit has drained at the destination.  The
     caller (an NI send engine) decides what sender-side overlap to
     allow; this generator only models the network part.
+
+    Runs once per packet: the pool's methods and ``t_switch`` are bound
+    once, and the clock is read once per hop.  The header asks for the
+    next channel exactly ``t_switch`` after it got the previous one,
+    the same float sum the event queue pops that timeout at.
     """
     if not route:
         raise ValueError("route must contain at least one channel")
+    channel = pool.channel
+    record_acquisition = pool.record_acquisition
+    t_switch = params.t_switch
     held = []
     try:
+        asked_at = env.now
         for key in route:
-            resource = pool.channel(key)
-            asked_at = env.now
-            request = resource.request()
+            resource = channel(key)
+            request = Request(resource)
             yield request
-            pool.record_acquisition(key, env.now - asked_at)
+            granted_at = env.now
+            record_acquisition(key, granted_at - asked_at)
             held.append((resource, request))
-            yield env.timeout(params.t_switch)
-        yield env.timeout(params.wire_time)
+            yield Timeout(env, t_switch)
+            asked_at = granted_at + t_switch
+        yield Timeout(env, params.wire_time)
     finally:
         for resource, request in held:
             resource.release(request)

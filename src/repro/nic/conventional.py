@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.trees import MulticastTree
+from ..sim import Timeout
 from .interface import NetworkInterface, SendJob
 from .packets import Message, Packet, packetize
 
@@ -34,7 +35,7 @@ class ConventionalInterface(NetworkInterface):
         self.env.process(self._dma_to_host(packet), name=f"dma@{self.host}")
 
     def _dma_to_host(self, packet: Packet):
-        yield self.env.timeout(self.params.t_dma)
+        yield Timeout(self.env, self.params.t_dma)
         msg = packet.message
         arrived = self._host_memory.setdefault(msg.msg_id, [])
         arrived.append(packet)
@@ -51,16 +52,16 @@ class ConventionalInterface(NetworkInterface):
         """Host-level store-and-forward to each child in turn."""
         start = self.env.now if self.tracer.enabled else 0.0
         # Software overhead to receive/process the complete message.
-        yield self.env.timeout(self.params.t_r)
+        yield Timeout(self.env, self.params.t_r)
         for child in children:
             # Each forwarded copy is a full host send: start-up plus
             # per-packet DMA down to the NI.
-            yield self.env.timeout(self.params.t_s)
+            yield Timeout(self.env, self.params.t_s)
             for packet in packets:
-                yield self.env.timeout(self.params.t_dma)
+                yield Timeout(self.env, self.params.t_dma)
                 if self.trace.enabled:
                     self._log_forward(packet, (child,))
-                self.send_queue.put(SendJob(packet, child))
+                self.send_queue.put_nowait(SendJob(packet, child))
         if self.tracer.enabled:
             self.tracer.complete(
                 "host forward",
@@ -82,10 +83,10 @@ class ConventionalInterface(NetworkInterface):
             )
         packets = packetize(message)
         for child in tree.children(self.host):
-            yield self.env.timeout(self.params.t_s)
+            yield Timeout(self.env, self.params.t_s)
             for packet in packets:
-                yield self.env.timeout(self.params.t_dma)
-                self.send_queue.put(SendJob(packet, child))
+                yield Timeout(self.env, self.params.t_dma)
+                self.send_queue.put_nowait(SendJob(packet, child))
         if self.tracer.enabled:
             self.tracer.complete(
                 "inject",

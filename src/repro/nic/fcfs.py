@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.trees import MulticastTree
+from ..sim import Timeout
 from .interface import NetworkInterface, SendJob
 from .packets import Message, Packet, packetize
 
@@ -44,12 +45,12 @@ class FCFSInterface(NetworkInterface):
             self._log_buffer_level()
         self._track_release(packet, copies=len(children))
         # Cut-through to the first child as each packet arrives.
-        self.send_queue.put(SendJob(packet, children[0], on_sent=self._release_one(packet)))
+        self.send_queue.put_nowait(SendJob(packet, children[0], on_sent=self._release_one(packet)))
         if len(buffered) == msg.num_packets:
             # Whole message present: stream it to each remaining child.
             for child in children[1:]:
                 for buffered_packet in buffered:
-                    self.send_queue.put(
+                    self.send_queue.put_nowait(
                         SendJob(buffered_packet, child, on_sent=self._release_one(buffered_packet))
                     )
             del self._buffered[msg.msg_id]
@@ -84,7 +85,7 @@ class FCFSInterface(NetworkInterface):
             self.trace.log(
                 "inject", host=self.host, msg=message.msg_id, m=message.num_packets
             )
-        yield self.env.timeout(self.params.t_s)
+        yield Timeout(self.env, self.params.t_s)
         children = tree.children(self.host)
         packets = packetize(message)
         if children:
@@ -96,7 +97,9 @@ class FCFSInterface(NetworkInterface):
                     self._log_buffer_level()
             for child in children:
                 for packet in packets:
-                    self.send_queue.put(SendJob(packet, child, on_sent=self._release_one(packet)))
+                    self.send_queue.put_nowait(
+                        SendJob(packet, child, on_sent=self._release_one(packet))
+                    )
         if self.tracer.enabled:
             self.tracer.complete(
                 "inject",

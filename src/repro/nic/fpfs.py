@@ -14,6 +14,7 @@ why this class is a few lines on top of the base NI.
 from __future__ import annotations
 
 from ..core.trees import MulticastTree
+from ..sim import Timeout
 from .interface import NetworkInterface
 from .packets import Message, Packet, packetize
 
@@ -41,7 +42,7 @@ class FPFSInterface(NetworkInterface):
                 "inject", host=self.host, msg=message.msg_id, m=message.num_packets
             )
         # Host software start-up: one t_s to move the message to NI memory.
-        yield self.env.timeout(self.params.t_s)
+        yield Timeout(self.env, self.params.t_s)
         children = tree.children(self.host)
         for packet in packetize(message):
             self._enqueue_copies(packet, children)

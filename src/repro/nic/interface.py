@@ -28,7 +28,7 @@ from ..network.topology import Node
 from ..network.wormhole import transmit
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..params import SystemParams
-from ..sim import Environment, LevelMonitor, Store, Trace
+from ..sim import Environment, LevelMonitor, Store, Timeout, Trace
 from .packets import Packet
 
 #: Available channel-occupancy models for the send engine.
@@ -167,7 +167,7 @@ class NetworkInterface:
             if self.fault_gate is not None and (yield from self.fault_gate.send_gate(job)):
                 continue
             start = self.env.now if self.tracer.enabled else 0.0
-            yield self.env.timeout(self.params.t_ns)
+            yield Timeout(self.env, self.params.t_ns)
             route = self.router.route(self.host, job.destination)
             yield from self._transmit(self.env, self.pool, route, self.params)
             delivered = True
@@ -197,7 +197,7 @@ class NetworkInterface:
             if job.on_sent is not None:
                 job.on_sent()
             if delivered:
-                self.registry.lookup(job.destination).recv_queue.put(job.packet)
+                self.registry.lookup(job.destination).recv_queue.put_nowait(job.packet)
 
     def _recv_engine(self):
         while True:
@@ -205,7 +205,7 @@ class NetworkInterface:
             if self.fault_gate is not None and (yield from self.fault_gate.recv_gate(packet)):
                 continue
             start = self.env.now if self.tracer.enabled else 0.0
-            yield self.env.timeout(self.params.t_nr)
+            yield Timeout(self.env, self.params.t_nr)
             key = (packet.message.msg_id, packet.index)
             if key in self.received_at:
                 raise RuntimeError(f"duplicate delivery of {packet!r} at {self.host!r}")
@@ -291,7 +291,7 @@ class NetworkInterface:
                     self._log_buffer_level()
 
         for child in children:
-            self.send_queue.put(SendJob(packet, child, on_sent=one_sent))
+            self.send_queue.put_nowait(SendJob(packet, child, on_sent=one_sent))
 
     def message_complete(self, message) -> bool:
         """Has this NI received every packet of ``message``?"""

@@ -38,7 +38,7 @@ from typing import Dict, Set, Tuple
 
 from ..network.links import ChannelPool
 from ..network.topology import Node
-from ..sim import Environment
+from ..sim import Environment, Timeout
 from .fpfs import FPFSInterface
 from .interface import SendJob
 from .packets import Message, Packet
@@ -109,7 +109,7 @@ class ReliableFPFSInterface(FPFSInterface):
             if self.fault_gate is not None and (yield from self.fault_gate.send_gate(job)):
                 continue
             start = self.env.now if self.tracer.enabled else 0.0
-            yield self.env.timeout(self.params.t_ns)
+            yield Timeout(self.env, self.params.t_ns)
             route = self.router.route(self.host, job.destination)
             yield from self._transmit(self.env, self.pool, route, self.params)
             delivered = True
@@ -141,7 +141,7 @@ class ReliableFPFSInterface(FPFSInterface):
                 job.packet
             )
             if delivered and not dropped:
-                self.registry.lookup(job.destination).recv_queue.put(job.packet)
+                self.registry.lookup(job.destination).recv_queue.put_nowait(job.packet)
 
     # -- receive path ------------------------------------------------------------
     def _recv_engine(self):
@@ -150,7 +150,7 @@ class ReliableFPFSInterface(FPFSInterface):
             if self.fault_gate is not None and (yield from self.fault_gate.recv_gate(payload)):
                 continue
             start = self.env.now if self.tracer.enabled else 0.0
-            yield self.env.timeout(self.params.t_nr)
+            yield Timeout(self.env, self.params.t_nr)
             if isinstance(payload, Nack):
                 self._handle_nack(payload)
                 continue
@@ -236,7 +236,7 @@ class ReliableFPFSInterface(FPFSInterface):
         )
 
     def _timeout_watch(self, message: Message, generation: int):
-        yield self.env.timeout(self.NACK_TIMEOUT)
+        yield Timeout(self.env, self.NACK_TIMEOUT)
         if self._timer_generation.get(message.msg_id) != generation:
             return  # superseded by a newer arrival
         if self.message_complete(message):
@@ -254,7 +254,7 @@ class ReliableFPFSInterface(FPFSInterface):
             self.tracer.instant(
                 "nack", self.obs_track, cat="ni", args={"msg": msg_id, "n": len(indices)}
             )
-        self.send_queue.put(SendJob(Nack(msg_id, indices, self.host), parent))
+        self.send_queue.put_nowait(SendJob(Nack(msg_id, indices, self.host), parent))
 
     def _handle_nack(self, nack: Nack) -> None:
         if self.trace.enabled:
@@ -274,4 +274,4 @@ class ReliableFPFSInterface(FPFSInterface):
                 # Not here yet (we lost it too): our own recovery will
                 # fetch it, and the child's timer will re-ask.
                 continue
-            self.send_queue.put(SendJob(packet, nack.requester))
+            self.send_queue.put_nowait(SendJob(packet, nack.requester))

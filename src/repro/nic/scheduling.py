@@ -12,8 +12,9 @@ several messages must decide whose packet goes out next:
   ``1/active``-th injection slot, bounding cross-multicast interference
   at the NI.
 
-Both expose the Store-compatible surface the NI send engine uses
-(``put(item)`` fire-and-forget, ``get() -> Event``), so they plug into
+Both expose the Store-compatible surface the NI uses
+(``put_nowait(item)``, the fire-and-forget enqueue that schedules no
+event, and ``get() -> Event``), so they plug into
 :class:`~repro.mcast.simulator.MulticastSimulator` via its
 ``send_policy`` parameter.
 """
@@ -52,7 +53,17 @@ class RoundRobinSendQueue:
 
     # -- Store-compatible surface -----------------------------------------------
     def put(self, item) -> Event:
-        """Enqueue ``item`` under its message's backlog."""
+        """Enqueue ``item``; the returned event is already triggered.
+
+        Kept for Store compatibility; the NIs call :meth:`put_nowait`.
+        """
+        event = Event(self.env)
+        event.succeed()
+        self.put_nowait(item)
+        return event
+
+    def put_nowait(self, item) -> None:
+        """Enqueue ``item`` under its message's backlog; schedule no event."""
         key = _message_key(item)
         backlog = self._backlogs.get(key)
         if backlog is None:
@@ -60,10 +71,7 @@ class RoundRobinSendQueue:
             self._backlogs[key] = backlog
         backlog.append(item)
         self._size += 1
-        event = Event(self.env)
-        event.succeed()
         self._serve()
-        return event
 
     def get(self) -> Event:
         """Event that fires with the next round-robin item."""

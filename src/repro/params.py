@@ -59,15 +59,21 @@ class SystemParams:
     flit_bytes: int = 8
 
     def __post_init__(self) -> None:
+        # Chained comparisons are false for NaN, so each test also
+        # refuses NaN; the upper bound refuses infinities, as
+        # MachineParams does.
         for name in ("t_s", "t_r", "t_ns", "t_nr", "t_switch", "t_dma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be non-negative and finite, got {value}")
         if self.packet_bytes <= 0:
-            raise ValueError("packet_bytes must be positive")
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
+            raise ValidationError("packet_bytes must be positive")
+        if not 0 < self.link_bandwidth < math.inf:
+            raise ValidationError(
+                f"link_bandwidth must be positive and finite, got {self.link_bandwidth}"
+            )
         if self.flit_bytes <= 0:
-            raise ValueError("flit_bytes must be positive")
+            raise ValidationError("flit_bytes must be positive")
 
     @property
     def wire_time(self) -> float:

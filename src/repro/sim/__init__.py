@@ -26,7 +26,7 @@ from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .monitor import LevelMonitor, Trace, TraceRecord
 from .process import Process
 from .resources import PriorityResource, Request, Resource
-from .store import FilterStore, Store, StoreGet, StorePut
+from .store import FilterStore, Store, StoreFull, StoreGet, StorePut
 
 __all__ = [
     "AllOf",
@@ -46,6 +46,7 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "Store",
+    "StoreFull",
     "StoreGet",
     "StorePut",
     "Timeout",

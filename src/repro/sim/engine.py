@@ -21,7 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Optional, Union
 
 from .errors import EmptySchedule, StopSimulation
@@ -85,10 +85,16 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, priority: int = PRIORITY_NORMAL, delay: float = 0.0) -> None:
-        """Insert ``event`` into the queue ``delay`` units from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        heapq.heappush(self._queue, (self._now + delay, priority, self._sequence, event))
+        """Insert ``event`` into the queue ``delay`` units from now.
+
+        Every event enters the queue here; only :meth:`run`'s own stop
+        marker for ``until=<time>`` is pushed directly.  ``delay`` must
+        be ``>= 0``, tested so that NaN fails too: a NaN time would pop
+        out of order and run the clock backwards.
+        """
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        heappush(self._queue, (self._now + delay, priority, self._sequence, event))
         self._sequence += 1
 
     # -- execution ----------------------------------------------------------
@@ -101,7 +107,7 @@ class Environment:
         processes surface instead of being silently dropped.
         """
         try:
-            self._now, _, _, event = heapq.heappop(self._queue)
+            self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no more events") from None
 
@@ -143,13 +149,13 @@ class Environment:
             stop_event.callbacks.append(_stop_simulation)
         else:
             at = float(until)
-            if at < self._now:
-                raise ValueError(f"until={at} is in the past (now={self._now})")
+            if not at >= self._now:  # also rejects NaN
+                raise ValueError(f"until={at} must be a time at or after now={self._now}")
             stop_event = Event(self)
             stop_event._ok = True
             stop_event._value = None
             # Urgent priority so the clock stops before same-time events run.
-            heapq.heappush(self._queue, (at, -1, self._sequence, stop_event))
+            heappush(self._queue, (at, -1, self._sequence, stop_event))
             self._sequence += 1
             stop_event.callbacks.append(_stop_simulation)
 

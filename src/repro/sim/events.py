@@ -150,18 +150,23 @@ class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
     Created already *triggered*: it is scheduled immediately and cannot
-    be cancelled (ignore its value instead).
+    be cancelled (ignore its value instead).  :meth:`Environment.schedule
+    <repro.sim.engine.Environment.schedule>` refuses a negative or NaN
+    ``delay``.
+
+    The hottest event type, so it sets its slots itself instead of going
+    through :meth:`Event.__init__`.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._defused = False
+        self.delay = delay
         env.schedule(self, PRIORITY_NORMAL, delay)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

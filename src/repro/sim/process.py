@@ -83,8 +83,13 @@ class Process(Event):
 
     # -- internal ------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome."""
-        self.env._active_process = self
+        """Advance the generator with ``event``'s outcome.
+
+        The only way a process resumes: every event a process waits on
+        carries this method as a callback.
+        """
+        env = self.env
+        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -94,38 +99,39 @@ class Process(Event):
                     next_event = self._generator.throw(event._value)
             except StopIteration as exc:
                 self._target = None
-                self.env._active_process = None
+                env._active_process = None
                 self._ok = True
                 self._value = exc.value
-                self.env.schedule(self)
+                env.schedule(self)
                 return
             except BaseException as exc:
                 self._target = None
-                self.env._active_process = None
+                env._active_process = None
                 self._ok = False
                 self._value = exc
-                self.env.schedule(self)
+                env.schedule(self)
                 return
 
             if not isinstance(next_event, Event):
-                self.env._active_process = None
+                env._active_process = None
                 raise InvalidEventUsage(
                     f"process {self.name!r} yielded {next_event!r}, which is not an Event"
                 )
-            if next_event.env is not self.env:
-                self.env._active_process = None
+            if next_event.env is not env:
+                env._active_process = None
                 raise InvalidEventUsage(
                     f"process {self.name!r} yielded an event from a different environment"
                 )
 
-            if next_event.processed:
-                # Already done: loop around synchronously with its value.
+            callbacks = next_event.callbacks
+            if callbacks is None:
+                # Already processed: loop around synchronously with its value.
                 event = next_event
                 continue
             self._target = next_event
-            next_event.callbacks.append(self._resume)
+            callbacks.append(self._resume)
             break
-        self.env._active_process = None
+        env._active_process = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "finished" if self.triggered else "alive"

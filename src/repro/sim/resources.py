@@ -27,23 +27,39 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidEventUsage
-from .events import Event
+from .events import _PENDING, PRIORITY_NORMAL, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot.
+
+    Built once per channel hop of every packet, so it sets its slots
+    itself instead of going through :meth:`Event.__init__`, and a
+    request for a free slot is granted right here.
+    """
 
     __slots__ = ("resource", "priority", "_order")
 
     def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
-        super().__init__(resource.env)
+        self.env = env = resource.env
+        self.callbacks = []
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.priority = priority
-        self._order = resource._next_order()
-        resource._do_request(self)
+        resource._order_counter += 1
+        self._order = resource._order_counter
+        users = resource._users
+        if len(users) < resource.capacity:
+            users.append(self)
+            self._value = None
+            env.schedule(self, PRIORITY_NORMAL)
+        else:
+            self._value = _PENDING
+            resource._insert_waiting(self)
 
     def cancel(self) -> None:
         """Withdraw an ungran­ted request from the wait queue."""
@@ -95,7 +111,8 @@ class Resource:
             self._users.remove(request)
         except ValueError:
             raise InvalidEventUsage(f"{request!r} does not hold a slot of this resource") from None
-        self._grant_waiting()
+        if self._waiting:
+            self._grant_waiting()
 
     @property
     def count(self) -> int:
@@ -106,17 +123,6 @@ class Resource:
         return len(self._waiting)
 
     # -- internals ---------------------------------------------------------
-    def _next_order(self) -> int:
-        self._order_counter += 1
-        return self._order_counter
-
-    def _do_request(self, request: Request) -> None:
-        if len(self._users) < self.capacity:
-            self._users.append(request)
-            request.succeed()
-        else:
-            self._insert_waiting(request)
-
     def _insert_waiting(self, request: Request) -> None:
         self._waiting.append(request)
 

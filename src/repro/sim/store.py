@@ -2,7 +2,9 @@
 
 :class:`Store` is an unbounded (or capacity-limited) queue of arbitrary
 items with blocking ``get`` and (when bounded) blocking ``put``.  The
-network-interface send queues in :mod:`repro.nic` are Stores.
+network-interface send and receive queues in :mod:`repro.nic` are
+Stores; the NIs enqueue with :meth:`Store.put_nowait`, which schedules
+no event, because no process ever waits for one of their puts.
 
 :class:`FilterStore` extends ``get`` with a predicate so a consumer can
 wait for a *specific* item (e.g. "the next packet of message 7").
@@ -13,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .events import Event
+from .errors import SimulationError
+from .events import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -32,15 +35,29 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    """Pending retrieval of an item from a store."""
+    """Pending retrieval of an item from a store.
+
+    Every NI engine builds one per packet, so it sets its slots itself
+    instead of going through :meth:`Event.__init__`, and it dispatches
+    only when the store holds items or blocked puts.
+    """
 
     __slots__ = ("filter",)
 
     def __init__(self, store: "Store", filter: Optional[Callable[[object], bool]] = None) -> None:
-        super().__init__(store.env)
+        self.env = store.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self.filter = filter
         store._get_waiting.append(self)
-        store._dispatch()
+        if store.items or store._put_waiting:
+            store._dispatch()
+
+
+class StoreFull(SimulationError):
+    """Raised by :meth:`Store.put_nowait` on a bounded store with no room."""
 
 
 class Store:
@@ -62,8 +79,29 @@ class Store:
         self._get_waiting: list[StoreGet] = []
 
     def put(self, item: object) -> StorePut:
-        """Insert ``item``; the returned event fires once it is stored."""
+        """Insert ``item``; the returned event fires once it is stored.
+
+        A producer on a bounded store yields this event to wait for
+        room.  A producer that never waits should use
+        :meth:`put_nowait`, which stores the item without scheduling an
+        event.
+        """
         return StorePut(self, item)
+
+    def put_nowait(self, item: object) -> None:
+        """Insert ``item`` now and serve waiting gets; schedule no event.
+
+        The fire-and-forget enqueue: the same outcome as an unwaited
+        :meth:`put`, minus the put event that nobody would yield.
+        Raises :class:`StoreFull` if the store is bounded and full.
+        """
+        if len(self.items) >= self.capacity:
+            raise StoreFull(f"{self!r} is full; yield put(item) to wait for room")
+        self.items.append(item)
+        # Room for the item means no put is blocked, so serving the
+        # waiting gets is all that is left of a dispatch.
+        if self._get_waiting:
+            self._serve_gets()
 
     def get(self) -> StoreGet:
         """Retrieve the oldest item; the event's value is the item."""

@@ -28,6 +28,22 @@ class TestRoundRobinQueue:
         env.run()
         assert got == ["a", "b", "c"]
 
+    def test_put_nowait_schedules_no_event(self, env):
+        q = RoundRobinSendQueue(env)
+        got = []
+
+        def consumer(env):
+            for _ in range(2):
+                got.append((yield q.get()))
+
+        env.process(consumer(env))
+        env.run()
+        q.put_nowait("a")
+        q.put_nowait("b")
+        assert len(env) == 1  # the get that "a" satisfied, nothing for the puts
+        env.run()
+        assert got == ["a", "b"] and q.size == 0
+
     def test_interleaves_message_classes(self, env):
         # Items without .packet.message land in one control class; use
         # stand-in objects with distinct message ids.

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.sim import EmptySchedule, Environment
+
+NAN = float("nan")
 
 
 def test_initial_time_defaults_to_zero(env):
@@ -107,6 +111,42 @@ def test_negative_delay_rejected(env):
 def test_schedule_negative_delay_rejected(env):
     with pytest.raises(ValueError):
         env.schedule(env.event(), delay=-0.5)
+
+
+# NaN compares false with everything: a `delay < 0` test would let it
+# in, and the heap would pop a NaN time out of order.
+
+
+def test_nan_delay_rejected(env):
+    with pytest.raises(ValueError):
+        env.timeout(NAN)
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), delay=NAN)
+    assert len(env) == 0
+
+
+def test_nan_delay_cannot_run_the_clock_backwards(env):
+    clock = []
+
+    def waiter(env, delay):
+        yield env.timeout(delay)
+        clock.append(env.now)
+
+    for delay in (5.0, NAN, 1.0):
+        env.process(waiter(env, delay))
+    with pytest.raises(ValueError):
+        env.run()
+    assert not any(math.isnan(t) for t in clock)
+    assert clock == sorted(clock)
+
+
+def test_run_until_nan_rejected(env):
+    env.timeout(3.0)
+    with pytest.raises(ValueError):
+        env.run(until=NAN)
+    assert env.now == 0.0
+    env.run()
+    assert env.now == 3.0
 
 
 def test_failed_event_without_handler_crashes_run(env):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nic.scheduling import RoundRobinSendQueue
 from repro.sim import Environment, Resource, Store
 
 
@@ -129,3 +133,86 @@ def test_bounded_store_conserves_items(n_producers, items_each, capacity):
     env.run()
     assert len(received) == total
     assert len(set(received)) == total  # no duplication, no loss
+
+
+class _CountingEnvironment(Environment):
+    """Counts the events that enter the queue."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.scheduled = 0
+
+    def schedule(self, event, *args, **kwargs) -> None:
+        self.scheduled += 1
+        super().schedule(event, *args, **kwargs)
+
+
+def _run_queue_program(queue_cls, producers, consumers, nowait):
+    """Run one producer/consumer program; ``(log, scheduled, puts)``.
+
+    Producers enqueue fire-and-forget, either through the event ``put``
+    (its event is never yielded) or through ``put_nowait``.  Every
+    process resumption appends ``(time, label)`` to the log.
+    """
+    env = _CountingEnvironment()
+    queue = queue_cls(env)
+    enqueue = queue.put_nowait if nowait else queue.put
+    log = []
+    puts = 0
+
+    def producer(pid, steps):
+        nonlocal puts
+        for step, (delay, count, msg_id) in enumerate(steps):
+            yield env.timeout(delay)
+            log.append((env.now, ("woke", pid, step)))
+            for j in range(count):
+                # A message id, as the round-robin queue classifies items.
+                message = SimpleNamespace(msg_id=msg_id)
+                enqueue(SimpleNamespace(message=message, label=(pid, step, j)))
+                puts += 1
+
+    def consumer(cid, delays):
+        for delay in delays:
+            item = yield queue.get()
+            log.append((env.now, ("got", cid, item.label)))
+            yield env.timeout(delay)
+            log.append((env.now, ("slept", cid)))
+
+    for pid, steps in enumerate(producers):
+        env.process(producer(pid, steps))
+    for cid, delays in enumerate(consumers):
+        env.process(consumer(cid, delays))
+    env.run()
+    return log, env.scheduled, puts
+
+
+# Integer delays so that many events tie on time and sequence order decides.
+_delay = st.integers(min_value=0, max_value=3)
+
+
+@pytest.mark.parametrize("queue_cls", [Store, RoundRobinSendQueue])
+@settings(max_examples=60, deadline=None)
+@given(
+    producers=st.lists(
+        st.lists(
+            st.tuples(_delay, st.integers(min_value=1, max_value=3), st.integers(0, 2)),
+            min_size=1,
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    consumers=st.lists(st.lists(_delay, min_size=1, max_size=8), min_size=1, max_size=3),
+)
+def test_dropping_unwaited_put_events_keeps_the_order(queue_cls, producers, consumers):
+    # An event nobody waits on has no callbacks.  Not scheduling it
+    # leaves every other event's relative (time, priority, sequence)
+    # order alone, so every process wakes at the same time, in the same
+    # order, with the same item, one event fewer per put.
+    log, scheduled, puts = _run_queue_program(queue_cls, producers, consumers, nowait=False)
+    log_nowait, scheduled_nowait, puts_nowait = _run_queue_program(
+        queue_cls, producers, consumers, nowait=True
+    )
+    assert log_nowait == log
+    assert puts_nowait == puts
+    assert scheduled - scheduled_nowait == puts

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import FilterStore, Store
+from repro.sim import FilterStore, Store, StoreFull
 
 
 def test_capacity_must_be_positive(env):
@@ -159,3 +159,55 @@ def test_filterstore_plain_get_takes_oldest(env):
     env.process(proc(env))
     env.run()
     assert got == ["old"]
+
+
+# -- put_nowait ----------------------------------------------------------------
+
+def test_put_nowait_stores_without_scheduling(env):
+    s = Store(env)
+    assert s.put_nowait("a") is None
+    assert len(env) == 0
+    assert list(s.items) == ["a"]
+
+
+def test_put_nowait_serves_a_waiting_get_at_once(env):
+    s = Store(env)
+    got = []
+
+    def consumer(env):
+        item = yield s.get()
+        got.append((env.now, item))
+
+    def producer(env):
+        yield env.timeout(2)
+        s.put_nowait("x")
+
+    env.process(consumer(env))
+    env.process(producer(env))
+    env.run()
+    assert got == [(2, "x")]
+    assert s.size == 0
+
+
+def test_put_nowait_on_full_bounded_store_raises(env):
+    s = Store(env, capacity=1)
+    s.put_nowait("one")
+    with pytest.raises(StoreFull):
+        s.put_nowait("two")
+    assert list(s.items) == ["one"]
+
+
+def test_put_nowait_feeds_a_filter_get(env):
+    s = FilterStore(env)
+    got = []
+
+    def consumer(env):
+        got.append((yield s.get(lambda x: x == "b")))
+
+    env.process(consumer(env))
+    env.run()
+    s.put_nowait("a")
+    s.put_nowait("b")
+    env.run()
+    assert got == ["b"]
+    assert list(s.items) == ["a"]

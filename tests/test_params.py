@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.durable import ValidationError
 from repro.params import PAPER_PARAMS, SystemParams
 
 
@@ -45,6 +46,16 @@ def test_bad_packet_size_rejected():
 def test_bad_bandwidth_rejected():
     with pytest.raises(ValueError):
         SystemParams(link_bandwidth=0)
+
+
+@pytest.mark.parametrize(
+    "field", ["t_s", "t_r", "t_ns", "t_nr", "t_switch", "t_dma", "link_bandwidth"]
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_times_rejected(field, bad):
+    # A NaN time would run the whole simulation on NaN timestamps.
+    with pytest.raises(ValidationError):
+        PAPER_PARAMS.with_(**{field: bad})
 
 
 def test_with_override():
