@@ -13,20 +13,26 @@ Layers, innermost out:
   :class:`PlanRequest` (``n``, ``m``, :class:`~repro.params.MachineParams`)
   to :class:`PlanResult` (chosen k, per-node FPFS forwarding schedule,
   cost breakdown ``T1 + (m-1)·k_T``, buffer bound ``c·t_sq``), memoized
-  through :mod:`repro.core.cache`.
+  through :mod:`repro.core.cache`; and its encoder ``plan_json``, which
+  writes the same result's JSON bytes from a memoized wire template of
+  the canonical schedule — what the server sends.
 * :mod:`~repro.service.batching` — :class:`PlanBatcher`: micro-batches
   concurrent requests, collapses identical keys into single-flight
   computations, and fans distinct keys over an executor in sweep-style
-  chunks.
+  chunks; each computation yields its encoded result once, shared by
+  all its waiters.
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`: counters and
   latency histograms (p50/p95/p99) plus the plan-cache hit rates from
   :func:`repro.core.cache.cache_stats`.
 * :mod:`~repro.service.server` — :class:`PlanServer`: asyncio
   JSON-lines TCP front end with per-request timeouts, bounded
   admission (explicit ``overloaded`` shed, never unbounded latency),
-  graceful drain, and the ``amend`` wire type that folds a membership
-  delta (:mod:`repro.membership`) into an equivalent plan request —
-  churn bursts coalesce in the batcher's single-flight dedupe.
+  graceful drain bounded by ``drain_timeout``, a ``(n - |exclude|) × m``
+  work bound at the wire, and the ``amend`` wire type that folds a
+  membership delta (:mod:`repro.membership`) into an equivalent plan
+  request — churn bursts coalesce in the batcher's single-flight
+  dedupe.  It writes each answer as the batcher's bytes behind the
+  request's id.
 * :mod:`~repro.service.client` — :class:`PlanClient` (async) and the
   :func:`plan_remote` / :func:`stats_remote` sync conveniences, with
   :class:`RetryPolicy` backoff over typed transient failures
@@ -36,9 +42,9 @@ Layers, innermost out:
   answer becomes a ``response_too_large`` error) and id-first answers,
   so a plan is encoded once and relayed as bytes.
 * :mod:`~repro.service.journal` — :class:`RequestJournal`: checksummed
-  append-only log of distinct accepted plan requests, replayed on
-  restart to pre-warm the plan memo tables (``recovered_entries`` on
-  the health endpoint).
+  append-only log of distinct accepted plan requests, replayed through
+  the encoder on restart to pre-warm the memo tables the server reads
+  (``recovered_entries`` on the health endpoint).
 
 Quickstart::
 

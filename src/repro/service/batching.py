@@ -27,8 +27,14 @@ cheaper than process fan-out would cost in pickling; inject a
 ``ProcessPoolExecutor`` for cold, CPU-bound grids (requests and
 results are picklable by design).
 
+Each computation's outcome is its answer's encoded ``"result"`` bytes
+(:func:`~repro.service.planner.plan_json`), so every single-flight
+waiter shares one bytes object and a computation is encoded exactly
+once, in the executor.
+
 All public methods must be called from the event loop thread; the
-executor workers only run the pure :func:`~repro.service.planner.plan`.
+executor workers only run the pure
+:func:`~repro.service.planner.plan_json`.
 """
 
 from __future__ import annotations
@@ -38,16 +44,16 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metrics import ServiceMetrics
-from .planner import PlanRequest, PlanResult, plan
+from .planner import PlanRequest, plan_json
 
 __all__ = ["PlanBatcher", "plan_chunk"]
 
-#: A chunk outcome: the result, or the exception the plan raised.
-_Outcome = Union[PlanResult, Exception]
+#: A chunk outcome: the encoded result, or the exception the plan raised.
+_Outcome = Union[bytes, Exception]
 
 
 def plan_chunk(requests: Sequence[PlanRequest]) -> List[_Outcome]:
-    """Executor-side body: plan each request, capturing per-item errors.
+    """Executor-side body: encode each request's plan, capturing per-item errors.
 
     Module-level (like the sweep engine's ``_measure_chunk``) so it
     pickles into process pools; exceptions travel as values so one bad
@@ -56,7 +62,7 @@ def plan_chunk(requests: Sequence[PlanRequest]) -> List[_Outcome]:
     outcomes: List[_Outcome] = []
     for request in requests:
         try:
-            outcomes.append(plan(request))
+            outcomes.append(plan_json(request))
         except Exception as exc:  # noqa: BLE001 - relayed to the caller
             outcomes.append(exc)
     return outcomes
@@ -118,8 +124,8 @@ class PlanBatcher:
         self._closed = False
 
     # -- public API ---------------------------------------------------------
-    async def submit(self, request: PlanRequest) -> PlanResult:
-        """Plan ``request``, sharing any in-flight computation of the key."""
+    async def submit(self, request: PlanRequest) -> bytes:
+        """``plan_json(request)``, sharing any in-flight computation of the key."""
         if self._closed:
             raise RuntimeError("batcher is closed")
         future = self._inflight.get(request)
@@ -145,23 +151,46 @@ class PlanBatcher:
         return len(self._inflight)
 
     async def drain(self) -> None:
-        """Flush pending work and wait for every in-flight key to settle."""
+        """Flush pending work and wait until no computation is pending.
+
+        The wait cancels nothing: a caller that gives up on it (say,
+        ``asyncio.wait_for`` timing out) leaves every shared computation
+        running for its waiters.
+        """
         self._flush()
-        while self._inflight or self._chunk_tasks:
-            futures = list(self._inflight.values()) + list(self._chunk_tasks)
-            await asyncio.gather(*futures, return_exceptions=True)
+        while True:
+            pending = [
+                future
+                for future in (*self._inflight.values(), *self._chunk_tasks)
+                if not future.done()
+            ]
+            if not pending:
+                return
+            await asyncio.wait(pending)
 
     async def close(self) -> None:
-        """Drain, then release the owned executor.  Idempotent."""
+        """Release the owned executor without waiting for anything.
+
+        Every waiter still pending fails with ``RuntimeError``, and an
+        owned executor that is still running a plan shuts down without
+        joining its thread (a running plan cannot be interrupted).  To
+        let pending work finish, ``await`` :meth:`drain` first.
+        Idempotent.
+        """
         if self._closed:
             return
-        await self.drain()
         self._closed = True
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
+        self._pending.clear()
+        for future in self._inflight.values():
+            if not future.done():
+                future.set_exception(RuntimeError("the batcher closed before the plan finished"))
+                future.exception()  # retrieved: its waiters may be gone
+        self._inflight.clear()
         if self._owns_executor and self._executor is not None:
-            self._executor.shutdown(wait=True)
+            self._executor.shutdown(wait=not self._chunk_tasks, cancel_futures=True)
             self._executor = None
 
     # -- internals ----------------------------------------------------------
@@ -195,15 +224,19 @@ class PlanBatcher:
 
     def _finish(self, chunk: Tuple[PlanRequest, ...], done: asyncio.Future) -> None:
         self._chunk_tasks.discard(done)
-        try:
-            outcomes: Sequence[_Outcome] = done.result()
-        except Exception as exc:  # executor itself failed (e.g. shutdown)
-            outcomes = [exc] * len(chunk)
+        # Every waiter of the chunk is settled, whatever became of it.
+        if done.cancelled():
+            failure: Optional[BaseException] = RuntimeError("the plan computation was cancelled")
+        else:
+            failure = done.exception()  # the executor itself failed (e.g. shutdown)
+        outcomes: Sequence[_Outcome] = (
+            done.result() if failure is None else [failure] * len(chunk)
+        )
         for request, outcome in zip(chunk, outcomes):
             future = self._inflight.pop(request, None)
             if future is None or future.done():
                 continue
-            if isinstance(outcome, Exception):
+            if isinstance(outcome, BaseException):
                 future.set_exception(outcome)
                 # A timed-out waiter may be gone; mark the exception
                 # retrieved so the loop doesn't log it as orphaned.

@@ -1,7 +1,8 @@
 """Service request journaling: warm restarts for the plan service.
 
-The plan service's speed comes from its memo tables
-(:func:`~repro.service.planner._schedule_rows` and the
+The plan service's speed comes from its memo tables (the wire memo
+:func:`~repro.service.planner._schedule_wire` that
+:func:`~repro.service.planner.plan_json` fills, and the
 :mod:`repro.core.cache` layers underneath) — and those die with the
 process.  After a restart, the first client to ask for each popular
 ``(n, k, m, ports)`` shape pays the full O(n·m) schedule construction
@@ -12,8 +13,9 @@ it can crash.
 checksummed JSON line per *distinct* accepted plan request (the
 journal is a warm-cache seed, not an audit log — duplicates carry no
 information, so they are deduplicated in memory and never hit disk
-twice).  On restart, :meth:`replay` re-plans every journaled request,
-repopulating the memo tables before the socket accepts traffic, and
+twice).  On restart, :meth:`replay` re-encodes every journaled request
+with the server's own encoder, repopulating the memo tables it reads
+before the socket accepts traffic, and
 reports how many entries it recovered — surfaced on the server's
 ``health`` endpoint as ``recovered_entries``.
 
@@ -35,7 +37,7 @@ from typing import Dict, Optional, Set, Tuple, Union
 from ..durable.journal import _encode_line, _line_crc
 from ..durable.metrics import DURABLE_METRICS
 from ..params import MachineParams
-from .planner import PlanRequest, plan
+from .planner import MAX_PLAN_WORK, PlanRequest, plan_json, plan_work
 
 __all__ = ["RequestJournal"]
 
@@ -97,7 +99,10 @@ class RequestJournal:
 
         Lenient by design — lines that are torn, fail their checksum,
         or no longer parse into a valid :class:`PlanRequest` are
-        counted in ``skipped`` and ignored.
+        counted in ``skipped`` and ignored.  So is a request over
+        :data:`~repro.service.planner.MAX_PLAN_WORK`: the server
+        refuses it, and replaying it would stall (or exhaust the memory
+        of) the restart before the socket binds.
         """
         if not os.path.exists(self.path):
             return [], 0
@@ -135,11 +140,14 @@ class RequestJournal:
                 except (KeyError, TypeError, ValueError):
                     skipped += 1
                     continue
+                if plan_work(request) > MAX_PLAN_WORK:
+                    skipped += 1
+                    continue
                 requests.append(request)
         return requests, skipped
 
     def replay(self) -> int:
-        """Re-plan every journaled request, warming the memo tables.
+        """Re-encode every journaled request, warming the server's memo tables.
 
         Returns the number of recovered entries (also kept on
         :attr:`recovered_entries`); marks each as seen so the restarted
@@ -148,7 +156,7 @@ class RequestJournal:
         requests, skipped = self.load()
         for request in requests:
             self._seen.add(self._key(request))
-            plan(request)
+            plan_json(request)
         self.recovered_entries = len(requests)
         self.skipped_entries = skipped
         if requests:

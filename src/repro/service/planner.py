@@ -9,10 +9,19 @@ schedule with its cost breakdown — ``T1`` steps for the first packet,
 
 Everything here is pure and memoized: requests are keyed on
 ``(n, m, MachineParams)``, node identity never matters (``range(n)``
-stands in for any chain, as in :func:`repro.core.cache`), and the
-schedule memo registers itself in the :mod:`repro.core.cache` registry
-so the service's cache hit rate is observable via
-:func:`~repro.core.cache.cache_stats` (the ``plan_schedule`` entry).
+stands in for any chain, as in :func:`repro.core.cache`), and a
+request with excluded positions reuses the canonical schedule of its
+``n - |exclude|`` survivors, relabelled onto their original positions.
+
+There are two outputs and a memo for each.  :func:`plan` returns a
+:class:`PlanResult` (the library API, and the oracle the tests hold
+the service to), built from :class:`NodePlan` rows.  :func:`plan_json`
+returns the same result already JSON-encoded, as the plan service
+sends it, filled into a memoized wire template without building any
+rows.  Both memos register in the :mod:`repro.core.cache` registry,
+so the hit rates are observable via
+:func:`~repro.core.cache.cache_stats` (``plan_schedule`` for the rows,
+``plan_wire`` for the templates).
 
 With ``REPRO_SURFACE=1`` the analytic half of a plan (the Theorem-3
 fan-out search and ``T1``) is served from the vectorized
@@ -22,9 +31,10 @@ schedule stays on the memoized scalar path, which remains the oracle.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, register_cache
 from ..core.surface import surface_enabled, surface_steps_needed
@@ -33,7 +43,24 @@ from ..core.optimal import optimal_k
 from ..core.pipeline import fpfs_schedule
 from ..params import PAPER_MACHINE, MachineParams
 
-__all__ = ["NodePlan", "PlanRequest", "PlanResult", "plan"]
+__all__ = [
+    "MAX_PLAN_WORK",
+    "NodePlan",
+    "PlanRequest",
+    "PlanResult",
+    "plan",
+    "plan_json",
+    "plan_work",
+]
+
+#: Largest schedule work (:func:`plan_work`) the plan service accepts:
+#: the server refuses a larger plan or amend as ``bad_request``, and a
+#: journal replay skips it.  An exact FPFS schedule costs O(n·m) time
+#: and memory, so ``n=64,
+#: m=100000`` took 20 s and 1 GiB.  At this bound a cold plan took
+#: 0.3-1.3 s on a 2-vCPU host; 1024 × 32 is the largest plan the
+#: repository's own tests, CI and benchmarks ask for.
+MAX_PLAN_WORK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -81,6 +108,11 @@ class PlanRequest:
                 f"excluding {len(exclude)} of {self.n} nodes leaves no destinations"
             )
         object.__setattr__(self, "exclude", exclude)
+
+
+def plan_work(request: PlanRequest) -> int:
+    """``(n - |exclude|) × m``: the size of the request's FPFS schedule."""
+    return (request.n - len(request.exclude)) * request.m
 
 
 @dataclass(frozen=True)
@@ -197,16 +229,35 @@ class PlanResult:
         )
 
 
-@lru_cache(maxsize=4096)
-def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[NodePlan, ...]:
-    """Memoized per-node schedule of the canonical k-binomial tree.
+class _Shape(NamedTuple):
+    """What a plan's scalar fields need from its canonical schedule."""
+
+    root_fanout: int
+    max_fanout: int
+    total_steps: int
+
+
+def _canonical(n: int, k: int, m: int, ports: int):
+    """``(tree, recv, shape)`` of the canonical k-binomial tree over ``range(n)``.
 
     The exact :func:`~repro.core.pipeline.fpfs_schedule` run is the
-    expensive part of a plan (O(n·m) events); everything in
-    :func:`plan` that isn't this is O(n) assembly.
+    expensive part of a plan (O(n·m) events); both schedule memos below
+    are built from it, so they hold the same schedule in two forms.
     """
     tree = cached_build_kbinomial_tree(range(n), k)
     recv = fpfs_schedule(tree, m, ports=ports)
+    shape = _Shape(
+        root_fanout=tree.root_fanout,
+        max_fanout=tree.max_fanout,
+        total_steps=max(recv[(node, m - 1)] for node in range(n)),
+    )
+    return tree, recv, shape
+
+
+@lru_cache(maxsize=4096)
+def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, Tuple[NodePlan, ...]]:
+    """Memoized canonical schedule as :class:`NodePlan` rows, for :func:`plan`."""
+    tree, recv, shape = _canonical(n, k, m, ports)
     rows = []
     for node in range(n):
         children = tree.children(node)
@@ -220,10 +271,94 @@ def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[NodePlan, ...]:
                 last_recv=recv[(node, m - 1)],
             )
         )
-    return tuple(rows)
+    return shape, tuple(rows)
 
 
 register_cache("plan_schedule", _schedule_rows)
+
+
+@lru_cache(maxsize=4096)
+def _schedule_wire(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, bytes, Tuple[int, ...]]:
+    """Memoized canonical schedule as a wire template, for :func:`plan_json`.
+
+    The template is the ``"schedule"`` JSON array of :meth:`PlanResult.to_dict`
+    with a ``%d`` slot wherever a node id goes (``node``, ``parent``,
+    ``children``); ``ids`` gives the canonical position of each slot, in
+    order.  ``template % ids`` is the canonical schedule's bytes, and
+    filling the slots with the survivors' original positions instead
+    is the remapped schedule's.  It holds no :class:`NodePlan` objects
+    and takes about 0.6x the row memo's memory for the same keys.
+    """
+    tree, recv, shape = _canonical(n, k, m, ports)
+    ids: List[int] = []
+    rows = []
+    for node in range(n):
+        children = tree.children(node)
+        if node == tree.root:
+            parent = b"null"
+            ids.append(node)
+        else:
+            parent = b"%d"
+            ids += (node, tree.parent(node))
+        ids += children
+        rows.append(
+            b'{"node":%%d,"parent":%s,"children":[%s],"child_first_send":[%s],'
+            b'"first_recv":%d,"last_recv":%d}'
+            % (
+                parent,
+                b",".join([b"%d"] * len(children)),
+                b",".join([b"%d" % recv[(child, 0)] for child in children]),
+                recv[(node, 0)],
+                recv[(node, m - 1)],
+            )
+        )
+    return shape, b"[" + b",".join(rows) + b"]", tuple(ids)
+
+
+register_cache("plan_wire", _schedule_wire)
+
+
+def _solve(request: PlanRequest, memo):
+    """``(fields, entry)``: a plan's scalar fields and its memo entry.
+
+    ``fields`` holds the :class:`PlanResult` fields ahead of
+    ``schedule``, in wire order; ``entry`` is ``memo``'s value for the
+    request's canonical key ``(n - |exclude|, k, m, ports)``.  Both
+    :func:`plan` and :func:`plan_json` come through here, so their k,
+    ``t1`` and costs cannot drift apart.
+    """
+    n, m, params = request.n, request.m, request.params
+    n_eff = n - len(request.exclude)
+    k = optimal_k(n_eff, m)
+    entry = memo(n_eff, k, m, params.ports)
+    shape = entry[0]
+    # REPRO_SURFACE=1 serves T1 (and, via optimal_k above, the fan-out
+    # search) from the vectorized surface in O(1); the scalar memo
+    # remains the oracle and the default.  Latency/buffer costs take
+    # `params` per call, so a MachineParams change can never go stale
+    # inside the surface tables.
+    if surface_enabled():
+        t1 = surface_steps_needed(n_eff, k)
+    else:
+        t1 = cached_steps_needed(n_eff, k)
+    fields = {
+        "n": n,
+        "m": m,
+        "k": k,
+        "root_fanout": shape.root_fanout,
+        "t1": t1,
+        "pipeline_steps": shape.total_steps - t1,
+        "total_steps": shape.total_steps,
+        "latency_us": params.t_s + shape.total_steps * params.t_step + params.t_r,
+        "buffer_bound_us": shape.max_fanout * params.t_sq,
+    }
+    return fields, entry
+
+
+def _survivors(request: PlanRequest) -> List[int]:
+    """The original chain position of each canonical position ``0..n_eff-1``."""
+    dead = set(request.exclude)
+    return [i for i in range(request.n) if i not in dead]
 
 
 def plan(request: PlanRequest) -> PlanResult:
@@ -233,17 +368,12 @@ def plan(request: PlanRequest) -> PlanResult:
     caches it leans on are the thread-safe :mod:`repro.core.cache`
     tables) and from the batcher's executor workers.
     """
-    n, m, params = request.n, request.m, request.params
-    excluded = request.exclude
-    n_eff = n - len(excluded)
-    k = optimal_k(n_eff, m)
-    rows = _schedule_rows(n_eff, k, m, params.ports)
-    if excluded:
+    fields, (_, rows) = _solve(request, _schedule_rows)
+    if request.exclude:
         # The memoized schedule is over canonical positions 0..n_eff-1;
         # map those onto the surviving original positions, so callers
         # can keep addressing their pre-failure chain.
-        dead = set(excluded)
-        survivors = [i for i in range(n) if i not in dead]
+        survivors = _survivors(request)
         rows = tuple(
             NodePlan(
                 node=survivors[row.node],
@@ -255,28 +385,28 @@ def plan(request: PlanRequest) -> PlanResult:
             )
             for row in rows
         )
-    root_fanout = len(rows[0].children)
-    max_fanout = max(len(row.children) for row in rows)
-    # REPRO_SURFACE=1 serves T1 (and, via optimal_k above, the fan-out
-    # search) from the vectorized surface in O(1); the scalar memo
-    # remains the oracle and the default.  Latency/buffer costs take
-    # `params` per call, so a MachineParams change can never go stale
-    # inside the surface tables.
-    if surface_enabled():
-        t1 = surface_steps_needed(n_eff, k)
-    else:
-        t1 = cached_steps_needed(n_eff, k)
-    total_steps = max(row.last_recv for row in rows)
-    return PlanResult(
-        n=n,
-        m=m,
-        k=k,
-        root_fanout=root_fanout,
-        t1=t1,
-        pipeline_steps=total_steps - t1,
-        total_steps=total_steps,
-        latency_us=params.t_s + total_steps * params.t_step + params.t_r,
-        buffer_bound_us=max_fanout * params.t_sq,
-        schedule=rows,
-        excluded=excluded,
+    return PlanResult(**fields, schedule=rows, excluded=request.exclude)
+
+
+def plan_json(request: PlanRequest) -> bytes:
+    """``json.dumps(plan(request).to_dict(), separators=(",", ":"))``, encoded.
+
+    The plan service's encoder.  It fills the memoized wire template of
+    the request's canonical schedule with the survivors' positions, so
+    it builds no :class:`NodePlan` rows and no :class:`PlanResult`, and
+    it never touches :func:`plan`'s row memo.  Thread-safe like
+    :func:`plan`.
+    """
+    fields, (_, template, ids) = _solve(request, _schedule_wire)
+    if request.exclude:
+        ids = tuple(map(_survivors(request).__getitem__, ids))
+    return b"".join(
+        (
+            json.dumps(fields, separators=(",", ":")).encode()[:-1],
+            b',"schedule":',
+            template % ids,
+            b',"excluded":[',
+            b",".join([b"%d" % position for position in request.exclude]),
+            b"]}",
+        )
     )

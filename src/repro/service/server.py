@@ -58,10 +58,22 @@ is at most ``MAX_FRAME_BYTES`` long, newline included.  A longer
 request line is answered ``bad_request`` and closes the connection; an
 answer that would be longer is replaced by the non-retryable
 ``response_too_large`` error and the connection keeps serving.  Every
-answer begins ``{"id":<id>,``.  A plan computation's whole answer is
-encoded once; each waiter sharing it (single-flight followers, and
-amends that fold into the same plan) gets those bytes behind its own
-id, an amend with its ``"amended"`` echo spliced in.
+answer begins ``{"id":<id>,``.
+
+Encoding: the server never builds a :class:`PlanResult` or calls
+``json.dumps`` on a plan.  The batcher's worker encodes each
+computation's ``"result"`` once, by filling the planner's memoized wire
+template of the canonical schedule
+(:func:`~repro.service.planner.plan_json`), and every waiter sharing
+the computation (single-flight followers, and amends that fold into
+the same plan) gets those bytes behind its own id, an amend with its
+``"amended"`` echo after them.
+
+Request size: ``max_n`` bounds ``n``, and
+:data:`~repro.service.planner.MAX_PLAN_WORK` bounds the schedule work
+``(n - |exclude|) × m`` (for an amend, of the folded request).  Either
+is a ``bad_request`` before admission and journaling, so no single
+request can stall the workers or exhaust memory.
 
 Overload policy (the load-shedding half of the ISSUE): at most
 ``max_inflight`` plan requests may be in flight server-wide; the
@@ -82,7 +94,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Dict, Optional, Set, Union
+from typing import Optional, Set, Union
 
 from ..durable.errors import check_positive_int, check_positive_number
 from ..obs.exposition import render_prometheus
@@ -95,13 +107,25 @@ from . import framing
 from .batching import PlanBatcher
 from .journal import RequestJournal
 from .metrics import ServiceMetrics
-from .planner import PlanRequest, PlanResult
+from .planner import MAX_PLAN_WORK, PlanRequest, plan_work
 
 __all__ = ["PlanServer"]
 
 
 class _BadRequest(ValueError):
     """Parse/validation failure with a client-facing message."""
+
+
+def _check_size(request: PlanRequest, max_n: int, what: str) -> None:
+    """Refuse a request over ``max_n`` or
+    :data:`~repro.service.planner.MAX_PLAN_WORK`."""
+    if request.n > max_n:
+        raise _BadRequest(f"{what}={request.n} exceeds this server's max_n={max_n}")
+    work = plan_work(request)
+    if work > MAX_PLAN_WORK:
+        raise _BadRequest(
+            f"plan work (n - excluded) x m = {work} exceeds the limit of {MAX_PLAN_WORK}"
+        )
 
 
 def _parse_plan_request(payload: dict, max_n: int) -> PlanRequest:
@@ -122,8 +146,7 @@ def _parse_plan_request(payload: dict, max_n: int) -> PlanRequest:
         )
     except (TypeError, ValueError) as exc:
         raise _BadRequest(str(exc)) from exc
-    if request.n > max_n:
-        raise _BadRequest(f"n={request.n} exceeds this server's max_n={max_n}")
+    _check_size(request, max_n, "n")
     return request
 
 
@@ -166,8 +189,7 @@ def _parse_amend_request(payload: dict, max_n: int) -> PlanRequest:
         raise
     except (TypeError, ValueError) as exc:
         raise _BadRequest(str(exc)) from exc
-    if request.n > max_n:
-        raise _BadRequest(f"amended n={request.n} exceeds this server's max_n={max_n}")
+    _check_size(request, max_n, "amended n")
     return request
 
 
@@ -192,8 +214,9 @@ class PlanServer:
     drain_timeout:
         Seconds :meth:`shutdown` waits for in-flight requests.
     max_n:
-        Largest accepted multicast set size (plan cost grows with
-        ``n · m``; this is the request-size half of admission control).
+        Largest accepted multicast set size (the request-size half of
+        admission control;
+        :data:`~repro.service.planner.MAX_PLAN_WORK` bounds ``n · m``).
     tracer:
         A wall-clock :class:`repro.obs.Tracer`: when enabled, every
         handled line gets one span (request type, id, outcome) on the
@@ -281,9 +304,6 @@ class PlanServer:
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self._active_plans = 0
-        # Plan key -> [waiters, result, encoded answer]: the answer is
-        # encoded once per computation and dropped with its last waiter.
-        self._answers: Dict[PlanRequest, list] = {}
         self._request_tasks: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
         self._draining = False
@@ -380,7 +400,12 @@ class PlanServer:
             pass
 
     async def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain in-flight work, close sockets."""
+        """Stop accepting, optionally drain in-flight work, close sockets.
+
+        Draining waits at most ``drain_timeout`` in all.  A plan still
+        computing then is abandoned: its requests get no answer, and
+        the batcher lets go of its worker without waiting for it.
+        """
         self._draining = True
         if self._server is not None:
             # close() stops the accept loop; we deliberately skip
@@ -389,6 +414,8 @@ class PlanServer:
             # hangs up.  Closing the writers below unblocks them.
             self._server.close()
         if drain:
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + self.drain_timeout
             # Resolve parked batches first so request tasks can answer.
             try:
                 await asyncio.wait_for(self.batcher.drain(), self.drain_timeout)
@@ -396,7 +423,7 @@ class PlanServer:
                 pass
             tasks = [t for t in self._request_tasks if not t.done()]
             if tasks:
-                await asyncio.wait(tasks, timeout=self.drain_timeout)
+                await asyncio.wait(tasks, timeout=max(deadline - loop.time(), 0.0))
         for task in self._request_tasks:
             task.cancel()
         await self.batcher.close()
@@ -614,9 +641,9 @@ class PlanServer:
     ) -> Union[bytes, dict]:
         """Plan ``request``: the answer line for ``request_id``, or an error.
 
-        The computation's answer is encoded by whichever of its waiters
-        wakes first and shared by the rest; ``echo`` (an amend's
-        ``"amended"`` object) is spliced in after the result.
+        Every waiter of a computation gets the same encoded ``"result"``
+        bytes from the batcher; the line puts them behind this waiter's
+        id, followed by ``echo`` (an amend's ``"amended"`` object).
         """
         if self._active_plans >= self.max_inflight:
             self.metrics.shed.inc()
@@ -631,8 +658,6 @@ class PlanServer:
             # Journal after validation and admission: only requests the
             # server actually plans are worth replaying at restart.
             self.journal.record(request)
-        answer = self._answers.setdefault(request, [0, None, b""])
-        answer[0] += 1
         self._active_plans += 1
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -650,9 +675,6 @@ class PlanServer:
             )
         finally:
             self._active_plans -= 1
-            answer[0] -= 1
-            if not answer[0]:
-                del self._answers[request]
         elapsed = loop.time() - started
         self.metrics.plan_latency.record(elapsed)
         if self.slos is not None:
@@ -660,14 +682,19 @@ class PlanServer:
             if tracker is not None:
                 bound = tracker.spec.bound or float("inf")
                 self.slos.record("plan_latency_p99", elapsed * 1e6 <= bound)
-        if answer[1] is not result:  # first waiter of this computation
-            answer[1], answer[2] = result, _encode_answer(result)
-        body = answer[2]
+        amended = b""
         if echo is not None:
-            body = b"".join(
-                (body[:-1], b',"amended":', json.dumps(echo, separators=(",", ":")).encode(), b"}")
+            amended = b',"amended":' + json.dumps(echo, separators=(",", ":")).encode()
+        return b"".join(
+            (
+                framing.ID_PREFIX,
+                framing.encode_id(request_id),
+                b',"ok":true,"result":',
+                result,
+                amended,
+                b"}\n",
             )
-        return b"".join((framing.ID_PREFIX, framing.encode_id(request_id), body, b"\n"))
+        )
 
     @staticmethod
     async def _write(
@@ -684,17 +711,6 @@ class PlanServer:
 def _encode(response: dict) -> bytes:
     """One answer line."""
     return json.dumps(response, separators=(",", ":")).encode() + b"\n"
-
-
-def _encode_answer(result: PlanResult) -> bytes:
-    """A plan answer minus its id: ``,"ok":true,"result":{...}}``.
-
-    Encoded as the whole answer object with a null id, which is then
-    cut off, so the bytes are exactly what ``json.dumps`` writes for
-    the answer whatever id goes in front.
-    """
-    line = json.dumps({"id": None, "ok": True, "result": result.to_dict()}, separators=(",", ":"))
-    return line[len('{"id":null'):].encode()
 
 
 def _too_large(request_id, size: int) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.service import PlanBatcher, PlanRequest, ServiceMetrics, plan
 from repro.service.batching import plan_chunk
+from repro.service.planner import plan_json
 
 
 class CountingExecutor(ThreadPoolExecutor):
@@ -29,6 +31,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def oracle(request: PlanRequest) -> bytes:
+    """The encoded result the batcher must hand back for ``request``."""
+    return json.dumps(plan(request).to_dict(), separators=(",", ":")).encode()
+
+
 class TestSingleFlight:
     def test_duplicates_collapse_to_one_computation(self):
         async def body():
@@ -42,8 +49,8 @@ class TestSingleFlight:
         metrics, results = run(body())
         assert metrics.planned.value == 1
         assert metrics.singleflight_hits.value == 49
-        assert all(r == results[0] for r in results)
-        assert results[0] == plan(PlanRequest(n=48, m=6))
+        assert all(r is results[0] for r in results)  # one encode, shared
+        assert results[0] == oracle(PlanRequest(n=48, m=6))
 
     def test_waiter_timeout_does_not_cancel_shared_flight(self):
         async def body():
@@ -57,7 +64,7 @@ class TestSingleFlight:
             await batcher.close()
             return result
 
-        assert run(body()) == plan(PlanRequest(n=16, m=2))
+        assert run(body()) == oracle(PlanRequest(n=16, m=2))
 
 
 class TestBatching:
@@ -92,7 +99,7 @@ class TestBatching:
         assert [len(c) for c in chunks] == [2, 2, 2]
         assert [r for chunk in chunks for r in chunk] == requests
         for request, result in zip(requests, results):
-            assert result == plan(request)
+            assert result == oracle(request)
 
     def test_results_follow_request_not_arrival_order(self):
         async def body():
@@ -106,19 +113,19 @@ class TestBatching:
 
         pairs, results = run(body())
         for (n, m), result in zip(pairs, results):
-            assert (result.n, result.m) == (n, m)
+            assert result == oracle(PlanRequest(n=n, m=m))
 
 
 class TestFailureAndLifecycle:
     def test_plan_errors_reach_only_their_waiter(self, monkeypatch):
-        real_plan = plan
+        real_plan_json = plan_json
 
         def exploding(request):
             if request.n == 13:
                 raise RuntimeError("boom")
-            return real_plan(request)
+            return real_plan_json(request)
 
-        monkeypatch.setattr("repro.service.batching.plan", exploding)
+        monkeypatch.setattr("repro.service.batching.plan_json", exploding)
 
         async def body():
             batcher = PlanBatcher(max_delay=0.005)
@@ -130,7 +137,7 @@ class TestFailureAndLifecycle:
             await batcher.close()
             return result
 
-        assert run(body()).n == 12
+        assert run(body()) == oracle(PlanRequest(n=12, m=1))
 
     def test_drain_flushes_immediately(self):
         async def body():
@@ -146,7 +153,7 @@ class TestFailureAndLifecycle:
 
         elapsed, result = run(body())
         assert elapsed < 5.0  # did not wait out the 30 s window
-        assert result == plan(PlanRequest(n=9, m=3))
+        assert result == oracle(PlanRequest(n=9, m=3))
 
     def test_submit_after_close_raises(self):
         async def body():

@@ -1,10 +1,12 @@
-"""One frame limit on every hop, and fail-fast on a dead connection (service tier).
+"""One frame limit on every hop, one bound on plan work, and fail-fast
+on a dead connection (service tier).
 
-Regression tests for two connection-poisoning bugs: an answer longer
-than the client's line limit used to kill the client's read loop (and,
+Regression tests for connection-poisoning bugs: an answer longer than
+the client's line limit used to kill the client's read loop (and,
 through the router, the router's shard connection with every forward
 on it), after which the next request waited out its timeout on a dead
-socket.
+socket; and a plan with a huge ``m`` used to stall the server's worker
+for tens of seconds, or exhaust its memory.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from repro.cluster import ClusterRouter, ShardSpec
 from repro.service import PlanClient, PlanRequest, PlanServer, PlanServiceError, framing, plan
 from repro.service.framing import encode_id, leading_id
+from repro.service.planner import MAX_PLAN_WORK
 
 pytestmark = pytest.mark.service
 
@@ -129,6 +132,45 @@ class TestFrameLimit:
         assert relayed["id"] == rid
         assert relayed["error"]["code"] == "response_too_large"
         assert pong == {"id": 2, "ok": True, "pong": True}
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize("via", ["server", "router"])
+    def test_oversize_plan_and_amend_are_refused_at_once(self, via):
+        """``(n - |exclude|) × m`` over the bound is a ``bad_request``."""
+        m = MAX_PLAN_WORK // 64  # plan(64, m) is at the bound; one join passes it
+
+        async def body():
+            if via == "server":
+                server = PlanServer(port=0, workers=1)
+                await server.start()
+                port = server.port
+            else:
+                shards, router = await started_cluster()
+                port = router.port
+            refusals = []
+            async with await PlanClient.connect("127.0.0.1", port) as client:
+                for call in (client.plan(64, 100_000, timeout=5), client.amend(64, m, join=1)):
+                    started = time.monotonic()
+                    with pytest.raises(PlanServiceError) as info:
+                        await call
+                    refusals.append((info.value, time.monotonic() - started))
+                small = await client.plan(8, 2, timeout=5)
+            if via == "server":
+                planned = server.metrics.plans.value
+                await server.shutdown()
+            else:
+                planned = sum(shard.metrics.plans.value for shard in shards)
+                await stop_cluster(shards, router)
+            return refusals, small, planned
+
+        refusals, small, planned = run(body())
+        for error, elapsed in refusals:
+            assert error.code == "bad_request"
+            assert str(MAX_PLAN_WORK) in error.message
+            assert elapsed < 0.5
+        assert small == plan(PlanRequest(n=8, m=2))
+        assert planned == 1  # refused before admission
 
 
 class TestDeadConnection:

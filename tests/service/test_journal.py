@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
+from repro.core.cache import cache_stats
 from repro.params import MachineParams
 from repro.service import PlanClient, PlanRequest, PlanServer, RequestJournal
-from repro.service.planner import _schedule_rows
+from repro.service.planner import MAX_PLAN_WORK, _schedule_wire, plan_json, plan_work
 
 pytestmark = pytest.mark.service
 
@@ -55,16 +57,59 @@ class TestRequestJournal:
         assert skipped == 3
 
     def test_replay_warms_the_plan_memo(self, tmp_path):
-        journal = RequestJournal(tmp_path / "req.journal")
+        path = tmp_path / "req.journal"
+        journal = RequestJournal(path)
         journal.record(PlanRequest(n=48, m=6))
         journal.record(PlanRequest(n=24, m=3))
 
-        _schedule_rows.cache_clear()
-        fresh = RequestJournal(tmp_path / "req.journal")
+        _schedule_wire.cache_clear()
+        fresh = RequestJournal(path)
         assert fresh.replay() == 2
         assert fresh.recovered_entries == 2
-        info = _schedule_rows.cache_info()
-        assert info.currsize >= 1  # the memo is hot before any request
+        # The memo the server reads is hot before any request.
+        assert _schedule_wire.cache_info().currsize == 2
+
+        _schedule_wire.cache_clear()
+
+        async def first_request():
+            server = PlanServer(port=0, journal=RequestJournal(path))
+            await server.start()  # replays the journal
+            before = cache_stats()["plan_wire"]
+            async with await PlanClient.connect("127.0.0.1", server.port) as client:
+                await client.plan(48, 6)
+            after = cache_stats()["plan_wire"]
+            await server.shutdown()
+            return before, after
+
+        before, after = run(first_request())
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_replay_skips_requests_over_the_work_bound(self, tmp_path, monkeypatch):
+        # A request the server now refuses may sit in a journal written
+        # before the bound existed (record() runs before the plan, so
+        # the request that killed the server is already on disk).
+        path = tmp_path / "req.journal"
+        journal = RequestJournal(path)
+        journal.record(PlanRequest(n=64, m=10**6))
+        journal.record(PlanRequest(n=24, m=3))
+        journal.record(PlanRequest(n=66, m=MAX_PLAN_WORK // 64, exclude=(1, 2)))
+
+        encoded = []
+
+        def guarded_plan_json(request):
+            # Fail instead of running a schedule that would take minutes
+            # and gigabytes.
+            assert plan_work(request) <= MAX_PLAN_WORK, request
+            encoded.append(request)
+            return plan_json(request)
+
+        monkeypatch.setattr("repro.service.journal.plan_json", guarded_plan_json)
+        fresh = RequestJournal(path)
+        started = time.perf_counter()
+        assert fresh.replay() == 2
+        assert time.perf_counter() - started < 5.0
+        assert fresh.skipped_entries == 1
+        assert [r.n for r in encoded] == [24, 66]
 
     def test_replay_marks_entries_seen(self, tmp_path):
         path = tmp_path / "req.journal"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     build_kbinomial_tree,
@@ -15,6 +17,7 @@ from repro.core import (
 )
 from repro.params import MachineParams
 from repro.service import PlanRequest, PlanResult, plan
+from repro.service.planner import plan_json
 
 GRID = [(n, m) for n in (2, 3, 8, 16, 31, 64) for m in (1, 2, 8, 32)]
 
@@ -69,11 +72,46 @@ class TestPlanMatchesCore:
                 assert rows[child].parent == row.node
 
 
+#: Machine times as the wire delivers them: JSON floats or integers.
+TIMES = st.one_of(
+    st.floats(0.01, 1000.0, allow_nan=False, allow_infinity=False), st.integers(1, 1000)
+)
+
+
+@st.composite
+def plan_requests(draw):
+    """n in [2, 600], m in [1, 40], any exclude set, any machine view."""
+    n = draw(st.integers(2, 600))
+    m = draw(st.integers(1, 40))
+    exclude = draw(st.sets(st.integers(1, n - 1), max_size=min(n - 2, 8)))
+    params = draw(
+        st.one_of(
+            st.just(MachineParams()),
+            st.builds(
+                MachineParams,
+                t_s=TIMES,
+                t_r=TIMES,
+                t_step=TIMES,
+                t_sq=TIMES,
+                ports=st.integers(1, 3),
+            ),
+        )
+    )
+    return PlanRequest(n=n, m=m, params=params, exclude=tuple(exclude))
+
+
 class TestWireFormat:
     def test_roundtrip_through_json(self):
         result = plan(PlanRequest(n=24, m=6))
         wire = json.loads(json.dumps(result.to_dict()))
         assert PlanResult.from_dict(wire) == result
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=plan_requests())
+    def test_encoder_writes_the_oracle_bytes(self, request):
+        """The service's encoder is ``plan()`` + ``to_dict`` + ``json.dumps``."""
+        oracle = json.dumps(plan(request).to_dict(), separators=(",", ":")).encode()
+        assert plan_json(request) == oracle
 
 
 class TestRequestValidation:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import threading
+import time
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.service import (
     PlanRequest,
     PlanServer,
     PlanServiceError,
+    batching,
     plan,
 )
 
@@ -67,7 +71,7 @@ class TestEndToEnd:
         assert counters["singleflight_hits"] > 0
         assert counters["shed"] == 0
         assert stats["plan_latency"]["count"] == 120
-        assert stats["cache"]["plan_schedule"]["misses"] >= 1
+        assert stats["cache"]["plan_wire"]["misses"] >= 1
 
     def test_custom_params_travel_the_wire(self):
         async def body():
@@ -204,6 +208,51 @@ class TestGracefulShutdown:
         assert [r.n for r in results] == [6, 12, 18, 24]
         for result in results:
             assert result == plan(PlanRequest(n=result.n, m=3))
+
+    def test_shutdown_gives_up_on_a_plan_that_outlives_drain_timeout(
+        self, monkeypatch, caplog
+    ):
+        """A computation longer than ``drain_timeout`` used to leave
+        ``shutdown()`` spinning on cancelled futures for ever."""
+        gate, computing = threading.Event(), threading.Event()
+        plan_chunk = batching.plan_chunk
+
+        def gated(requests):
+            computing.set()
+            gate.wait(30)
+            return plan_chunk(requests)
+
+        monkeypatch.setattr(batching, "plan_chunk", gated)
+        drain_timeout = 0.5
+
+        async def body():
+            server = await started_server(workers=1, drain_timeout=drain_timeout)
+            client = await PlanClient.connect("127.0.0.1", server.port)
+            pending = asyncio.ensure_future(client.plan(16, 4, timeout=30))
+            while not computing.is_set():
+                await asyncio.sleep(0.01)
+            waiters = list(server.batcher._inflight.values())
+            started = time.monotonic()
+            try:
+                await asyncio.wait_for(server.shutdown(), drain_timeout + 3)
+            finally:
+                gate.set()
+            elapsed = time.monotonic() - started
+            outcome = (await asyncio.gather(pending, return_exceptions=True))[0]
+            await client.close()
+            return elapsed, waiters, server.batcher._inflight, outcome
+
+        with caplog.at_level(logging.ERROR):
+            elapsed, waiters, inflight, outcome = run(body())
+        assert elapsed < drain_timeout + 0.5
+        assert waiters and all(waiter.done() for waiter in waiters)
+        assert not inflight
+        assert isinstance(outcome, ConnectionError)  # dropped, not hung
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        for thread in threading.enumerate():
+            if thread.name.startswith("plan-worker"):
+                thread.join(5)
+                assert not thread.is_alive()
 
     def test_shutdown_is_idempotent(self):
         async def body():

@@ -7,8 +7,10 @@ change: every line the server writes and every line the router relays
 is ``json.dumps(answer, separators=(",", ":")) + "\\n"`` of the answer
 object the service has always built, for any id, for ``plan`` and
 ``amend``; error answers keep their codes, and injected transient
-errors still fail over; and N concurrent waiters on one computation
-cost one ``PlanResult.to_dict``.
+errors still fail over; N concurrent waiters on one computation cost
+one encode (one ``plan_json`` call); and serving builds no
+``NodePlan`` rows, calls no ``PlanResult.to_dict`` and leaves
+``plan()``'s row memo empty.
 
 The servers run on an event loop in a background thread for the whole
 module; each example talks to them over plain blocking sockets, so the
@@ -28,7 +30,16 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.params import MachineParams
-from repro.service import PlanClient, PlanRequest, PlanResult, PlanServer, plan
+from repro.service import (
+    NodePlan,
+    PlanClient,
+    PlanRequest,
+    PlanResult,
+    PlanServer,
+    batching,
+    plan,
+)
+from repro.service.planner import _schedule_rows
 
 pytestmark = pytest.mark.service
 
@@ -244,18 +255,18 @@ def test_concurrent_waiters_share_one_encode(services, key, waiters, via, amends
             return await asyncio.gather(*(client.request_raw(p, timeout=30) for p in payloads))
 
     encodes = []
-    to_dict = PlanResult.to_dict
+    plan_json = batching.plan_json
 
-    def counted(result):
-        encodes.append(result)
-        return to_dict(result)
+    def counted(request):
+        encodes.append(request)
+        return plan_json(request)
 
     planned = services.planned()
-    PlanResult.to_dict = counted
+    batching.plan_json = counted
     try:
         lines = asyncio.run(burst())
     finally:
-        PlanResult.to_dict = to_dict
+        batching.plan_json = plan_json
     computations = services.planned() - planned
     assert computations >= 1
     assert len(encodes) == computations
@@ -267,3 +278,35 @@ def test_concurrent_waiters_share_one_encode(services, key, waiters, via, amends
         assert answer["result"] == expected
         echoed = via == "server" and payload is folded
         assert ("amended" in answer) == echoed
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_serving_builds_no_rows(services, monkeypatch, via):
+    """A served burst of plans and amends comes from the wire memo alone."""
+    payloads, expected = [], []
+    for rid, (n, m, exclude) in enumerate([(64, 8, ()), (200, 16, (5, 77)), (33, 3, (1,))]):
+        payloads.append(plan_payload(rid, n, m, exclude))
+        expected.append(plan(PlanRequest(n=n, m=m, exclude=exclude)).to_dict())
+        payloads.append(amend_payload(rid, n, m, exclude, 2, (2,)))
+        folded = tuple(sorted({*exclude, 2}))
+        expected.append(plan(PlanRequest(n=n + 2, m=m, exclude=folded)).to_dict())
+    payloads, expected = payloads * 2, expected * 2  # repeats meet in single-flight
+    port = services.single.port if via == "server" else services.cluster.port
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("serving built a plan() result")
+
+    monkeypatch.setattr(PlanResult, "to_dict", refuse)
+    monkeypatch.setattr(NodePlan, "__init__", refuse)
+    _schedule_rows.cache_clear()
+
+    async def burst():
+        async with await PlanClient.connect("127.0.0.1", port) as client:
+            return await asyncio.gather(*(client.request_raw(p, timeout=30) for p in payloads))
+
+    lines = asyncio.run(burst())
+    assert _schedule_rows.cache_info().currsize == 0
+    for raw, result in zip(lines, expected):
+        answer = json.loads(raw)
+        assert answer["ok"] is True, answer
+        assert answer["result"] == result
