@@ -5,12 +5,13 @@ The surface exists to make fig12-shaped sweeps (optimal k over a whole
 that claim with numbers: one cold ``AnalyticSurface.build`` over the
 full ``n ≤ 512, m ≤ 64`` grid, then the warm-path comparison — a
 single ``optimal_k_grid`` extraction against the same grid walked
-point-by-point through the *warm* ``optimal_k_scalar`` memo (every
-call an ``lru_cache`` hit, the best the scalar path can do).
+point-by-point through the *warm* ``optimal_k`` memo (every call an
+``lru_cache`` hit, the best the point-by-point path can do).
 
-Claim asserted: the surface extraction beats the warm memo walk by at
-least 10x (in practice it is far more), while returning bit-equal
-values.
+Claim asserted: the whole-grid extraction beats the warm memo walk by
+at least 10x (in practice it is far more), while returning bit-equal
+values.  Runtime callers ask for one ``(n, m)`` at a time, where the
+memo hit is the cheaper lookup; the speedup is a whole-grid one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 from repro.analysis import render_table
-from repro.core import AnalyticSurface, optimal_k_scalar
+from repro.core import AnalyticSurface, optimal_k
 
 N_MAX = 512
 M_MAX = 64
@@ -42,13 +43,13 @@ def _best_seconds(fn, rounds: int = ROUNDS) -> float:
 def test_surface_warm_lookup_speedup(benchmark, show):
     surface = AnalyticSurface.build(N_MAX, M_MAX)
 
-    # Warm the scalar memo so its walk is pure lru_cache hits.
+    # Warm the memo so its walk is pure lru_cache hits.
     for n in N_VALUES:
         for m in M_VALUES:
-            optimal_k_scalar(n, m)
+            optimal_k(n, m)
 
     def memo_walk():
-        return [[optimal_k_scalar(n, m) for m in M_VALUES] for n in N_VALUES]
+        return [[optimal_k(n, m) for m in M_VALUES] for n in N_VALUES]
 
     def surface_extract():
         return surface.optimal_k_grid(N_VALUES, M_VALUES)
@@ -82,19 +83,19 @@ def test_surface_warm_lookup_speedup(benchmark, show):
 def test_surface_build_amortizes_quickly(show):
     """The cold build pays for itself within one full-grid extraction.
 
-    Building all tables costs less than walking the cold scalar search
-    over the same grid would (each scalar optimal_k(n, m) re-runs the
-    Theorem-3 loop), so even single-shot sweeps lose nothing.
+    Building all tables costs less than walking the cold search over
+    the same grid would (each cold optimal_k(n, m) runs the Theorem-3
+    loop), so even single-shot sweeps lose nothing.
     """
     started = time.perf_counter()
     surface = AnalyticSurface.build(N_MAX, M_MAX)
     build_s = time.perf_counter() - started
 
-    optimal_k_scalar.cache_clear()
+    optimal_k.cache_clear()
     started = time.perf_counter()
     for n in N_VALUES[::7]:  # sampled cold scalar walk, scaled up below
         for m in M_VALUES:
-            optimal_k_scalar(n, m)
+            optimal_k(n, m)
     sampled_s = time.perf_counter() - started
     estimated_cold_s = sampled_s * 7
 

@@ -49,7 +49,6 @@ from .core import (
     packet_completion_steps,
     predicted_steps,
     steps_needed,
-    surface_enabled,
     theorem2_steps,
 )
 from .mcast import (
@@ -122,7 +121,6 @@ __all__ = [
     "predicted_steps",
     "random_ordering",
     "steps_needed",
-    "surface_enabled",
     "switch",
     "theorem2_steps",
     "__version__",

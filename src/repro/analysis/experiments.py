@@ -200,22 +200,8 @@ def sweep_latency_summary(
 def fig12a_optimal_k(
     dest_counts: Sequence[int] = (63, 47, 31, 15),
     m_values: Sequence[int] = tuple(range(1, 36)),
-    surface=None,
 ) -> Dict[int, List[int]]:
-    """Fig. 12(a): optimal k vs number of packets, per destination count.
-
-    Pass an :class:`~repro.core.surface.AnalyticSurface` (or set
-    ``REPRO_SURFACE=1``) and the whole figure is one vectorized grid
-    extraction instead of a point-by-point Theorem-3 search; both paths
-    are bit-equal (differential suite).
-    """
-    from ..core.surface import active_surface
-
-    if surface is None:
-        surface = active_surface(max(dest_counts) + 1, max(m_values))
-    if surface is not None:
-        grid = surface.optimal_k_grid([d + 1 for d in dest_counts], m_values)
-        return {d: [int(k) for k in row] for d, row in zip(dest_counts, grid)}
+    """Fig. 12(a): optimal k vs number of packets, per destination count."""
     return {
         d: [optimal_k(d + 1, m) for m in m_values] for d in dest_counts
     }
@@ -224,19 +210,8 @@ def fig12a_optimal_k(
 def fig12b_optimal_k(
     m_values: Sequence[int] = (1, 2, 4, 8),
     n_values: Sequence[int] = tuple(range(2, 65)),
-    surface=None,
 ) -> Dict[int, List[int]]:
-    """Fig. 12(b): optimal k vs multicast set size, per packet count.
-
-    Same ``surface`` fast path as :func:`fig12a_optimal_k`.
-    """
-    from ..core.surface import active_surface
-
-    if surface is None:
-        surface = active_surface(max(n_values), max(m_values))
-    if surface is not None:
-        grid = surface.optimal_k_grid(n_values, m_values)
-        return {m: [int(k) for k in col] for m, col in zip(m_values, grid.T)}
+    """Fig. 12(b): optimal k vs multicast set size, per packet count."""
     return {
         m: [optimal_k(n, m) for n in n_values] for m in m_values
     }

@@ -56,7 +56,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.surface import surface_scope
 from ..durable.atomic import atomic_write_json, quarantine, safe_load_json
 from ..durable.errors import (
     ChunkRetryError,
@@ -379,7 +378,6 @@ def run_sweep(
     chunk_retries: int = 3,
     retry_policy=None,
     on_chunk_failure: str = "raise",
-    surface=None,
     profiler=None,
 ) -> List[SweepPoint]:
     """Evaluate ``measure(**point)`` over the cross product of ``grids``.
@@ -434,16 +432,6 @@ def run_sweep(
         journal and store have absorbed every completed chunk.
         ``"skip"``: failed points come back with ``value None`` and the
         failures are recorded in the store manifest.
-    surface:
-        Analytic fast path for the duration of the sweep (see
-        :func:`repro.core.surface.surface_scope`): an
-        :class:`~repro.core.surface.AnalyticSurface` installs it and
-        enables ``REPRO_SURFACE``, ``True`` just enables the gate,
-        ``False`` forces the scalar oracle, ``None`` (default) leaves
-        the process setting alone.  The env gate is set before workers
-        fork, so parallel sweeps inherit it (each worker grows its own
-        surface on first miss).  Results are bit-equal either way —
-        the differential suite pins it.
     profiler:
         A :class:`repro.obs.SamplingProfiler` running for the duration
         of the sweep (started here, stopped on the way out, even on
@@ -458,8 +446,8 @@ def run_sweep(
         ``workers``/``chunk_size``/``store``/``checkpoint``.
     """
     if profiler is not None and profiler.enabled:
-        # Re-enter with the profiler running (the surface-scope idiom):
-        # start/stop bracket the whole sweep, exceptions included.
+        # Re-enter with the profiler running: start/stop bracket the
+        # whole sweep, exceptions included.
         profiler.start()
         try:
             return run_sweep(
@@ -475,28 +463,9 @@ def run_sweep(
                 chunk_retries=chunk_retries,
                 retry_policy=retry_policy,
                 on_chunk_failure=on_chunk_failure,
-                surface=surface,
             )
         finally:
             profiler.stop()
-    if surface is not None:
-        # Re-enter with the fast path selected (and restored on exit);
-        # the recursion carries every other argument unchanged.
-        with surface_scope(surface):
-            return run_sweep(
-                measure,
-                grids,
-                workers=workers,
-                chunk_size=chunk_size,
-                progress=progress,
-                store=store,
-                tracer=tracer,
-                checkpoint=checkpoint,
-                chunk_timeout=chunk_timeout,
-                chunk_retries=chunk_retries,
-                retry_policy=retry_policy,
-                on_chunk_failure=on_chunk_failure,
-            )
     check_positive_int("workers", workers)
     if chunk_size is not None:
         check_positive_int("chunk_size", chunk_size)

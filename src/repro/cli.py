@@ -3,8 +3,8 @@
 Installed as ``repro-mcast`` (see ``pyproject.toml``), or run as
 ``python -m repro.cli``.  Subcommands::
 
-    repro-mcast fig12a [--surface]  # optimal k vs m (analytic)
-    repro-mcast fig12b [--surface]  # optimal k vs n (analytic)
+    repro-mcast fig12a              # optimal k vs m (analytic)
+    repro-mcast fig12b              # optimal k vs n (analytic)
     repro-mcast surface --n-max 512 --m-max 64 --out surface.json
     repro-mcast fig13a [--full] [--workers 4]   # simulated latency vs m
     repro-mcast fig13b [--full]
@@ -64,7 +64,6 @@ from .core import (
     optimal_k,
     predicted_steps,
     render_tree,
-    surface_scope,
 )
 from .durable.errors import ValidationError, check_positive_int, check_positive_number
 from .machine import Machine
@@ -87,6 +86,9 @@ _POSITIVE_NUMBER_ARGS = (
 )
 #: Integer options where zero is meaningful (ids, epochs, seeds).
 _NONNEGATIVE_INT_ARGS = ("shard_id", "ring_epoch", "hot_threshold")
+#: (attribute, minimum) of the short multicast-size options: a set of
+#: ``-n`` nodes needs a destination, ``-m`` and ``-k`` at least one.
+_SIZE_ARGS = (("n", 2), ("m", 1), ("k", 1))
 
 
 def _validate_args(args) -> None:
@@ -103,6 +105,10 @@ def _validate_args(args) -> None:
         value = getattr(args, name, None)
         if value is not None:
             check_positive_int(f"--{name.replace('_', '-')}", value, minimum=0)
+    for name, minimum in _SIZE_ARGS:
+        value = getattr(args, name, None)
+        if value is not None:
+            check_positive_int(f"-{name}", value, minimum=minimum)
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
         raise ValidationError("--resume requires --checkpoint PATH")
 
@@ -203,15 +209,9 @@ def _maybe_stats(args) -> None:
         print(_json.dumps(GLOBAL_METRICS.snapshot(), indent=2, sort_keys=True))
 
 
-def _surface_mode(args):
-    """``surface_scope`` selection from a command's ``--surface`` flag."""
-    return True if getattr(args, "surface", False) else None
-
-
 def _cmd_fig12a(args) -> None:
     m_values = tuple(range(1, args.max_m + 1))
-    with surface_scope(_surface_mode(args)):
-        data = fig12a_optimal_k(m_values=m_values)
+    data = fig12a_optimal_k(m_values=m_values)
     series = {f"{d} dest": data[d] for d in sorted(data, reverse=True)}
     print(
         render_series(
@@ -226,8 +226,7 @@ def _cmd_fig12a(args) -> None:
 
 def _cmd_fig12b(args) -> None:
     n_values = tuple(range(2, 65))
-    with surface_scope(_surface_mode(args)):
-        data = fig12b_optimal_k(n_values=n_values)
+    data = fig12b_optimal_k(n_values=n_values)
     print(
         render_series(
             "n",
@@ -315,8 +314,7 @@ def _cmd_fig14b(args) -> None:
 
 
 def _cmd_optimal_k(args) -> None:
-    with surface_scope(_surface_mode(args)):
-        k = optimal_k(args.n, args.m)
+    k = optimal_k(args.n, args.m)
     print(f"optimal k for n={args.n}, m={args.m}: {k}")
     rows = [
         [kk, predicted_steps(args.n, kk, args.m)]
@@ -1022,16 +1020,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         add_profile_options(p)
 
-    surface_flag_help = "serve lookups from the vectorized analytic surface (REPRO_SURFACE)"
-
     p = sub.add_parser("fig12a", help="optimal k vs packets (analytic)")
     p.add_argument("--max-m", type=int, default=35)
     p.add_argument("--csv", default=None, help="also write the series as CSV")
-    p.add_argument("--surface", action="store_true", help=surface_flag_help)
     p.set_defaults(func=_cmd_fig12a)
 
     p = sub.add_parser("fig12b", help="optimal k vs set size (analytic)")
-    p.add_argument("--surface", action="store_true", help=surface_flag_help)
     p.set_defaults(func=_cmd_fig12b)
 
     for name, func, help_text in (
@@ -1047,7 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal-k", help="Theorem 3 fan-out for (n, m)")
     p.add_argument("-n", type=int, required=True, help="multicast set size")
     p.add_argument("-m", type=int, required=True, help="number of packets")
-    p.add_argument("--surface", action="store_true", help=surface_flag_help)
     p.set_defaults(func=_cmd_optimal_k)
 
     p = sub.add_parser(

@@ -5,8 +5,7 @@ child process through the same ``repro-mcast serve`` CLI an operator
 would run by hand, with two extra flags (``--shard-id``,
 ``--ring-epoch``) that teach it its place in the ring.  Reusing the
 CLI (rather than ``multiprocessing``) buys three things: the child
-inherits the environment verbatim (``REPRO_SURFACE=1`` makes every
-shard surface-mode aware for free), there is no fork-with-running-
+inherits the environment verbatim, there is no fork-with-running-
 event-loop or spawn-pickling hazard under pytest, and ``SIGKILL`` is a
 *real* crash — exactly what the failover drill needs.
 

@@ -37,20 +37,9 @@ from .optimal import (
     linear_tree_steps,
     optimal_k,
     optimal_k_exact,
-    optimal_k_exact_scalar,
-    optimal_k_scalar,
     predicted_steps,
 )
-from .surface import (
-    AnalyticSurface,
-    active_surface,
-    install_surface,
-    installed_surface,
-    surface_enabled,
-    surface_scope,
-    surface_stats,
-    uninstall_surface,
-)
+from .surface import AnalyticSurface
 from .related import decoster_latency, decoster_optimal_packet_size
 from .render import render_tree, tree_stats
 from .pipeline import (
@@ -82,7 +71,6 @@ __all__ = [
     "CacheStats",
     "MulticastTree",
     "OptimalKTable",
-    "active_surface",
     "build_binomial_tree",
     "build_flat_tree",
     "build_kbinomial_tree",
@@ -113,21 +101,13 @@ __all__ = [
     "linear_tree_steps",
     "min_k_binomial",
     "multicast_latency_model",
-    "install_surface",
-    "installed_surface",
     "optimal_k",
     "optimal_k_exact",
-    "optimal_k_exact_scalar",
-    "optimal_k_scalar",
     "packet_completion_steps",
     "predicted_steps",
     "render_tree",
     "root_fanout",
     "steps_needed",
-    "surface_enabled",
-    "surface_scope",
-    "surface_stats",
     "theorem2_steps",
     "tree_stats",
-    "uninstall_surface",
 ]

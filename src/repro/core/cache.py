@@ -27,8 +27,9 @@ across grid points (the executor reuses worker processes).
 :func:`cache_stats` exposes hit/miss counters and :func:`clear_caches`
 resets every registered cache — including the module-level
 ``lru_cache``\\ s on :func:`~repro.core.kbinomial.coverage` and
-:func:`~repro.core.optimal.optimal_k` — for test isolation and for
-timing cold-vs-warm runs (see ``benchmarks/bench_sweep_engine.py``).
+:func:`~repro.core.optimal.optimal_k`, the one memoized Theorem-3
+search every optimal-k caller goes through — for test isolation and
+for timing cold-vs-warm runs (see ``benchmarks/bench_sweep_engine.py``).
 
 Invalidation rule: everything cached here is a pure function of its
 arguments, so the only reasons to clear are isolation (tests, timing)
@@ -51,9 +52,8 @@ from functools import lru_cache
 from typing import Dict, Sequence
 
 from .kbinomial import build_kbinomial_tree, coverage, steps_needed
-from .optimal import optimal_k_scalar
+from .optimal import optimal_k
 from .pipeline import fpfs_total_steps
-from .surface import SurfaceCacheAdapter
 from .trees import MulticastTree
 
 __all__ = [
@@ -134,17 +134,14 @@ def cached_kbinomial_steps(n: int, k: int, m: int, ports: int = 1) -> int:
 
 #: Every cache clear_caches()/cache_stats() manages.  The coverage and
 #: optimal_k entries are the pre-existing module-level lru_caches; the
-#: surface entry adapts the installed
-#: :class:`~repro.core.surface.AnalyticSurface` (clearing uninstalls
-#: it, stats report its dispatcher hits/misses); the rest live here.
+#: rest live here.
 _REGISTRY = {
     "coverage": coverage,
-    "optimal_k": optimal_k_scalar,
+    "optimal_k": optimal_k,
     "steps_needed": cached_steps_needed,
     "build_kbinomial_tree": _build_tree,
     "fpfs_total_steps": cached_fpfs_total_steps,
     "kbinomial_steps": cached_kbinomial_steps,
-    "surface": SurfaceCacheAdapter(),
 }
 
 #: Serializes registry-wide operations (stats / clear / register) so

@@ -21,29 +21,26 @@ Two search modes:
   be smaller than k when n is far from N(s, k)).  Never worse than the
   paper formula; the ablation bench quantifies the difference.
 
-Both searches dispatch to the vectorized
-:class:`~repro.core.surface.AnalyticSurface` when ``REPRO_SURFACE=1``
-(O(1) table lookups after one grid-wide build); the scalar bodies —
-:func:`optimal_k_scalar` / :func:`optimal_k_exact_scalar` — remain the
-**permanent correctness oracle** the surface is differentially tested
-against, and serve every call when the gate is off.
+``optimal_k`` is memoized per ``(n, m)``, the software counterpart of
+the NI-resident table: every runtime caller asks for one point at a
+time, and a warm call is one ``lru_cache`` hit.  The vectorized
+:class:`~repro.core.surface.AnalyticSurface` builds the same answers as
+whole tables; the differential suite proves it bit-equal to both
+searches.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
-from . import surface as _surface
 from .kbinomial import build_kbinomial_tree, min_k_binomial, steps_needed
 from .pipeline import fpfs_total_steps
 
 __all__ = [
     "predicted_steps",
     "optimal_k",
-    "optimal_k_scalar",
     "optimal_k_exact",
-    "optimal_k_exact_scalar",
     "OptimalKTable",
     "linear_tree_steps",
 ]
@@ -66,8 +63,8 @@ def linear_tree_steps(n: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def optimal_k_scalar(n: int, m: int) -> int:
-    """The scalar Theorem-3 search — the surface's correctness oracle.
+def optimal_k(n: int, m: int) -> int:
+    """The paper's optimal fan-out for ``n`` nodes and ``m`` packets.
 
     Searches ``k in [1, ceil(log2 n)]`` minimizing
     :func:`predicted_steps`; ties go to the *largest* k (so ``m = 1``
@@ -85,30 +82,13 @@ def optimal_k_scalar(n: int, m: int) -> int:
     return best_k
 
 
-def optimal_k(n: int, m: int) -> int:
-    """The paper's optimal fan-out for ``n`` nodes and ``m`` packets.
+def optimal_k_exact(n: int, m: int, ports: int = 1) -> int:
+    """Fan-out cap whose *constructed* tree minimizes exact FPFS steps.
 
-    With ``REPRO_SURFACE=1`` the answer comes from the installed
-    :class:`~repro.core.surface.AnalyticSurface` in O(1) (grown on
-    miss); otherwise from the memoized scalar search.  The two are
-    bit-equal by the differential equivalence suite.
-    """
-    if n < 2:
-        raise ValueError(f"need at least one destination, got n={n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if _surface.surface_enabled():
-        return _surface.surface_optimal_k(n, m)
-    return optimal_k_scalar(n, m)
-
-
-def optimal_k_exact_scalar(n: int, m: int, ports: int = 1) -> int:
-    """The scalar exact search — the exact surface's correctness oracle.
-
-    Evaluates each candidate k by running the exact step scheduler on
-    the actual Fig. 11 tree.  Ties go to the smallest k (smaller
-    fan-out means less NI buffering and fewer same-step messages in
-    the network).
+    Extension beyond the paper: evaluates each candidate k by running
+    the exact step scheduler on the actual Fig. 11 tree.  Ties go to
+    the smallest k (smaller fan-out means less NI buffering and fewer
+    same-step messages in the network).
     """
     if n < 2:
         raise ValueError(f"need at least one destination, got n={n}")
@@ -121,39 +101,20 @@ def optimal_k_exact_scalar(n: int, m: int, ports: int = 1) -> int:
     return best_k  # type: ignore[return-value]
 
 
-def optimal_k_exact(n: int, m: int, ports: int = 1) -> int:
-    """Fan-out cap whose *constructed* tree minimizes exact FPFS steps.
-
-    Extension beyond the paper (see :func:`optimal_k_exact_scalar` for
-    the search itself).  With ``REPRO_SURFACE=1`` and an installed
-    surface carrying exact tables for this ``ports`` count, the answer
-    is an O(1) lookup; any mismatch (different ports, missing tables,
-    out of bounds) falls back to the scalar search — a stale surface
-    can never answer for the wrong machine view.
-    """
-    if _surface.surface_enabled():
-        value = _surface.surface_optimal_k_exact(n, m, ports=ports)
-        if value is not None:
-            return value
-    return optimal_k_exact_scalar(n, m, ports=ports)
-
-
 class OptimalKTable:
     """Precomputed optimal-k lookup (§4.3.1's NI-resident table).
 
-    The table stores, for each ``n``, the *breakpoints* of m at which
-    the optimal k changes, exploiting §5.1's observation that optimal k
-    is piecewise constant in m and converges to 1.  ``memory_entries``
-    reports the stored size, which the E11 bench shows is far below the
-    dense ``n_max * m_max`` bound.
+    A view over :func:`optimal_k`: the table stores, for each ``n``,
+    the *breakpoints* of m in ``[1, m_max]`` at which the optimal k
+    changes, exploiting §5.1's observation that optimal k is piecewise
+    constant in m and converges to 1.  ``memory_entries`` reports the
+    stored size, which the E11 bench shows is far below the dense
+    ``n_max * m_max`` bound.  :meth:`lookup` answers from the same
+    memoized search, so it agrees with :func:`optimal_k` for every m,
+    past ``m_max`` included.
     """
 
-    def __init__(
-        self,
-        n_max: int,
-        m_max: int,
-        chooser: Callable[[int, int], int] = optimal_k,
-    ) -> None:
+    def __init__(self, n_max: int, m_max: int) -> None:
         if n_max < 2:
             raise ValueError("n_max must be >= 2")
         if m_max < 1:
@@ -166,25 +127,18 @@ class OptimalKTable:
         for n in range(2, n_max + 1):
             runs: list[Tuple[int, int]] = []
             for m in range(1, m_max + 1):
-                k = chooser(n, m)
+                k = optimal_k(n, m)
                 if not runs or runs[-1][1] != k:
                     runs.append((m, k))
             self._breakpoints[n] = runs
 
     def lookup(self, n: int, m: int) -> int:
-        """Optimal k for (n, m); m beyond the table clamps to the tail."""
+        """Optimal k for ``(n, m)``, any ``m >= 1``: :func:`optimal_k`."""
         if not (2 <= n <= self.n_max):
             raise KeyError(f"n={n} outside table range [2, {self.n_max}]")
         if m < 1:
             raise KeyError(f"m must be >= 1, got {m}")
-        runs = self._breakpoints[n]
-        k = runs[0][1]
-        for m_start, run_k in runs:
-            if m >= m_start:
-                k = run_k
-            else:
-                break
-        return k
+        return optimal_k(n, m)
 
     @property
     def memory_entries(self) -> int:

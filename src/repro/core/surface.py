@@ -23,22 +23,15 @@ tables* with numpy in one shot:
   follow by the pipeline prefix property (packet ``p``'s receive times
   never depend on packets after it — a property test pins this).
 
-After the build every lookup is an O(1) array index.  The **scalar
-recurrences remain the permanent correctness oracle**: the surface is
-only trusted because ``tests/test_differential.py`` proves it bit-equal
-to :func:`repro.core.optimal.optimal_k_scalar` and friends over the
-full grid, under both ``REPRO_SURFACE=0`` and ``=1``.
-
-Process-wide use goes through the *installed* surface:
-:func:`install_surface` / :func:`installed_surface` manage one shared
-instance, :func:`surface_enabled` reads the ``REPRO_SURFACE`` env gate
-(``1`` = serve lookups from the surface, anything else = scalar), and
-the :func:`surface_optimal_k` / :func:`surface_steps_needed`
-dispatchers grow the installed surface on a miss (bounds double, so a
-sweep that wanders past the horizon pays O(log) rebuilds).
-:func:`repro.core.cache.clear_caches` uninstalls the surface like any
-other memo, and :func:`~repro.core.cache.cache_stats` reports its
-hits/misses under the ``"surface"`` key.
+After the build every lookup is an O(1) array index.  A surface is an
+explicit table builder: ``repro-mcast surface`` builds, saves and loads
+one, and :meth:`AnalyticSurface.optimal_k_grid` extracts a whole
+fig12-shaped grid.  Single-point queries at runtime go to the memoized
+:func:`repro.core.optimal.optimal_k` search, which is also the
+surface's correctness oracle: ``tests/test_differential.py`` proves
+the tables bit-equal to :func:`~repro.core.optimal.optimal_k` over the
+full 512×64 grid and to :func:`~repro.core.optimal.optimal_k_exact`
+over a reduced one.
 
 Surfaces persist through the :mod:`repro.durable` atomic stores:
 :meth:`AnalyticSurface.save` writes a CRC-stamped, manifest-carrying
@@ -48,36 +41,16 @@ surface round-trips bit-identically or fails loudly.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..durable.errors import ValidationError
-from .kbinomial import build_kbinomial_tree, min_k_binomial, steps_needed
+from .kbinomial import build_kbinomial_tree, min_k_binomial
 from .pipeline import fpfs_schedule
 
-__all__ = [
-    "AnalyticSurface",
-    "SURFACE_ENV",
-    "active_surface",
-    "install_surface",
-    "installed_surface",
-    "surface_enabled",
-    "surface_optimal_k",
-    "surface_optimal_k_exact",
-    "surface_scope",
-    "surface_stats",
-    "surface_steps_needed",
-    "uninstall_surface",
-]
-
-#: Environment gate: ``REPRO_SURFACE=1`` serves analytic lookups from
-#: the installed surface; unset or ``0`` keeps the scalar oracle path.
-SURFACE_ENV = "REPRO_SURFACE"
+__all__ = ["AnalyticSurface"]
 
 #: Schema version of the saved-surface JSON envelope.
 SURFACE_VERSION = 1
@@ -86,11 +59,7 @@ SURFACE_VERSION = 1
 #: ``[1, ceil(log2 n)]`` — larger than any reachable step count.
 _MASKED = np.int64(2**62)
 
-#: Default bounds of an auto-installed surface; misses grow them.
-DEFAULT_N_MAX = 128
-DEFAULT_M_MAX = 64
-
-#: Hard cap on surface growth, far above any modeled machine.
+#: Hard cap on a surface's ``n_max``, far above any modeled machine.
 MAX_N_MAX = 1 << 22
 
 
@@ -140,9 +109,8 @@ class AnalyticSurface:
 
     Build with :meth:`build` (vectorized, one shot) or :meth:`load`
     (from a saved store).  All lookups are O(1); out-of-bounds lookups
-    raise :class:`KeyError` so callers (the module dispatchers) can
-    grow or fall back.  Instances are immutable after construction and
-    safe to share across threads.
+    raise :class:`KeyError`.  Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(
@@ -306,7 +274,7 @@ class AnalyticSurface:
         return self.steps_needed(n, k) + (m - 1) * k
 
     def optimal_k(self, n: int, m: int) -> int:
-        """The paper's optimal fan-out, bit-equal to the scalar search."""
+        """The paper's optimal fan-out, bit-equal to :func:`~repro.core.optimal.optimal_k`."""
         if not self.contains(n, m):
             raise KeyError(f"(n={n}, m={m}) outside surface bounds "
                            f"[2, {self.n_max}] x [1, {self.m_max}]")
@@ -334,10 +302,9 @@ class AnalyticSurface:
         """Exact-variant optimal fan-out (scalar tie rule: smallest k).
 
         Raises :class:`KeyError` when the exact tables are absent, were
-        built for a different ``ports``, or ``(n, m)`` is out of bounds
-        — the dispatcher then falls back to the scalar oracle, so a
-        surface built under one machine view can never serve another's
-        exact lookups (the stale-surface regression test pins this).
+        built for a different ``ports``, or ``(n, m)`` is out of bounds,
+        so a surface built under one machine view can never answer
+        another's exact lookups (the stale-surface test pins this).
         """
         if self._exact_optimal is None:
             raise KeyError("surface was built without exact tables")
@@ -479,209 +446,3 @@ class AnalyticSurface:
             "build_seconds": self.build_seconds,
             "hits": self.hits,
         }
-
-
-# ---------------------------------------------------------------------------
-# The installed surface: one shared instance, env-gated, grown on miss.
-# ---------------------------------------------------------------------------
-
-_LOCK = threading.RLock()
-_INSTALLED: Optional[AnalyticSurface] = None
-#: Dispatcher counters: hits served from the installed surface, misses
-#: that forced a growth/install (reported via cache_stats()["surface"]).
-_HITS = 0
-_MISSES = 0
-
-
-def surface_enabled() -> bool:
-    """True when ``REPRO_SURFACE=1`` selects the vectorized fast path."""
-    return os.environ.get(SURFACE_ENV, "") == "1"
-
-
-def install_surface(surface: AnalyticSurface) -> AnalyticSurface:
-    """Make ``surface`` the process-wide instance; returns it."""
-    global _INSTALLED
-    if not isinstance(surface, AnalyticSurface):
-        raise ValidationError(
-            f"install_surface needs an AnalyticSurface, got {type(surface).__name__}"
-        )
-    with _LOCK:
-        _INSTALLED = surface
-    return surface
-
-
-def installed_surface() -> Optional[AnalyticSurface]:
-    """The currently installed surface, or ``None``."""
-    return _INSTALLED
-
-
-def uninstall_surface() -> None:
-    """Drop the installed surface and zero the dispatcher counters.
-
-    :func:`repro.core.cache.clear_caches` calls this — a cleared cache
-    registry can never leave a stale surface serving lookups.
-    """
-    global _INSTALLED, _HITS, _MISSES
-    with _LOCK:
-        _INSTALLED = None
-        _HITS = 0
-        _MISSES = 0
-
-
-def surface_stats() -> dict:
-    """Dispatcher counters plus the installed surface's own stats."""
-    surface = _INSTALLED
-    return {
-        "hits": _HITS,
-        "misses": _MISSES,
-        "installed": surface.stats() if surface is not None else None,
-    }
-
-
-def _grown_bounds(n: int, m: int) -> tuple:
-    """Bounds covering ``(n, m)``: at least the defaults, doubled past."""
-    surface = _INSTALLED
-    n_max = max(DEFAULT_N_MAX, surface.n_max if surface else 0)
-    m_max = max(DEFAULT_M_MAX, surface.m_max if surface else 0)
-    while n_max < n:
-        n_max *= 2
-    while m_max < m:
-        m_max *= 2
-    return min(n_max, MAX_N_MAX), m_max
-
-
-def _surface_covering(n: int, m: int) -> AnalyticSurface:
-    """The installed surface, grown (rebuilt doubled) to cover ``(n, m)``."""
-    global _MISSES
-    surface = _INSTALLED
-    if surface is not None and surface.contains(n, max(1, m)):
-        return surface
-    with _LOCK:
-        surface = _INSTALLED
-        if surface is None or not surface.contains(n, max(1, m)):
-            _MISSES += 1
-            n_max, m_max = _grown_bounds(n, m)
-            surface = install_surface(AnalyticSurface.build(n_max, m_max))
-    return surface
-
-
-def active_surface(n: int, m: int) -> Optional[AnalyticSurface]:
-    """The installed surface grown to cover ``(n, m)`` — when enabled.
-
-    Returns ``None`` with the env gate off, so callers can write one
-    ``surface = active_surface(...)`` line and keep their scalar loop
-    as the fallback (the fig12 drivers do exactly this).
-    """
-    if not surface_enabled():
-        return None
-    return _surface_covering(n, m)
-
-
-def surface_optimal_k(n: int, m: int) -> int:
-    """O(1) ``optimal_k`` from the installed surface, growing on miss.
-
-    Callers validate ``(n, m)`` first (the :func:`repro.core.optimal`
-    wrappers do); growth doubles bounds so repeated misses amortize.
-    """
-    global _HITS
-    value = _surface_covering(n, m).optimal_k(n, m)
-    _HITS += 1
-    return value
-
-
-def surface_steps_needed(n: int, k: int) -> int:
-    """O(1) ``T1(n, k)`` from the installed surface, growing on miss."""
-    global _HITS
-    value = _surface_covering(n, 1).steps_needed(n, k)
-    _HITS += 1
-    return value
-
-
-def surface_optimal_k_exact(n: int, m: int, ports: int = 1) -> Optional[int]:
-    """Exact-variant lookup, or ``None`` when the surface cannot serve it.
-
-    Unlike the closed-form tables the exact tables are expensive to
-    build, so a miss (no surface, no exact tables, different ``ports``,
-    out of bounds) returns ``None`` and the caller runs the scalar
-    search — never a stale or mismatched answer.
-    """
-    global _HITS, _MISSES
-    surface = _INSTALLED
-    if surface is None:
-        return None
-    try:
-        value = surface.optimal_k_exact(n, m, ports=ports)
-    except KeyError:
-        with _LOCK:
-            _MISSES += 1
-        return None
-    with _LOCK:
-        _HITS += 1
-    return value
-
-
-@contextmanager
-def surface_scope(surface=None):
-    """Temporarily select the surface fast path (and optionally install).
-
-    ``surface`` may be an :class:`AnalyticSurface` to install for the
-    scope, ``True`` (enable with whatever is/gets installed), ``False``
-    (force the scalar path), or ``None`` (no-op, leave the env gate
-    alone).  The previous env value and installed surface are restored
-    on exit.  Used by :func:`repro.analysis.sweep.run_sweep`'s
-    ``surface=`` parameter — the env var travels to worker processes,
-    which build their own copy on first miss.
-    """
-    if surface is None:
-        yield installed_surface()
-        return
-    previous_env = os.environ.get(SURFACE_ENV)
-    previous_installed = _INSTALLED
-    try:
-        if surface is False:
-            os.environ[SURFACE_ENV] = "0"
-        else:
-            os.environ[SURFACE_ENV] = "1"
-            if isinstance(surface, AnalyticSurface):
-                install_surface(surface)
-        yield installed_surface()
-    finally:
-        if previous_env is None:
-            os.environ.pop(SURFACE_ENV, None)
-        else:
-            os.environ[SURFACE_ENV] = previous_env
-        with _LOCK:
-            globals()["_INSTALLED"] = previous_installed
-
-
-class _SurfaceCacheInfo:
-    """``lru_cache``-shaped stats view (hits/misses/currsize)."""
-
-    __slots__ = ("hits", "misses", "maxsize", "currsize")
-
-    def __init__(self, hits: int, misses: int, currsize: int) -> None:
-        self.hits = hits
-        self.misses = misses
-        self.maxsize = None
-        self.currsize = currsize
-
-
-class SurfaceCacheAdapter:
-    """Adapts the installed surface to the cache-registry protocol.
-
-    Registered by :mod:`repro.core.cache` under ``"surface"``:
-    ``cache_info()`` reports dispatcher hits/misses and the installed
-    surface's table footprint, ``cache_clear()`` uninstalls it.
-    """
-
-    @staticmethod
-    def cache_info() -> _SurfaceCacheInfo:
-        """Dispatcher counters + installed footprint, lru_cache-shaped."""
-        surface = _INSTALLED
-        currsize = surface.table_entries if surface is not None else 0
-        return _SurfaceCacheInfo(_HITS, _MISSES, currsize)
-
-    @staticmethod
-    def cache_clear() -> None:
-        """Uninstall the surface and zero the counters."""
-        uninstall_surface()

@@ -23,10 +23,9 @@ so the hit rates are observable via
 :func:`~repro.core.cache.cache_stats` (``plan_schedule`` for the rows,
 ``plan_wire`` for the templates).
 
-With ``REPRO_SURFACE=1`` the analytic half of a plan (the Theorem-3
-fan-out search and ``T1``) is served from the vectorized
-:class:`~repro.core.surface.AnalyticSurface` in O(1); the exact FPFS
-schedule stays on the memoized scalar path, which remains the oracle.
+The analytic half of a plan comes from the same memos as everywhere
+else: the Theorem-3 fan-out from :func:`~repro.core.optimal.optimal_k`
+and ``T1`` from :func:`~repro.core.cache.cached_steps_needed`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
 from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, register_cache
-from ..core.surface import surface_enabled, surface_steps_needed
 from ..durable.errors import ValidationError
 from ..core.optimal import optimal_k
 from ..core.pipeline import fpfs_schedule
@@ -332,15 +330,7 @@ def _solve(request: PlanRequest, memo):
     k = optimal_k(n_eff, m)
     entry = memo(n_eff, k, m, params.ports)
     shape = entry[0]
-    # REPRO_SURFACE=1 serves T1 (and, via optimal_k above, the fan-out
-    # search) from the vectorized surface in O(1); the scalar memo
-    # remains the oracle and the default.  Latency/buffer costs take
-    # `params` per call, so a MachineParams change can never go stale
-    # inside the surface tables.
-    if surface_enabled():
-        t1 = surface_steps_needed(n_eff, k)
-    else:
-        t1 = cached_steps_needed(n_eff, k)
+    t1 = cached_steps_needed(n_eff, k)
     fields = {
         "n": n,
         "m": m,

@@ -8,14 +8,12 @@ ports with whoever else is live.  The physics is unchanged — the same
 :meth:`_build_network` fabric, the same NIs, the same wormhole
 channels — so a single session is bit-identical to a solo
 :meth:`~repro.mcast.simulator.MulticastSimulator.run` (the
-differential suite pins this, under both ``REPRO_SURFACE`` modes).
+differential suite pins this).
 
-Per-session planning goes through the same fast path as everything
-else: ``chain_for`` maps the destination set onto the contention-free
-base ordering, :func:`~repro.core.optimal.optimal_k` resolves
-Theorem 3's fan-out (served by the vectorized
-:class:`~repro.core.surface.AnalyticSurface` under ``REPRO_SURFACE=1``),
-and the k-binomial tree is built per session.
+Per-session planning goes through the same path as everything else:
+``chain_for`` maps the destination set onto the contention-free base
+ordering, the memoized :func:`~repro.core.optimal.optimal_k` resolves
+Theorem 3's fan-out, and the k-binomial tree is built per session.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     OptimalKTable,
@@ -125,8 +127,11 @@ class TestOptimalKTable:
         assert table.memory_entries < table.dense_entries / 4
 
     def test_lookup_beyond_m_max_clamps_to_tail(self):
+        # Past m_max the answer is optimal_k's, not the last stored run:
+        # the m = 8 run has k = 2, but at m = 100 the linear tree wins.
         table = OptimalKTable(n_max=16, m_max=8)
-        assert table.lookup(16, 100) == table.lookup(16, 8)
+        assert table.runs_for(16)[-1] == (2, 2)
+        assert table.lookup(16, 100) == optimal_k(16, 100) == 1
 
     def test_runs_are_strictly_decreasing_in_k(self):
         table = OptimalKTable(n_max=64, m_max=32)
@@ -148,3 +153,14 @@ class TestOptimalKTable:
             OptimalKTable(n_max=1, m_max=4)
         with pytest.raises(ValueError):
             OptimalKTable(n_max=4, m_max=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_lookup_equals_optimal_k_for_every_m(data):
+    """``lookup(n, m) == optimal_k(n, m)`` inside the table and past m_max."""
+    n_max = data.draw(st.integers(min_value=2, max_value=64), label="n_max")
+    m_max = data.draw(st.integers(min_value=1, max_value=32), label="m_max")
+    n = data.draw(st.integers(min_value=2, max_value=n_max), label="n")
+    m = data.draw(st.integers(min_value=1, max_value=10_000), label="m")
+    assert OptimalKTable(n_max, m_max).lookup(n, m) == optimal_k(n, m)

@@ -32,8 +32,8 @@ from repro.core import (
     coverage,
     fpfs_total_steps,
     min_k_binomial,
-    optimal_k_exact_scalar,
-    optimal_k_scalar,
+    optimal_k,
+    optimal_k_exact,
     predicted_steps,
     steps_needed,
 )
@@ -89,15 +89,15 @@ def test_boundaries_match_scalar(n, k):
     """Edges: n=1/n=2, m=1, and k clamped past the last column."""
     assert SURFACE.steps_needed(1, k) == steps_needed(1, k) == 0
     assert SURFACE.steps_needed(n, k + SURFACE.k_max) == steps_needed(n, k + SURFACE.k_max)
-    assert SURFACE.optimal_k(2, 1) == optimal_k_scalar(2, 1) == 1
-    assert SURFACE.optimal_k(n, 1) == optimal_k_scalar(n, 1)
+    assert SURFACE.optimal_k(2, 1) == optimal_k(2, 1) == 1
+    assert SURFACE.optimal_k(n, 1) == optimal_k(n, 1)
     assert SURFACE.predicted_steps(n, k, 1) == SURFACE.steps_needed(n, k)
 
 
 @RELAXED
 @given(n=ns, m=ms)
 def test_out_of_bounds_raises_keyerror(n, m):
-    """Every lookup past the horizon fails loudly (the growth signal)."""
+    """Every lookup past the horizon fails loudly with KeyError."""
     assert not SURFACE.contains(N_MAX + n, m)
     with pytest.raises(KeyError):
         SURFACE.optimal_k(N_MAX + n, m)
@@ -119,7 +119,7 @@ def test_paper_tie_break_takes_largest_minimizer(n, m):
     winners = [k for k, v in objective.items() if v == best]
     chosen = SURFACE.optimal_k(n, m)
     assert chosen == max(winners), (n, m, winners)
-    assert chosen == optimal_k_scalar(n, m), (n, m)
+    assert chosen == optimal_k(n, m), (n, m)
     assert SURFACE.optimal_steps(n, m) == best, (n, m)
 
 
@@ -137,7 +137,7 @@ def test_exact_tie_break_takes_smallest_minimizer(n, m):
     winners = [k for k, v in objective.items() if v == best]
     chosen = surf.optimal_k_exact(n, m)
     assert chosen == min(winners), (n, m, winners)
-    assert chosen == optimal_k_exact_scalar(n, m), (n, m)
+    assert chosen == optimal_k_exact(n, m), (n, m)
 
 
 @RELAXED

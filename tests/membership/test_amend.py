@@ -3,8 +3,7 @@
 The Hypothesis suite is the PR's acceptance property: for *any* legal
 join/leave delta, ``amend_plan`` (with ``k_drift=0``) produces exactly
 the chain, fan-out, and tree a cold re-plan over the new member set
-would — under both ``REPRO_SURFACE`` modes — deltas compose, and the
-empty delta is the identity.
+would, deltas compose, and the empty delta is the identity.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_kbinomial_tree, optimal_k, surface_scope
+from repro.core import build_kbinomial_tree, optimal_k
 from repro.faults import SourceFailedError
 from repro.mcast import chain_for
 from repro.membership import (
@@ -124,22 +123,21 @@ def _legal_delta(members, outside, leave_idx, join_idx):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=deltas, surface=st.booleans())
-def test_amend_is_bit_identical_to_cold_replan(case, surface):
+@given(case=deltas)
+def test_amend_is_bit_identical_to_cold_replan(case):
     mask, leave_idx, join_idx, m = case
     members, outside = _group(mask | 0b10)  # at least one destination
     delta = _legal_delta(members, outside, leave_idx, join_idx)
     tree = build_kbinomial_tree(members, optimal_k(len(members), m))
-    with surface_scope(surface):
-        amended = amend_plan(tree, members, delta, m, base_ordering=BASE)
-        cold_chain = chain_for(members[0], list(amended.chain[1:]), BASE)
-        assert list(amended.chain) == list(cold_chain)
-        if amended.n >= 2:
-            assert amended.k == optimal_k(amended.n, m)
-            assert same_tree(
-                amended.tree, build_kbinomial_tree(list(cold_chain), amended.k)
-            )
-            assert not amended.k_stale
+    amended = amend_plan(tree, members, delta, m, base_ordering=BASE)
+    cold_chain = chain_for(members[0], list(amended.chain[1:]), BASE)
+    assert list(amended.chain) == list(cold_chain)
+    if amended.n >= 2:
+        assert amended.k == optimal_k(amended.n, m)
+        assert same_tree(
+            amended.tree, build_kbinomial_tree(list(cold_chain), amended.k)
+        )
+        assert not amended.k_stale
 
 
 @settings(max_examples=60, deadline=None)

@@ -95,6 +95,34 @@ class TestEndToEnd:
 
         assert run(body()) is True
 
+    def test_no_request_builds_an_analytic_surface(self, monkeypatch):
+        """Every answer comes from the memoized optimal_k, whatever the env.
+
+        ``(2, 65536)`` is admitted (its work equals ``MAX_PLAN_WORK``);
+        a table covering it holds a 129 × 7 × 65536 objective, about a
+        GiB.  The retired ``REPRO_SURFACE`` gate is set to prove it
+        selects nothing.
+        """
+        from repro.core import AnalyticSurface, cache_stats
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plan request built an analytic surface")
+
+        monkeypatch.setenv("REPRO_SURFACE", "1")
+        monkeypatch.setattr(AnalyticSurface, "build", refuse)
+        sizes = [(2, 65536), (1024, 32)]
+
+        async def body():
+            server = await started_server()
+            async with await PlanClient.connect("127.0.0.1", server.port) as client:
+                results = [await client.plan(n, m) for n, m in sizes]
+            await server.shutdown()
+            return results
+
+        for (n, m), result in zip(sizes, run(body())):
+            assert result == plan(PlanRequest(n=n, m=m))
+        assert "surface" not in cache_stats()
+
 
 class TestAdmissionControl:
     def test_burst_over_budget_is_shed_not_queued(self):

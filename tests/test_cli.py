@@ -113,6 +113,22 @@ def test_plan_rejects_bad_n(capsys):
     assert "n must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimal-k", "-n", "1", "-m", "4"],
+        ["optimal-k", "-n", "64", "-m", "0"],
+        ["tree", "-n", "1"],
+        ["tree", "-n", "8", "-k", "0"],
+        ["decoster", "-n", "1"],
+    ],
+    ids=["optimal-k-n1", "optimal-k-m0", "tree-n1", "tree-k0", "decoster-n1"],
+)
+def test_bad_sizes_exit_2_with_error(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_trace_command_writes_perfetto_json(capsys, tmp_path):
     import json
 

@@ -20,13 +20,12 @@ The full grid is marked ``slow`` (tier-1 skips it via ``-m "not
 slow"``); a reduced smoke grid always runs.
 
 The second half of this file is the other differential axis: the
-vectorized :class:`~repro.core.surface.AnalyticSurface` against the
-scalar recurrences it replaces.  The scalar path is the permanent
-oracle; every surface table must be *bit-equal* to it — exhaustively
-over ``n ∈ [2, 512] × m ∈ [1, 64]`` for the paper variant, over a
-reduced grid (plus a slow-marked full one) for the exact variant, and
-end-to-end through :func:`repro.service.plan` under both
-``REPRO_SURFACE`` modes for two machine presets.
+vectorized :class:`~repro.core.surface.AnalyticSurface` tables against
+the scalar searches every runtime caller uses (:func:`optimal_k`,
+:func:`optimal_k_exact`, the Lemma-1 recurrences).  Every surface table
+must be *bit-equal* to them — exhaustively over ``n ∈ [2, 512] ×
+m ∈ [1, 64]`` for the paper variant, and over a reduced grid (plus a
+slow-marked full one) for the exact variant.
 """
 
 from __future__ import annotations
@@ -36,27 +35,20 @@ import pytest
 from repro.core import (
     AnalyticSurface,
     build_kbinomial_tree,
-    clear_caches,
     coverage,
     fcfs_total_steps,
     fpfs_total_steps,
-    installed_surface,
     min_k_binomial,
     optimal_k,
     optimal_k_exact,
-    optimal_k_exact_scalar,
-    optimal_k_scalar,
     predicted_steps,
     steps_needed,
-    surface_scope,
     theorem2_steps,
-    uninstall_surface,
 )
 from repro.mcast import MulticastSimulator
 from repro.network import Topology, UpDownRouter, host, switch
 from repro.nic import FCFSInterface
 from repro.params import PAPER_MACHINE, MachineParams, SystemParams
-from repro.service import PlanRequest, plan
 
 #: Step-aligned parameters: one send = t_ns(1) + wire(1) = 2 units, no
 #: host overheads, so DES completion time == steps * STEP_COST exactly.
@@ -152,7 +144,7 @@ def test_differential_perfect_trees_meet_theorem2(k):
 
 
 # ---------------------------------------------------------------------------
-# Surface ≡ scalar: the vectorized engine against its correctness oracle.
+# Surface ≡ optimal_k: the vectorized tables against the scalar search.
 # ---------------------------------------------------------------------------
 
 #: Full equivalence grid of the issue: n ∈ [2, 512], m ∈ [1, 64].
@@ -165,7 +157,7 @@ EXACT_N_MAX = 40
 EXACT_M_MAX = 12
 
 #: Two machine views: the paper's §5.2 machine and a faster two-port
-#: one — the surface must agree with the scalar path under both.
+#: one — the surface latency must agree with the model under both.
 MACHINE_PRESETS = [
     PAPER_MACHINE,
     MachineParams(t_s=5.0, t_r=7.5, t_step=2.25, t_sq=0.5, ports=2),
@@ -177,13 +169,6 @@ PRESET_IDS = ["paper", "fast-2port"]
 def paper_surface():
     """One full-grid surface shared by the equivalence tests (read-only)."""
     return AnalyticSurface.build(SURFACE_N_MAX, SURFACE_M_MAX)
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_surface():
-    """No test here may leave an installed surface behind."""
-    yield
-    uninstall_surface()
 
 
 def test_surface_coverage_bit_equal(paper_surface):
@@ -223,14 +208,14 @@ def test_surface_optimal_k_bit_equal_exhaustive(paper_surface):
     grid = paper_surface.optimal_k_grid(n_values, m_values)
     for i, n in enumerate(n_values):
         for j, m in enumerate(m_values):
-            assert grid[i, j] == optimal_k_scalar(n, m), (n, m)
+            assert grid[i, j] == optimal_k(n, m), (n, m)
 
 
 def test_surface_optimal_steps_bit_equal_sampled(paper_surface):
     """The minimized objective matches Theorem 3 priced at the scalar k."""
     for n in (2, 3, 7, 16, 63, 100, 255, 512):
         for m in (1, 2, 8, 33, 64):
-            k = optimal_k_scalar(n, m)
+            k = optimal_k(n, m)
             assert paper_surface.optimal_steps(n, m) == predicted_steps(n, k, m), (n, m)
 
 
@@ -240,7 +225,7 @@ def test_surface_optimal_k_exact_bit_equal(ports):
     surf = AnalyticSurface.build(EXACT_N_MAX, EXACT_M_MAX, exact=True, ports=ports)
     for n in range(2, EXACT_N_MAX + 1):
         for m in (1, 2, 3, 5, 8, EXACT_M_MAX):
-            assert surf.optimal_k_exact(n, m, ports=ports) == optimal_k_exact_scalar(
+            assert surf.optimal_k_exact(n, m, ports=ports) == optimal_k_exact(
                 n, m, ports=ports
             ), (n, m, ports)
 
@@ -251,7 +236,7 @@ def test_surface_optimal_k_exact_bit_equal_full():
     surf = AnalyticSurface.build(96, 32, exact=True)
     for n in range(2, 97):
         for m in range(1, 33):
-            assert surf.optimal_k_exact(n, m) == optimal_k_exact_scalar(n, m), (n, m)
+            assert surf.optimal_k_exact(n, m) == optimal_k_exact(n, m), (n, m)
 
 
 @pytest.mark.parametrize("params", MACHINE_PRESETS, ids=PRESET_IDS)
@@ -260,48 +245,10 @@ def test_surface_latency_bit_equal(paper_surface, params):
     full = paper_surface.latency_surface(params)
     for n in (2, 5, 16, 63, 128, 512):
         for m in (1, 4, 35, 64):
-            k = optimal_k_scalar(n, m)
+            k = optimal_k(n, m)
             expected = params.t_s + predicted_steps(n, k, m) * params.t_step + params.t_r
             assert paper_surface.latency_us(n, m, params) == expected, (n, m)
             assert full[n, m - 1] == expected, (n, m)
-
-
-def test_surface_dispatch_bit_equal(monkeypatch):
-    """The public optimal_k/optimal_k_exact agree across both env modes."""
-    points = [(2, 1), (7, 4), (100, 8), (300, 64), (511, 33)]
-    monkeypatch.setenv("REPRO_SURFACE", "1")
-    clear_caches()
-    for n, m in points:
-        assert optimal_k(n, m) == optimal_k_scalar(n, m), (n, m)
-    # The fast path really served: a surface got auto-installed.
-    assert installed_surface() is not None
-    # Exact variant with no exact tables installed falls back to scalar.
-    assert optimal_k_exact(20, 4) == optimal_k_exact_scalar(20, 4)
-    monkeypatch.setenv("REPRO_SURFACE", "0")
-    clear_caches()
-    for n, m in points:
-        assert optimal_k(n, m) == optimal_k_scalar(n, m), (n, m)
-    assert installed_surface() is None
-
-
-@pytest.mark.parametrize("params", MACHINE_PRESETS, ids=PRESET_IDS)
-def test_surface_plan_bit_equal_across_modes(params):
-    """plan() returns identical results under REPRO_SURFACE=0 and =1.
-
-    The plan memo is cleared between modes so the second pass really
-    exercises the surface, not the cached scalar answer.
-    """
-    points = [(2, 1), (5, 3), (16, 8), (63, 35), (128, 64), (200, 7)]
-    for n, m in points:
-        request = PlanRequest(n=n, m=m, params=params)
-        with surface_scope(False):
-            scalar_result = plan(request)
-        clear_caches()
-        with surface_scope(True):
-            fast_result = plan(request)
-            assert installed_surface() is not None
-        clear_caches()
-        assert fast_result.to_dict() == scalar_result.to_dict(), (n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -332,40 +279,35 @@ def _result_fields(result):
     )
 
 
-@pytest.mark.parametrize("surface", [False, True], ids=["scalar", "surface"])
 @pytest.mark.parametrize("scheduler", ["fifo", "rr"])
 @pytest.mark.parametrize("n,m", [(4, 1), (9, 4), (16, 8)])
-def test_single_session_bit_equal_to_simulator(surface, scheduler, n, m):
+def test_single_session_bit_equal_to_simulator(scheduler, n, m):
     """Degenerate one-session case == MulticastSimulator, bit for bit."""
     from repro.mcast.orderings import chain_for
     from repro.sessions import SCHEDULERS, Session, SessionSimulator
 
     ordering = [host(i) for i in range(MAX_NODES)]
     source, dests = ordering[0], tuple(ordering[1:n])
-    with surface_scope(surface):
-        clear_caches()
-        chain = chain_for(source, list(dests), ordering)
-        k = optimal_k(len(chain), m)
-        tree = build_kbinomial_tree(chain, k)
-        send_policy = SCHEDULERS[scheduler].send_policy
-        solo = MulticastSimulator(
-            _TOPO, _ROUTER, params=STEP_PARAMS, send_policy=send_policy
-        ).run(tree, m)
+    chain = chain_for(source, list(dests), ordering)
+    k = optimal_k(len(chain), m)
+    tree = build_kbinomial_tree(chain, k)
+    send_policy = SCHEDULERS[scheduler].send_policy
+    solo = MulticastSimulator(
+        _TOPO, _ROUTER, params=STEP_PARAMS, send_policy=send_policy
+    ).run(tree, m)
 
-        sim = SessionSimulator(
-            _TOPO, _ROUTER, ordering, params=STEP_PARAMS, scheduler=scheduler
-        )
-        session = Session(source=source, destinations=dests, num_packets=m)
-        result = sim.run_sessions([session])
-    clear_caches()
+    sim = SessionSimulator(
+        _TOPO, _ROUTER, ordering, params=STEP_PARAMS, scheduler=scheduler
+    )
+    session = Session(source=source, destinations=dests, num_packets=m)
+    result = sim.run_sessions([session])
 
     assert _result_fields(result.results[0].result) == _result_fields(solo)
     assert result.results[0].latency == solo.latency
     assert result.results[0].queueing_delay == 0.0
 
 
-@pytest.mark.parametrize("surface", [False, True], ids=["scalar", "surface"])
-def test_single_session_bit_equal_on_paper_testbed(surface):
+def test_single_session_bit_equal_on_paper_testbed():
     """Same degenerate-case guarantee on the paper's irregular fabric."""
     from repro.analysis.experiments import _testbed
     from repro.mcast.orderings import chain_for
@@ -374,16 +316,13 @@ def test_single_session_bit_equal_on_paper_testbed(surface):
     topology, router, ordering = _testbed(1997)
     source, dests = ordering[0], tuple(ordering[1:20])
     m = 8
-    with surface_scope(surface):
-        clear_caches()
-        chain = chain_for(source, list(dests), ordering)
-        tree = build_kbinomial_tree(chain, optimal_k(len(chain), m))
-        solo = MulticastSimulator(topology, router).run(tree, m)
-        sim = SessionSimulator(topology, router, ordering)
-        result = sim.run_sessions(
-            [Session(source=source, destinations=dests, num_packets=m)]
-        )
-    clear_caches()
+    chain = chain_for(source, list(dests), ordering)
+    tree = build_kbinomial_tree(chain, optimal_k(len(chain), m))
+    solo = MulticastSimulator(topology, router).run(tree, m)
+    sim = SessionSimulator(topology, router, ordering)
+    result = sim.run_sessions(
+        [Session(source=source, destinations=dests, num_packets=m)]
+    )
 
     assert _result_fields(result.results[0].result) == _result_fields(solo)
 

@@ -43,8 +43,9 @@ def test_golden_analytics():
 
 
 # ---------------------------------------------------------------------------
-# Surface-path goldens: the vectorized engine must keep producing the
-# exact series the figures and the §5.1 table were validated on.
+# Optimal-k goldens: the figures and the §5.1 table through optimal_k,
+# and the same series out of an explicit AnalyticSurface, so the table
+# builder keeps the exact values the figures were validated on.
 # ---------------------------------------------------------------------------
 
 #: Fig. 12(a): optimal k vs message length (m = 1..35) per dest count.
@@ -69,26 +70,47 @@ def fig12_surface():
     return AnalyticSurface.build(64, 35)
 
 
-def test_golden_fig12a_surface_path(fig12_surface):
+def test_golden_fig12a():
     from repro.analysis import fig12a_optimal_k
 
-    series = fig12a_optimal_k(surface=fig12_surface)
+    series = fig12a_optimal_k()
     assert series[63] == GOLDEN_FIG12A_63
     assert series[15] == GOLDEN_FIG12A_15
 
 
-def test_golden_fig12b_surface_path(fig12_surface):
+def test_golden_fig12a_surface_path(fig12_surface):
+    grid = fig12_surface.optimal_k_grid([64, 16], range(1, 36))
+    assert grid.tolist() == [GOLDEN_FIG12A_63, GOLDEN_FIG12A_15]
+
+
+def test_golden_fig12b():
     from repro.analysis import fig12b_optimal_k
 
-    series = fig12b_optimal_k(surface=fig12_surface)
+    series = fig12b_optimal_k()
     assert series[1] == GOLDEN_FIG12B_M1
     assert series[8] == GOLDEN_FIG12B_M8
 
 
-def test_golden_sec51_table_surface_path(fig12_surface):
+def test_golden_fig12b_surface_path(fig12_surface):
+    grid = fig12_surface.optimal_k_grid(range(2, 65), [1, 8])
+    assert grid.T.tolist() == [GOLDEN_FIG12B_M1, GOLDEN_FIG12B_M8]
+
+
+def test_golden_sec51_table():
     from repro.core import OptimalKTable
 
-    table = OptimalKTable(n_max=64, m_max=32, chooser=fig12_surface.optimal_k)
+    table = OptimalKTable(n_max=64, m_max=32)
     for n, runs in GOLDEN_SEC51_RUNS.items():
         assert table.runs_for(n) == runs, n
     assert table.memory_entries == 199
+
+
+def test_golden_sec51_table_surface_path(fig12_surface):
+    """The same breakpoints read off the surface's m = 1..32 rows."""
+    runs = {}
+    for n, row in zip(range(2, 65), fig12_surface.optimal_k_grid(range(2, 65), range(1, 33))):
+        starts = [m for m in range(1, 33) if m == 1 or row[m - 1] != row[m - 2]]
+        runs[n] = [(m, int(row[m - 1])) for m in starts]
+    for n, golden in GOLDEN_SEC51_RUNS.items():
+        assert runs[n] == golden, n
+    assert sum(len(r) for r in runs.values()) == 199
