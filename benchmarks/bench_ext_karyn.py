@@ -1,7 +1,7 @@
 """A3 — extension: k-binomial multicast on k-ary n-cubes (§4.3.2).
 
 The paper's construction section claims the same machinery applies to
-regular networks via dimension-ordered chains.  This bench runs the
+regular networks via dimension-ordered chains.  This benchmark runs the
 full comparison on an 8x8 torus and a 4x4x4 cube with e-cube routing:
 contention-freedom is verified statically, and the binomial vs
 k-binomial ratios mirror the irregular-network results.

@@ -2,7 +2,7 @@
 
 The conclusion claims the results "demonstrate significant potential to
 be applied to current and future generation high performance systems".
-This bench runs the (purely analytic) optimal-k machinery at n = 256
+This benchmark runs the (purely analytic) optimal-k machinery at n = 256
 and n = 1024 and checks the paper's structural findings persist:
 optimal k decreases with m, the k = 2 plateau extends, the predicted
 k-binomial advantage over the binomial tree keeps growing with m, and

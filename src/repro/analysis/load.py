@@ -1,12 +1,10 @@
 """Seeded Zipf / flash-crowd load shaping, shared across the repo.
 
-Three consumers used to carry private copies of the same truncated-Zipf
-machinery: the A15 plan-service benchmark (a Zipf ``(n, m)`` request
-mix), the session arrival generators (Zipf destination-group sizes in
-:func:`repro.sessions.arrivals.flash_crowd_sessions`), and the A15 gate
-in :mod:`repro.obs.regress`.  The cluster load generator would have
-been a fourth.  This module is the one seeded implementation they all
-share:
+The plan-service and cluster benchmarks (a Zipf ``(n, m)`` request
+mix), the end-to-end ``plan_hot`` workload, and the session arrival
+generators (Zipf destination-group sizes in
+:func:`repro.sessions.arrivals.flash_crowd_sessions`) all draw from
+this one seeded implementation of truncated-Zipf load:
 
 :func:`zipf_weights`
     The rank weights ``1 / rank**a`` for ranks ``1..count`` — the shape

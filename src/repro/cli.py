@@ -25,8 +25,6 @@ Installed as ``repro-mcast`` (see ``pyproject.toml``), or run as
     repro-mcast serve --port 7017 --workers 2       # plan service
     repro-mcast plan -n 64 -m 8 [--connect HOST:PORT] [--schedule]
     repro-mcast metrics [--connect HOST:PORT] [--check]  # Prometheus text
-    repro-mcast bench run --out BENCH_trajectory.json    # perf gates
-    repro-mcast bench check --baseline BENCH_baseline.json [--report-only]
 
 Observability flags (see docs/ARCHITECTURE.md "Observability"):
 ``--trace-out PATH`` on ``simulate``/``fig13*``/``fig14*``/``serve``
@@ -77,12 +75,12 @@ __all__ = ["main"]
 _POSITIVE_INT_ARGS = (
     "workers", "topologies", "dest_sets", "runs", "dests", "bytes",
     "max_m", "max_inflight", "max_batch", "max_n", "ports",
-    "n_max", "m_max", "count", "max_active", "repeats",
+    "n_max", "m_max", "count", "max_active",
     "shards", "vnodes", "replication", "fail_after",
 )
 _POSITIVE_NUMBER_ARGS = (
     "timeout", "max_delay", "t_s", "t_r", "t_step", "t_sq",
-    "profile_hz", "threshold", "probe_interval", "probe_timeout",
+    "profile_hz", "probe_interval", "probe_timeout",
 )
 #: Integer options where zero is meaningful (ids, epochs, seeds).
 _NONNEGATIVE_INT_ARGS = ("shard_id", "ring_epoch", "hot_threshold")
@@ -901,82 +899,6 @@ def _cmd_metrics(args) -> None:
         print(text, end="")
 
 
-def _gate_ids(args):
-    """The validated gate-id tuple from ``--gates``, or None for all."""
-    if not getattr(args, "gates", None):
-        return None
-    from .obs.regress import GATES
-
-    ids = tuple(g for g in args.gates.split(",") if g)
-    if not ids:
-        raise ValidationError("--gates must name at least one gate")
-    for gate_id in ids:
-        if gate_id not in GATES:
-            raise ValidationError(
-                f"unknown gate {gate_id!r}; choose from {sorted(GATES)}"
-            )
-    return ids
-
-
-def _cmd_bench_run(args) -> None:
-    """Run the perf gates, print medians, optionally record the run."""
-    from .obs import record_trajectory, run_gates
-
-    entries = run_gates(
-        _gate_ids(args), repeats=args.repeats, warmup=args.warmup, progress=print
-    )
-    rows = [[e["id"], e["name"], round(e["median"] * 1e3, 2)] for e in entries]
-    print(render_table(["gate", "workload", "median ms"], rows, title="bench gates"))
-    if args.out:
-        record_trajectory(entries, args.out, extra={"command": "bench run"})
-        print(f"recorded run in {args.out}")
-
-
-def _cmd_bench_check(args) -> int:
-    """Compare fresh (or recorded) medians against the baseline."""
-    from .obs import compare, record_trajectory, run_gates
-    from .obs.regress import format_report, latest_entries, load_trajectory
-
-    baseline = latest_entries(load_trajectory(args.baseline))
-    if not baseline:
-        raise ValidationError(
-            f"baseline {args.baseline!r} is missing or empty; seed it with "
-            "`repro-mcast bench run --out BENCH_baseline.json`"
-        )
-    if args.trajectory:
-        current = latest_entries(load_trajectory(args.trajectory))
-        if not current:
-            raise ValidationError(f"trajectory {args.trajectory!r} has no runs")
-    else:
-        current = run_gates(
-            _gate_ids(args), repeats=args.repeats, warmup=args.warmup, progress=print
-        )
-        if args.record:
-            record_trajectory(current, args.record, extra={"command": "bench check"})
-            print(f"recorded run in {args.record}")
-    report = compare(current, baseline, threshold=args.threshold)
-    print(format_report(report))
-    if not report["ok"]:
-        if not args.report_only:
-            return 1
-        print("report-only mode: regression reported, run not failed")
-    return 0
-
-
-def _cmd_bench_record(args) -> None:
-    """Ingest a pytest-benchmark JSON artifact into a trajectory."""
-    from .obs import record_trajectory
-    from .obs.regress import ingest_bench_json
-
-    entries = ingest_bench_json(args.source)
-    if not entries:
-        raise ValidationError(f"{args.source!r} holds no benchmark medians")
-    record_trajectory(
-        entries, args.out, extra={"command": "bench record", "source": args.source}
-    )
-    print(f"recorded {len(entries)} entries in {args.out}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mcast",
@@ -1336,66 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strict-parse the exposition and print a summary instead of the text",
     )
     p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser(
-        "bench", help="perf gates: record a bench trajectory, flag regressions"
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    def add_gate_options(bp):
-        bp.add_argument(
-            "--gates", default=None,
-            help="comma list of gate ids, e.g. A15,A19 (default: all)",
-        )
-        bp.add_argument(
-            "--repeats", type=int, default=3,
-            help="timed runs per gate; the median is compared",
-        )
-        bp.add_argument("--warmup", type=int, default=1, help="untimed warmup runs per gate")
-
-    bp = bench_sub.add_parser("run", help="run the gates, print and record medians")
-    add_gate_options(bp)
-    bp.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="append the run (manifest-stamped) to this trajectory file",
-    )
-    bp.set_defaults(func=_cmd_bench_run)
-
-    bp = bench_sub.add_parser(
-        "check", help="compare medians against the committed baseline"
-    )
-    add_gate_options(bp)
-    bp.add_argument(
-        "--baseline", default="BENCH_baseline.json", metavar="PATH",
-        help="baseline trajectory (default BENCH_baseline.json)",
-    )
-    bp.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="compare this trajectory's latest run instead of running the gates",
-    )
-    bp.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="median ratio above 1+threshold is a regression (default 0.15)",
-    )
-    bp.add_argument(
-        "--report-only", dest="report_only", action="store_true",
-        help="print the report but exit zero even on a regression",
-    )
-    bp.add_argument(
-        "--record", default=None, metavar="PATH",
-        help="also append the fresh run to this trajectory file",
-    )
-    bp.set_defaults(func=_cmd_bench_check)
-
-    bp = bench_sub.add_parser(
-        "record", help="ingest a pytest-benchmark JSON artifact into a trajectory"
-    )
-    bp.add_argument(
-        "--from", dest="source", required=True, metavar="BENCH_JSON",
-        help="pytest-benchmark --benchmark-json output",
-    )
-    bp.add_argument("--out", required=True, metavar="PATH", help="trajectory file to append to")
-    bp.set_defaults(func=_cmd_bench_record)
 
     p = sub.add_parser("plan", help="one plan query (local, or --connect to a server)")
     p.add_argument("-n", type=int, required=True, help="multicast set size")

@@ -516,7 +516,7 @@ class ClusterRouter:
         except _BadRequest as exc:
             self.errors.inc()
             response = _error(request_id, "bad_request", str(exc))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self.errors.inc()
             response = _error(request_id, "bad_request", f"invalid JSON: {exc}")
         except Exception as exc:  # noqa: BLE001 - the router must answer

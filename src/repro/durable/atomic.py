@@ -104,7 +104,6 @@ def atomic_write_json(
     crc: bool = True,
     fsync: bool = True,
     sort_keys: bool = False,
-    indent: Optional[int] = None,
     default=None,
 ) -> str:
     """Atomically write ``doc`` as JSON, checksummed by default.
@@ -122,7 +121,7 @@ def atomic_write_json(
             raise ValueError("crc=True requires pure JSON values (no default= coercion)")
         doc = dict(doc)
         doc[CRC_KEY] = crc32_of(doc)
-    text = json.dumps(doc, sort_keys=sort_keys, indent=indent, default=default)
+    text = json.dumps(doc, sort_keys=sort_keys, default=default)
     return atomic_write_text(path, text, fsync=fsync)
 
 

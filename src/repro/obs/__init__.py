@@ -27,8 +27,6 @@ Every layer of the system measures itself through this package:
   the metrics registry plus the strict parser that gates it.
 * :mod:`repro.obs.slo` — declarative SLOs with fast/slow-window
   burn-rate alerting and a replayable alert log.
-* :mod:`repro.obs.regress` — benchmark trajectory recording and the
-  paired-median perf-regression gate behind ``repro-mcast bench``.
 
 Tracing is zero-cost when disabled: emission sites guard on
 ``tracer.enabled`` before building any arguments, and the shared
@@ -47,7 +45,6 @@ from .exposition import parse_prometheus, render_prometheus, render_prometheus_c
 from .manifest import git_sha, run_manifest
 from .metrics import GLOBAL_METRICS, MetricsRegistry, sanitize_metric_name
 from .profiler import NULL_PROFILER, SamplingProfiler
-from .regress import compare, record_trajectory, run_gates
 from .slo import BurnRateTracker, SLOAlert, SLOSet, SLOSpec, default_slos
 from .tracer import NULL_TRACER, Span, TraceEvent, Tracer, Track, wall_clock_us
 
@@ -65,14 +62,11 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "Track",
-    "compare",
     "default_slos",
     "git_sha",
     "parse_prometheus",
-    "record_trajectory",
     "render_prometheus",
     "render_prometheus_cluster",
-    "run_gates",
     "run_manifest",
     "sanitize_metric_name",
     "to_chrome",

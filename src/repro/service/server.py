@@ -528,7 +528,7 @@ class PlanServer:
         except _BadRequest as exc:
             response = _error(request_id, "bad_request", str(exc))
             self.metrics.errors.inc()
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             response = _error(request_id, "bad_request", f"invalid JSON: {exc}")
             self.metrics.errors.inc()
         except Exception as exc:  # noqa: BLE001 - the service must answer

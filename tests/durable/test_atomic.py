@@ -53,6 +53,16 @@ class TestAtomicWrite:
         with pytest.raises(TypeError, match="JSON objects"):
             atomic_write_json(tmp_path / "d.json", [1, 2, 3])
 
+    def test_crc_false_writes_no_crc_key(self, tmp_path):
+        # Formats with external readers (Chrome traces keep exactly
+        # Perfetto's keys) are written bare: no checksum stamp at all.
+        path = tmp_path / "bare.json"
+        atomic_write_json(path, {"x": 1}, crc=False)
+        assert json.loads(path.read_text()) == {"x": 1}
+        assert safe_load_json(path) == {"x": 1}
+        with pytest.raises(StoreCorruptionError, match="no 'crc32' checksum"):
+            safe_load_json(path, require_crc=True)
+
 
 class TestSafeLoad:
     def test_truncated_file_is_typed_corruption(self, tmp_path):

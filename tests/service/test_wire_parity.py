@@ -80,7 +80,10 @@ class Connection:
         self.lines = self.sock.makefile("rb")
 
     def ask(self, payload: dict) -> bytes:
-        self.sock.sendall(json.dumps(payload).encode() + b"\n")
+        return self.send(json.dumps(payload).encode() + b"\n")
+
+    def send(self, raw: bytes) -> bytes:
+        self.sock.sendall(raw)
         return self.lines.readline()
 
     def close(self) -> None:
@@ -214,6 +217,16 @@ def test_error_answers_keep_their_codes(services, key, rid, kind):
         assert_error(hop.ask(bad), rid, "bad_request")
         source_left = amend_payload(rid, n, m, exclude, 0, (0,))
         assert_error(hop.ask(source_left), rid, "source_failed")
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_non_utf8_lines_are_bad_requests(services, via):
+    """JSON text is UTF-8: a line that does not decode is the sender's
+    error, not an internal one, and the connection keeps serving."""
+    hop = getattr(services, via)
+    for raw in (b"\x80\n", b'{"type":"ping","id":"\xc3"}\n'):
+        assert_error(hop.send(raw), None, "bad_request")
+    assert hop.ask({"type": "ping", "id": 1}) == line({"id": 1, "ok": True, "pong": True})
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,0 +1,168 @@
+"""Exact JSON and write work of one scripted plan sequence (service tier).
+
+A plan answer is filled from a memoized JSON template, and the cluster
+router relays a shard's answer bytes behind the client's id, so the
+plan path's JSON work is countable exactly: one decode of each request
+line on every process it enters, one re-encode of the request on the
+router's forward to its shard, no encode of any plan answer, and no
+decode of an id-first shard answer.  This test pins those counts, and
+the bytes each layer writes, for five requests sent one at a time:
+
+* ``[server]`` — to one in-process :class:`PlanServer`;
+* ``[router]`` — to a :class:`ClusterRouter` over two in-process shards.
+
+The ``json`` attribute of the server, router and client modules (the
+client module carries the router's forward to a shard) is swapped for
+a counting stand-in, and both layers' ``_write`` are wrapped to count
+bytes.  Counting starts after start-up, the router never warms keys
+(``hot_threshold=0``) or probes (an hour's interval), and the requests
+come from a raw socket, so only the sequence's own work is counted.
+The one encode on the server is the amend's ``"amended"`` echo.  The
+byte budgets are the answer lines built from in-process ``plan()``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import collections
+import json
+
+import pytest
+
+from repro.cluster import ClusterRouter, ShardSpec, plan_key
+from repro.cluster import router as router_module
+from repro.service import PlanRequest, PlanServer, framing, plan
+from repro.service import client as client_module
+from repro.service import server as server_module
+
+pytestmark = pytest.mark.service
+
+#: (request, the plan that answers it, the server's amend echo).
+SEQUENCE = [
+    ({"type": "plan", "n": 64, "m": 8}, PlanRequest(n=64, m=8), None),
+    ({"type": "plan", "n": 64, "m": 8}, PlanRequest(n=64, m=8), None),
+    (
+        {"type": "plan", "n": 512, "m": 32, "exclude": [3, 7]},
+        PlanRequest(n=512, m=32, exclude=(3, 7)),
+        None,
+    ),
+    (
+        {"type": "amend", "n": 64, "m": 8, "delta": {"join": 2, "leave": [5]}},
+        PlanRequest(n=66, m=8, exclude=(5,)),
+        {"n": 66, "m": 8, "exclude": [5]},
+    ),
+    ({"type": "plan", "n": 8, "m": 2}, PlanRequest(n=8, m=2), None),
+]
+
+
+class CountingJson:
+    """Stands in for ``json`` inside one module, counting its calls."""
+
+    def __init__(self, counts: dict) -> None:
+        self._counts = counts
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    def loads(self, *args, **kwargs):
+        self._counts["decodes"] += 1
+        return json.loads(*args, **kwargs)
+
+    def dumps(self, *args, **kwargs):
+        self._counts["encodes"] += 1
+        return json.dumps(*args, **kwargs)
+
+
+def count_work(monkeypatch) -> dict:
+    """Install the counters; return the live counts by layer."""
+    work = {
+        "server": {"decodes": 0, "encodes": 0, "bytes": 0},
+        "router": {"decodes": 0, "encodes": 0, "bytes": 0},
+        "hop": {"decodes": 0, "encodes": 0},
+    }
+    for layer, module in (
+        ("server", server_module),
+        ("router", router_module),
+        ("hop", client_module),
+    ):
+        monkeypatch.setattr(module, "json", CountingJson(work[layer]))
+
+    def counted(write, counts):
+        async def wrapper(writer, write_lock, data):
+            counts["bytes"] += len(data)
+            await write(writer, write_lock, data)
+
+        return staticmethod(wrapper)
+
+    for layer, cls in (("server", PlanServer), ("router", ClusterRouter)):
+        monkeypatch.setattr(cls, "_write", counted(cls._write, work[layer]))
+    return work
+
+
+def answer_line(rid, request: PlanRequest, **extra) -> bytes:
+    answer = {"id": rid, "ok": True, "result": plan(request).to_dict(), **extra}
+    return (json.dumps(answer, separators=(",", ":")) + "\n").encode()
+
+
+async def run_sequence(via: str, monkeypatch):
+    """``(work, answers, the shard each request routes to)``."""
+    shards = [PlanServer(port=0, shard_id=sid) for sid in range(2 if via == "router" else 1)]
+    for shard in shards:
+        await shard.start()
+    router = None
+    port = shards[0].port
+    if via == "router":
+        router = ClusterRouter(
+            [ShardSpec(sid, "127.0.0.1", s.port) for sid, s in enumerate(shards)],
+            port=0,
+            hot_threshold=0,
+            probe_interval=3600.0,
+        )
+        await router.start()
+        port = router.port
+    work = count_work(monkeypatch)
+    reader, writer = await asyncio.open_connection(
+        "127.0.0.1", port, limit=framing.MAX_FRAME_BYTES
+    )
+    answers = []
+    for rid, (payload, _, _) in enumerate(SEQUENCE, 1):
+        writer.write(json.dumps(dict(payload, id=rid)).encode() + b"\n")
+        await writer.drain()
+        answers.append(await reader.readline())
+    work = {layer: dict(counts) for layer, counts in work.items()}
+    routes = [
+        router.ring.chain(plan_key(r.n, r.m, r.params), router.replication)[0]
+        if router else None
+        for _, r, _ in SEQUENCE
+    ]
+    writer.close()
+    if router is not None:
+        await router.shutdown()
+    for shard in shards:
+        await shard.shutdown()
+    return work, answers, routes
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_plan_sequence_work_budget(monkeypatch, via):
+    work, answers, routes = asyncio.run(run_sequence(via, monkeypatch))
+    routed = via == "router"
+    # The router names the shard and has always dropped an amend's
+    # echo.  Each of its shard connections spent id 1 on the start-up
+    # configure, so the forwards on it are numbered from 2.
+    forward_ids = collections.Counter()
+    server_lines, router_lines = [], []
+    for rid, ((_, request, echo), shard) in enumerate(zip(SEQUENCE, routes), 1):
+        amended = {} if echo is None else {"amended": echo}
+        if routed:
+            forward_ids[shard] += 1
+            server_lines.append(answer_line(forward_ids[shard] + 1, request, **amended))
+            router_lines.append(answer_line(rid, request, shard=shard))
+        else:
+            server_lines.append(answer_line(rid, request, **amended))
+    assert answers == (router_lines if routed else server_lines)
+    assert work == {
+        "server": {"decodes": 5, "encodes": 1, "bytes": sum(map(len, server_lines))},
+        "router": {"decodes": 5 * routed, "encodes": 0, "bytes": sum(map(len, router_lines))},
+        "hop": {"decodes": 0, "encodes": 5 * routed},
+    }

@@ -1,4 +1,4 @@
-"""Exact kernel work of one simulated broadcast.
+"""Exact kernel work of one simulated broadcast and one sessions point.
 
 Every event enters the queue through ``Environment.schedule`` and every
 process wakes through ``Process._resume``; counting the calls of both
@@ -13,6 +13,14 @@ delivered packet (one send-queue and one receive-queue enqueue): at
 32 packets, 2 x 63 x 32 = 4,032 events over these budgets, with the
 same resume counts, since such events wake no process.  The latencies
 pin that the simulated result is the validated one.
+
+The sessions point is the one the ``sim_sessions`` benchmark runs: 10
+batch-arrival sessions of 15 destinations x 8 packets, at most 2 on
+the fabric, each also run alone first for its slowdown.  On top of the
+kernel counts it pins the arbiter's work, 10 admissions and one
+delivery-listener call per packet the shared run delivers (10 x 15 x 8
+= 1,200), and the makespan, which pins each scheduler's admission
+order.
 """
 
 from __future__ import annotations
@@ -28,8 +36,18 @@ from repro import (
     chain_for,
 )
 from repro.nic import ConventionalInterface, FCFSInterface, FPFSInterface
+from repro.sessions import sessions_point
+from repro.sessions.contention import SessionArbiter
 from repro.sim.engine import Environment
 from repro.sim.process import Process
+
+#: Work counter -> (class, method) whose calls it counts.
+COUNTED = {
+    "events": (Environment, "schedule"),
+    "resumes": (Process, "_resume"),
+    "admissions": (SessionArbiter, "_admit"),
+    "listener_calls": (SessionArbiter, "_on_delivery"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,20 +61,18 @@ def testbed():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Calls of ``schedule`` and ``_resume``, counted by class-level wrappers."""
-    counts = {"events": 0, "resumes": 0}
-    schedule, resume = Environment.schedule, Process._resume
+    """Calls of each ``COUNTED`` method, counted by class-level wrappers."""
+    counts = dict.fromkeys(COUNTED, 0)
 
-    def counted_schedule(env, *args, **kwargs):
-        counts["events"] += 1
-        return schedule(env, *args, **kwargs)
+    def counted(key, method):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return method(*args, **kwargs)
 
-    def counted_resume(process, event):
-        counts["resumes"] += 1
-        return resume(process, event)
+        return wrapper
 
-    monkeypatch.setattr(Environment, "schedule", counted_schedule)
-    monkeypatch.setattr(Process, "_resume", counted_resume)
+    for key, (owner, name) in COUNTED.items():
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     return counts
 
 
@@ -75,4 +91,23 @@ def test_broadcast_event_budget(testbed, work, ni_class, packets, events, resume
     simulator = MulticastSimulator(topology, router, ni_class=ni_class)
     result = simulator.run(tree, packets)
     assert result.latency == latency
-    assert work == {"events": events, "resumes": resumes}
+    assert work == {"events": events, "resumes": resumes, "admissions": 0, "listener_calls": 0}
+
+
+@pytest.mark.parametrize(
+    "scheduler, makespan",
+    [
+        ("fifo", 802.7000000000077),
+        ("rr", 789.6000000000023),
+        ("sjf", 802.7000000000077),
+        ("cda", 802.7000000000077),
+    ],
+    ids=["fifo", "rr", "sjf", "cda"],
+)
+def test_sessions_point_work_budget(work, scheduler, makespan):
+    record = sessions_point(
+        scheduler, 2.0, 0,
+        arrival="batch", count=10, dests=15, m=8, max_active=2, measure_isolated=True,
+    )
+    assert record["makespan"] == makespan
+    assert work == {"events": 30_073, "resumes": 30_043, "admissions": 10, "listener_calls": 1_200}

@@ -195,89 +195,6 @@ def test_metrics_check_mode_summarizes(capsys, tmp_path):
     parse_prometheus(out_path.read_text())
 
 
-def test_bench_run_records_a_trajectory(capsys, tmp_path):
-    import json
-
-    traj = tmp_path / "traj.json"
-    out = run_cli(
-        capsys, "bench", "run", "--gates", "A18",
-        "--repeats", "1", "--warmup", "0", "--out", str(traj),
-    )
-    assert "bench gates" in out and "A18" in out
-    doc = json.loads(traj.read_text())
-    assert doc["schema"] == 1
-    [run] = doc["runs"]
-    assert run["entries"][0]["id"] == "A18"
-
-
-def test_bench_check_passes_against_fresh_baseline(capsys, tmp_path):
-    traj = tmp_path / "baseline.json"
-    run_cli(
-        capsys, "bench", "run", "--gates", "A18",
-        "--repeats", "1", "--warmup", "0", "--out", str(traj),
-    )
-    # Checking the recorded run against itself is deterministic (ratio
-    # exactly 1.0); re-timing a sub-ms gate here would be noise-flaky.
-    out = run_cli(
-        capsys, "bench", "check", "--baseline", str(traj),
-        "--trajectory", str(traj),
-    )
-    assert "verdict: OK" in out
-
-
-def test_bench_check_fails_on_injected_slowdown(capsys, tmp_path):
-    import json
-
-    from repro.obs import run_gates
-
-    entries = run_gates(["A18"], repeats=1, warmup=0)
-    slowed = [dict(e, median=e["median"] / 2.0) for e in entries]
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"manifest": {}, "entries": slowed}))
-    current = tmp_path / "current.json"
-    current.write_text(
-        json.dumps({"schema": 1, "runs": [{"manifest": {}, "entries": entries}]})
-    )
-    code = main([
-        "bench", "check", "--baseline", str(baseline), "--trajectory", str(current),
-    ])
-    assert code == 1
-    assert "REGRESSION in A18" in capsys.readouterr().out
-    # --report-only downgrades the same regression to exit zero.
-    out = run_cli(
-        capsys, "bench", "check", "--baseline", str(baseline),
-        "--trajectory", str(current), "--report-only",
-    )
-    assert "report-only" in out
-
-
-def test_bench_record_ingests_pytest_benchmark_json(capsys, tmp_path):
-    import json
-
-    artifact = tmp_path / "BENCH_x.json"
-    artifact.write_text(json.dumps({
-        "benchmarks": [{"name": "t", "stats": {"median": 0.01, "data": [0.01]}}]
-    }))
-    traj = tmp_path / "traj.json"
-    out = run_cli(
-        capsys, "bench", "record", "--from", str(artifact), "--out", str(traj),
-    )
-    assert "recorded 1 entries" in out
-    assert json.loads(traj.read_text())["runs"]
-
-
-def test_bench_unknown_gate_rejected(capsys):
-    assert main(["bench", "run", "--gates", "A99"]) == 2
-    assert "unknown gate" in capsys.readouterr().err
-
-
-def test_bench_check_requires_a_baseline(capsys, tmp_path):
-    assert main([
-        "bench", "check", "--baseline", str(tmp_path / "absent.json"),
-    ]) == 2
-    assert "seed it" in capsys.readouterr().err
-
-
 def test_profile_out_writes_collapsed_stacks(capsys, tmp_path):
     prof = tmp_path / "prof.collapsed"
     out = run_cli(
