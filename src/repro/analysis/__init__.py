@@ -14,6 +14,7 @@ from .experiments import (
     sweep_latency_summary,
 )
 from .breakdown import LatencyBreakdown, run_breakdown
+from .campaign import Campaign, load_records, records_json, write_records
 from .export import series_to_csv, write_csv
 from .load import zipf_draw, zipf_plan_mix, zipf_weights
 from .plot import ascii_plot
@@ -22,6 +23,7 @@ from .sweep import SweepPoint, SweepStore, run_sweep, sweep, sweep_table, worker
 from .tables import render_comparison, render_series, render_table
 
 __all__ = [
+    "Campaign",
     "ExperimentConfig",
     "LatencyBreakdown",
     "Summary",
@@ -35,6 +37,8 @@ __all__ = [
     "fig14a_comparison_vs_m",
     "fig14b_comparison_vs_n",
     "full_protocol_requested",
+    "load_records",
+    "records_json",
     "render_comparison",
     "render_series",
     "render_table",
@@ -49,6 +53,7 @@ __all__ = [
     "sweep_table",
     "workers_from_env",
     "write_csv",
+    "write_records",
     "zipf_draw",
     "zipf_plan_mix",
     "zipf_weights",

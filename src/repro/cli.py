@@ -87,6 +87,9 @@ _NONNEGATIVE_INT_ARGS = ("shard_id", "ring_epoch", "hot_threshold")
 #: (attribute, minimum) of the short multicast-size options: a set of
 #: ``-n`` nodes needs a destination, ``-m`` and ``-k`` at least one.
 _SIZE_ARGS = (("n", 2), ("m", 1), ("k", 1))
+#: Hosts on the irregular testbed every ``--dests`` command draws its
+#: source and destinations from (§5.2: 16 switches × 4 hosts).
+_TESTBED_HOSTS = 64
 
 
 def _validate_args(args) -> None:
@@ -107,6 +110,12 @@ def _validate_args(args) -> None:
         value = getattr(args, name, None)
         if value is not None:
             check_positive_int(f"-{name}", value, minimum=minimum)
+    dests = getattr(args, "dests", None)
+    if dests is not None and dests >= _TESTBED_HOSTS:
+        raise ValidationError(
+            f"--dests must be <= {_TESTBED_HOSTS - 1} (the testbed has "
+            f"{_TESTBED_HOSTS} hosts, one of them the source), got {dests}"
+        )
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
         raise ValidationError("--resume requires --checkpoint PATH")
 
@@ -458,79 +467,48 @@ def _cmd_reliable(args) -> None:
     )
 
 
-def _cmd_chaos(args) -> None:
-    """Fault-injection sweep: scenarios × seeds, survival table out."""
-    import json as _json
+def _campaign(command: str):
+    """The :class:`~repro.analysis.campaign.Campaign` a subcommand runs."""
+    if command == "chaos":
+        from .faults import CHAOS as campaign
+    elif command == "churn":
+        from .membership import CHURN as campaign
+    else:
+        from .sessions import SESSIONS as campaign
+    return campaign
 
-    from .faults import chaos_smoke, chaos_sweep, records_json, survival_table
+
+def _cmd_campaign(args, axes=None, point=None) -> None:
+    """A campaign subcommand (chaos, churn, sessions): grid, table, records.
+
+    ``--smoke`` runs the campaign's smoke grid at ``--seed`` through the
+    same sweep, so ``--checkpoint``, ``--out`` and the manifest mean the
+    same thing either way.  ``axes`` and ``point`` add a subcommand's
+    own grid axes and point kwargs to a full sweep.
+    """
+    from .analysis import write_records
+    from .obs import run_manifest
     from .params import PAPER_PARAMS
 
+    campaign = _campaign(args.command)
+    checkpoint = _checkpoint_of(args)
     if args.smoke:
-        records = chaos_smoke(workers=args.workers)
+        grid, point = campaign.smoke_grid(args.seed), dict(campaign.smoke_kwargs)
+        records = campaign.smoke(seed=args.seed, workers=args.workers, checkpoint=checkpoint)
     else:
-        m = PAPER_PARAMS.packets_for(args.bytes)
-        seeds = tuple(range(args.seed, args.seed + args.runs))
-        records = chaos_sweep(
-            seeds=seeds, dests=args.dests, m=m, workers=args.workers,
-            checkpoint=_checkpoint_of(args),
-        )
-    print(survival_table(records))
+        grid = campaign.grid(seed=range(args.seed, args.seed + args.runs), **(axes or {}))
+        point = dict(point or {}, dests=args.dests, m=PAPER_PARAMS.packets_for(args.bytes))
+        records = campaign.sweep(grid, workers=args.workers, checkpoint=checkpoint, **point)
+    print(campaign.table(records))
     if args.smoke:
-        print("chaos smoke OK: baseline clean, every fault scenario survived")
+        print(campaign.smoke_ok)
     if args.out:
-        from .obs import run_manifest
-
-        from .durable import atomic_write_json
-
-        payload = {
-            "version": 1,
-            "manifest": run_manifest(
-                seed=args.seed, extra={"command": "chaos", "smoke": bool(args.smoke)}
-            ),
-            "records": _json.loads(records_json(records)),
-        }
-        atomic_write_json(args.out, payload, sort_keys=True)
-        print(f"wrote {args.out}")
-    _report_checkpoint(args)
-    _maybe_stats(args)
-
-
-def _cmd_churn(args) -> None:
-    """Dynamic-membership sweep: churn scenarios × seeds, delivery table."""
-    import json as _json
-
-    from .membership import churn_smoke, churn_sweep, churn_table, records_json
-    from .params import PAPER_PARAMS
-
-    if args.smoke:
-        records = churn_smoke(workers=args.workers)
-    else:
-        m = PAPER_PARAMS.packets_for(args.bytes)
-        seeds = tuple(range(args.seed, args.seed + args.runs))
-        records = churn_sweep(
-            seeds=seeds, dests=args.dests, m=m, workers=args.workers,
-            checkpoint=_checkpoint_of(args),
+        manifest = run_manifest(
+            params={"grid": grid, "point": point},
+            seed=args.seed,
+            extra={"command": args.command, "smoke": args.smoke},
         )
-    print(churn_table(records))
-    if args.smoke:
-        print(
-            "churn smoke OK: baseline bit-identical, every churn scenario "
-            "delivered 100% to stable members"
-        )
-    if args.out:
-        from .obs import run_manifest
-
-        from .durable import atomic_write_json
-
-        payload = {
-            "version": 1,
-            "manifest": run_manifest(
-                seed=args.seed, extra={"command": "churn", "smoke": bool(args.smoke)}
-            ),
-            "records": _json.loads(records_json(records)),
-        }
-        atomic_write_json(args.out, payload, sort_keys=True)
-        print(f"wrote {args.out}")
+        print(f"wrote {write_records(args.out, records, manifest)}")
     _report_checkpoint(args)
     _maybe_stats(args)
 
@@ -556,7 +534,7 @@ def _sessions_grid(args):
     return schedulers, loads
 
 
-def _trace_sessions(args) -> None:
+def _trace_sessions(args, scheduler: str, load: float) -> None:
     """One traced representative run, so --trace-out shows per-session tracks."""
     from .analysis.experiments import _testbed
     from .obs import Tracer
@@ -564,8 +542,6 @@ def _trace_sessions(args) -> None:
     from .sessions import SessionSimulator
     from .sessions.sweep import SAFETY_LIMIT, _workload
 
-    schedulers, loads = _sessions_grid(args)
-    scheduler, load = schedulers[0], loads[-1]
     m = PAPER_PARAMS.packets_for(args.bytes)
     tracer = Tracer()
     topology, router, ordering = _testbed(1997 + args.seed)
@@ -588,44 +564,15 @@ def _trace_sessions(args) -> None:
 
 
 def _cmd_sessions(args) -> None:
-    """Concurrent-sessions sweep: schedulers × offered load, one table out."""
-    import json as _json
-
-    from .params import PAPER_PARAMS
-    from .sessions import records_json, sessions_smoke, sessions_sweep, sessions_table
-
-    if args.smoke:
-        records = sessions_smoke(workers=args.workers)
-    else:
-        schedulers, loads = _sessions_grid(args)
-        m = PAPER_PARAMS.packets_for(args.bytes)
-        seeds = tuple(range(args.seed, args.seed + args.runs))
-        records = sessions_sweep(
-            schedulers, loads, seeds,
-            workers=args.workers, checkpoint=_checkpoint_of(args),
-            arrival=args.arrival, count=args.count, dests=args.dests, m=m,
-            max_active=args.max_active,
-        )
-    print(sessions_table(records))
-    if args.smoke:
-        print("sessions smoke OK: every session completed, contention measured")
-    if args.out:
-        from .durable import atomic_write_json
-        from .obs import run_manifest
-
-        payload = {
-            "version": 1,
-            "manifest": run_manifest(
-                seed=args.seed, extra={"command": "sessions", "smoke": bool(args.smoke)}
-            ),
-            "records": _json.loads(records_json(records)),
-        }
-        atomic_write_json(args.out, payload, sort_keys=True)
-        print(f"wrote {args.out}")
+    """The sessions campaign over --schedulers × --loads, plus --trace-out."""
+    schedulers, loads = _sessions_grid(args)
+    _cmd_campaign(
+        args,
+        axes={"scheduler": schedulers, "load": loads},
+        point={"arrival": args.arrival, "count": args.count, "max_active": args.max_active},
+    )
     if getattr(args, "trace_out", None):
-        _trace_sessions(args)
-    _report_checkpoint(args)
-    _maybe_stats(args)
+        _trace_sessions(args, schedulers[0], loads[-1])
 
 
 def _cmd_decoster(args) -> None:
@@ -1033,68 +980,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_reliable)
 
+    def add_campaign_options(p, *, smoke_help, dests):
+        p.add_argument("--smoke", action="store_true", help=smoke_help)
+        p.add_argument("--seed", type=int, default=0, help="first sweep seed")
+        p.add_argument("--runs", type=int, default=3, help="seeds per grid cell")
+        p.add_argument(
+            "--dests", type=int, default=dests,
+            help="destinations per multicast",
+        )
+        p.add_argument("--bytes", type=int, default=512, help="message size")
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="processes for the sweep grid (results identical for any count)",
+        )
+        p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
+        p.add_argument(
+            "--checkpoint", default=None, metavar="PATH",
+            help="journal completed chunks here; rerun with the same path to "
+                 "resume a killed sweep",
+        )
+        p.add_argument(
+            "--resume", action="store_true",
+            help="require the --checkpoint file to already exist",
+        )
+        p.add_argument(
+            "--stats", action="store_true",
+            help="print the unified metrics snapshot after the sweep",
+        )
+        add_profile_options(p)
+        p.set_defaults(func=_cmd_campaign)
+
     p = sub.add_parser("chaos", help="fault-injection sweep (survival curves)")
-    p.add_argument("--smoke", action="store_true", help="CI-sized check: every scenario once")
-    p.add_argument("--seed", type=int, default=0, help="first sweep seed")
-    p.add_argument("--runs", type=int, default=3, help="seeds per scenario")
-    p.add_argument("--dests", type=int, default=31)
-    p.add_argument("--bytes", type=int, default=512)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the scenario grid (results identical for any count)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed chunks here; rerun with the same path to "
-             "resume a killed sweep",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="require the --checkpoint file to already exist",
-    )
-    p.add_argument(
-        "--stats", action="store_true",
-        help="print the unified metrics snapshot after the sweep",
-    )
-    add_profile_options(p)
-    p.set_defaults(func=_cmd_chaos)
+    add_campaign_options(p, smoke_help="CI-sized check: every scenario once", dests=31)
 
     p = sub.add_parser(
         "churn", help="dynamic-membership sweep (joins/leaves mid-multicast)"
     )
-    p.add_argument("--smoke", action="store_true", help="CI-sized check: every scenario once")
-    p.add_argument("--seed", type=int, default=0, help="first sweep seed")
-    p.add_argument("--runs", type=int, default=3, help="seeds per scenario")
-    p.add_argument("--dests", type=int, default=31)
-    p.add_argument("--bytes", type=int, default=512)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the scenario grid (results identical for any count)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed chunks here; rerun with the same path to "
-             "resume a killed sweep",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="require the --checkpoint file to already exist",
-    )
-    p.add_argument(
-        "--stats", action="store_true",
-        help="print the unified metrics snapshot after the sweep",
-    )
-    add_profile_options(p)
-    p.set_defaults(func=_cmd_churn)
+    add_campaign_options(p, smoke_help="CI-sized check: every scenario once", dests=31)
 
     p = sub.add_parser(
         "sessions", help="concurrent multicast sessions under contention-aware scheduling"
     )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized check: FIFO vs CDA at high offered load",
+    add_campaign_options(
+        p, smoke_help="CI-sized check: FIFO vs CDA at high offered load", dests=15
     )
     p.add_argument(
         "--schedulers", default="fifo,rr,sjf,cda",
@@ -1109,39 +1037,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["flash_crowd", "poisson", "batch"],
         help="arrival process shaping the workload",
     )
-    p.add_argument("--seed", type=int, default=0, help="first sweep seed")
-    p.add_argument("--runs", type=int, default=3, help="seeds per (scheduler, load) cell")
     p.add_argument("--count", type=int, default=10, help="sessions per run")
-    p.add_argument("--dests", type=int, default=15, help="largest destination-set size")
-    p.add_argument("--bytes", type=int, default=512, help="message size per session")
     p.add_argument(
         "--max-active", dest="max_active", type=int, default=2,
         help="concurrent-session admission slots",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the sweep grid (results identical for any count)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed chunks here; rerun with the same path to "
-             "resume a killed sweep",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="require the --checkpoint file to already exist",
     )
     p.add_argument(
         "--trace-out", dest="trace_out", default=None, metavar="PATH",
         help="write a Chrome trace of one representative run — each session "
              "gets its own named track (open in Perfetto)",
     )
-    p.add_argument(
-        "--stats", action="store_true",
-        help="print the unified metrics snapshot after the sweep",
-    )
-    add_profile_options(p)
     p.set_defaults(func=_cmd_sessions)
 
     p = sub.add_parser("decoster", help="compare with De Coster [2] host packetization")

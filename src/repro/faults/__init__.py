@@ -12,7 +12,7 @@ when a subtree dies mid-message?" in four layers:
   runs under the same schedule.
 * :mod:`~repro.faults.repair` — failure-aware re-planning: rebuild
   the k-binomial tree over the survivors with a fresh Theorem-3 k.
-* :mod:`~repro.faults.chaos` — the chaos harness: sweep scenarios,
+* :mod:`~repro.faults.chaos` — the chaos campaign: sweep scenarios,
   measure survival (coverage, delivery, skew, drops), report repairs.
 
 The cardinal invariant: an *empty* schedule changes nothing — no
@@ -20,16 +20,7 @@ gates are installed and results are byte-identical to the fault-free
 simulator (``benchmarks/bench_faults_overhead.py`` enforces it).
 """
 
-from .chaos import (
-    SCENARIOS,
-    chaos_alert_log,
-    chaos_point,
-    chaos_smoke,
-    chaos_sweep,
-    load_records,
-    records_json,
-    survival_table,
-)
+from .chaos import CHAOS, SCENARIOS, chaos_point
 from .inject import DegradedResult, FaultInjector, FaultyMulticastSimulator, LinkFaultState, NIFaultGate
 from .repair import (
     RepairPlan,
@@ -64,12 +55,7 @@ __all__ = [
     "repair_plan",
     "surviving_chain",
     "unreachable_set",
+    "CHAOS",
     "SCENARIOS",
-    "chaos_alert_log",
     "chaos_point",
-    "chaos_sweep",
-    "load_records",
-    "chaos_smoke",
-    "records_json",
-    "survival_table",
 ]

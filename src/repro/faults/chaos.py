@@ -21,28 +21,21 @@ Scenarios (:data:`SCENARIOS`):
     :func:`~repro.faults.schedule.poisson_schedule` — mixed faults
     (crash / stall / link drop) with Poisson arrivals over the chain.
 
-The sweep runs on :func:`repro.analysis.sweep.run_sweep`, so
-``workers=N`` fans points out over processes and merges them back in
-grid order — :func:`records_json` of the same grid is byte-identical
-for any worker count (the acceptance test pins workers=1 vs 4).
+:data:`CHAOS` declares the scenario × seed grid as a
+:class:`~repro.analysis.campaign.Campaign`: sweep, survival table,
+smoke and the delivery-coverage SLO replay come from there.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List
 
+from ..analysis.campaign import Campaign
 from ..analysis.experiments import _testbed
-from ..analysis.sweep import run_sweep
-from ..analysis.tables import render_table
 from ..core.kbinomial import build_kbinomial_tree
 from ..core.optimal import optimal_k
-from ..durable.errors import StoreCorruptionError
 from ..mcast.orderings import chain_for
-from ..obs.tracer import Tracer
 from .inject import FaultyMulticastSimulator
 from .repair import repair_plan
 from .schedule import (
@@ -52,16 +45,7 @@ from .schedule import (
     worst_case_root_child,
 )
 
-__all__ = [
-    "SCENARIOS",
-    "chaos_alert_log",
-    "chaos_point",
-    "chaos_sweep",
-    "chaos_smoke",
-    "load_records",
-    "records_json",
-    "survival_table",
-]
+__all__ = ["CHAOS", "SCENARIOS", "chaos_point"]
 
 #: Named fault scenarios the harness understands.
 SCENARIOS = ("baseline", "root_child", "subtree", "poisson")
@@ -145,153 +129,28 @@ def chaos_point(scenario: str, seed: int, dests: int, m: int) -> dict:
     }
 
 
-def chaos_sweep(
-    scenarios: Sequence[str] = SCENARIOS,
-    seeds: Sequence[int] = (0, 1, 2),
-    dests: int = 31,
-    m: int = 8,
-    *,
-    workers: int = 1,
-    tracer: Optional[Tracer] = None,
-    checkpoint: Union[None, str, os.PathLike] = None,
-) -> List[dict]:
-    """All scenario × seed chaos records, in grid order.
-
-    Results are independent of ``workers`` (grid-order merge), so the
-    canonical :func:`records_json` serialization is byte-identical for
-    any worker count.  ``checkpoint`` journals completed chunks so a
-    killed chaos campaign resumes instead of restarting — byte-identical
-    either way (the durable layer's cardinal invariant).
-    """
-    points = run_sweep(
-        partial(chaos_point, dests=dests, m=m),
-        {"scenario": list(scenarios), "seed": list(seeds)},
-        workers=workers,
-        tracer=tracer,
-        checkpoint=checkpoint,
-    )
-    return [p.value for p in points]
 
 
-def records_json(records: Sequence[dict]) -> str:
-    """Canonical JSON for a record list (sorted keys, compact, stable)."""
-    return json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+def _survival_row(r: dict) -> list:
+    repair = r.get("repair")
+    dropped = r.get("dropped") or {}
+    return [
+        r["scenario"],
+        r["seed"],
+        r["events"],
+        f"{r['coverage']:.3f}",
+        f"{r['delivery_ratio']:.3f}",
+        round(r["completion_time"], 1),
+        sum(dropped.values()),
+        "-" if repair is None else repair["k"],
+        "-" if repair is None else repair["total_steps"],
+    ]
 
 
-def load_records(path: Union[str, os.PathLike]) -> List[dict]:
-    """Load a chaos record list written from :func:`records_json`.
-
-    Raises :class:`~repro.durable.errors.StoreCorruptionError` (never a
-    raw ``JSONDecodeError``) on truncated, tampered, or wrong-shape
-    input — downstream survival analysis must not chew on half a file.
-    """
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise StoreCorruptionError(f"cannot read chaos records {path!r}: {exc}") from exc
-    try:
-        records = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise StoreCorruptionError(
-            f"chaos records {path!r} are not valid JSON ({exc}); the file is "
-            "truncated or corrupt — regenerate it with `repro-mcast chaos --out`"
-        ) from exc
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise StoreCorruptionError(
-            f"chaos records {path!r} must be a JSON array of objects; "
-            "regenerate the file with `repro-mcast chaos --out`"
-        )
-    return records
-
-
-def survival_table(records: Sequence[dict]) -> str:
-    """Render chaos records as the survival table (the harness's figure)."""
-    rows = []
-    for r in records:
-        repair = r.get("repair")
-        dropped = r.get("dropped") or {}
-        rows.append(
-            [
-                r["scenario"],
-                r["seed"],
-                r["events"],
-                f"{r['coverage']:.3f}",
-                f"{r['delivery_ratio']:.3f}",
-                round(r["completion_time"], 1),
-                sum(dropped.values()),
-                "-" if repair is None else repair["k"],
-                "-" if repair is None else repair["total_steps"],
-            ]
-        )
-    return render_table(
-        [
-            "scenario",
-            "seed",
-            "faults",
-            "coverage",
-            "delivery",
-            "done us",
-            "dropped",
-            "re-k",
-            "re-steps",
-        ],
-        rows,
-        title="chaos survival: fault scenarios vs the optimal k-binomial plan",
-    )
-
-
-def chaos_alert_log(
-    records: Sequence[dict],
-    *,
-    spacing: float = 1.0,
-    threshold: Optional[float] = None,
-) -> dict:
-    """Replay chaos records through the delivery-coverage SLO.
-
-    Each record contributes its destinations as weighted good/bad
-    events (``complete_destinations`` good, ``lost_destinations`` bad)
-    on a synthetic timeline — record ``i`` at ``t = i * spacing``
-    seconds — so the same record list always produces the same alert
-    log (byte-identical replays, like everything else in this
-    harness).  A ``baseline`` run stays silent; the adversarial
-    ``root_child`` crash burns its 1% error budget orders of magnitude
-    too fast and fires.
-
-    Returns ``{"alerts": [...], "slo": <snapshot>, "records": N}``.
-    """
-    from ..obs.slo import SLOSet, default_slos
-
-    specs = [s for s in default_slos() if s.name == "delivery_coverage"]
-    kwargs = {} if threshold is None else {"threshold": threshold}
-    slos = SLOSet(specs, clock=lambda: 0.0, **kwargs)
-    for index, record in enumerate(records):
-        t = index * spacing
-        good = int(record.get("complete_destinations", 0))
-        bad = int(record.get("lost_destinations", 0))
-        if good:
-            slos.record("delivery_coverage", True, weight=good, t=t)
-        if bad:
-            slos.record("delivery_coverage", False, weight=bad, t=t)
-    final_t = (len(records) - 1) * spacing if records else 0.0
-    return {
-        "alerts": slos.alert_dicts(),
-        "slo": slos.snapshot(t=final_t),
-        "records": len(records),
-    }
-
-
-def chaos_smoke(workers: int = 1) -> List[dict]:
-    """The CI-sized chaos run: every scenario once, small multicast.
-
-    Sanity-checks the whole subsystem end to end: baseline must be
-    fully delivered with zero drops, every fault scenario must still
-    reach a nonzero fraction of destinations, and any crash must yield
-    a repair plan.  Raises ``AssertionError`` on violation (so the CI
-    step fails loudly), returns the records otherwise.
-    """
-    records = chaos_sweep(seeds=(0,), dests=15, m=4, workers=workers)
+def _check_smoke(records: List[dict]) -> None:
+    """Baseline fully delivered with zero drops; every fault scenario
+    still reaches a nonzero fraction of destinations; any crash yields
+    a repair plan."""
     by_scenario: Dict[str, dict] = {r["scenario"]: r for r in records}
     base = by_scenario["baseline"]
     assert base["coverage"] == 1.0, f"baseline lost destinations: {base}"
@@ -301,4 +160,35 @@ def chaos_smoke(workers: int = 1) -> List[dict]:
         if record["scenario"] == "root_child":
             assert record["coverage"] < 1.0, f"worst-case crash lost nothing: {record}"
             assert record["repair"] is not None and record["repair"]["survivors"] >= 2
-    return records
+
+
+def _coverage_events(record: dict, bound: float):
+    """Each record's destinations as weighted good/bad coverage events:
+    a ``baseline`` run stays silent, while the adversarial
+    ``root_child`` crash burns the 1% error budget and fires."""
+    good = int(record.get("complete_destinations", 0))
+    bad = int(record.get("lost_destinations", 0))
+    if good:
+        yield True, good
+    if bad:
+        yield False, bad
+
+
+#: The chaos campaign: every scenario × seed against the optimal plan.
+CHAOS = Campaign(
+    name="chaos",
+    point=chaos_point,
+    axes=(("scenario", SCENARIOS), ("seed", (0, 1, 2))),
+    columns=(
+        "scenario", "seed", "faults", "coverage", "delivery",
+        "done us", "dropped", "re-k", "re-steps",
+    ),
+    row=_survival_row,
+    title="chaos survival: fault scenarios vs the optimal k-binomial plan",
+    smoke_axes={},
+    smoke_kwargs={"dests": 15, "m": 4},
+    smoke_check=_check_smoke,
+    smoke_ok="chaos smoke OK: baseline clean, every fault scenario survived",
+    slo="delivery_coverage",
+    slo_events=_coverage_events,
+)

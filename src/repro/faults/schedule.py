@@ -33,6 +33,10 @@ Random generators (:func:`poisson_schedule`,
 :func:`targeted_subtree_schedule`, :func:`worst_case_root_child`) are
 seeded and deterministic: the same arguments always produce the same
 schedule.
+
+:class:`EventSchedule` is the codec both schedule kinds share (this
+one and :class:`repro.membership.MembershipSchedule`): sorted event
+storage, time clipping and one canonical JSON wire form.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import ClassVar, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
+    "EventSchedule",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultSchedule",
@@ -68,18 +73,77 @@ _NODE_KINDS = frozenset(
 )
 
 
-def _freeze(value):
-    """JSON round-trip turns tuples into lists; undo that recursively."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
+@dataclass(frozen=True)
+class EventSchedule:
+    """An immutable, time-sorted sequence of timed events, as plain data.
 
+    Subclasses name their event class (``event_type``, with
+    ``to_dict``/``from_dict``) and the event attribute that names the
+    event's target (``target_field``).  Events are stored sorted by
+    ``(time, kind, repr(target))`` so two schedules built from the same
+    events in any order compare equal and serialize identically — the
+    replay-determinism contract.
+    """
 
-def _thaw(value):
-    """Inverse of :func:`_freeze` for serialization (tuples → lists)."""
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
+    events: Tuple = field(default_factory=tuple)
+
+    event_type: ClassVar[type]
+    target_field: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        target = self.target_field
+        ordered = tuple(
+            sorted(self.events, key=lambda e: (e.time, e.kind, repr(getattr(e, target))))
+        )
+        object.__setattr__(self, "events", ordered)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __bool__(self) -> bool:
+        return bool(self.events)
+
+    def until(self, time: float) -> "EventSchedule":
+        """The sub-schedule of events at or before ``time``."""
+        return type(self)(tuple(e for e in self.events if e.time <= time))
+
+    def to_dict(self) -> dict:
+        """JSON-serializable wire form (inverse of :meth:`from_dict`)."""
+        return {"version": 1, "events": [e.to_dict() for e in self.events]}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "EventSchedule":
+        """Parse the wire form back into a schedule."""
+        version = payload.get("version", 1)
+        if version != 1:
+            raise ValueError(f"unsupported {cls.__name__} version {version}")
+        return cls(tuple(cls.event_type.from_dict(e) for e in payload.get("events", ())))
+
+    def to_json(self) -> str:
+        """Canonical JSON text (stable across processes and runs)."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "EventSchedule":
+        """Parse :meth:`to_json` output back into a schedule."""
+        return cls.from_dict(json.loads(text))
+
+    @staticmethod
+    def _freeze(value):
+        """JSON round-trip turns tuples into lists; undo that recursively."""
+        if isinstance(value, list):
+            return tuple(EventSchedule._freeze(v) for v in value)
+        return value
+
+    @staticmethod
+    def _thaw(value):
+        """Inverse of :meth:`_freeze` for serialization (tuples → lists)."""
+        if isinstance(value, tuple):
+            return [EventSchedule._thaw(v) for v in value]
+        return value
 
 
 @dataclass(frozen=True)
@@ -141,7 +205,7 @@ class FaultEvent:
 
     def to_dict(self) -> dict:
         """JSON-serializable wire form (inverse of :meth:`from_dict`)."""
-        out = {"time": self.time, "kind": self.kind, "target": _thaw(self.target)}
+        out = {"time": self.time, "kind": self.kind, "target": EventSchedule._thaw(self.target)}
         for name in ("duration", "factor", "capacity", "delay_us"):
             value = getattr(self, name)
             if value is not None:
@@ -158,7 +222,7 @@ class FaultEvent:
         return cls(
             time=payload["time"],
             kind=payload["kind"],
-            target=_freeze(payload["target"]),
+            target=EventSchedule._freeze(payload["target"]),
             duration=payload.get("duration"),
             factor=payload.get("factor"),
             capacity=payload.get("capacity"),
@@ -166,60 +230,15 @@ class FaultEvent:
         )
 
 
-@dataclass(frozen=True)
-class FaultSchedule:
-    """An immutable, time-sorted sequence of :class:`FaultEvent`\\ s.
+class FaultSchedule(EventSchedule):
+    """An immutable, time-sorted sequence of :class:`FaultEvent`\\ s."""
 
-    Events are stored sorted by ``(time, kind, repr(target))`` so two
-    schedules built from the same events in any order compare equal and
-    serialize identically — the replay-determinism contract.
-    """
-
-    events: Tuple[FaultEvent, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.events, key=lambda e: (e.time, e.kind, repr(e.target)))
-        )
-        object.__setattr__(self, "events", ordered)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
+    event_type = FaultEvent
+    target_field = "target"
 
     def node_targets(self) -> frozenset:
         """Every host node named by an NI-level event."""
         return frozenset(e.target for e in self.events if e.targets_node)
-
-    def until(self, time: float) -> "FaultSchedule":
-        """The sub-schedule of events striking at or before ``time``."""
-        return FaultSchedule(tuple(e for e in self.events if e.time <= time))
-
-    def to_dict(self) -> dict:
-        """JSON-serializable wire form (inverse of :meth:`from_dict`)."""
-        return {"version": 1, "events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultSchedule":
-        """Parse the wire form back into a :class:`FaultSchedule`."""
-        version = payload.get("version", 1)
-        if version != 1:
-            raise ValueError(f"unsupported FaultSchedule version {version}")
-        return cls(tuple(FaultEvent.from_dict(e) for e in payload.get("events", ())))
-
-    def to_json(self) -> str:
-        """Canonical JSON text (stable across processes and runs)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        """Parse :meth:`to_json` output back into a schedule."""
-        return cls.from_dict(json.loads(text))
 
 
 # -- generators ---------------------------------------------------------------

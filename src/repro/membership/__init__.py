@@ -15,7 +15,7 @@ re-planning from scratch on each change:
 * :mod:`~repro.membership.runtime` — drive a schedule through a live
   simulation via the NI ``fault_gate``/``delivery_listener`` hooks,
   with amendment re-multicasts and joiner catch-ups mid-flight.
-* :mod:`~repro.membership.sweep` — the churn harness: sweep scenarios,
+* :mod:`~repro.membership.sweep` — the churn campaign: sweep scenarios,
   measure delivery to stable members, staleness, and disruption.
 
 The cardinal invariant, inherited from :mod:`repro.faults`: an *empty*
@@ -42,15 +42,7 @@ from .schedule import (
     flash_join_schedule,
     poisson_churn_schedule,
 )
-from .sweep import (
-    SCENARIOS,
-    churn_point,
-    churn_smoke,
-    churn_sweep,
-    churn_table,
-    load_records,
-    records_json,
-)
+from .sweep import CHURN, SCENARIOS, churn_point
 
 __all__ = [
     "MEMBERSHIP_KINDS",
@@ -67,11 +59,7 @@ __all__ = [
     "same_tree",
     "ChurnResult",
     "ChurnSimulator",
+    "CHURN",
     "SCENARIOS",
     "churn_point",
-    "churn_smoke",
-    "churn_sweep",
-    "churn_table",
-    "load_records",
-    "records_json",
 ]

@@ -328,11 +328,15 @@ class ChurnSimulator(MulticastSimulator):
                 delivered[dest] = tuple(sorted(arrivals))
                 completion = max(completion, max(arrivals.values(), default=0.0))
 
+        # Staleness runs to the catch-up message's own last arrival: a
+        # rejoiner's first-delivery times predate its rejoin, and an
+        # amendment can deliver some content before the catch-up does.
         staleness: Dict[Node, float] = {}
-        for joined_at, node, _message in self._catch_up_log:
-            per_host = self._delivered.get(node, {})
-            if len(per_host) == self._m:
-                staleness[node] = max(per_host.values()) - joined_at
+        for joined_at, node, message in self._catch_up_log:
+            received = registry.lookup(node).received_at
+            times = [received.get((message.msg_id, i)) for i in range(message.num_packets)]
+            if None not in times:
+                staleness[node] = max(times) - joined_at
 
         windows = []
         for left_at, message in self._repair_messages:

@@ -31,10 +31,11 @@ schedule.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
+
+from ..faults.schedule import EventSchedule
 
 __all__ = [
     "MEMBERSHIP_KINDS",
@@ -47,20 +48,6 @@ __all__ = [
 
 #: Every membership event kind the churn runtime understands.
 MEMBERSHIP_KINDS = ("join", "leave", "rejoin")
-
-
-def _freeze(value):
-    """JSON round-trip turns tuples into lists; undo that recursively."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
-def _thaw(value):
-    """Inverse of :func:`_freeze` for serialization (tuples → lists)."""
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -93,7 +80,7 @@ class MembershipEvent:
 
     def to_dict(self) -> dict:
         """JSON-serializable wire form (inverse of :meth:`from_dict`)."""
-        return {"time": self.time, "kind": self.kind, "node": _thaw(self.node)}
+        return {"time": self.time, "kind": self.kind, "node": EventSchedule._thaw(self.node)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MembershipEvent":
@@ -104,36 +91,21 @@ class MembershipEvent:
         return cls(
             time=payload["time"],
             kind=payload["kind"],
-            node=_freeze(payload["node"]),
+            node=EventSchedule._freeze(payload["node"]),
         )
 
 
-@dataclass(frozen=True)
-class MembershipSchedule:
+class MembershipSchedule(EventSchedule):
     """An immutable, time-sorted sequence of :class:`MembershipEvent`\\ s.
 
-    Events are stored sorted by ``(time, kind, repr(node))`` so two
-    schedules built from the same events in any order compare equal and
-    serialize identically — the replay-determinism contract shared with
+    Sorted by ``(time, kind, repr(node))``, with the canonical JSON of
+    :class:`~repro.faults.schedule.EventSchedule` — the
+    replay-determinism contract shared with
     :class:`repro.faults.FaultSchedule`.
     """
 
-    events: Tuple[MembershipEvent, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.events, key=lambda e: (e.time, e.kind, repr(e.node)))
-        )
-        object.__setattr__(self, "events", ordered)
-
-    def __iter__(self) -> Iterator[MembershipEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
+    event_type = MembershipEvent
+    target_field = "node"
 
     def joiners(self) -> frozenset:
         """Every host named by a ``join`` or ``rejoin`` event."""
@@ -152,33 +124,6 @@ class MembershipSchedule:
         """
         gone = self.leavers()
         return tuple(node for node in members if node not in gone)
-
-    def until(self, time: float) -> "MembershipSchedule":
-        """The sub-schedule of events effective at or before ``time``."""
-        return MembershipSchedule(tuple(e for e in self.events if e.time <= time))
-
-    def to_dict(self) -> dict:
-        """JSON-serializable wire form (inverse of :meth:`from_dict`)."""
-        return {"version": 1, "events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MembershipSchedule":
-        """Parse the wire form back into a :class:`MembershipSchedule`."""
-        version = payload.get("version", 1)
-        if version != 1:
-            raise ValueError(f"unsupported MembershipSchedule version {version}")
-        return cls(
-            tuple(MembershipEvent.from_dict(e) for e in payload.get("events", ()))
-        )
-
-    def to_json(self) -> str:
-        """Canonical JSON text (stable across processes and runs)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MembershipSchedule":
-        """Parse :meth:`to_json` output back into a schedule."""
-        return cls.from_dict(json.loads(text))
 
 
 # -- generators ---------------------------------------------------------------

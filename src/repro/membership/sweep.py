@@ -22,25 +22,18 @@ Scenarios (:data:`SCENARIOS`):
     :func:`~repro.membership.schedule.correlated_leave_schedule` — a
     fraction of the group departs at once (the adversarial amendment).
 
-The sweep runs on :func:`repro.analysis.sweep.run_sweep`, so
-``workers=N`` fans points out over processes and merges them back in
-grid order — :func:`records_json` of the same grid is byte-identical
-for any worker count, like the chaos harness it mirrors.
+:data:`CHURN` declares the scenario × seed grid as a
+:class:`~repro.analysis.campaign.Campaign`, like the chaos harness it
+mirrors: sweep, delivery table and smoke come from there.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
+from ..analysis.campaign import Campaign
 from ..analysis.experiments import _testbed
-from ..analysis.sweep import run_sweep
-from ..analysis.tables import render_table
-from ..durable.errors import StoreCorruptionError
-from ..obs.tracer import Tracer
 from .runtime import ChurnSimulator
 from .schedule import (
     MembershipSchedule,
@@ -49,15 +42,7 @@ from .schedule import (
     poisson_churn_schedule,
 )
 
-__all__ = [
-    "SCENARIOS",
-    "churn_point",
-    "churn_sweep",
-    "churn_smoke",
-    "churn_table",
-    "load_records",
-    "records_json",
-]
+__all__ = ["CHURN", "SCENARIOS", "churn_point"]
 
 #: Named churn scenarios the harness understands.
 SCENARIOS = ("baseline", "poisson", "flash_join", "correlated_leave")
@@ -148,119 +133,32 @@ def churn_point(scenario: str, seed: int, dests: int, m: int) -> dict:
     }
 
 
-def churn_sweep(
-    scenarios: Sequence[str] = SCENARIOS,
-    seeds: Sequence[int] = (0, 1, 2),
-    dests: int = 31,
-    m: int = 8,
-    *,
-    workers: int = 1,
-    tracer: Optional[Tracer] = None,
-    checkpoint: Union[None, str, os.PathLike] = None,
-) -> List[dict]:
-    """All scenario × seed churn records, in grid order.
-
-    Results are independent of ``workers`` (grid-order merge), so the
-    canonical :func:`records_json` serialization is byte-identical for
-    any worker count.  ``checkpoint`` journals completed chunks so a
-    killed churn campaign resumes instead of restarting.
-    """
-    points = run_sweep(
-        partial(churn_point, dests=dests, m=m),
-        {"scenario": list(scenarios), "seed": list(seeds)},
-        workers=workers,
-        tracer=tracer,
-        checkpoint=checkpoint,
-    )
-    return [p.value for p in points]
 
 
-def records_json(records: Sequence[dict]) -> str:
-    """Canonical JSON for a record list (sorted keys, compact, stable)."""
-    return json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+def _churn_row(r: dict) -> list:
+    dropped = r.get("dropped") or {}
+    staleness = r.get("mean_staleness")
+    return [
+        r["scenario"],
+        r["seed"],
+        r["events"],
+        f"{r['delivery_to_stable']:.3f}",
+        r["joined"],
+        r["departed"],
+        r["amends"],
+        r["catch_ups"],
+        "-" if staleness is None else round(staleness, 1),
+        round(r["max_disruption"], 1),
+        sum(dropped.values()),
+    ]
 
 
-def load_records(path: Union[str, os.PathLike]) -> List[dict]:
-    """Load a churn record list written from :func:`records_json`.
-
-    Raises :class:`~repro.durable.errors.StoreCorruptionError` (never a
-    raw ``JSONDecodeError``) on truncated, tampered, or wrong-shape
-    input.
-    """
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise StoreCorruptionError(f"cannot read churn records {path!r}: {exc}") from exc
-    try:
-        records = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise StoreCorruptionError(
-            f"churn records {path!r} are not valid JSON ({exc}); the file is "
-            "truncated or corrupt — regenerate it with `repro-mcast churn --out`"
-        ) from exc
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise StoreCorruptionError(
-            f"churn records {path!r} must be a JSON array of objects; "
-            "regenerate the file with `repro-mcast churn --out`"
-        )
-    return records
-
-
-def churn_table(records: Sequence[dict]) -> str:
-    """Render churn records as the delivery-under-churn table."""
-    rows = []
-    for r in records:
-        dropped = r.get("dropped") or {}
-        staleness = r.get("mean_staleness")
-        rows.append(
-            [
-                r["scenario"],
-                r["seed"],
-                r["events"],
-                f"{r['delivery_to_stable']:.3f}",
-                r["joined"],
-                r["departed"],
-                r["amends"],
-                r["catch_ups"],
-                "-" if staleness is None else round(staleness, 1),
-                round(r["max_disruption"], 1),
-                sum(dropped.values()),
-            ]
-        )
-    return render_table(
-        [
-            "scenario",
-            "seed",
-            "events",
-            "stable dlv",
-            "joined",
-            "left",
-            "amends",
-            "catchup",
-            "stale us",
-            "disrupt us",
-            "dropped",
-        ],
-        rows,
-        title="membership churn: delivery to stable members under joins and leaves",
-    )
-
-
-def churn_smoke(workers: int = 1) -> List[dict]:
-    """The CI-sized churn run: every scenario once, small multicast.
-
-    Sanity-checks the whole subsystem end to end — the
-    graceful-degradation contract is that **every stable member gets
-    the whole message in every scenario**.  Baseline must additionally
-    be churn-free with zero drops; the Poisson scenario must actually
-    exercise both joins and leaves (the acceptance criterion); a flash
-    join must catch every joiner up; a correlated leave must trigger at
-    least one amendment.  Raises ``AssertionError`` on violation (so
-    the CI step fails loudly), returns the records otherwise.
-    """
-    records = churn_sweep(seeds=(0,), dests=15, m=4, workers=workers)
+def _check_smoke(records: List[dict]) -> None:
+    """The graceful-degradation contract: every stable member gets the
+    whole message in every scenario.  Baseline must also be churn-free
+    with zero drops; the Poisson scenario must mix joins and leaves; a
+    flash join must catch every joiner up; a correlated leave must
+    trigger at least one amendment."""
     by_scenario: Dict[str, dict] = {r["scenario"]: r for r in records}
 
     for record in records:
@@ -283,4 +181,24 @@ def churn_smoke(workers: int = 1) -> List[dict]:
     correlated = by_scenario["correlated_leave"]
     assert correlated["departed"] >= 1, f"correlated leave departed nobody: {correlated}"
     assert correlated["amends"] >= 1, f"correlated leave never amended: {correlated}"
-    return records
+
+
+#: The churn campaign: every membership scenario × seed, mid-multicast.
+CHURN = Campaign(
+    name="churn",
+    point=churn_point,
+    axes=(("scenario", SCENARIOS), ("seed", (0, 1, 2))),
+    columns=(
+        "scenario", "seed", "events", "stable dlv", "joined", "left",
+        "amends", "catchup", "stale us", "disrupt us", "dropped",
+    ),
+    row=_churn_row,
+    title="membership churn: delivery to stable members under joins and leaves",
+    smoke_axes={},
+    smoke_kwargs={"dests": 15, "m": 4},
+    smoke_check=_check_smoke,
+    smoke_ok=(
+        "churn smoke OK: baseline bit-identical, every churn scenario "
+        "delivered 100% to stable members"
+    ),
+)

@@ -13,8 +13,8 @@ detection quick, the slow window stops a single spike from paging.
 Everything takes explicit timestamps (with an injectable clock as the
 default), so the same trackers run against wall time in a live
 ``PlanServer`` and against *replayed, deterministic* timelines when
-the chaos and sessions sweeps convert their records into alert logs:
-``chaos_alert_log`` feeds per-destination delivery outcomes through
+the chaos and sessions campaigns convert their records into alert logs:
+``CHAOS.alert_log`` feeds per-destination delivery outcomes through
 the coverage SLO, which stays silent on the ``baseline`` scenario and
 fires on ``root_child`` — the acceptance check for this module.
 

@@ -34,20 +34,13 @@ from .schedulers import (
 )
 from .session import Session, SessionResult, SessionSetResult, nearest_rank
 from .simulator import SessionSimulator
-from .sweep import (
-    DEFAULT_LOADS,
-    records_json,
-    sessions_alert_log,
-    sessions_point,
-    sessions_smoke,
-    sessions_sweep,
-    sessions_table,
-)
+from .sweep import DEFAULT_LOADS, SESSIONS, sessions_point
 
 __all__ = [
     "ARRIVALS",
     "DEFAULT_LOADS",
     "SCHEDULERS",
+    "SESSIONS",
     "SESSION_METRICS",
     "CongestionDilationScheduler",
     "FifoScheduler",
@@ -67,10 +60,5 @@ __all__ = [
     "make_scheduler",
     "nearest_rank",
     "poisson_sessions",
-    "records_json",
-    "sessions_alert_log",
     "sessions_point",
-    "sessions_smoke",
-    "sessions_sweep",
-    "sessions_table",
 ]

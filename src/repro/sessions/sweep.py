@@ -8,37 +8,23 @@ gauges.  ``load`` is a dimensionless offered-load multiplier: it
 shrinks the flash-crowd window (or batch spacing) and scales the
 Poisson rate, so higher load = more simultaneous sessions.
 
-The sweep runs on :func:`repro.analysis.sweep.run_sweep`, inheriting
-``workers=N`` process fan-out, progress, checkpoint/resume, and the
-grid-order merge — :func:`records_json` of the same grid is
-byte-identical for any worker count (the determinism suite pins
-workers=1 vs 4), and a killed campaign resumes from its checkpoint.
+:data:`SESSIONS` declares the scheduler × load × seed grid as a
+:class:`~repro.analysis.campaign.Campaign`: sweep (``workers=N``
+fan-out, checkpoint/resume, grid-order merge), table, smoke and the
+session-slowdown SLO replay come from there.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from functools import partial
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
+from ..analysis.campaign import Campaign
 from ..analysis.experiments import _testbed
-from ..analysis.sweep import run_sweep
-from ..analysis.tables import render_table
-from ..obs.tracer import Tracer
 from .arrivals import generate_sessions
 from .schedulers import SCHEDULERS
 from .simulator import SessionSimulator
 
-__all__ = [
-    "DEFAULT_LOADS",
-    "records_json",
-    "sessions_alert_log",
-    "sessions_point",
-    "sessions_smoke",
-    "sessions_sweep",
-    "sessions_table",
-]
+__all__ = ["DEFAULT_LOADS", "SESSIONS", "sessions_point"]
 
 #: The three canonical offered-load points of the weekly benchmark.
 DEFAULT_LOADS = (0.5, 1.0, 2.0)
@@ -118,139 +104,33 @@ def sessions_point(
     record.update(result.summary())
     if measure_isolated:
         # Per-session slowdowns feed the session_slowdown SLO replay
-        # (:func:`sessions_alert_log`); the summary only keeps aggregates.
+        # (``SESSIONS.alert_log``); the summary only keeps aggregates.
         record["slowdowns"] = [float(s) for s in result.slowdowns]
     return record
 
 
-def sessions_sweep(
-    schedulers: Sequence[str] = tuple(sorted(SCHEDULERS)),
-    loads: Sequence[float] = DEFAULT_LOADS,
-    seeds: Sequence[int] = (0, 1, 2),
-    *,
-    workers: int = 1,
-    tracer: Optional[Tracer] = None,
-    checkpoint: Union[None, str, os.PathLike] = None,
-    **point_kwargs,
-) -> List[dict]:
-    """All scheduler × load × seed session records, in grid order.
-
-    Results are independent of ``workers`` (grid-order merge), so the
-    canonical :func:`records_json` serialization is byte-identical for
-    any worker count; ``checkpoint`` journals completed chunks so a
-    killed campaign resumes instead of restarting.
-    """
-    points = run_sweep(
-        partial(sessions_point, **point_kwargs),
-        {"scheduler": list(schedulers), "load": list(loads), "seed": list(seeds)},
-        workers=workers,
-        tracer=tracer,
-        checkpoint=checkpoint,
-    )
-    return [p.value for p in points]
 
 
-def records_json(records: Sequence[dict]) -> str:
-    """Canonical JSON for a record list (sorted keys, compact, stable)."""
-    return json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+def _sessions_row(r: dict) -> list:
+    return [
+        r["scheduler"],
+        r["load"],
+        r["seed"],
+        int(r["completed"]),
+        round(r["mean_latency"], 1),
+        round(r["p50_latency"], 1),
+        round(r["p95_latency"], 1),
+        round(r["p99_latency"], 1),
+        round(r["mean_queueing"], 1),
+        "-" if "mean_slowdown" not in r else round(r["mean_slowdown"], 2),
+        round(r["makespan"], 1),
+    ]
 
 
-def sessions_table(records: Sequence[dict]) -> str:
-    """Render session records as the scheduler-comparison table."""
-    rows = []
-    for r in records:
-        rows.append(
-            [
-                r["scheduler"],
-                r["load"],
-                r["seed"],
-                int(r["completed"]),
-                round(r["mean_latency"], 1),
-                round(r["p50_latency"], 1),
-                round(r["p95_latency"], 1),
-                round(r["p99_latency"], 1),
-                round(r["mean_queueing"], 1),
-                "-" if "mean_slowdown" not in r else round(r["mean_slowdown"], 2),
-                round(r["makespan"], 1),
-            ]
-        )
-    return render_table(
-        [
-            "sched",
-            "load",
-            "seed",
-            "done",
-            "mean us",
-            "p50",
-            "p95",
-            "p99",
-            "queue us",
-            "slowdn",
-            "makespan",
-        ],
-        rows,
-        title="concurrent sessions: scheduler comparison vs offered load",
-    )
-
-
-def sessions_alert_log(
-    records: Sequence[dict],
-    *,
-    spacing: float = 1.0,
-    threshold: Optional[float] = None,
-) -> dict:
-    """Replay session records through the session-slowdown SLO.
-
-    Each record's per-session slowdowns (when measured) become good/bad
-    events against the SLO's slowdown bound on a synthetic timeline —
-    record ``i`` at ``t = i * spacing`` seconds — so a sweep's record
-    list deterministically reproduces its alert log.  Records without
-    ``slowdowns`` fall back to one weighted event on ``max_slowdown``.
-
-    Returns ``{"alerts": [...], "slo": <snapshot>, "records": N}``.
-    """
-    from ..obs.slo import SLOSet, default_slos
-
-    specs = [s for s in default_slos() if s.name == "session_slowdown"]
-    bound = specs[0].bound or float("inf")
-    kwargs = {} if threshold is None else {"threshold": threshold}
-    slos = SLOSet(specs, clock=lambda: 0.0, **kwargs)
-    for index, record in enumerate(records):
-        t = index * spacing
-        slowdowns = record.get("slowdowns")
-        if slowdowns:
-            for slowdown in slowdowns:
-                slos.record("session_slowdown", slowdown <= bound, t=t)
-        else:
-            weight = max(1, int(record.get("completed", 1)))
-            good = record.get("max_slowdown", 0.0) <= bound
-            slos.record("session_slowdown", good, weight=weight, t=t)
-    final_t = (len(records) - 1) * spacing if records else 0.0
-    return {
-        "alerts": slos.alert_dicts(),
-        "slo": slos.snapshot(t=final_t),
-        "records": len(records),
-    }
-
-
-def sessions_smoke(workers: int = 1) -> List[dict]:
-    """The CI-sized sessions run: FIFO vs CDA at high offered load.
-
-    Sanity-checks the subsystem end to end: every session of every run
-    must complete, no session may finish faster than its isolated
-    baseline (slowdown ≥ 1), and the flash crowd must actually contend
-    (mean slowdown > 1 somewhere).  Raises ``AssertionError`` on
-    violation (so the CI step fails loudly), returns the records.
-    """
-    records = sessions_sweep(
-        schedulers=("fifo", "cda"),
-        loads=(2.0,),
-        seeds=(0,),
-        workers=workers,
-        count=6,
-        dests=9,
-        m=3,
-    )
+def _check_smoke(records: List[dict]) -> None:
+    """Every session of every run completes, none finishes faster than
+    its isolated baseline (slowdown >= 1), and the flash crowd actually
+    contends (mean slowdown > 1 somewhere)."""
     assert records, "sessions smoke produced no records"
     for record in records:
         assert record["completed"] == record["count"], f"sessions lost: {record}"
@@ -258,4 +138,41 @@ def sessions_smoke(workers: int = 1) -> List[dict]:
         assert record["mean_queueing"] >= 0.0, f"negative queueing: {record}"
     contended = max(r["mean_slowdown"] for r in records)
     assert contended > 1.0, f"no contention at load 2.0: {records}"
-    return records
+
+
+def _slowdown_events(record: dict, bound: float):
+    """Each per-session slowdown (when measured) as one good/bad event
+    against the SLO's bound; records without ``slowdowns`` fall back to
+    one event on ``max_slowdown`` weighted by the sessions completed."""
+    slowdowns = record.get("slowdowns")
+    if slowdowns:
+        for slowdown in slowdowns:
+            yield slowdown <= bound, 1.0
+    else:
+        weight = max(1, int(record.get("completed", 1)))
+        yield record.get("max_slowdown", 0.0) <= bound, weight
+
+
+#: The sessions campaign: schedulers × offered load × seeds; the smoke
+#: is FIFO vs CDA at high offered load.
+SESSIONS = Campaign(
+    name="sessions",
+    point=sessions_point,
+    axes=(
+        ("scheduler", tuple(sorted(SCHEDULERS))),
+        ("load", DEFAULT_LOADS),
+        ("seed", (0, 1, 2)),
+    ),
+    columns=(
+        "sched", "load", "seed", "done", "mean us", "p50", "p95", "p99",
+        "queue us", "slowdn", "makespan",
+    ),
+    row=_sessions_row,
+    title="concurrent sessions: scheduler comparison vs offered load",
+    smoke_axes={"scheduler": ("fifo", "cda"), "load": (2.0,)},
+    smoke_kwargs={"count": 6, "dests": 9, "m": 3},
+    smoke_check=_check_smoke,
+    smoke_ok="sessions smoke OK: every session completed, contention measured",
+    slo="session_slowdown",
+    slo_events=_slowdown_events,
+)

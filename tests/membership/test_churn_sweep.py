@@ -1,4 +1,8 @@
-"""Churn sweep: replay determinism across workers, smoke contract, CLI."""
+"""Churn campaign: point purity, smoke contract, records, table, CLI.
+
+Worker-count determinism and checkpoint resume are pinned for every
+campaign in ``tests/analysis/test_campaign.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,24 +10,12 @@ import json
 
 import pytest
 
+from repro.analysis import load_records, write_records
 from repro.cli import main
-from repro.membership import (
-    SCENARIOS,
-    churn_point,
-    churn_smoke,
-    churn_sweep,
-    churn_table,
-    load_records,
-    records_json,
-)
+from repro.membership import CHURN, SCENARIOS, churn_point
 
 
 class TestDeterminism:
-    def test_records_identical_across_worker_counts(self):
-        serial = records_json(churn_sweep(seeds=(0,), dests=15, m=4, workers=1))
-        parallel = records_json(churn_sweep(seeds=(0,), dests=15, m=4, workers=4))
-        assert serial == parallel
-
     def test_point_is_a_pure_function_of_its_arguments(self):
         a = churn_point("poisson", 0, 15, 4)
         b = churn_point("poisson", 0, 15, 4)
@@ -37,7 +29,7 @@ class TestDeterminism:
 class TestSmoke:
     @pytest.fixture(scope="class")
     def records(self):
-        return churn_smoke()
+        return CHURN.smoke()
 
     def test_covers_every_scenario(self, records):
         assert [r["scenario"] for r in records] == list(SCENARIOS)
@@ -67,22 +59,26 @@ class TestSmoke:
 
     def test_records_round_trip(self, records, tmp_path):
         path = tmp_path / "churn_records.json"
-        path.write_text(records_json(records))
+        write_records(path, records, {"command": "churn"})
         assert load_records(path) == records
 
     def test_load_records_rejects_corruption(self, tmp_path):
+        from repro.durable import atomic_write_json
         from repro.durable.errors import StoreCorruptionError
 
         path = tmp_path / "bad.json"
-        path.write_text('[{"scenario": "poisson"')
-        with pytest.raises(StoreCorruptionError, match="truncated or corrupt"):
+        path.write_text('[{"scenario": "poisson"}]')  # a bare list: no envelope
+        with pytest.raises(StoreCorruptionError, match="expected an object"):
             load_records(path)
-        path.write_text('{"not": "a list"}')
-        with pytest.raises(StoreCorruptionError, match="JSON array"):
+        path.write_text('{"version": 1, "records": []}')  # an envelope without a CRC
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            load_records(path)
+        atomic_write_json(path, {"version": 1, "records": {"not": "a list"}})
+        with pytest.raises(StoreCorruptionError, match="no record list"):
             load_records(path)
 
     def test_table_renders_every_scenario(self, records):
-        table = churn_table(records)
+        table = CHURN.table(records)
         for scenario in SCENARIOS:
             assert scenario in table
 

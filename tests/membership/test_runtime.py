@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import MulticastSimulator, build_kbinomial_tree, chain_for, optimal_k
@@ -12,6 +14,7 @@ from repro.membership import (
     MembershipSchedule,
     poisson_churn_schedule,
 )
+from repro.membership.sweep import POISSON_HORIZON, POISSON_RATE, TIME_LIMIT
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +168,27 @@ class TestJoiners:
         assert victim in result.joined
         assert len(result.delivered.get(victim, ())) == 8
         assert result.stable_complete
+
+    @pytest.mark.parametrize("dests", [15, 31, 63])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_staleness_runs_from_the_catch_up_message(self, seed, dests):
+        """A rejoiner's first deliveries predate its rejoin, so staleness
+        must end at the catch-up's own last arrival: always positive."""
+        topology, router, ordering = _testbed(1997 + seed)
+        rng = random.Random(f"churn:{seed}:{dests}")  # churn_point's draw
+        picked = rng.sample(list(topology.hosts), dests + 1)
+        source, members = picked[0], picked[1:]
+        pool = [h for h in ordering if h not in set(picked)]
+        schedule = poisson_churn_schedule(
+            members, pool, rate=POISSON_RATE, horizon=POISSON_HORIZON,
+            seed=seed, exclude=(source,),
+        )
+        churn = ChurnSimulator(
+            topology, router, schedule=schedule, base_ordering=ordering
+        )
+        result = churn.run_churn(source, members, 1, time_limit=TIME_LIMIT)
+        assert result.joiner_staleness
+        assert all(v > 0 for v in result.joiner_staleness.values()), result.joiner_staleness
 
 
 class TestValidation:

@@ -150,63 +150,69 @@ class TestSLOSet:
 
 class TestSweepReplays:
     def test_chaos_replay_is_silent_on_clean_records(self):
-        from repro.faults import chaos_alert_log
+        from repro.faults import CHAOS
 
         records = [
             {"complete_destinations": 15, "lost_destinations": 0}
             for _ in range(20)
         ]
-        log = chaos_alert_log(records)
+        log = CHAOS.alert_log(records)
         assert log["alerts"] == []
         assert log["records"] == 20
         assert log["slo"]["slos"]["delivery_coverage"]["alerting"] is False
 
     def test_chaos_replay_fires_on_heavy_loss(self):
-        from repro.faults import chaos_alert_log
+        from repro.faults import CHAOS
 
         records = [
             {"complete_destinations": 7, "lost_destinations": 8}
             for _ in range(5)
         ]
-        log = chaos_alert_log(records)
+        log = CHAOS.alert_log(records)
         assert log["alerts"], "majority loss must fire the coverage SLO"
         assert log["alerts"][0]["slo"] == "delivery_coverage"
 
     def test_chaos_replay_is_deterministic(self):
-        from repro.faults import chaos_alert_log, chaos_point
+        from repro.faults import CHAOS, chaos_point
 
         records = [
             chaos_point("baseline", 0, 15, 4),
             chaos_point("root_child", 0, 15, 4),
         ]
-        first = json.dumps(chaos_alert_log(records), sort_keys=True)
-        second = json.dumps(chaos_alert_log(records), sort_keys=True)
+        first = json.dumps(CHAOS.alert_log(records), sort_keys=True)
+        second = json.dumps(CHAOS.alert_log(records), sort_keys=True)
         assert first == second
 
     def test_real_root_child_fires_while_baseline_stays_silent(self):
-        from repro.faults import chaos_alert_log, chaos_point
+        from repro.faults import CHAOS, chaos_point
 
         baseline = [chaos_point("baseline", 0, 15, 4)]
-        assert chaos_alert_log(baseline)["alerts"] == []
+        assert CHAOS.alert_log(baseline)["alerts"] == []
         crash = baseline + [chaos_point("root_child", 0, 15, 4)]
-        log = chaos_alert_log(crash)
+        log = CHAOS.alert_log(crash)
         assert [a["slo"] for a in log["alerts"]] == ["delivery_coverage"]
 
+    def test_campaign_without_an_slo_refuses_replay(self):
+        from repro.membership import CHURN
+
+        with pytest.raises(ValueError, match="feeds no SLO"):
+            CHURN.alert_log([])
+
     def test_sessions_replay_uses_per_session_slowdowns(self):
-        from repro.sessions import sessions_alert_log
+        from repro.sessions import SESSIONS
 
         good = [{"slowdowns": [1.0, 2.0, 3.0]} for _ in range(10)]
-        assert sessions_alert_log(good)["alerts"] == []
+        assert SESSIONS.alert_log(good)["alerts"] == []
         # Past the 8x bound for every session: the SLO must fire.
         bad = [{"slowdowns": [9.0, 10.0, 8.5]} for _ in range(10)]
-        log = sessions_alert_log(bad)
+        log = SESSIONS.alert_log(bad)
         assert log["alerts"] and log["alerts"][0]["slo"] == "session_slowdown"
 
     def test_sessions_replay_falls_back_to_max_slowdown(self):
-        from repro.sessions import sessions_alert_log
+        from repro.sessions import SESSIONS
 
         records = [{"completed": 6, "max_slowdown": 12.0} for _ in range(4)]
-        log = sessions_alert_log(records)
+        log = SESSIONS.alert_log(records)
         assert log["alerts"]
         tracker = log["slo"]["slos"]["session_slowdown"]
         assert tracker["total_bad"] == 24.0

@@ -1,4 +1,8 @@
-"""Property-based invariants: work conservation, FIFO order, determinism."""
+"""Property-based invariants: work conservation, FIFO order, determinism.
+
+Sweep determinism across worker counts is pinned for every campaign in
+``tests/analysis/test_campaign.py``.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +15,6 @@ from repro.sessions import (
     Session,
     SessionSimulator,
     generate_sessions,
-    records_json,
-    sessions_sweep,
 )
 
 from .conftest import STAR_HOSTS, STEP_PARAMS, star
@@ -109,19 +111,3 @@ class TestGeneratorDeterminism:
             kind, hosts, **kwargs
         )
 
-
-class TestSweepDeterminism:
-    def test_workers_one_and_four_agree_byte_for_byte(self, tmp_path):
-        kwargs = dict(
-            schedulers=("fifo", "cda"),
-            loads=(2.0,),
-            seeds=(0,),
-            count=5,
-            dests=7,
-            m=2,
-            max_active=2,
-            measure_isolated=False,
-        )
-        serial = sessions_sweep(workers=1, **kwargs)
-        parallel = sessions_sweep(workers=4, **kwargs)
-        assert records_json(serial) == records_json(parallel)

@@ -129,6 +129,15 @@ def test_bad_sizes_exit_2_with_error(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["simulate", "trace", "reliable", "chaos", "churn", "sessions"]
+)
+def test_dests_past_the_testbed_exit_2(capsys, tmp_path, command):
+    # 64 hosts: a source plus at most 63 destinations.
+    assert main([command, "--dests", "64"]) == 2
+    assert "error: --dests" in capsys.readouterr().err
+
+
 def test_trace_command_writes_perfetto_json(capsys, tmp_path):
     import json
 
