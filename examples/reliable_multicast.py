@@ -29,6 +29,7 @@ from repro import (
 )
 from repro.analysis import render_table
 from repro.mcast import ReliableMulticastSimulator
+from repro.obs import Tracer
 
 
 def main() -> None:
@@ -43,12 +44,14 @@ def main() -> None:
 
     rows = []
     for rate in (0.0, 0.01, 0.05, 0.1, 0.2):
+        tracer = Tracer()
         sim = ReliableMulticastSimulator(
-            topology, router, loss_rate=rate, loss_seed=8, collect_trace=True
+            topology, router, loss_rate=rate, loss_seed=8, tracer=tracer
         )
         result = sim.run(tree, m)
-        nacks = sim.last_trace.count("nack")
-        retransmits = sim.last_trace.count("retransmit")
+        names = [event.name for event in tracer.events]
+        nacks = names.count("nack")
+        retransmits = names.count("retransmit")
         rows.append(
             [
                 f"{rate:.0%}",

@@ -1,15 +1,17 @@
 """Latency breakdown: where a multicast's microseconds go.
 
-:func:`run_breakdown` re-runs one multicast with tracing enabled and
-decomposes the aggregate work into the §2.5 cost components:
+:func:`run_breakdown` re-runs one multicast with a
+:class:`repro.obs.Tracer` and decomposes the aggregate work into the
+§2.5 cost components, read from the NI spans:
 
 * host start-up (``t_s``, once per multicast at the source);
-* NI injection overhead (``t_ns`` per send);
+* NI injection overhead (the sending NI's own ``t_ns`` per ``send``
+  span — a slow host pays its scaled value);
 * network occupancy (header routing + wire time per send, from the
   actual route lengths);
 * channel blocking (time spent waiting on busy channels — the price of
   contention, zero for a depth contention-free tree on an idle fabric);
-* NI receive overhead (``t_nr`` per receive);
+* NI receive overhead (the measured ``recv`` span durations);
 * host receive (``t_r``, once per destination, paid after the NI).
 
 The *aggregate* components sum over all packet transmissions (they
@@ -24,6 +26,7 @@ from typing import Dict
 
 from ..core.trees import MulticastTree
 from ..mcast.simulator import MulticastResult, MulticastSimulator
+from ..obs.tracer import Tracer
 
 __all__ = ["LatencyBreakdown", "run_breakdown"]
 
@@ -71,37 +74,35 @@ def run_breakdown(
 ) -> LatencyBreakdown:
     """Simulate ``tree`` with tracing and decompose the work.
 
-    Uses a tracing clone of ``simulator`` (same topology/router/params/
-    discipline) so the caller's simulator configuration is preserved.
+    Runs a traced :meth:`~repro.mcast.simulator.MulticastSimulator.plain_copy`
+    of ``simulator`` (same fabric, discipline, host speeds and channel
+    model), so the caller's simulator is left untouched.
     """
-    traced = MulticastSimulator(
-        simulator.topology,
-        simulator.router,
-        params=simulator.params,
-        ni_class=simulator.ni_class,
-        collect_trace=True,
-        host_speed=simulator.host_speed,
-        send_policy=simulator.send_policy,
-        ni_ports=simulator.ni_ports,
-    )
+    tracer = Tracer()
+    traced = simulator.plain_copy(tracer=tracer)
     result = traced.run(tree, num_packets)
-    trace = traced.last_trace
     params = simulator.params
+    nis = {str(ni.host): ni for ni in traced.last_registry}
 
-    sends = list(trace.select("ni_send"))
-    receives = trace.count("ni_recv")
-    network = 0.0
-    for record in sends:
-        hops = len(simulator.router.route(record["src"], record["dst"]))
-        network += hops * params.t_switch + params.wire_time
+    injection = network = receive = 0.0
+    sends = 0
+    for event in tracer.events:
+        if event.name == "send":
+            sender = nis[event.args["src"]]
+            hops = len(simulator.router.route(sender.host, nis[event.args["dst"]].host))
+            injection += sender.params.t_ns
+            network += hops * params.t_switch + params.wire_time
+            sends += 1
+        elif event.name == "recv":
+            receive += event.dur
 
     return LatencyBreakdown(
         result=result,
         host_startup=params.t_s,
-        injection=len(sends) * params.t_ns,
+        injection=injection,
         network=network,
         blocking=result.blocked_time,
-        receive=receives * params.t_nr,
+        receive=receive,
         host_receive=params.t_r,
-        sends=len(sends),
+        sends=sends,
     )

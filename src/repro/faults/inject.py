@@ -1,9 +1,10 @@
 """Apply a :class:`~repro.faults.schedule.FaultSchedule` to a live simulation.
 
-The NI engines in :mod:`repro.nic.interface` (and the reliable fork)
-carry one hook — ``ni.fault_gate`` — that is ``None`` on a healthy NI.
-This module provides the gate objects and the driver process that flips
-them at the scheduled simulated times, so FPFS, FCFS, conventional and
+The NI engines in :mod:`repro.nic.interface` — the one send loop and
+one receive loop every discipline runs — carry one hook,
+``ni.fault_gate``, that is ``None`` on a healthy NI.  This module
+provides the gate objects and the driver process that flips them at
+the scheduled simulated times, so FPFS, FCFS, conventional and
 reliable NIs all run under the *same* schedule without forking any
 model:
 
@@ -356,7 +357,7 @@ class FaultyMulticastSimulator(MulticastSimulator):
         retries forever against a dead parent (the reliable NI), and a
         safety net otherwise.
         """
-        env, trace, pool, registry, messages = self._execute(
+        env, tracer, pool, registry, messages = self._execute(
             [(tree, num_packets)], time_limit=time_limit, strict=False
         )
         message = messages[0]

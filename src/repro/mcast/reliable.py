@@ -2,22 +2,22 @@
 
 :class:`ReliableMulticastSimulator` wires
 :class:`~repro.nic.reliable.ReliableFPFSInterface` NIs to a
-:class:`~repro.nic.reliable.LossyChannelPool` and installs the
-tree-parent map each NI needs to address its NACKs.  Every run is
-verified complete by the base collector (all destinations hold all
-packets), so a failed recovery protocol cannot masquerade as a fast
-one — the run would error out instead.
+:class:`~repro.nic.reliable.LossyChannelPool` and puts a
+:class:`~repro.nic.reliable.LossGate` in every NI's ``fault_gate``
+slot, so loss is a link fault on the base NI engines.  NACKs find
+their target in the forwarding tables the base simulator installs.
+Every run is verified complete by the base collector (all
+destinations hold all packets), so a failed recovery protocol cannot
+masquerade as a fast one — the run would error out instead.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..core.trees import MulticastTree
 from ..network.topology import Topology
-from ..nic.interface import NICRegistry
-from ..nic.packets import Message
-from ..nic.reliable import LossyChannelPool, ReliableFPFSInterface
+from ..nic.reliable import LossGate, LossyChannelPool, ReliableFPFSInterface
+from ..obs.tracer import Tracer
 from ..params import PAPER_PARAMS, SystemParams
 from ..sim import Environment
 from .simulator import MulticastSimulator
@@ -35,6 +35,9 @@ class ReliableMulticastSimulator(MulticastSimulator):
         receiver (control packets are never dropped).
     loss_seed:
         Seed for the loss draws (deterministic runs).
+    tracer:
+        A :class:`repro.obs.Tracer`; reliable NIs add ``nack`` and
+        ``retransmit`` instants to the spans every NI records.
     """
 
     def __init__(
@@ -44,7 +47,7 @@ class ReliableMulticastSimulator(MulticastSimulator):
         params: SystemParams = PAPER_PARAMS,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
-        collect_trace: bool = False,
+        tracer: Optional[Tracer] = None,
         host_speed=None,
     ) -> None:
         super().__init__(
@@ -52,8 +55,8 @@ class ReliableMulticastSimulator(MulticastSimulator):
             router,
             params=params,
             ni_class=ReliableFPFSInterface,
-            collect_trace=collect_trace,
             host_speed=host_speed,
+            tracer=tracer,
         )
         if not (0.0 <= loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
@@ -67,15 +70,10 @@ class ReliableMulticastSimulator(MulticastSimulator):
         self._current_pool = LossyChannelPool(env, self.loss_rate, seed=self.loss_seed)
         return self._current_pool
 
-    def _install_extras(
-        self, registry: NICRegistry, tree: MulticastTree, message: Message
-    ) -> None:
-        for node in tree.nodes():
-            if node == tree.root:
-                continue
-            ni = registry.lookup(node)
-            assert isinstance(ni, ReliableFPFSInterface)
-            ni.register_parent(message.msg_id, tree.parent(node))
+    def _post_build(self, env, registry, pool) -> None:
+        gate = LossGate(pool)
+        for ni in registry:
+            ni.fault_gate = gate
 
     def run_many(self, multicasts, time_limit=None):
         results = super().run_many(multicasts, time_limit=time_limit)

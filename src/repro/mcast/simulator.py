@@ -17,6 +17,10 @@ for smart NIs; per forwarded copy inside the run for conventional NIs)
 and the completion time is the moment the *last* destination NI finishes
 receiving the *last* packet.  The final ``t_r`` is the single host
 receive overhead every destination pays after its NI holds the message.
+
+Observation goes through one optional :class:`repro.obs.Tracer`: each
+run points its clock at the fresh environment, and every NI records its
+packet events on it as spans (see :mod:`repro.nic.interface`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from ..nic.packets import Message
 from ..obs.metrics import GLOBAL_METRICS
 from ..obs.tracer import Tracer
 from ..params import PAPER_PARAMS, SystemParams
-from ..sim import Environment, Trace
+from ..sim import Environment
 
 __all__ = ["MulticastResult", "MulticastSimulator"]
 
@@ -96,15 +100,13 @@ class MulticastSimulator:
         Timing parameters (defaults to the paper's).
     ni_class:
         Forwarding discipline; default FPFS.
-    collect_trace:
-        Keep a full packet-event :class:`~repro.sim.Trace` on each
-        result (costs memory; off by default).
     tracer:
         A :class:`repro.obs.Tracer` span sink.  Each run rebinds its
         clock to the fresh environment's simulated time, so NI
         send/recv/inject spans land on the DES timeline (export with
-        :func:`repro.obs.write_chrome_trace` and open in Perfetto).
-        ``None`` (default) disables span emission entirely.
+        :func:`repro.obs.write_chrome_trace` and open in Perfetto, or
+        read ``tracer.events`` as :func:`repro.analysis.run_breakdown`
+        does).  ``None`` (default) disables span emission entirely.
     """
 
     def __init__(
@@ -113,7 +115,6 @@ class MulticastSimulator:
         router,
         params: SystemParams = PAPER_PARAMS,
         ni_class: Type[NetworkInterface] = FPFSInterface,
-        collect_trace: bool = False,
         host_speed: Optional[Dict[Node, float]] = None,
         send_policy: str = "fifo",
         ni_ports: int = 1,
@@ -126,7 +127,6 @@ class MulticastSimulator:
         self.router = router
         self.params = params
         self.ni_class = ni_class
-        self.collect_trace = collect_trace
         if send_policy not in SEND_POLICIES:
             raise ValueError(
                 f"unknown send_policy {send_policy!r}; choose from {sorted(SEND_POLICIES)}"
@@ -156,20 +156,33 @@ class MulticastSimulator:
                 raise ValueError(f"host_speed[{h!r}] must be positive, got {factor}")
         #: Span sink shared by every NI of every run (None = no spans).
         self.tracer = tracer
-        #: Trace of the most recent run (None unless collect_trace).
-        self.last_trace: Optional[Trace] = None
         #: NI registry of the most recent run (post-mortem inspection).
         self.last_registry: Optional[NICRegistry] = None
         #: Buffer-level gauges of the most recent run (also published
         #: to ``repro.obs.GLOBAL_METRICS`` under ``"sim"``).
         self.last_gauges: Dict[str, float] = {}
 
+    def plain_copy(self, tracer: Optional[Tracer] = None) -> "MulticastSimulator":
+        """A plain simulator with this one's fabric configuration.
+
+        No fault, loss or session hooks: the sessions layer's isolated-run
+        oracle and the breakdown's traced re-run are both made here.
+        """
+        return MulticastSimulator(
+            self.topology,
+            self.router,
+            params=self.params,
+            ni_class=self.ni_class,
+            host_speed=self.host_speed,
+            send_policy=self.send_policy,
+            ni_ports=self.ni_ports,
+            channel_model=self.channel_model,
+            tracer=tracer,
+        )
+
     def _make_pool(self, env: Environment) -> ChannelPool:
         """Channel pool factory (hook for lossy/instrumented pools)."""
         return ChannelPool(env, host_link_capacity=self.ni_ports)
-
-    def _install_extras(self, registry: NICRegistry, tree: MulticastTree, message: Message) -> None:
-        """Per-message NI setup beyond the forwarding table (hook)."""
 
     def _post_build(self, env: Environment, registry: NICRegistry, pool: ChannelPool) -> None:
         """Hook after the NIs exist but before any message is installed.
@@ -207,10 +220,10 @@ class MulticastSimulator:
         e.g. a recovery loop that never converges — into an immediate
         :class:`RuntimeError` instead of an unbounded run.
         """
-        env, trace, pool, registry, messages = self._execute(
+        env, tracer, pool, registry, messages = self._execute(
             multicasts, time_limit=time_limit, strict=True
         )
-        return [self._collect(registry, pool, message, trace) for message in messages]
+        return [self._collect(registry, pool, message) for message in messages]
 
     def _execute(self, multicasts, time_limit: Optional[float] = None, strict: bool = True):
         """Build and run one simulation; return its raw state.
@@ -219,14 +232,14 @@ class MulticastSimulator:
         run that cannot quiesce within ``time_limit`` raises) and
         degraded fault runs (``strict=False``: faults legitimately leave
         engines waiting forever, so hitting the limit just ends the
-        run).  Returns ``(env, trace, pool, registry, messages)``.
+        run).  Returns ``(env, tracer, pool, registry, messages)``.
         """
         if not multicasts:
             raise ValueError("run_many needs at least one multicast")
         for tree, num_packets in multicasts:
             self._check_tree(tree)
 
-        env, trace, pool, registry = self._build_network()
+        env, tracer, pool, registry = self._build_network()
 
         messages = []
         for tree, num_packets in multicasts:
@@ -239,10 +252,9 @@ class MulticastSimulator:
             self._start_multicast(env, registry, tree, message)
         self._drain(env, time_limit=time_limit, strict=strict)
 
-        self.last_trace = trace if self.collect_trace else None
         self.last_registry = registry
         self._publish_gauges(registry)
-        return env, trace, pool, registry, messages
+        return env, tracer, pool, registry, messages
 
     def _check_tree(self, tree: MulticastTree) -> None:
         """Validate a tree and confirm every node is a topology host."""
@@ -258,10 +270,10 @@ class MulticastSimulator:
         No messages are installed yet — :meth:`_execute` admits them all
         at time zero, while :class:`repro.sessions.SessionSimulator`
         reuses this exact fabric and admits messages as its scheduler
-        decides.  Returns ``(env, trace, pool, registry)``.
+        decides.  Returns ``(env, tracer, pool, registry)``; ``tracer`` is
+        :attr:`tracer`, ``None`` when the run is not traced.
         """
         env = Environment()
-        trace = Trace(env, enabled=self.collect_trace)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             # Spans of this run read the fresh environment's clock.
@@ -276,14 +288,13 @@ class MulticastSimulator:
                 registry,
                 pool,
                 self._params_for(h),
-                trace,
                 send_queue_cls=self._send_queue_cls,
                 ports=self.ni_ports,
                 channel_model=self.channel_model,
                 tracer=tracer,
             )
         self._post_build(env, registry, pool)
-        return env, trace, pool, registry
+        return env, tracer, pool, registry
 
     def _start_multicast(
         self, env: Environment, registry: NICRegistry, tree: MulticastTree, message: Message
@@ -291,7 +302,6 @@ class MulticastSimulator:
         """Install forwarding tables for ``message`` and start injection."""
         for node in tree.nodes():
             registry.lookup(node).forwarding[message.msg_id] = tree.children(node)
-        self._install_extras(registry, tree, message)
         source_ni = registry.lookup(tree.root)
         env.process(
             source_ni.inject_multicast(tree, message),
@@ -335,7 +345,7 @@ class MulticastSimulator:
         GLOBAL_METRICS.set_gauges("sim", self.last_gauges)
 
     def _collect(
-        self, registry: NICRegistry, pool: ChannelPool, message: Message, trace: Trace
+        self, registry: NICRegistry, pool: ChannelPool, message: Message
     ) -> MulticastResult:
         packet_completion = [0.0] * message.num_packets
         destination_completion: Dict[Node, float] = {}
@@ -355,7 +365,6 @@ class MulticastSimulator:
 
         completion = max(packet_completion)
         peak_buffers = {ni.host: ni.forward_buffer.peak for ni in registry}
-        self.last_trace = trace if self.collect_trace else None
         return MulticastResult(
             latency=completion + self.params.t_r,
             completion_time=completion,

@@ -172,8 +172,9 @@ class ChurnSimulator(MulticastSimulator):
             self._gates[ni.host] = gate
         env.process(self._driver(env), name="churn-driver")
 
-    def _install_extras(self, registry, tree, message: Message) -> None:
+    def _start_multicast(self, env, registry, tree, message: Message) -> None:
         self._content_ids.add(message.msg_id)
+        super()._start_multicast(env, registry, tree, message)
 
     def _on_delivery(self, ni, packet: Packet) -> None:
         if packet.message.msg_id not in self._content_ids:
@@ -217,7 +218,7 @@ class ChurnSimulator(MulticastSimulator):
         self._repair_messages: List[Tuple[float, Message]] = []
 
         strict = not self.schedule
-        env, trace, pool, registry, messages = self._execute(
+        env, tracer, pool, registry, messages = self._execute(
             [(tree, m)], time_limit=time_limit, strict=strict
         )
         return self._collect_churn(registry, messages[0])

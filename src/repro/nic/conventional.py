@@ -39,8 +39,10 @@ class ConventionalInterface(NetworkInterface):
         msg = packet.message
         arrived = self._host_memory.setdefault(msg.msg_id, [])
         arrived.append(packet)
-        if self.trace.enabled:
-            self.trace.log("host_recv", host=self.host, msg=msg.msg_id, pkt=packet.index)
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "host recv", self.obs_track, cat="ni", args={"msg": msg.msg_id, "pkt": packet.index}
+            )
         children = self.forwarding.get(msg.msg_id, ())
         if children and len(arrived) == msg.num_packets:
             self.env.process(
@@ -59,8 +61,6 @@ class ConventionalInterface(NetworkInterface):
             yield Timeout(self.env, self.params.t_s)
             for packet in packets:
                 yield Timeout(self.env, self.params.t_dma)
-                if self.trace.enabled:
-                    self._log_forward(packet, (child,))
                 self.send_queue.put_nowait(SendJob(packet, child))
         if self.tracer.enabled:
             self.tracer.complete(
@@ -77,10 +77,6 @@ class ConventionalInterface(NetworkInterface):
         if tree.root != self.host:
             raise ValueError(f"{self.host!r} is not the root of the tree")
         start = self.env.now if self.tracer.enabled else 0.0
-        if self.trace.enabled:
-            self.trace.log(
-                "inject", host=self.host, msg=message.msg_id, m=message.num_packets
-            )
         packets = packetize(message)
         for child in tree.children(self.host):
             yield Timeout(self.env, self.params.t_s)

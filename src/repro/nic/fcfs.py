@@ -40,8 +40,7 @@ class FCFSInterface(NetworkInterface):
         buffered = self._buffered.setdefault(msg.msg_id, [])
         buffered.append(packet)
         self.forward_buffer.change(+1)
-        if self.trace.enabled or self.tracer.enabled:
-            self._log_forward(packet, children)
+        if self.tracer.enabled:
             self._log_buffer_level()
         self._track_release(packet, copies=len(children))
         # Cut-through to the first child as each packet arrives.
@@ -67,7 +66,7 @@ class FCFSInterface(NetworkInterface):
             if self._copies_left[key] == 0:
                 self.forward_buffer.change(-1)
                 del self._copies_left[key]
-                if self.trace.enabled or self.tracer.enabled:
+                if self.tracer.enabled:
                     self._log_buffer_level()
 
         return on_sent
@@ -81,10 +80,6 @@ class FCFSInterface(NetworkInterface):
         if tree.root != self.host:
             raise ValueError(f"{self.host!r} is not the root of the tree")
         start = self.env.now if self.tracer.enabled else 0.0
-        if self.trace.enabled:
-            self.trace.log(
-                "inject", host=self.host, msg=message.msg_id, m=message.num_packets
-            )
         yield Timeout(self.env, self.params.t_s)
         children = tree.children(self.host)
         packets = packetize(message)
@@ -92,8 +87,7 @@ class FCFSInterface(NetworkInterface):
             for packet in packets:
                 self._track_release(packet, copies=len(children))
                 self.forward_buffer.change(+1)
-                if self.trace.enabled or self.tracer.enabled:
-                    self._log_forward(packet, children)
+                if self.tracer.enabled:
                     self._log_buffer_level()
             for child in children:
                 for packet in packets:

@@ -37,10 +37,6 @@ class FPFSInterface(NetworkInterface):
         if tree.root != self.host:
             raise ValueError(f"{self.host!r} is not the root of the tree")
         start = self.env.now if self.tracer.enabled else 0.0
-        if self.trace.enabled:
-            self.trace.log(
-                "inject", host=self.host, msg=message.msg_id, m=message.num_packets
-            )
         # Host software start-up: one t_s to move the message to NI memory.
         yield Timeout(self.env, self.params.t_s)
         children = tree.children(self.host)

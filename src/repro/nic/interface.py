@@ -9,9 +9,15 @@ loops model its behaviour:
   Back-to-back sends therefore serialize on the NI, which is what makes
   a node's fan-out the pipeline bottleneck in §4.1's model;
 * the **receive engine** drains the receive queue: ``t_nr`` of
-  coprocessor overhead per packet, then hands the packet to the
-  forwarding discipline hook :meth:`on_packet` (conventional / FCFS /
-  FPFS subclasses) and records delivery.
+  coprocessor overhead per packet, then one receive step
+  (:meth:`_receive`) that records the delivery and hands the packet to
+  the forwarding discipline hook :meth:`on_packet` (conventional /
+  FCFS / FPFS / reliable subclasses).
+
+These are the only two loops: every discipline, the reliable NI
+included, customizes the hooks, never the loops.  Packet events go to
+one :class:`repro.obs.Tracer` as spans (``send``/``recv``), instants
+(``deliver``) and buffer counters, behind one ``tracer.enabled`` test.
 
 Forwarding buffer occupancy (packets the coprocessor must hold for
 replication, §2.5) is tracked in a :class:`~repro.sim.monitor.LevelMonitor`
@@ -25,23 +31,14 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..network.links import ChannelPool
 from ..network.topology import Node
-from ..network.wormhole import transmit
+from ..network.wormhole import transmit, transmit_windowed
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..params import SystemParams
-from ..sim import Environment, LevelMonitor, Store, Timeout, Trace
+from ..sim import Environment, LevelMonitor, Store, Timeout
 from .packets import Packet
 
 #: Available channel-occupancy models for the send engine.
-TRANSMITTERS = {"path": transmit}
-
-
-def _windowed(env, pool, route, params):  # lazy import avoids cycle churn
-    from ..network.wormhole import transmit_windowed
-
-    return transmit_windowed(env, pool, route, params)
-
-
-TRANSMITTERS["worm"] = _windowed
+TRANSMITTERS = {"path": transmit, "worm": transmit_windowed}
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.trees import MulticastTree
@@ -89,7 +86,7 @@ class NetworkInterface:
 
     Parameters
     ----------
-    env, registry, pool, params, trace:
+    env, registry, pool, params:
         Shared simulation state.
     host:
         The host node this NI serves.
@@ -105,7 +102,6 @@ class NetworkInterface:
         registry: NICRegistry,
         pool: ChannelPool,
         params: SystemParams,
-        trace: Optional[Trace] = None,
         send_queue_cls: type = Store,
         ports: int = 1,
         channel_model: str = "path",
@@ -125,7 +121,6 @@ class NetworkInterface:
         self.pool = pool
         self.params = params
         self.ports = ports
-        self.trace = trace if trace is not None else Trace(env, enabled=False)
         #: Span sink (repro.obs); the shared disabled singleton when
         #: tracing is off, so hot paths test one attribute.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -173,14 +168,6 @@ class NetworkInterface:
             delivered = True
             if self.fault_gate is not None:
                 delivered = not (yield from self.fault_gate.link_gate(route, job))
-            if self.trace.enabled:
-                self.trace.log(
-                    "ni_send",
-                    src=self.host,
-                    dst=job.destination,
-                    msg=job.packet.message.msg_id,
-                    pkt=job.packet.index,
-                )
             if self.tracer.enabled:
                 self.tracer.complete(
                     "send",
@@ -189,9 +176,10 @@ class NetworkInterface:
                     self.env.now,
                     cat="ni",
                     args={
+                        "src": str(self.host),
                         "dst": str(job.destination),
-                        "msg": job.packet.message.msg_id,
-                        "pkt": job.packet.index,
+                        "msg": job.packet.msg_id,
+                        "pkt": getattr(job.packet, "index", None),
                     },
                 )
             if job.on_sent is not None:
@@ -201,37 +189,29 @@ class NetworkInterface:
 
     def _recv_engine(self):
         while True:
-            packet: Packet = yield self.recv_queue.get()
-            if self.fault_gate is not None and (yield from self.fault_gate.recv_gate(packet)):
+            payload = yield self.recv_queue.get()
+            if self.fault_gate is not None and (yield from self.fault_gate.recv_gate(payload)):
                 continue
             start = self.env.now if self.tracer.enabled else 0.0
             yield Timeout(self.env, self.params.t_nr)
-            key = (packet.message.msg_id, packet.index)
-            if key in self.received_at:
-                raise RuntimeError(f"duplicate delivery of {packet!r} at {self.host!r}")
-            self.received_at[key] = self.env.now
-            if self.delivery_listener is not None:
-                self.delivery_listener(self, packet)
-            if self.trace.enabled:
-                self.trace.log(
-                    "ni_recv", host=self.host, msg=packet.message.msg_id, pkt=packet.index
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "recv",
-                    self.obs_track,
-                    start,
-                    self.env.now,
-                    cat="ni",
-                    args={"msg": packet.message.msg_id, "pkt": packet.index},
-                )
-                self.tracer.instant(
-                    "deliver",
-                    self.obs_track,
-                    cat="ni",
-                    args={"msg": packet.message.msg_id, "pkt": packet.index},
-                )
-            self.on_packet(packet)
+            self._receive(payload, start)
+
+    def _receive(self, packet: Packet, start: float) -> None:
+        """Record the delivery (a second one is a forwarding bug), then forward.
+
+        ``start`` is when ``t_nr`` began; the reliable NI overrides this step.
+        """
+        key = (packet.message.msg_id, packet.index)
+        if key in self.received_at:
+            raise RuntimeError(f"duplicate delivery of {packet!r} at {self.host!r}")
+        self.received_at[key] = self.env.now
+        if self.delivery_listener is not None:
+            self.delivery_listener(self, packet)
+        if self.tracer.enabled:
+            args = {"msg": packet.message.msg_id, "pkt": packet.index}
+            self.tracer.complete("recv", self.obs_track, start, self.env.now, cat="ni", args=args)
+            self.tracer.instant("deliver", self.obs_track, cat="ni", args=dict(args))
+        self.on_packet(packet)
 
     # -- discipline hooks -----------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
@@ -248,37 +228,16 @@ class NetworkInterface:
         raise NotImplementedError
 
     # -- helpers -------------------------------------------------------------
-    def _log_forward(self, packet: Packet, children: tuple) -> None:
-        """Unified forwarding vocabulary: one ``ni_forward`` per fan-out.
-
-        Every discipline (FCFS, FPFS, conventional, reliable) announces
-        "this packet's copies are now queued for these children" through
-        the same record, so buffer/timeline claims compare like for
-        like.  Callers guard on ``trace.enabled``/``tracer.enabled``.
-        """
-        self.trace.log(
-            "ni_forward",
-            host=self.host,
-            msg=packet.message.msg_id,
-            pkt=packet.index,
-            children=len(children),
-        )
-
     def _log_buffer_level(self) -> None:
-        """Unified ``ni_buffer`` sample of the forwarding-buffer level."""
-        self.trace.log("ni_buffer", host=self.host, level=self.forward_buffer.level)
-        if self.tracer.enabled:
-            self.tracer.counter(
-                f"buffer {self.host}", self.obs_track, self.forward_buffer.level
-            )
+        """One ``buffer <host>`` counter sample (callers test ``tracer.enabled``)."""
+        self.tracer.counter(f"buffer {self.host}", self.obs_track, self.forward_buffer.level)
 
     def _enqueue_copies(self, packet: Packet, children: tuple) -> None:
         """Queue one send per child, holding the buffer until the last copy."""
         if not children:
             return
         self.forward_buffer.change(+1)
-        if self.trace.enabled or self.tracer.enabled:
-            self._log_forward(packet, children)
+        if self.tracer.enabled:
             self._log_buffer_level()
         remaining = len(children)
 
@@ -287,7 +246,7 @@ class NetworkInterface:
             remaining -= 1
             if remaining == 0:
                 self.forward_buffer.change(-1)
-                if self.trace.enabled or self.tracer.enabled:
+                if self.tracer.enabled:
                     self._log_buffer_level()
 
         for child in children:

@@ -71,6 +71,11 @@ class Packet:
             )
 
     @property
+    def msg_id(self) -> int:
+        """The message id in this packet's header (as on a NACK)."""
+        return self.message.msg_id
+
+    @property
     def is_last(self) -> bool:
         return self.index == self.message.num_packets - 1
 

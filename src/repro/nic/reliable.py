@@ -8,17 +8,23 @@ multicast packets for replication, **recovery is parent-local** — a
 lost packet is retransmitted by the child's parent NI from its
 forwarding buffer, never by the source host.
 
+The reliable NI is the FPFS NI plus recovery; it runs the base NI's
+one send loop and one receive loop (:mod:`repro.nic.interface`).
+
 Mechanism (receiver-driven, NACK-based):
 
-* :class:`LossyChannelPool` drops each delivered packet with
-  probability ``loss_rate`` (seeded; control packets — NACKs — are
-  never dropped, standard for tiny control traffic).
+* Loss is a link fault: :class:`LossGate` sits in the NI's
+  ``fault_gate`` slot and its ``link_gate`` makes the
+  :class:`LossyChannelPool`'s one loss draw per transmission (seeded;
+  control packets — NACKs — are never dropped, standard for tiny
+  control traffic).
 * Every NI retains the packets of a message in a retransmission buffer
   keyed by ``(msg_id, index)`` while any child may still need them.
 * A receiver detects a *gap* (packet ``j`` arrives while ``i < j`` is
   missing) and NACKs its parent for the missing indices; because
   wormhole routes are fixed, per-message arrivals are otherwise
-  in-order.
+  in-order.  The parent is the NI whose forwarding table lists this
+  host for the message — the tables the simulator installs anyway.
 * Tail losses (the last packets of a message) produce no gap, so each
   receiver arms a quiet-period timer after every arrival; if the
   message is incomplete when the timer fires, it NACKs all missing
@@ -41,9 +47,9 @@ from ..network.topology import Node
 from ..sim import Environment, Timeout
 from .fpfs import FPFSInterface
 from .interface import SendJob
-from .packets import Message, Packet
+from .packets import Message, Packet, packetize
 
-__all__ = ["LossyChannelPool", "Nack", "ReliableFPFSInterface"]
+__all__ = ["LossGate", "LossyChannelPool", "Nack", "ReliableFPFSInterface"]
 
 
 class LossyChannelPool(ChannelPool):
@@ -72,6 +78,26 @@ class LossyChannelPool(ChannelPool):
         return False
 
 
+class LossGate:
+    """``fault_gate`` of a lossy fabric (the ``NIFaultGate`` contract):
+    one loss draw per transmission, never a stall."""
+
+    def __init__(self, pool: LossyChannelPool) -> None:
+        self.pool = pool
+
+    def send_gate(self, payload):
+        """Never drops, never stalls."""
+        yield from ()
+        return False
+
+    recv_gate = send_gate
+
+    def link_gate(self, route, job):
+        """The pool's loss draw for this transmission."""
+        yield from ()
+        return self.pool.should_drop(job.packet)
+
+
 @dataclass(frozen=True)
 class Nack:
     """Control packet: 'resend these indices of message msg_id to me'."""
@@ -84,7 +110,7 @@ class Nack:
 class ReliableFPFSInterface(FPFSInterface):
     """FPFS NI with NACK-based parent-local loss recovery.
 
-    Use with a :class:`LossyChannelPool`; with an ordinary pool it
+    Run it behind a :class:`LossGate`; on a loss-free fabric it
     degenerates to plain FPFS (plus idle timers).
     """
 
@@ -95,101 +121,30 @@ class ReliableFPFSInterface(FPFSInterface):
         super().__init__(*args, **kwargs)
         # Retransmission store: everything this NI has seen or injected.
         self._retain: Dict[Tuple[int, int], Packet] = {}
-        # Expected message lengths (from the first packet's header).
-        self._expected: Dict[int, Message] = {}
         # Timer generation per message: bumping it cancels older timers.
         self._timer_generation: Dict[int, int] = {}
         self._nacked_once: Set[Tuple[int, int]] = set()
 
-    # -- send path ------------------------------------------------------------
-    def _send_engine(self):
-        """As the base engine, but applies the pool's loss draw."""
-        while True:
-            job: SendJob = yield self.send_queue.get()
-            if self.fault_gate is not None and (yield from self.fault_gate.send_gate(job)):
-                continue
-            start = self.env.now if self.tracer.enabled else 0.0
-            yield Timeout(self.env, self.params.t_ns)
-            route = self.router.route(self.host, job.destination)
-            yield from self._transmit(self.env, self.pool, route, self.params)
-            delivered = True
-            if self.fault_gate is not None:
-                delivered = not (yield from self.fault_gate.link_gate(route, job))
-            if self.trace.enabled:
-                self.trace.log(
-                    "ni_send",
-                    src=self.host,
-                    dst=job.destination,
-                    msg=getattr(job.packet, "message", None) and job.packet.message.msg_id,
-                    pkt=getattr(job.packet, "index", None),
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "send",
-                    self.obs_track,
-                    start,
-                    self.env.now,
-                    cat="ni",
-                    args={
-                        "dst": str(job.destination),
-                        "pkt": getattr(job.packet, "index", None),
-                    },
-                )
-            if job.on_sent is not None:
-                job.on_sent()
-            dropped = isinstance(self.pool, LossyChannelPool) and self.pool.should_drop(
-                job.packet
-            )
-            if delivered and not dropped:
-                self.registry.lookup(job.destination).recv_queue.put_nowait(job.packet)
+    # -- hooks of the base engines -------------------------------------------
+    def _receive(self, payload, start: float) -> None:
+        """Answer NACKs and absorb retransmission duplicates; else deliver."""
+        if isinstance(payload, Nack):
+            self._handle_nack(payload)
+        elif (payload.message.msg_id, payload.index) not in self.received_at:
+            super()._receive(payload, start)
 
-    # -- receive path ------------------------------------------------------------
-    def _recv_engine(self):
-        while True:
-            payload = yield self.recv_queue.get()
-            if self.fault_gate is not None and (yield from self.fault_gate.recv_gate(payload)):
-                continue
-            start = self.env.now if self.tracer.enabled else 0.0
-            yield Timeout(self.env, self.params.t_nr)
-            if isinstance(payload, Nack):
-                self._handle_nack(payload)
-                continue
-            packet: Packet = payload
-            key = (packet.message.msg_id, packet.index)
-            if key in self.received_at:
-                # Duplicate from a retransmission race: drop silently.
-                continue
-            self.received_at[key] = self.env.now
-            if self.delivery_listener is not None:
-                self.delivery_listener(self, packet)
-            if self.trace.enabled:
-                self.trace.log(
-                    "ni_recv", host=self.host, msg=packet.message.msg_id, pkt=packet.index
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "recv",
-                    self.obs_track,
-                    start,
-                    self.env.now,
-                    cat="ni",
-                    args={"msg": packet.message.msg_id, "pkt": packet.index},
-                )
-            self._retain[key] = packet
-            self._expected.setdefault(packet.message.msg_id, packet.message)
-            self._check_gap(packet)
-            self._arm_timer(packet.message)
-            self.on_packet(packet)
+    def on_packet(self, packet: Packet) -> None:
+        """Retain, look for a gap and re-arm the tail timer, then forward."""
+        self._retain[(packet.message.msg_id, packet.index)] = packet
+        self._check_gap(packet)
+        self._arm_timer(packet.message)
+        super().on_packet(packet)
 
     def inject_multicast(self, tree, message: Message):
         """Source side: also populate the retransmission store."""
-        from .packets import packetize
-
         for packet in packetize(message):
             self._retain[(message.msg_id, packet.index)] = packet
-        self._expected[message.msg_id] = message
-        result = yield from super().inject_multicast(tree, message)
-        return result
+        return (yield from super().inject_multicast(tree, message))
 
     # -- loss recovery ------------------------------------------------------------
     def _missing_indices(self, message: Message, below: int) -> Tuple[int, ...]:
@@ -200,21 +155,11 @@ class ReliableFPFSInterface(FPFSInterface):
         )
 
     def _parent_of(self, msg_id: int) -> Node:
-        """The node that forwards this message to us (tree parent)."""
-        ni_parent = self._tree_parents.get(msg_id)
-        if ni_parent is None:
-            raise RuntimeError(f"no parent registered for message {msg_id} at {self.host!r}")
-        return ni_parent
-
-    @property
-    def _tree_parents(self) -> Dict[int, Node]:
-        if not hasattr(self, "_tree_parents_store"):
-            self._tree_parents_store: Dict[int, Node] = {}
-        return self._tree_parents_store
-
-    def register_parent(self, msg_id: int, parent: Node) -> None:
-        """Installed by the reliable simulator alongside ``forwarding``."""
-        self._tree_parents[msg_id] = parent
+        """The host whose forwarding table sends ``msg_id`` to this NI."""
+        for ni in self.registry:
+            if self.host in ni.forwarding.get(msg_id, ()):
+                return ni.host
+        raise RuntimeError(f"no NI forwards message {msg_id} to {self.host!r}")
 
     def _check_gap(self, packet: Packet) -> None:
         missing = self._missing_indices(packet.message, packet.index)
@@ -248,25 +193,19 @@ class ReliableFPFSInterface(FPFSInterface):
 
     def _send_nack(self, msg_id: int, indices: Tuple[int, ...]) -> None:
         parent = self._parent_of(msg_id)
-        if self.trace.enabled:
-            self.trace.log("nack", host=self.host, msg=msg_id, indices=indices)
         if self.tracer.enabled:
             self.tracer.instant(
-                "nack", self.obs_track, cat="ni", args={"msg": msg_id, "n": len(indices)}
+                "nack", self.obs_track, cat="ni", args={"msg": msg_id, "indices": indices}
             )
         self.send_queue.put_nowait(SendJob(Nack(msg_id, indices, self.host), parent))
 
     def _handle_nack(self, nack: Nack) -> None:
-        if self.trace.enabled:
-            self.trace.log(
-                "retransmit", host=self.host, msg=nack.msg_id, indices=nack.indices
-            )
         if self.tracer.enabled:
             self.tracer.instant(
                 "retransmit",
                 self.obs_track,
                 cat="ni",
-                args={"msg": nack.msg_id, "n": len(nack.indices)},
+                args={"msg": nack.msg_id, "indices": nack.indices},
             )
         for index in nack.indices:
             packet = self._retain.get((nack.msg_id, index))

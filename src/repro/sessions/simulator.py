@@ -127,16 +127,7 @@ class SessionSimulator(MulticastSimulator):
     def _solo_simulator(self) -> MulticastSimulator:
         """The isolated-baseline oracle: same fabric config, idle, no faults."""
         if self._solo is None:
-            self._solo = MulticastSimulator(
-                self.topology,
-                self.router,
-                params=self.params,
-                ni_class=self.ni_class,
-                host_speed=self.host_speed,
-                send_policy=self.send_policy,
-                ni_ports=self.ni_ports,
-                channel_model=self.channel_model,
-            )
+            self._solo = self.plain_copy()
         return self._solo
 
     # -- the run --------------------------------------------------------------
@@ -185,7 +176,7 @@ class SessionSimulator(MulticastSimulator):
                     plan.tree, plan.session.num_packets
                 ).latency
 
-        env, trace, pool, registry = self._build_network()
+        env, tracer, pool, registry = self._build_network()
         messages: Dict[int, Message] = {}
 
         def start(plan: SessionPlan) -> Message:
@@ -215,12 +206,10 @@ class SessionSimulator(MulticastSimulator):
             )
         self._drain(env, time_limit=time_limit, strict=True)
 
-        self.last_trace = trace if self.collect_trace else None
         self.last_registry = registry
         self.last_arbiter = arbiter
         self._publish_gauges(registry)
 
-        tracer = self.tracer
         emit_spans = tracer is not None and tracer.enabled
         results = []
         for plan in plans:
@@ -231,7 +220,7 @@ class SessionSimulator(MulticastSimulator):
                 raise RuntimeError(
                     f"session {sid} never completed — scheduler or fabric bug"
                 )
-            mres = self._collect(registry, pool, message, trace)
+            mres = self._collect(registry, pool, message)
             admitted = arbiter.admitted_at[sid]
             latency = mres.completion_time - session.arrival_time + self.params.t_r
             results.append(

@@ -9,7 +9,7 @@ Public surface::
     env.all_of / env.any_of    # condition events
     Resource / PriorityResource
     Store / FilterStore
-    Trace / LevelMonitor
+    LevelMonitor
 
 The kernel is deterministic: same inputs, same event ordering, always.
 """
@@ -23,7 +23,7 @@ from .errors import (
     StopSimulation,
 )
 from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .monitor import LevelMonitor, Trace, TraceRecord
+from .monitor import LevelMonitor
 from .process import Process
 from .resources import PriorityResource, Request, Resource
 from .store import FilterStore, Store, StoreFull, StoreGet, StorePut
@@ -50,6 +50,4 @@ __all__ = [
     "StoreGet",
     "StorePut",
     "Timeout",
-    "Trace",
-    "TraceRecord",
 ]

@@ -1,88 +1,20 @@
-"""Lightweight tracing and time-series statistics for simulations.
+"""Time-series statistics for simulations.
 
-Two tools:
-
-* :class:`Trace` — an append-only log of ``(time, category, **fields)``
-  records.  The multicast simulator emits packet send/receive/forward
-  records through a Trace so tests and benchmarks can reconstruct full
-  packet timelines.  Records are indexed by category on insertion, so
-  ``select``/``count``/``last_time`` touch only the queried category
-  instead of scanning the whole log (the differential tests query per
-  packet, which used to make them quadratic in total records).
-* :class:`LevelMonitor` — tracks a piecewise-constant integer level over
-  time (e.g. NI buffer occupancy) and reports its maximum and
-  time-weighted average.  This is how the FCFS-vs-FPFS buffer claim
-  (paper §3.3.2) is measured rather than merely asserted.
-
-Emission sites should guard on :attr:`Trace.enabled` before building
-keyword arguments — ``log`` re-checks, but the call-site guard is what
-keeps a disabled trace free on the simulator's hot path.
+:class:`LevelMonitor` tracks a piecewise-constant integer level over
+time (e.g. NI buffer occupancy) and reports its maximum and
+time-weighted average.  This is how the FCFS-vs-FPFS buffer claim
+(paper §3.3.2) is measured rather than merely asserted.  Packet-level
+event records are :class:`repro.obs.Tracer` spans, emitted by the NI
+engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """A single trace entry."""
-
-    time: float
-    category: str
-    fields: dict
-
-    def __getitem__(self, key: str) -> object:
-        return self.fields[key]
-
-
-class Trace:
-    """Append-only event log keyed by category."""
-
-    def __init__(self, env: "Environment", enabled: bool = True) -> None:
-        self.env = env
-        self.enabled = enabled
-        self.records: list[TraceRecord] = []
-        self._by_category: Dict[str, List[TraceRecord]] = {}
-
-    def log(self, category: str, **fields: object) -> None:
-        """Record ``fields`` under ``category`` at the current time."""
-        if self.enabled:
-            record = TraceRecord(self.env.now, category, fields)
-            self.records.append(record)
-            bucket = self._by_category.get(category)
-            if bucket is None:
-                bucket = self._by_category[category] = []
-            bucket.append(record)
-
-    def select(self, category: str, **match: object) -> Iterator[TraceRecord]:
-        """Iterate records of ``category`` whose fields equal ``match``."""
-        for record in self._by_category.get(category, ()):
-            if all(record.fields.get(k) == v for k, v in match.items()):
-                yield record
-
-    def count(self, category: str, **match: object) -> int:
-        return sum(1 for _ in self.select(category, **match))
-
-    def last_time(self, category: str, **match: object) -> Optional[float]:
-        """Time of the latest matching record, or None.
-
-        Records within a category are in non-decreasing time order (the
-        simulation clock never runs backwards), so this walks the
-        category bucket from the end and stops at the first match.
-        """
-        for record in reversed(self._by_category.get(category, ())):
-            if all(record.fields.get(k) == v for k, v in match.items()):
-                return record.time
-        return None
-
-    def clear(self) -> None:
-        self.records.clear()
-        self._by_category.clear()
 
 
 @dataclass

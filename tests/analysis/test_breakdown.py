@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis import run_breakdown
 from repro.core import build_binomial_tree, build_kbinomial_tree
-from repro.mcast import MulticastSimulator, chain_for
+from repro.mcast import MulticastSimulator, cco_ordering, chain_for
+from repro.network import UpDownRouter, build_irregular_network
 
 
 @pytest.fixture(scope="module")
@@ -68,5 +69,37 @@ def test_caller_simulator_unchanged(setup):
     sim, chain = setup
     tree = build_kbinomial_tree(chain, 2)
     run_breakdown(sim, tree, 2)
-    assert sim.collect_trace is False
-    assert sim.last_trace is None
+    assert sim.tracer is None
+    assert sim.last_registry is None
+
+
+@pytest.fixture(scope="module")
+def seed0():
+    topology = build_irregular_network(seed=0)
+    router = UpDownRouter(topology)
+    return topology, router, cco_ordering(topology, router)
+
+
+def test_worm_model_breakdown_reports_the_worm_latency(seed0):
+    # The traced re-run keeps the caller's channel model: the path
+    # model would read 240.99 µs here.
+    topology, router, ordering = seed0
+    sim = MulticastSimulator(topology, router, channel_model="worm")
+    tree = build_kbinomial_tree(chain_for(ordering[0], list(ordering[1:32]), ordering), 3)
+    own = sim.run(tree, 16).latency
+    assert run_breakdown(sim, tree, 16).result.latency == own == pytest.approx(248.65)
+
+
+def test_slow_hosts_charge_their_own_ni_overheads(seed0):
+    # Half the chain (the source included) runs its NI at 3x: each
+    # send costs its sender's t_ns and each receive its receiver's t_nr.
+    topology, router, ordering = seed0
+    chain = chain_for(ordering[0], list(ordering[1:16]), ordering)
+    tree = build_kbinomial_tree(chain, 2)
+    speed = {h: 3.0 for h in chain[::2]}
+    sim = MulticastSimulator(topology, router, host_speed=speed)
+    b = run_breakdown(sim, tree, 8)
+    t_ns, t_nr = sim.params.t_ns, sim.params.t_nr
+    assert b.injection == pytest.approx(8 * sum(t_ns * speed.get(u, 1.0) for u, _ in tree.edges()))
+    assert b.receive == pytest.approx(8 * sum(t_nr * speed.get(v, 1.0) for _, v in tree.edges()))
+    assert (b.injection, b.receive) == pytest.approx((792.0, 464.0))

@@ -11,8 +11,9 @@ from repro.faults import (
     FaultyMulticastSimulator,
     worst_case_root_child,
 )
-from repro.mcast import MulticastSimulator
-from repro.network import host
+from repro.mcast import MulticastSimulator, cco_ordering, chain_for
+from repro.network import UpDownRouter, build_irregular_network, host
+from repro.nic import FPFSInterface, ReliableFPFSInterface
 
 #: Strike time (µs): past fast_params' t_s=10 source hand-off, so the
 #: message is mid-flight when the fault lands.
@@ -198,3 +199,40 @@ class TestDeterminism:
         assert len(applied) == 1
         when, event = applied[0]
         assert when == AT and event.kind == "node_crash"
+
+
+class TestReliableNI:
+    """The reliable NI runs the same schedules: its NACKs find their
+    parent in the forwarding tables every simulator installs."""
+
+    @pytest.fixture(scope="class")
+    def seed0(self):
+        topology = build_irregular_network(seed=0)
+        router = UpDownRouter(topology)
+        ordering = cco_ordering(topology, router)
+        tree = build_kbinomial_tree(chain_for(ordering[0], list(ordering[1:32]), ordering), 2)
+        return topology, router, tree, tree.children(tree.root)[0]
+
+    def test_stall_delays_but_completes(self, seed0):
+        topology, router, tree, child = seed0
+        schedule = FaultSchedule([FaultEvent(20.0, "ni_stall", child, duration=100.0)])
+        latency = {
+            cls: FaultyMulticastSimulator(topology, router, schedule=schedule, ni_class=cls)
+            .run(tree, 8)
+            .latency
+            for cls in (FPFSInterface, ReliableFPFSInterface)
+        }
+        assert latency[FPFSInterface] == pytest.approx(215.5)
+        assert latency[ReliableFPFSInterface] == pytest.approx(248.3)
+
+    def test_crash_degrades_like_fpfs(self, seed0):
+        topology, router, tree, child = seed0
+        schedule = FaultSchedule([FaultEvent(20.0, "node_crash", child)])
+        results = [
+            FaultyMulticastSimulator(topology, router, schedule=schedule, ni_class=cls)
+            .run_degraded(tree, 8, time_limit=5000.0)
+            for cls in (FPFSInterface, ReliableFPFSInterface)
+        ]
+        for result in results:
+            assert (result.packets_delivered, result.packets_expected) == (101, 248)
+        assert results[0].delivered == results[1].delivered

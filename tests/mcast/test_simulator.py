@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.mcast import MulticastSimulator, chain_for
 from repro.network import host
+from repro.obs import Tracer
 from repro.params import SystemParams
 
 
@@ -59,27 +60,25 @@ class TestBasics:
         tree = build_linear_tree(chain)
         quiet = MulticastSimulator(small_topology, small_router, params=fast_params)
         quiet.run(tree, 2)
-        assert quiet.last_trace is None
-        loud = MulticastSimulator(
-            small_topology, small_router, params=fast_params, collect_trace=True
-        )
+        assert quiet.tracer is None
+        tracer = Tracer()
+        loud = MulticastSimulator(small_topology, small_router, params=fast_params, tracer=tracer)
         loud.run(tree, 2)
-        assert loud.last_trace is not None
-        assert loud.last_trace.count("ni_send") > 0
+        assert any(e.name == "send" for e in tracer.events)
 
     def test_send_count_matches_tree_edges_times_packets(
         self, small_topology, small_router, fast_params
     ):
         chain = small_chain(small_topology, 7)
         tree = build_kbinomial_tree(chain, 3)
-        sim = MulticastSimulator(
-            small_topology, small_router, params=fast_params, collect_trace=True
-        )
+        tracer = Tracer()
+        sim = MulticastSimulator(small_topology, small_router, params=fast_params, tracer=tracer)
         m = 3
         sim.run(tree, m)
         n_edges = sum(1 for _ in tree.edges())
-        assert sim.last_trace.count("ni_send") == n_edges * m
-        assert sim.last_trace.count("ni_recv") == n_edges * m
+        names = [e.name for e in tracer.events]
+        assert names.count("send") == n_edges * m
+        assert names.count("recv") == n_edges * m
 
 
 class TestAgainstStepModel:

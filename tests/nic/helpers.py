@@ -29,3 +29,18 @@ def star(n_hosts: int):
     for i in range(n_hosts):
         topo.add_host(i, switch(0))
     return topo, UpDownRouter(topo)
+
+
+def ni_events(tracer, name: str):
+    """``(host, event)`` for every ``name`` event an NI recorded on ``tracer``.
+
+    Each NI records on its own track, named ``NI <host>`` once by
+    :meth:`repro.obs.Tracer.track`; ``host`` is that label (``str`` of
+    the host node).
+    """
+    hosts = {
+        (e.pid, e.tid): e.args["name"][len("NI "):]
+        for e in tracer.events
+        if e.ph == "M" and e.name == "thread_name" and e.args["name"].startswith("NI ")
+    }
+    return [(hosts[e.pid, e.tid], e) for e in tracer.events if e.name == name]

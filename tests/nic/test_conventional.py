@@ -8,13 +8,14 @@ from repro.core import MulticastTree, build_binomial_tree, build_linear_tree
 from repro.mcast import MulticastSimulator
 from repro.network import host
 from repro.nic import ConventionalInterface, FPFSInterface
+from repro.obs import Tracer
 
-from .helpers import FAST, star
+from .helpers import FAST, ni_events, star
 
 
-def run(tree, m, n_hosts=8, ni=ConventionalInterface, collect_trace=False):
+def run(tree, m, n_hosts=8, ni=ConventionalInterface, tracer=None):
     topo, router = star(n_hosts)
-    sim = MulticastSimulator(topo, router, params=FAST, ni_class=ni, collect_trace=collect_trace)
+    sim = MulticastSimulator(topo, router, params=FAST, ni_class=ni, tracer=tracer)
     return sim.run(tree, m), sim
 
 
@@ -66,8 +67,10 @@ def test_store_and_forward_blocks_on_whole_message():
 
 def test_host_recv_trace_present():
     tree = build_linear_tree([host(0), host(1)])
-    _, sim = run(tree, 2, collect_trace=True)
-    assert sim.last_trace.count("host_recv", host=host(1)) == 2
+    tracer = Tracer()
+    run(tree, 2, tracer=tracer)
+    received = [(h, e.args["pkt"]) for h, e in ni_events(tracer, "host recv")]
+    assert received == [(str(host(1)), 0), (str(host(1)), 1)]
 
 
 def test_smart_ni_beats_conventional_on_binomial_multicast():

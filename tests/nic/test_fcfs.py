@@ -8,13 +8,14 @@ from repro.core import MulticastTree, build_linear_tree
 from repro.mcast import MulticastSimulator
 from repro.network import host
 from repro.nic import FCFSInterface, FPFSInterface
+from repro.obs import Tracer
 
-from .helpers import FAST, star
+from .helpers import FAST, ni_events, star
 
 
-def run(tree, m, n_hosts=8, ni=FCFSInterface, collect_trace=False):
+def run(tree, m, n_hosts=8, ni=FCFSInterface, tracer=None):
     topo, router = star(n_hosts)
-    sim = MulticastSimulator(topo, router, params=FAST, ni_class=ni, collect_trace=collect_trace)
+    sim = MulticastSimulator(topo, router, params=FAST, ni_class=ni, tracer=tracer)
     return sim.run(tree, m), sim
 
 
@@ -32,11 +33,15 @@ def test_all_destinations_receive_all_packets():
 
 
 def test_source_sends_child_major_order():
-    result, sim = run(two_children_tree(), 2, collect_trace=True)
+    tracer = Tracer()
+    run(two_children_tree(), 2, tracer=tracer)
     sends = [
-        (r["pkt"], r["dst"]) for r in sim.last_trace.select("ni_send", src=host(0))
+        (e.args["pkt"], e.args["dst"])
+        for e in tracer.events
+        if e.name == "send" and e.args["src"] == str(host(0))
     ]
-    assert sends == [(0, host(1)), (1, host(1)), (0, host(2)), (1, host(2))]
+    h1, h2 = str(host(1)), str(host(2))
+    assert sends == [(0, h1), (1, h1), (0, h2), (1, h2)]
 
 
 def test_intermediate_cut_through_to_first_child_only():
@@ -47,11 +52,12 @@ def test_intermediate_cut_through_to_first_child_only():
     tree.add_child(host(0), host(1))
     tree.add_child(host(1), host(2))
     tree.add_child(host(1), host(3))
-    result, sim = run(tree, 3, collect_trace=True)
-    trace = sim.last_trace
-    first_to_c2 = min(r.time for r in trace.select("ni_recv", host=host(2)))
-    last_into_1 = max(r.time for r in trace.select("ni_recv", host=host(1)))
-    first_to_c3 = min(r.time for r in trace.select("ni_recv", host=host(3)))
+    tracer = Tracer()
+    run(tree, 3, tracer=tracer)
+    delivered = ni_events(tracer, "deliver")
+    first_to_c2 = min(e.ts for h, e in delivered if h == str(host(2)))
+    last_into_1 = max(e.ts for h, e in delivered if h == str(host(1)))
+    first_to_c3 = min(e.ts for h, e in delivered if h == str(host(3)))
     assert first_to_c2 < last_into_1
     assert first_to_c3 > last_into_1
 

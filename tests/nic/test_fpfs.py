@@ -8,15 +8,14 @@ from repro.core import MulticastTree, build_linear_tree
 from repro.mcast import MulticastSimulator
 from repro.network import host
 from repro.nic import FPFSInterface
+from repro.obs import Tracer
 
-from .helpers import FAST, star
+from .helpers import FAST, ni_events, star
 
 
-def run(tree, m, n_hosts=8, collect_trace=False):
+def run(tree, m, n_hosts=8, tracer=None):
     topo, router = star(n_hosts)
-    sim = MulticastSimulator(
-        topo, router, params=FAST, ni_class=FPFSInterface, collect_trace=collect_trace
-    )
+    sim = MulticastSimulator(topo, router, params=FAST, ni_class=FPFSInterface, tracer=tracer)
     return sim.run(tree, m), sim
 
 
@@ -39,20 +38,26 @@ def test_source_sends_packet_major_order():
     tree = MulticastTree(host(0))
     tree.add_child(host(0), host(1))
     tree.add_child(host(0), host(2))
-    result, sim = run(tree, 2, collect_trace=True)
+    tracer = Tracer()
+    run(tree, 2, tracer=tracer)
     sends = [
-        (r["pkt"], r["dst"]) for r in sim.last_trace.select("ni_send", src=host(0))
+        (e.args["pkt"], e.args["dst"])
+        for e in tracer.events
+        if e.name == "send" and e.args["src"] == str(host(0))
     ]
-    assert sends == [(0, host(1)), (0, host(2)), (1, host(1)), (1, host(2))]
+    h1, h2 = str(host(1)), str(host(2))
+    assert sends == [(0, h1), (0, h2), (1, h1), (1, h2)]
 
 
 def test_intermediate_forwards_on_arrival_not_after_message():
     # Chain 0 -> 1 -> 2 with m=2: host 2 must get packet 0 *before*
     # host 1 has received packet 1 + forwarding slack (cut-through).
     tree = build_linear_tree([host(0), host(1), host(2)])
-    result, sim = run(tree, 2, collect_trace=True)
-    p0_at_2 = sim.last_trace.last_time("ni_recv", host=host(2), pkt=0)
-    p1_at_1 = sim.last_trace.last_time("ni_recv", host=host(1), pkt=1)
+    tracer = Tracer()
+    run(tree, 2, tracer=tracer)
+    delivered = {(h, e.args["pkt"]): e.ts for h, e in ni_events(tracer, "deliver")}
+    p0_at_2 = delivered[str(host(2)), 0]
+    p1_at_1 = delivered[str(host(1)), 1]
     assert p0_at_2 <= p1_at_1 + FAST.t_ns + 2  # forwarded concurrently
 
 

@@ -4,7 +4,8 @@ The mcast-level suite (tests/mcast/test_reliable.py) checks end-state
 properties under random loss; here the loss is *scripted* per packet
 index so each recovery path — gap-triggered NACK, timer-triggered tail
 NACK, duplicate suppression, retransmission store — is exercised
-deterministically and observed in the trace.
+deterministically and observed in the tracer's ``nack`` and
+``retransmit`` instants.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from repro.mcast import ReliableMulticastSimulator, chain_for
 from repro.mcast.orderings import cco_ordering
 from repro.network import UpDownRouter, build_irregular_network
 from repro.nic.reliable import LossyChannelPool, Nack, ReliableFPFSInterface
+from repro.obs import Tracer
 from repro.sim import Environment
+
+from .helpers import ni_events
 
 
 class ScriptedLossPool(LossyChannelPool):
@@ -62,11 +66,12 @@ def fabric():
 class TestHappyPath:
     def test_no_loss_no_recovery_traffic(self, fabric):
         topology, router, tree = fabric
-        sim = ScriptedLossSimulator(topology, router, drop_once=(), collect_trace=True)
+        tracer = Tracer()
+        sim = ScriptedLossSimulator(topology, router, drop_once=(), tracer=tracer)
         result = sim.run(tree, 4)
         assert sim.last_dropped == 0
-        assert not list(sim.last_trace.select("nack"))
-        assert not list(sim.last_trace.select("retransmit"))
+        assert not ni_events(tracer, "nack")
+        assert not ni_events(tracer, "retransmit")
         assert len(result.destination_completion) == 5
 
     def test_retransmission_store_holds_all_packets(self, fabric):
@@ -86,13 +91,14 @@ class TestDropPaths:
         # Drop packet 1 once: some receiver sees packet 2 with 1
         # missing — a gap — and must NACK exactly the missing index.
         topology, router, tree = fabric
-        sim = ScriptedLossSimulator(topology, router, drop_once=(1,), collect_trace=True)
+        tracer = Tracer()
+        sim = ScriptedLossSimulator(topology, router, drop_once=(1,), tracer=tracer)
         result = sim.run(tree, 4)  # completion is verified by the collector
         assert sim.last_dropped == 1
-        nacks = list(sim.last_trace.select("nack"))
-        assert nacks and all(1 in record["indices"] for record in nacks)
-        retransmits = list(sim.last_trace.select("retransmit"))
-        assert retransmits and all(1 in record["indices"] for record in retransmits)
+        nacks = ni_events(tracer, "nack")
+        assert nacks and all(1 in e.args["indices"] for _, e in nacks)
+        retransmits = ni_events(tracer, "retransmit")
+        assert retransmits and all(1 in e.args["indices"] for _, e in retransmits)
         assert len(result.destination_completion) == 5
 
     def test_tail_loss_recovered_by_timer_not_gap(self, fabric):
@@ -101,14 +107,13 @@ class TestDropPaths:
         topology, router, tree = fabric
         m = 4
         clean = ScriptedLossSimulator(topology, router, drop_once=())
-        lossy = ScriptedLossSimulator(
-            topology, router, drop_once=(m - 1,), collect_trace=True
-        )
+        tracer = Tracer()
+        lossy = ScriptedLossSimulator(topology, router, drop_once=(m - 1,), tracer=tracer)
         baseline = clean.run(tree, m).latency
         recovered = lossy.run(tree, m)
         assert lossy.last_dropped == 1
-        nacks = list(lossy.last_trace.select("nack"))
-        assert nacks and all(m - 1 in record["indices"] for record in nacks)
+        nacks = ni_events(tracer, "nack")
+        assert nacks and all(m - 1 in e.args["indices"] for _, e in nacks)
         assert recovered.latency >= baseline + ReliableFPFSInterface.NACK_TIMEOUT
 
     def test_duplicate_retransmissions_are_dropped_silently(self, fabric):
@@ -116,9 +121,7 @@ class TestDropPaths:
         # several children; the parent answers each, and any duplicate
         # arrivals must be absorbed (plain FPFS NIs would raise).
         topology, router, tree = fabric
-        sim = ScriptedLossSimulator(
-            topology, router, drop_once=(0, 2), collect_trace=True
-        )
+        sim = ScriptedLossSimulator(topology, router, drop_once=(0, 2))
         result = sim.run(tree, 4)
         assert sim.last_dropped == 2
         assert len(result.destination_completion) == 5
@@ -128,17 +131,20 @@ class TestDropPaths:
 
 class TestInterfaceInternals:
     def test_parent_lookup_requires_registration(self):
+        # The NACK target is the registered NI whose forwarding table
+        # sends the message to this host.
         from repro.network.links import ChannelPool
         from repro.nic.interface import NICRegistry
         from repro.params import PAPER_PARAMS
 
         env = Environment()
-        ni = ReliableFPFSInterface(
-            env, "h0", None, NICRegistry(), ChannelPool(env), PAPER_PARAMS
-        )
-        with pytest.raises(RuntimeError, match="no parent registered"):
+        registry = NICRegistry()
+        pool = ChannelPool(env)
+        ni = ReliableFPFSInterface(env, "h0", None, registry, pool, PAPER_PARAMS)
+        parent = ReliableFPFSInterface(env, "h1", None, registry, pool, PAPER_PARAMS)
+        with pytest.raises(RuntimeError, match="no NI forwards message 42"):
             ni._parent_of(42)
-        ni.register_parent(42, "h1")
+        parent.forwarding[42] = ("h2", "h0")
         assert ni._parent_of(42) == "h1"
 
     def test_nack_is_a_value_object(self):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import repro.obs.tracer as tracer_mod
-import repro.sim.monitor as monitor_mod
 from repro.machine import Machine
 from repro.obs import Tracer
 
@@ -19,12 +18,9 @@ def _counting(cls, counter):
 def test_untraced_run_allocates_no_records(monkeypatch):
     allocations = []
     monkeypatch.setattr(
-        monitor_mod, "TraceRecord", _counting(monitor_mod.TraceRecord, allocations)
-    )
-    monkeypatch.setattr(
         tracer_mod, "TraceEvent", _counting(tracer_mod.TraceEvent, allocations)
     )
-    machine = Machine.irregular(seed=0)  # no tracer, collect_trace off
+    machine = Machine.irregular(seed=0)  # no tracer
     hosts = machine.hosts
     result = machine.multicast(hosts[0], hosts[1:16], 1024)
     assert result.latency > 0

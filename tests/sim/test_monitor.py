@@ -1,60 +1,10 @@
-"""Trace and LevelMonitor."""
+"""LevelMonitor."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import LevelMonitor, Trace
-
-
-def test_trace_records_time_and_fields(env):
-    tr = Trace(env)
-
-    def proc(env):
-        yield env.timeout(2)
-        tr.log("send", src=1, dst=2)
-
-    env.process(proc(env))
-    env.run()
-    [rec] = tr.records
-    assert rec.time == 2 and rec.category == "send" and rec["src"] == 1
-
-
-def test_trace_disabled_records_nothing(env):
-    tr = Trace(env, enabled=False)
-    tr.log("send", src=1)
-    assert tr.records == []
-
-
-def test_trace_select_filters_by_fields(env):
-    tr = Trace(env)
-    tr.log("send", dst=1)
-    tr.log("send", dst=2)
-    tr.log("recv", dst=1)
-    assert tr.count("send") == 2
-    assert tr.count("send", dst=1) == 1
-    assert tr.count("recv", dst=2) == 0
-
-
-def test_trace_last_time(env):
-    tr = Trace(env)
-
-    def proc(env):
-        tr.log("tick")
-        yield env.timeout(5)
-        tr.log("tick")
-
-    env.process(proc(env))
-    env.run()
-    assert tr.last_time("tick") == 5
-    assert tr.last_time("missing") is None
-
-
-def test_trace_clear(env):
-    tr = Trace(env)
-    tr.log("x")
-    tr.clear()
-    assert tr.records == []
+from repro.sim import LevelMonitor
 
 
 def test_level_monitor_peak(env):
@@ -118,33 +68,3 @@ def test_level_monitor_created_mid_simulation(env):
     env.process(proc(env))
     env.run()
     assert holder["mon"].time_average == pytest.approx(4.0)
-
-
-def test_trace_select_uses_category_index(env):
-    tr = Trace(env)
-    tr.log("send", dst=1)
-    tr.log("recv", dst=1)
-    tr.log("send", dst=2)
-    # The category buckets partition the flat log.
-    assert [r.category for r in tr.records] == ["send", "recv", "send"]
-    assert [r["dst"] for r in tr.select("send")] == [1, 2]
-    assert list(tr.select("drop")) == []
-    tr.clear()
-    assert tr.count("send") == 0 and list(tr.select("send")) == []
-
-
-def test_trace_last_time_scans_only_its_category(env):
-    tr = Trace(env)
-
-    def proc(env):
-        tr.log("tick", n=1)
-        yield env.timeout(3)
-        tr.log("tock", n=1)
-        yield env.timeout(4)
-        tr.log("tick", n=2)
-
-    env.process(proc(env))
-    env.run()
-    assert tr.last_time("tick") == 7
-    assert tr.last_time("tick", n=1) == 0
-    assert tr.last_time("tock") == 3
