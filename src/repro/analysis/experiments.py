@@ -30,7 +30,9 @@ from ..nic.fpfs import FPFSInterface
 from ..params import PAPER_PARAMS, SystemParams
 
 __all__ = [
+    "DEST_AXIS",
     "ExperimentConfig",
+    "PACKET_AXIS",
     "TREE_KINDS",
     "TreeKind",
     "latency_point",
@@ -45,6 +47,11 @@ __all__ = [
     "fig14b_comparison_vs_n",
     "full_protocol_requested",
 ]
+
+#: The x axes of Figs. 13–14: message length in packets (13a, 14a) and
+#: multicast set size in destinations (13b, 14b).
+PACKET_AXIS: Tuple[int, ...] = (1, 2, 4, 8, 16, 24, 32)
+DEST_AXIS: Tuple[int, ...] = (7, 15, 23, 31, 39, 47, 55, 63)
 
 #: Tree selector: (chain, m) -> MulticastTree.
 TreeKind = Callable[[Sequence[Node], int], MulticastTree]
@@ -261,7 +268,7 @@ def _latency_grid(
 def fig13a_latency_vs_m(
     config: ExperimentConfig,
     dest_counts: Sequence[int] = (63, 47, 31, 15),
-    m_values: Sequence[int] = (1, 2, 4, 8, 16, 24, 32),
+    m_values: Sequence[int] = PACKET_AXIS,
     workers: int = 1,
     tracer=None,
     checkpoint=None,
@@ -274,7 +281,7 @@ def fig13a_latency_vs_m(
 def fig13b_latency_vs_n(
     config: ExperimentConfig,
     m_values: Sequence[int] = (8, 4, 2, 1),
-    dest_counts: Sequence[int] = (7, 15, 23, 31, 39, 47, 55, 63),
+    dest_counts: Sequence[int] = DEST_AXIS,
     workers: int = 1,
     tracer=None,
     checkpoint=None,
@@ -287,7 +294,7 @@ def fig13b_latency_vs_n(
 def fig14a_comparison_vs_m(
     config: ExperimentConfig,
     dest_counts: Sequence[int] = (47, 15),
-    m_values: Sequence[int] = (1, 2, 4, 8, 16, 24, 32),
+    m_values: Sequence[int] = PACKET_AXIS,
     workers: int = 1,
     tracer=None,
     checkpoint=None,
@@ -306,7 +313,7 @@ def fig14a_comparison_vs_m(
 def fig14b_comparison_vs_n(
     config: ExperimentConfig,
     m_values: Sequence[int] = (8, 2),
-    dest_counts: Sequence[int] = (7, 15, 23, 31, 39, 47, 55, 63),
+    dest_counts: Sequence[int] = DEST_AXIS,
     workers: int = 1,
     tracer=None,
     checkpoint=None,

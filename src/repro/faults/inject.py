@@ -35,6 +35,7 @@ from typing import Dict, Optional, Tuple
 from ..mcast.simulator import MulticastSimulator
 from ..network.topology import Node
 from ..nic.packets import Message, Packet
+from ..nic.reliable import ReliableFPFSInterface
 from .schedule import FaultSchedule
 
 __all__ = [
@@ -354,9 +355,14 @@ class FaultyMulticastSimulator(MulticastSimulator):
 
         ``time_limit`` bounds simulated time without the strict
         pending-event check — required for protocols whose recovery
-        retries forever against a dead parent (the reliable NI), and a
-        safety net otherwise.
+        retries forever against a dead parent (the reliable NI, which
+        raises ``ValueError`` without one), and a safety net otherwise.
         """
+        if time_limit is None and issubclass(self.ni_class, ReliableFPFSInterface):
+            raise ValueError(
+                "run_degraded needs a time_limit for the reliable NI: its "
+                "NACK timers re-arm forever against a crashed parent"
+            )
         env, tracer, pool, registry, messages = self._execute(
             [(tree, num_packets)], time_limit=time_limit, strict=False
         )

@@ -236,3 +236,13 @@ class TestReliableNI:
         for result in results:
             assert (result.packets_delivered, result.packets_expected) == (101, 248)
         assert results[0].delivered == results[1].delivered
+
+    def test_degraded_run_requires_a_time_limit(self, seed0):
+        # Unbounded, the orphaned NIs' NACK timers would re-arm forever.
+        topology, router, tree, child = seed0
+        schedule = FaultSchedule([FaultEvent(20.0, "node_crash", child)])
+        simulator = FaultyMulticastSimulator(
+            topology, router, schedule=schedule, ni_class=ReliableFPFSInterface
+        )
+        with pytest.raises(ValueError, match="time_limit"):
+            simulator.run_degraded(tree, 8)

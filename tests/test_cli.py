@@ -130,7 +130,7 @@ def test_bad_sizes_exit_2_with_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "command", ["simulate", "trace", "reliable", "chaos", "churn", "sessions"]
+    "command", ["simulate", "reliable", "chaos", "churn", "sessions"]
 )
 def test_dests_past_the_testbed_exit_2(capsys, tmp_path, command):
     # 64 hosts: a source plus at most 63 destinations.
@@ -138,23 +138,25 @@ def test_dests_past_the_testbed_exit_2(capsys, tmp_path, command):
     assert "error: --dests" in capsys.readouterr().err
 
 
-def test_trace_command_writes_perfetto_json(capsys, tmp_path):
+def test_simulate_trace_out_writes_perfetto_json(capsys, tmp_path):
     import json
 
     out_path = tmp_path / "trace.json"
-    out = run_cli(capsys, "trace", "--dests", "7", "--bytes", "256", "--out", str(out_path))
-    assert "traced multicast" in out and "trace:" in out
+    out = run_cli(
+        capsys, "simulate", "--dests", "7", "--bytes", "256", "--trace-out", str(out_path)
+    )
+    assert "latency" in out and "trace:" in out  # the table, then the trace summary
     assert f"wrote {out_path}" in out
     doc = json.loads(out_path.read_text())
-    assert doc["traceEvents"] and doc["metadata"]["command"] == "trace"
+    assert doc["traceEvents"] and doc["metadata"]["command"] == "simulate"
     assert {e["ph"] for e in doc["traceEvents"]} >= {"X", "M"}
 
 
-def test_trace_command_jsonl_format(capsys, tmp_path):
+def test_simulate_trace_out_jsonl_suffix(capsys, tmp_path):
     import json
 
     out_path = tmp_path / "trace.jsonl"
-    run_cli(capsys, "trace", "--dests", "3", "--out", str(out_path), "--format", "jsonl")
+    run_cli(capsys, "simulate", "--dests", "3", "--trace-out", str(out_path))
     lines = out_path.read_text().splitlines()
     assert lines and all("ph" in json.loads(line) for line in lines)
 
@@ -233,3 +235,84 @@ def test_profile_hz_must_be_positive(capsys):
         "sessions", "--smoke", "--profile-out", "x", "--profile-hz", "0",
     ]) == 2
     assert "profile-hz" in capsys.readouterr().err
+
+
+def _stub_latency_grid(monkeypatch):
+    """Replace the §5.2 sweep behind Figs. 13–14 with a distinct value
+    per (d, m, tree); returns the list of configs it was called with."""
+    from repro.analysis import experiments
+
+    configs = []
+
+    def fake_grid(config, dest_counts, m_values, trees, workers, tracer=None, checkpoint=None):
+        configs.append(config)
+        return {
+            (d, m, tree): d * 100.0 + m + (0.5 if tree == "binomial" else 0.25)
+            for d in dest_counts for m in m_values for tree in trees
+        }
+
+    monkeypatch.setattr(experiments, "_latency_grid", fake_grid)
+    return configs
+
+
+@pytest.mark.parametrize(
+    "figure, header",
+    [
+        ("fig13a", ["m", "63 dest", "47 dest", "31 dest", "15 dest"]),
+        ("fig13b", ["dests", "8 pkt", "4 pkt", "2 pkt", "1 pkt"]),
+        ("fig14a", ["m", "47 dest binomial", "47 dest kbinomial",
+                    "15 dest binomial", "15 dest kbinomial"]),
+        ("fig14b", ["dests", "8 pkt binomial", "8 pkt kbinomial",
+                    "2 pkt binomial", "2 pkt kbinomial"]),
+    ],
+    ids=["fig13a", "fig13b", "fig14a", "fig14b"],
+)
+def test_sim_figure_csv_matches_printed_series(capsys, tmp_path, monkeypatch, figure, header):
+    import csv
+
+    _stub_latency_grid(monkeypatch)
+    path = tmp_path / f"{figure}.csv"
+    out = run_cli(capsys, figure, "--csv", str(path))
+    assert f"wrote {path}" in out
+    written_header, *rows = list(csv.reader(path.open()))
+    assert written_header == header
+
+    def cells(*values):
+        return [f"{float(v):.2f}" for v in values]
+
+    if figure.startswith("fig13"):
+        expected = [[x, *cells(*ys)] for x, *ys in rows]
+    else:  # one table per curve: binomial, k-binomial, ratio
+        expected = [
+            [row[0], *cells(row[i], row[i + 1], float(row[i]) / float(row[i + 1]))]
+            for i in range(1, len(header), 2)
+            for row in rows
+        ]
+    printed = [
+        line.split() for line in out.splitlines()
+        if line.strip() and all(token.replace(".", "", 1).isdigit() for token in line.split())
+    ]
+    assert printed == expected
+
+
+def test_full_protocol_keeps_seed(capsys, monkeypatch):
+    configs = _stub_latency_grid(monkeypatch)
+    run_cli(capsys, "fig13a", "--full", "--seed", "5")
+    assert [(c.n_topologies, c.n_dest_sets, c.seed) for c in configs] == [(10, 30, 5)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "-n", "8", "-m", "2", "--connect", "localhost"],
+        ["metrics", "--connect", "127.0.0.1:notaport"],
+        ["cluster", "status", "--connect", "nohost"],
+        ["simulate", "--tree", "foo"],
+        ["simulate", "--tree", "0"],
+        ["serve", "--port", "70000"],
+    ],
+    ids=["plan-connect", "metrics-connect", "status-connect", "tree-foo", "tree-0", "serve-port"],
+)
+def test_malformed_values_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
