@@ -934,6 +934,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; invalid arguments return 2 with ``error: ...``.
 
+    A ``--connect`` command whose server cannot be reached, or answers
+    with an error, returns 1 with its typed error on one line.
+
     After the command, in this order: the checkpoint report, the trace
     (its manifest holds the command, its seed and the parameters the
     command returns), the ``--stats`` snapshot and the profile.
@@ -949,6 +952,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Imported here: the service package costs every command ~75 ms.
+        from .service.client import PlanServiceError
+
+        if not isinstance(exc, PlanServiceError):
+            raise
+        # A --connect command's server is down or refused the request.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if getattr(args, "checkpoint", None):
         # The CI smoke greps this line for "resumed".
         snap = DURABLE_METRICS.snapshot()

@@ -15,9 +15,10 @@ Layers, innermost out:
   cost breakdown ``T1 + (m-1)·k_T``, buffer bound ``c·t_sq``), memoized
   through :mod:`repro.core.cache`; and its encoder ``plan_json``, which
   writes the same result's JSON bytes from a memoized wire template of
-  the canonical schedule — what the server sends.
+  the canonical schedule — what the server sends — with
+  ``plan_json_warm``, the same from the memo alone or ``None``.
 * :mod:`~repro.service.batching` — :class:`PlanBatcher`: micro-batches
-  concurrent requests, collapses identical keys into single-flight
+  concurrent requests for cold keys, collapses identical keys into single-flight
   computations, and fans distinct keys over an executor in sweep-style
   chunks; each computation yields its encoded result once, shared by
   all its waiters.
@@ -31,8 +32,9 @@ Layers, innermost out:
   work bound at the wire, and the ``amend`` wire type that folds a
   membership delta (:mod:`repro.membership`) into an equivalent plan
   request — churn bursts coalesce in the batcher's single-flight
-  dedupe.  It writes each answer as the batcher's bytes behind the
-  request's id.
+  dedupe.  It answers a memoized plan of at most ``INLINE_MAX_ROWS``
+  rows on the connection's read loop, and writes any other as the
+  batcher's bytes behind the request's id.
 * :mod:`~repro.service.client` — :class:`PlanClient` (async) and the
   :func:`plan_remote` / :func:`stats_remote` sync conveniences, with
   :class:`RetryPolicy` backoff over typed transient failures

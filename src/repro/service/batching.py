@@ -2,8 +2,11 @@
 
 The service's traffic is skewed: a production control plane sees the
 same few ``(n, m, params)`` keys over and over (the same reason §4.3.1
-can precompute the optimal-k table at all).  :class:`PlanBatcher`
-exploits that twice:
+can precompute the optimal-k table at all).  The server answers a key
+already in the planner's wire memo on its read loop, so only cold keys
+(and warm plans over its inline row bound) reach the batcher, which is
+where computing them is worth coalescing.  :class:`PlanBatcher` does
+that twice:
 
 * **single-flight** — while a key is being computed, every further
   request for it attaches to the in-flight future instead of enqueuing

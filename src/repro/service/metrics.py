@@ -180,13 +180,19 @@ class ServiceMetrics:
     ``plans`` — plan requests admitted; ``amends`` — membership-delta
     requests folded into plan requests (so ``amends`` minus the extra
     ``singleflight_hits`` they caused is what churn actually cost);
-    ``planned`` — unique plan computations actually executed (so
-    ``plans - planned`` duplicates were absorbed by single-flight or
-    arrived while cached); ``singleflight_hits`` — requests attached
-    to an in-flight computation; ``batches`` — executor flushes;
-    ``shed`` — requests refused with ``overloaded``; ``timeouts`` —
-    per-request deadline expiries; ``errors`` — every error response
-    sent (including shed and timeouts).
+    ``memo_hits`` — admitted plans answered on the connection's read
+    loop from the wire memo, without the batcher; ``planned`` — keys
+    the batcher sent to its executor, one per key per flush (a key that
+    turned warm while it waited still counts); ``singleflight_hits`` —
+    requests attached to a computation already in the batcher;
+    ``batches`` — executor flushes; ``shed`` — requests refused with
+    ``overloaded``; ``timeouts`` — per-request deadline expiries;
+    ``errors`` — every error response sent (including shed and
+    timeouts).
+
+    Every admitted plan ends in exactly one of the three ways, so
+    ``plans == memo_hits + planned + singleflight_hits`` once the
+    batcher has flushed.
 
     Each instance registers its :meth:`snapshot` with
     :data:`repro.obs.GLOBAL_METRICS` under ``"service"`` (last writer
@@ -197,6 +203,7 @@ class ServiceMetrics:
         self.requests = Counter()
         self.plans = Counter()
         self.amends = Counter()
+        self.memo_hits = Counter()
         self.planned = Counter()
         self.singleflight_hits = Counter()
         self.batches = Counter()
@@ -217,6 +224,7 @@ class ServiceMetrics:
             self.requests,
             self.plans,
             self.amends,
+            self.memo_hits,
             self.planned,
             self.singleflight_hits,
             self.batches,
@@ -256,6 +264,7 @@ class ServiceMetrics:
                 "requests": self.requests.value,
                 "plans": self.plans.value,
                 "amends": self.amends.value,
+                "memo_hits": self.memo_hits.value,
                 "planned": self.planned.value,
                 "singleflight_hits": self.singleflight_hits.value,
                 "batches": self.batches.value,

@@ -18,8 +18,11 @@ There are two outputs and a memo for each.  :func:`plan` returns a
 the service to), built from :class:`NodePlan` rows.  :func:`plan_json`
 returns the same result already JSON-encoded, as the plan service
 sends it, filled into a memoized wire template without building any
-rows.  Both memos register in the :mod:`repro.core.cache` registry,
-so the hit rates are observable via
+rows.  :func:`plan_json_warm` is :func:`plan_json` from the wire memo
+alone: it answers ``None`` instead of computing, which is how the
+plan service tells a warm key, answered on its event loop, from a
+cold one it batches.  Both memos register in the
+:mod:`repro.core.cache` registry, so the hit rates are observable via
 :func:`~repro.core.cache.cache_stats` (``plan_schedule`` for the rows,
 ``plan_wire`` for the templates).
 
@@ -31,6 +34,7 @@ and ``T1`` from :func:`~repro.core.cache.cached_steps_needed`.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
@@ -48,6 +52,7 @@ __all__ = [
     "PlanResult",
     "plan",
     "plan_json",
+    "plan_json_warm",
     "plan_work",
 ]
 
@@ -233,6 +238,8 @@ class _Shape(NamedTuple):
     root_fanout: int
     max_fanout: int
     total_steps: int
+    #: ``T1(n, k)``, from :func:`~repro.core.cache.cached_steps_needed`.
+    t1: int
 
 
 def _canonical(n: int, k: int, m: int, ports: int):
@@ -248,6 +255,7 @@ def _canonical(n: int, k: int, m: int, ports: int):
         root_fanout=tree.root_fanout,
         max_fanout=tree.max_fanout,
         total_steps=max(recv[(node, m - 1)] for node in range(n)),
+        t1=cached_steps_needed(n, k),
     )
     return tree, recv, shape
 
@@ -275,9 +283,72 @@ def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, Tuple[No
 register_cache("plan_schedule", _schedule_rows)
 
 
-@lru_cache(maxsize=4096)
-def _schedule_wire(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, bytes, Tuple[int, ...]]:
-    """Memoized canonical schedule as a wire template, for :func:`plan_json`.
+class _CacheInfo(NamedTuple):
+    """The :func:`functools.lru_cache` ``cache_info()`` record."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _LRUMemo:
+    """A bounded, thread-safe LRU memo of ``fn`` that can be read without computing.
+
+    Calling it is :func:`functools.lru_cache`: a hit returns the stored
+    value, a miss computes it (outside the lock) and stores it, evicting
+    the least recently used entry past ``maxsize``.  :meth:`lookup` is
+    the part an ``lru_cache`` lacks: it returns a stored value, counted
+    as a hit, or ``None``, and never computes.  ``cache_info()`` and
+    ``cache_clear()`` keep the ``lru_cache`` protocol, so the memo sits
+    in the :mod:`repro.core.cache` registry like the others.
+    """
+
+    def __init__(self, fn, maxsize: int) -> None:
+        self._fn = fn
+        self._maxsize = maxsize
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+
+    def _get(self, key):
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._entries[key] = entry  # now the most recently used
+            self._hits += 1
+        return entry
+
+    def lookup(self, *key):
+        """The stored value for ``key``, or ``None``; never computes."""
+        with self._lock:
+            return self._get(key)
+
+    def __call__(self, *key):
+        with self._lock:
+            entry = self._get(key)
+            if entry is not None:
+                return entry
+            self._misses += 1
+        entry = self._fn(*key)
+        with self._lock:
+            self._entries[key] = entry
+            if len(self._entries) > self._maxsize:
+                del self._entries[next(iter(self._entries))]
+        return entry
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._hits = self._misses = 0
+
+
+def _wire_entry(n: int, m: int, ports: int) -> Tuple[int, _Shape, bytes, Tuple[int, ...]]:
+    """``(k, shape, template, ids)``: the canonical schedule as a wire template.
 
     The template is the ``"schedule"`` JSON array of :meth:`PlanResult.to_dict`
     with a ``%d`` slot wherever a node id goes (``node``, ``parent``,
@@ -286,7 +357,12 @@ def _schedule_wire(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, bytes, T
     filling the slots with the survivors' original positions instead
     is the remapped schedule's.  It holds no :class:`NodePlan` objects
     and takes about 0.6x the row memo's memory for the same keys.
+
+    The entry carries ``k = optimal_k(n, m)``, so the memo is keyed on
+    ``(n, m, ports)`` alone and :func:`plan_json_warm` can look a plan
+    up without a Theorem-3 search.
     """
+    k = optimal_k(n, m)
     tree, recv, shape = _canonical(n, k, m, ports)
     ids: List[int] = []
     rows = []
@@ -310,39 +386,32 @@ def _schedule_wire(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, bytes, T
                 recv[(node, m - 1)],
             )
         )
-    return shape, b"[" + b",".join(rows) + b"]", tuple(ids)
+    return k, shape, b"[" + b",".join(rows) + b"]", tuple(ids)
 
 
+#: The wire memo :func:`plan_json` fills and :func:`plan_json_warm` reads.
+_schedule_wire = _LRUMemo(_wire_entry, maxsize=4096)
 register_cache("plan_wire", _schedule_wire)
 
 
-def _solve(request: PlanRequest, memo):
-    """``(fields, entry)``: a plan's scalar fields and its memo entry.
+def _fields(request: PlanRequest, k: int, shape: _Shape) -> dict:
+    """The :class:`PlanResult` fields ahead of ``schedule``, in wire order.
 
-    ``fields`` holds the :class:`PlanResult` fields ahead of
-    ``schedule``, in wire order; ``entry`` is ``memo``'s value for the
-    request's canonical key ``(n - |exclude|, k, m, ports)``.  Both
-    :func:`plan` and :func:`plan_json` come through here, so their k,
-    ``t1`` and costs cannot drift apart.
+    Both :func:`plan` and :func:`plan_json` build them here, so their
+    k, ``t1`` and costs cannot drift apart.
     """
-    n, m, params = request.n, request.m, request.params
-    n_eff = n - len(request.exclude)
-    k = optimal_k(n_eff, m)
-    entry = memo(n_eff, k, m, params.ports)
-    shape = entry[0]
-    t1 = cached_steps_needed(n_eff, k)
-    fields = {
-        "n": n,
-        "m": m,
+    params = request.params
+    return {
+        "n": request.n,
+        "m": request.m,
         "k": k,
         "root_fanout": shape.root_fanout,
-        "t1": t1,
-        "pipeline_steps": shape.total_steps - t1,
+        "t1": shape.t1,
+        "pipeline_steps": shape.total_steps - shape.t1,
         "total_steps": shape.total_steps,
         "latency_us": params.t_s + shape.total_steps * params.t_step + params.t_r,
         "buffer_bound_us": shape.max_fanout * params.t_sq,
     }
-    return fields, entry
 
 
 def _survivors(request: PlanRequest) -> List[int]:
@@ -358,7 +427,9 @@ def plan(request: PlanRequest) -> PlanResult:
     caches it leans on are the thread-safe :mod:`repro.core.cache`
     tables) and from the batcher's executor workers.
     """
-    fields, (_, rows) = _solve(request, _schedule_rows)
+    n_eff = request.n - len(request.exclude)
+    k = optimal_k(n_eff, request.m)
+    shape, rows = _schedule_rows(n_eff, k, request.m, request.params.ports)
     if request.exclude:
         # The memoized schedule is over canonical positions 0..n_eff-1;
         # map those onto the surviving original positions, so callers
@@ -375,7 +446,24 @@ def plan(request: PlanRequest) -> PlanResult:
             )
             for row in rows
         )
-    return PlanResult(**fields, schedule=rows, excluded=request.exclude)
+    return PlanResult(**_fields(request, k, shape), schedule=rows, excluded=request.exclude)
+
+
+def _fill(request: PlanRequest, entry) -> bytes:
+    """The answer bytes of ``request`` from its wire memo entry."""
+    k, shape, template, ids = entry
+    if request.exclude:
+        ids = tuple(map(_survivors(request).__getitem__, ids))
+    return b"".join(
+        (
+            json.dumps(_fields(request, k, shape), separators=(",", ":")).encode()[:-1],
+            b',"schedule":',
+            template % ids,
+            b',"excluded":[',
+            b",".join([b"%d" % position for position in request.exclude]),
+            b"]}",
+        )
+    )
 
 
 def plan_json(request: PlanRequest) -> bytes:
@@ -387,16 +475,18 @@ def plan_json(request: PlanRequest) -> bytes:
     it never touches :func:`plan`'s row memo.  Thread-safe like
     :func:`plan`.
     """
-    fields, (_, template, ids) = _solve(request, _schedule_wire)
-    if request.exclude:
-        ids = tuple(map(_survivors(request).__getitem__, ids))
-    return b"".join(
-        (
-            json.dumps(fields, separators=(",", ":")).encode()[:-1],
-            b',"schedule":',
-            template % ids,
-            b',"excluded":[',
-            b",".join([b"%d" % position for position in request.exclude]),
-            b"]}",
-        )
-    )
+    n_eff = request.n - len(request.exclude)
+    return _fill(request, _schedule_wire(n_eff, request.m, request.params.ports))
+
+
+def plan_json_warm(request: PlanRequest) -> Optional[bytes]:
+    """:func:`plan_json` if the request's canonical schedule is memoized, else ``None``.
+
+    Never computes: a miss costs one locked dict lookup, with no tree
+    build, no FPFS schedule and no Theorem-3 search, so the plan
+    service can try it on its event loop before handing a cold key to
+    the batcher.  A hit counts as a ``plan_wire`` cache hit.
+    """
+    n_eff = request.n - len(request.exclude)
+    entry = _schedule_wire.lookup(n_eff, request.m, request.params.ports)
+    return None if entry is None else _fill(request, entry)

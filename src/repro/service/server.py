@@ -61,13 +61,21 @@ answer that would be longer is replaced by the non-retryable
 answer begins ``{"id":<id>,``.
 
 Encoding: the server never builds a :class:`PlanResult` or calls
-``json.dumps`` on a plan.  The batcher's worker encodes each
-computation's ``"result"`` once, by filling the planner's memoized wire
-template of the canonical schedule
+``json.dumps`` on a plan.  Each answer's ``"result"`` is the planner's
+memoized wire template of the canonical schedule, filled with the
+request's positions (:mod:`repro.service.planner`).  The connection's
+read loop decodes each line once and handles it to its answer without
+yielding: checks, admission, journal, then
+:func:`~repro.service.planner.plan_json_warm`.  A plan whose template
+is already memoized and at most :data:`INLINE_MAX_ROWS` rows long is
+filled and written right there, and the loop then yields once so other
+connections run between the answers of a pipelined burst.  Only a cold
+key (or a larger one) waits in the batcher, in a task of its own: the
+batcher's worker encodes each computation's ``"result"`` once
 (:func:`~repro.service.planner.plan_json`), and every waiter sharing
 the computation (single-flight followers, and amends that fold into
-the same plan) gets those bytes behind its own id, an amend with its
-``"amended"`` echo after them.
+the same plan) gets those bytes behind its own id.  Either way an
+amend's ``"amended"`` echo follows the result.
 
 Request size: ``max_n`` bounds ``n``, and
 :data:`~repro.service.planner.MAX_PLAN_WORK` bounds the schedule work
@@ -75,13 +83,15 @@ Request size: ``max_n`` bounds ``n``, and
 is a ``bad_request`` before admission and journaling, so no single
 request can stall the workers or exhaust memory.
 
-Overload policy (the load-shedding half of the ISSUE): at most
-``max_inflight`` plan requests may be in flight server-wide; the
-``max_inflight + 1``-th is *refused immediately* with ``overloaded``
-instead of queuing — bounded admission means bounded latency, and a
-client that sees ``overloaded`` can back off, while a client stuck in
-an invisible queue cannot.  ``stats``/``ping`` bypass admission so the
-service stays observable while saturated.
+Overload policy: at most ``max_inflight`` plan requests may wait in
+the batcher server-wide; while that many wait, every further plan or
+amend, warm ones included, is *refused immediately* with
+``overloaded`` instead of queuing — bounded admission means bounded
+latency, and a client that sees ``overloaded`` can back off, while a
+client stuck in an invisible queue cannot.  A plan answered on the
+read loop never holds a slot, and ``request_timeout`` applies only to
+plans that wait.  ``stats``/``ping``/``health``/``metrics`` bypass
+admission so the service stays observable while saturated.
 
 Shutdown: :meth:`PlanServer.shutdown` stops accepting connections,
 flushes the batcher, and waits up to ``drain_timeout`` for in-flight
@@ -94,7 +104,8 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Optional, Set, Union
+import time
+from typing import Coroutine, NamedTuple, Optional, Set, Union
 
 from ..durable.errors import check_positive_int, check_positive_number
 from ..obs.exposition import render_prometheus
@@ -102,18 +113,41 @@ from ..obs.metrics import GLOBAL_METRICS
 from ..obs.profiler import NULL_PROFILER
 from ..obs.slo import SLOSet
 from ..obs.tracer import Tracer
-from ..params import MachineParams
+from ..params import PAPER_MACHINE, MachineParams
 from . import framing
 from .batching import PlanBatcher
 from .journal import RequestJournal
 from .metrics import ServiceMetrics
-from .planner import MAX_PLAN_WORK, PlanRequest, plan_work
+from .planner import MAX_PLAN_WORK, PlanRequest, plan_json_warm, plan_work
 
-__all__ = ["PlanServer"]
+__all__ = ["INLINE_MAX_ROWS", "PlanServer"]
+
+#: Largest warm plan, in schedule rows (``n - |exclude|``), that the
+#: server answers on the connection's read loop.  Filling a memoized
+#: wire template costs about 0.2-0.3 µs per row and barely depends on
+#: ``m``, so a row bound (not a bound on ``rows × m``) is what keeps an
+#: inline answer short: at 1,024 rows it stays under a third of the
+#: 1 ms ``max_delay`` window it replaces.  Larger warm answers go
+#: through the batcher, whose executor thread leaves the loop free.
+INLINE_MAX_ROWS = 1024
 
 
 class _BadRequest(ValueError):
     """Parse/validation failure with a client-facing message."""
+
+
+class _Waiting(NamedTuple):
+    """A line whose answer must wait: a cold plan or an armed fault.
+
+    ``answer`` is the not-yet-started coroutine that resolves to the
+    response; the rest is what finishing the line needs (its span and
+    SLO records).
+    """
+
+    kind: str
+    request_id: object
+    span_start: float
+    answer: Coroutine
 
 
 def _check_size(request: PlanRequest, max_n: int, what: str) -> None:
@@ -135,9 +169,7 @@ def _parse_plan_request(payload: dict, max_n: int) -> PlanRequest:
     if not isinstance(exclude_raw, (list, tuple)):
         raise _BadRequest(f"exclude must be a list of positions, got {exclude_raw!r}")
     try:
-        params = (
-            MachineParams() if params_raw is None else MachineParams.from_dict(params_raw)
-        )
+        params = PAPER_MACHINE if params_raw is None else MachineParams.from_dict(params_raw)
         request = PlanRequest(
             n=payload.get("n"),
             m=payload.get("m"),
@@ -174,9 +206,7 @@ def _parse_amend_request(payload: dict, max_n: int) -> PlanRequest:
     if not isinstance(exclude_raw, (list, tuple)):
         raise _BadRequest(f"exclude must be a list of positions, got {exclude_raw!r}")
     try:
-        params = (
-            MachineParams() if params_raw is None else MachineParams.from_dict(params_raw)
-        )
+        params = PAPER_MACHINE if params_raw is None else MachineParams.from_dict(params_raw)
         request = amended_request(
             payload.get("n"),
             payload.get("m"),
@@ -424,6 +454,9 @@ class PlanServer:
             tasks = [t for t in self._request_tasks if not t.done()]
             if tasks:
                 await asyncio.wait(tasks, timeout=max(deadline - loop.time(), 0.0))
+        # A request task holds its admission slot from before its first
+        # step; let every task start, so a cancelled one releases it.
+        await asyncio.sleep(0)
         for task in self._request_tasks:
             task.cancel()
         await self.batcher.close()
@@ -473,9 +506,15 @@ class PlanServer:
                     break
                 if not line.strip():
                     continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock)
-                )
+                answer = self._answer_line(line)
+                if isinstance(answer, bytes):
+                    await self._write(writer, write_lock, answer)
+                    # Neither a buffered readline nor an undrained write
+                    # yields, so let the selector serve other
+                    # connections between the answers of a pipeline.
+                    await asyncio.sleep(0)
+                    continue
+                task = asyncio.ensure_future(self._handle_line(answer, writer, write_lock))
                 self._request_tasks.add(task)
                 task.add_done_callback(self._request_tasks.discard)
         except ConnectionError:
@@ -487,9 +526,13 @@ class PlanServer:
             except Exception:  # pragma: no cover - already-broken socket
                 pass
 
-    async def _handle_line(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    def _answer_line(self, line: bytes) -> Union[bytes, _Waiting]:
+        """Handle one request line up to its answer, without yielding.
+
+        Returns the finished answer line, or a :class:`_Waiting` for a
+        cold plan (or an armed fault) that :meth:`_handle_line` awaits
+        in its own task.
+        """
         self.metrics.requests.inc()
         tracer = self.tracer
         span_start = tracer.now() if tracer is not None and tracer.enabled else 0.0
@@ -501,10 +544,10 @@ class PlanServer:
                 raise _BadRequest("request must be a JSON object")
             request_id = payload.get("id")
             kind = payload.get("type")
-            if kind == "plan":
-                response = await self._handle_plan(payload, request_id)
-            elif kind == "amend":
-                response = await self._handle_amend(payload, request_id)
+            if kind == "plan" or kind == "amend":
+                response = self._handle_plan(payload, kind, request_id)
+                if asyncio.iscoroutine(response):
+                    return _Waiting(kind, request_id, span_start, response)
             elif kind == "stats":
                 response = {"id": request_id, "ok": True, "stats": self.metrics.snapshot()}
             elif kind == "ping":
@@ -532,14 +575,31 @@ class PlanServer:
             response = _error(request_id, "bad_request", f"invalid JSON: {exc}")
             self.metrics.errors.inc()
         except Exception as exc:  # noqa: BLE001 - the service must answer
-            response = _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
+            response = _internal(request_id, exc)
             self.metrics.errors.inc()
+        return self._finish(kind, request_id, span_start, response)
+
+    async def _handle_line(
+        self, waiting: _Waiting, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
+    ) -> None:
+        """Await a waiting line's answer, then finish and write it."""
+        try:
+            response = await waiting.answer
+        except Exception as exc:  # noqa: BLE001 - the service must answer
+            response = _internal(waiting.request_id, exc)
+            self.metrics.errors.inc()
+        data = self._finish(waiting.kind, waiting.request_id, waiting.span_start, response)
+        await self._write(writer, write_lock, data)
+
+    def _finish(self, kind, request_id, span_start: float, response) -> bytes:
+        """The answer line of ``response``: frame limit, span and SLO applied."""
         data = response if isinstance(response, bytes) else _encode(response)
         if len(data) > framing.MAX_FRAME_BYTES:
             self.metrics.errors.inc()
             response = _too_large(request_id, len(data))
             data = _encode(response)
         ok = isinstance(response, bytes) or bool(response.get("ok"))
+        tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.complete(
                 str(kind) if kind is not None else "invalid",
@@ -550,7 +610,7 @@ class PlanServer:
             )
         if self.slos is not None and kind == "plan" and "request_errors" in self.slos.trackers:
             self.slos.record("request_errors", ok)
-        await self._write(writer, write_lock, data)
+        return data
 
     def _handle_configure(self, payload: dict, request_id) -> dict:
         """Adopt a new ring epoch (and optionally a shard id) from the router."""
@@ -593,58 +653,46 @@ class PlanServer:
             )
         return None
 
-    async def _injected_fault(self, request_id) -> Optional[dict]:
-        """Consume one armed testing fault, if any."""
-        if self._fault_remaining <= 0:
-            return None
-        self._fault_remaining -= 1
-        code = self._fault_mode or "internal"
-        if self._fault_remaining == 0:
-            self._fault_mode = None
+    async def _injected_fault(self, code: str, request_id) -> dict:
+        """Answer one consumed testing fault, after its delay."""
         if self._fault_delay:
             await asyncio.sleep(self._fault_delay)
         self.metrics.errors.inc()
         return _error(request_id, code, "injected fault (testing mode)")
 
-    async def _handle_plan(self, payload: dict, request_id) -> Union[bytes, dict]:
-        fenced = self._fence_epoch(payload, request_id)
-        if fenced is not None:
-            return fenced
-        fault = await self._injected_fault(request_id)
-        if fault is not None:
-            return fault
-        request = _parse_plan_request(payload, self.max_n)
-        return await self._submit_plan(request, request_id)
+    def _handle_plan(self, payload: dict, kind: str, request_id) -> Union[bytes, dict, Coroutine]:
+        """A plan or amend: its answer, or the coroutine that waits for it.
 
-    async def _handle_amend(self, payload: dict, request_id) -> Union[bytes, dict]:
-        from ..faults.repair import SourceFailedError
-
-        fenced = self._fence_epoch(payload, request_id)
-        if fenced is not None:
-            return fenced
-        fault = await self._injected_fault(request_id)
-        if fault is not None:
-            return fault
-        try:
-            request = _parse_amend_request(payload, self.max_n)
-        except SourceFailedError as exc:
-            self.metrics.errors.inc()
-            return _error(request_id, "source_failed", str(exc))
-        self.metrics.amends.inc()
-        # Echo the equivalent plan request so the caller can track the
-        # amended group without re-deriving the delta fold.
-        echo = {"n": request.n, "m": request.m, "exclude": sorted(request.exclude)}
-        return await self._submit_plan(request, request_id, echo)
-
-    async def _submit_plan(
-        self, request: PlanRequest, request_id, echo: Optional[dict] = None
-    ) -> Union[bytes, dict]:
-        """Plan ``request``: the answer line for ``request_id``, or an error.
-
-        Every waiter of a computation gets the same encoded ``"result"``
-        bytes from the batcher; the line puts them behind this waiter's
-        id, followed by ``echo`` (an amend's ``"amended"`` object).
+        The checks run in this order: the epoch fence, an armed fault,
+        parsing and size, admission, then the journal.
+        An admitted request whose canonical schedule is already in the
+        wire memo, and at most :data:`INLINE_MAX_ROWS` rows long, is
+        answered here; any other waits in the batcher.
         """
+        fenced = self._fence_epoch(payload, request_id)
+        if fenced is not None:
+            return fenced
+        if self._fault_remaining > 0:
+            self._fault_remaining -= 1
+            code = self._fault_mode or "internal"
+            if self._fault_remaining == 0:
+                self._fault_mode = None
+            return self._injected_fault(code, request_id)
+        echo = None
+        if kind == "plan":
+            request = _parse_plan_request(payload, self.max_n)
+        else:
+            from ..faults.repair import SourceFailedError
+
+            try:
+                request = _parse_amend_request(payload, self.max_n)
+            except SourceFailedError as exc:
+                self.metrics.errors.inc()
+                return _error(request_id, "source_failed", str(exc))
+            self.metrics.amends.inc()
+            # Echo the equivalent plan request so the caller can track
+            # the amended group without re-deriving the delta fold.
+            echo = {"n": request.n, "m": request.m, "exclude": sorted(request.exclude)}
         if self._active_plans >= self.max_inflight:
             self.metrics.shed.inc()
             self.metrics.errors.inc()
@@ -658,9 +706,22 @@ class PlanServer:
             # Journal after validation and admission: only requests the
             # server actually plans are worth replaying at restart.
             self.journal.record(request)
+        started = time.monotonic()
+        if request.n - len(request.exclude) <= INLINE_MAX_ROWS:
+            result = plan_json_warm(request)
+            if result is not None:
+                self.metrics.memo_hits.inc()
+                self._observe_plan(started)
+                return _plan_line(request_id, result, echo)
+        # The slot is taken now, not when the task first runs, so the
+        # rest of a pipelined burst sees it at admission.
         self._active_plans += 1
-        loop = asyncio.get_running_loop()
-        started = loop.time()
+        return self._submit_plan(request, request_id, echo, started)
+
+    async def _submit_plan(
+        self, request: PlanRequest, request_id, echo: Optional[dict], started: float
+    ) -> Union[bytes, dict]:
+        """Wait in the batcher for a cold plan; release its admission slot."""
         try:
             result = await asyncio.wait_for(
                 self.batcher.submit(request), self.request_timeout
@@ -675,26 +736,18 @@ class PlanServer:
             )
         finally:
             self._active_plans -= 1
-        elapsed = loop.time() - started
+        self._observe_plan(started)
+        return _plan_line(request_id, result, echo)
+
+    def _observe_plan(self, started: float) -> None:
+        """Record one answered plan's latency, in the histogram and the SLO."""
+        elapsed = time.monotonic() - started
         self.metrics.plan_latency.record(elapsed)
         if self.slos is not None:
             tracker = self.slos.trackers.get("plan_latency_p99")
             if tracker is not None:
                 bound = tracker.spec.bound or float("inf")
                 self.slos.record("plan_latency_p99", elapsed * 1e6 <= bound)
-        amended = b""
-        if echo is not None:
-            amended = b',"amended":' + json.dumps(echo, separators=(",", ":")).encode()
-        return b"".join(
-            (
-                framing.ID_PREFIX,
-                framing.encode_id(request_id),
-                b',"ok":true,"result":',
-                result,
-                amended,
-                b"}\n",
-            )
-        )
 
     @staticmethod
     async def _write(
@@ -706,6 +759,24 @@ class PlanServer:
                 await writer.drain()
         except ConnectionError:  # client went away; nothing to tell it
             pass
+
+
+def _plan_line(request_id, result: bytes, echo: Optional[dict]) -> bytes:
+    """The answer line: the shared ``"result"`` bytes behind this
+    request's id, followed by ``echo`` (an amend's ``"amended"``)."""
+    amended = b""
+    if echo is not None:
+        amended = b',"amended":' + json.dumps(echo, separators=(",", ":")).encode()
+    return b"".join(
+        (
+            framing.ID_PREFIX,
+            framing.encode_id(request_id),
+            b',"ok":true,"result":',
+            result,
+            amended,
+            b"}\n",
+        )
+    )
 
 
 def _encode(response: dict) -> bytes:
@@ -720,6 +791,11 @@ def _too_large(request_id, size: int) -> dict:
         "response_too_large",
         f"the answer is {size} bytes, over the {framing.MAX_FRAME_BYTES}-byte frame limit",
     )
+
+
+def _internal(request_id, exc: Exception) -> dict:
+    """The ``internal`` error that answers an unexpected exception."""
+    return _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
 
 
 def _error(request_id, code: str, message: str, **extra) -> dict:

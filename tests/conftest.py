@@ -33,6 +33,20 @@ def _reset_global_metrics():
 
 
 @pytest.fixture
+def cold_memos():
+    """Start from empty memos (:func:`repro.core.clear_caches`).
+
+    The memos are per process, and a plan server answers a key already
+    in its wire memo on the read loop.  A test that parks plans in the
+    batch window, or counts single-flight hits, needs keys that no
+    earlier test in the process has planned.
+    """
+    from repro.core import clear_caches
+
+    clear_caches()
+
+
+@pytest.fixture
 def env() -> Environment:
     """A fresh simulation environment."""
     return Environment()

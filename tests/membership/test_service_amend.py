@@ -149,6 +149,7 @@ class TestAmendWire:
 
 
 class TestChurnBurstCoalescing:
+    @pytest.mark.usefixtures("cold_memos")
     def test_identical_amends_singleflight(self):
         """A flash crowd of equal deltas folds to one computation."""
 

@@ -108,6 +108,7 @@ class TestServiceMetrics:
             "requests",
             "plans",
             "amends",
+            "memo_hits",
             "planned",
             "singleflight_hits",
             "batches",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from repro.core import (
 )
 from repro.params import MachineParams
 from repro.service import PlanRequest, PlanResult, plan
-from repro.service.planner import plan_json
+from repro.service.planner import _LRUMemo, _schedule_wire, plan_json, plan_json_warm
 
 GRID = [(n, m) for n in (2, 3, 8, 16, 31, 64) for m in (1, 2, 8, 32)]
 
@@ -112,6 +114,80 @@ class TestWireFormat:
         """The service's encoder is ``plan()`` + ``to_dict`` + ``json.dumps``."""
         oracle = json.dumps(plan(request).to_dict(), separators=(",", ":")).encode()
         assert plan_json(request) == oracle
+
+
+class TestWireMemo:
+    @settings(max_examples=30, deadline=None)
+    @given(request=plan_requests())
+    def test_warm_lookup_answers_only_from_the_memo(self, request):
+        _schedule_wire.cache_clear()
+        assert plan_json_warm(request) is None
+        assert _schedule_wire.cache_info().currsize == 0  # the miss computed nothing
+        encoded = plan_json(request)
+        assert plan_json_warm(request) == encoded
+        info = _schedule_wire.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_bounded_lru_with_lookup_hits(self):
+        computed = []
+
+        def square(x):
+            computed.append(x)
+            return x * x
+
+        memo = _LRUMemo(square, maxsize=3)
+        assert [memo(1), memo(2), memo(3)] == [1, 4, 9]
+        assert memo.lookup(1) == 1  # now the most recently used
+        assert memo(4) == 16  # evicts 2, the least recently used
+        assert memo.lookup(2) is None
+        assert memo(1) == 1 and memo(3) == 9
+        assert computed == [1, 2, 3, 4]
+        assert tuple(memo.cache_info()) == (3, 4, 3, 3)  # hits, misses, maxsize, size
+        memo.cache_clear()
+        assert tuple(memo.cache_info()) == (0, 0, 3, 0)
+        assert _schedule_wire.cache_info().maxsize == 4096
+
+    def test_counts_and_bound_hold_under_threads(self):
+        """Ten threads calling and looking up over a small memo: no
+        update is lost, the bound holds and every value is right."""
+        memo = _LRUMemo(lambda x: x * x, maxsize=8)
+        counted = []
+        errors = []
+        barrier = threading.Barrier(10)
+
+        def worker(seed):
+            calls = lookup_hits = 0
+            barrier.wait()
+            try:
+                for i in range(3000):
+                    key = (i * 7 + seed) % 24
+                    if i % 3:
+                        assert memo(key) == key * key
+                        calls += 1
+                    else:
+                        found = memo.lookup(key)
+                        assert found is None or found == key * key
+                        lookup_hits += found is not None
+                    assert memo.cache_info().currsize <= 8
+            except AssertionError as exc:
+                errors.append(exc)
+            counted.append(calls + lookup_hits)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(10)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        info = memo.cache_info()
+        assert info.hits + info.misses == sum(counted)
+        assert info.currsize <= 8
 
 
 class TestRequestValidation:

@@ -99,6 +99,7 @@ class TestTypedFailures:
         assert error.code == "unavailable"
         assert error.code in RETRYABLE_CODES
 
+    @pytest.mark.usefixtures("cold_memos")
     def test_client_deadline_raises_plan_timeout_error(self):
         async def body():
             # A long batch window parks the request past the deadline.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import socket
 import threading
 import time
 
@@ -41,6 +42,7 @@ async def started_server(**kwargs) -> PlanServer:
 
 
 class TestEndToEnd:
+    @pytest.mark.usefixtures("cold_memos")
     def test_hundred_concurrent_mixed_requests(self):
         """The ISSUE's acceptance scenario, minus the overload half."""
 
@@ -124,7 +126,75 @@ class TestEndToEnd:
         assert "surface" not in cache_stats()
 
 
+class TestFairness:
+    @pytest.mark.usefixtures("cold_memos")
+    def test_a_pipelined_burst_does_not_hold_the_loop(self, monkeypatch):
+        """A warm answer is written on the read loop, which then yields:
+        4,000 pipelined warm plans on one connection must not keep a
+        ping on another waiting until the last of them is answered.
+
+        The server's loop runs in a thread and is held while both
+        connections send, and a thread reads connection A's answers, so
+        no write of the server's waits.  A loop that only yielded when
+        its read buffer ran dry would answer the ping after a whole
+        receive window of A's lines (about 1,750 of them here); one that
+        yields after each answer answers it within the first few.
+        """
+        written = []
+        write = PlanServer._write
+
+        async def recording(writer, write_lock, data):
+            written.append(data)
+            await write(writer, write_lock, data)
+
+        monkeypatch.setattr(PlanServer, "_write", staticmethod(recording))
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        server = asyncio.run_coroutine_threadsafe(started_server(), loop).result(30)
+        connections = []
+        for _ in range(2):
+            sock = socket.create_connection(("127.0.0.1", server.port), timeout=30)
+            lines = sock.makefile("rb")
+            sock.sendall(b'{"type":"plan","n":8,"m":2}\n')  # warms the key
+            lines.readline()
+            connections.append((sock, lines))
+        (sock_a, lines_a), (sock_b, lines_b) = connections
+        reader = threading.Thread(target=lambda: [lines_a.readline() for _ in range(4000)])
+        reader.start()
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            holding.set()
+            release.wait(10)
+
+        written.clear()
+        loop.call_soon_threadsafe(hold)
+        assert holding.wait(10)
+        sock_a.sendall(
+            b"".join(b'{"type":"plan","id":%d,"n":8,"m":2}\n' % rid for rid in range(4000))
+        )
+        sock_b.sendall(b'{"type":"ping","id":"b"}\n')
+        release.set()
+        pong = lines_b.readline()
+        reader.join(30)
+        for sock, lines in connections:
+            lines.close()
+            sock.close()
+        asyncio.run_coroutine_threadsafe(server.shutdown(), loop).result(30)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+
+        assert pong == b'{"id":"b","ok":true,"pong":true}\n'
+        assert server.metrics.memo_hits.value == 4001
+        last_a = max(i for i, data in enumerate(written) if data.startswith(b'{"id":3999,'))
+        assert written.index(pong) < last_a
+        assert written.index(pong) < 100
+
+
 class TestAdmissionControl:
+    @pytest.mark.usefixtures("cold_memos")
     def test_burst_over_budget_is_shed_not_queued(self):
         async def body():
             # A long batch window parks admitted plans in flight, so a
@@ -161,6 +231,7 @@ class TestAdmissionControl:
         assert error.code == "bad_request"
         assert "max_n" in error.message
 
+    @pytest.mark.usefixtures("cold_memos")
     def test_request_timeout_answers_timeout_error(self):
         async def body():
             server = await started_server(request_timeout=0.05, max_delay=0.3)
@@ -216,6 +287,7 @@ class TestBadRequests:
 
 
 class TestGracefulShutdown:
+    @pytest.mark.usefixtures("cold_memos")
     def test_drain_answers_inflight_requests(self):
         async def body():
             # Requests park in a 200 ms batch window; shutdown must
@@ -237,6 +309,7 @@ class TestGracefulShutdown:
         for result in results:
             assert result == plan(PlanRequest(n=result.n, m=3))
 
+    @pytest.mark.usefixtures("cold_memos")
     def test_shutdown_gives_up_on_a_plan_that_outlives_drain_timeout(
         self, monkeypatch, caplog
     ):

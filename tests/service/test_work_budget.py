@@ -1,24 +1,30 @@
-"""Exact JSON and write work of one scripted plan sequence (service tier).
+"""Exact JSON, write and wait work of one scripted plan sequence (service tier).
 
 A plan answer is filled from a memoized JSON template, and the cluster
 router relays a shard's answer bytes behind the client's id, so the
 plan path's JSON work is countable exactly: one decode of each request
 line on every process it enters, one re-encode of the request on the
 router's forward to its shard, no encode of any plan answer, and no
-decode of an id-first shard answer.  This test pins those counts, and
-the bytes each layer writes, for five requests sent one at a time:
+decode of an id-first shard answer.  A warm plan is answered on the
+server's read loop, so the path's waiting is countable too: each cold
+request makes one batcher submit and one task of the server's, and the
+warm repeat makes neither.  This test pins those counts, and the bytes
+each layer writes, for five requests sent one at a time:
 
 * ``[server]`` — to one in-process :class:`PlanServer`;
 * ``[router]`` — to a :class:`ClusterRouter` over two in-process shards.
 
 The ``json`` attribute of the server, router and client modules (the
 client module carries the router's forward to a shard) is swapped for
-a counting stand-in, and both layers' ``_write`` are wrapped to count
-bytes.  Counting starts after start-up, the router never warms keys
-(``hot_threshold=0``) or probes (an hour's interval), and the requests
-come from a raw socket, so only the sequence's own work is counted.
-The one encode on the server is the amend's ``"amended"`` echo.  The
-byte budgets are the answer lines built from in-process ``plan()``.
+a counting stand-in, both layers' ``_write`` are wrapped to count
+bytes, :meth:`PlanBatcher.submit` is wrapped to count calls, and a task
+factory on the loop counts the tasks whose coroutine is the server's.
+The memos start empty, counting starts after start-up, the router
+never warms keys (``hot_threshold=0``) or probes (an hour's interval),
+and the requests come from a raw socket, so only the sequence's own
+work is counted.  The one encode on the server is the amend's
+``"amended"`` echo.  The byte budgets are the answer lines built from
+in-process ``plan()``.
 """
 
 from __future__ import annotations
@@ -31,13 +37,15 @@ import pytest
 
 from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.cluster import router as router_module
-from repro.service import PlanRequest, PlanServer, framing, plan
+from repro.core import clear_caches
+from repro.service import PlanBatcher, PlanRequest, PlanServer, framing, plan
 from repro.service import client as client_module
 from repro.service import server as server_module
 
 pytestmark = pytest.mark.service
 
-#: (request, the plan that answers it, the server's amend echo).
+#: (request, the plan that answers it, the server's amend echo).  The
+#: second request repeats the first, so it is the one warm key.
 SEQUENCE = [
     ({"type": "plan", "n": 64, "m": 8}, PlanRequest(n=64, m=8), None),
     ({"type": "plan", "n": 64, "m": 8}, PlanRequest(n=64, m=8), None),
@@ -99,13 +107,35 @@ def count_work(monkeypatch) -> dict:
     return work
 
 
+def count_waits(monkeypatch, loop) -> dict:
+    """Count batcher submits and the server's tasks; return the live counts."""
+    waits = {"submits": 0, "tasks": 0}
+    submit = PlanBatcher.submit
+
+    async def counted_submit(batcher, request):
+        waits["submits"] += 1
+        return await submit(batcher, request)
+
+    monkeypatch.setattr(PlanBatcher, "submit", counted_submit)
+
+    def task_factory(loop, coro, **kwargs):
+        code = getattr(coro, "cr_code", None)
+        if code is not None and code.co_filename == server_module.__file__:
+            waits["tasks"] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    loop.set_task_factory(task_factory)
+    return waits
+
+
 def answer_line(rid, request: PlanRequest, **extra) -> bytes:
     answer = {"id": rid, "ok": True, "result": plan(request).to_dict(), **extra}
     return (json.dumps(answer, separators=(",", ":")) + "\n").encode()
 
 
 async def run_sequence(via: str, monkeypatch):
-    """``(work, answers, the shard each request routes to)``."""
+    """``(work, per-request waits, answers, the shard each request routes to)``."""
+    clear_caches()
     shards = [PlanServer(port=0, shard_id=sid) for sid in range(2 if via == "router" else 1)]
     for shard in shards:
         await shard.start()
@@ -124,12 +154,19 @@ async def run_sequence(via: str, monkeypatch):
     reader, writer = await asyncio.open_connection(
         "127.0.0.1", port, limit=framing.MAX_FRAME_BYTES
     )
+    waits = count_waits(monkeypatch, asyncio.get_running_loop())
     answers = []
+    per_request = {"submits": [], "tasks": []}
     for rid, (payload, _, _) in enumerate(SEQUENCE, 1):
+        before = dict(waits)
         writer.write(json.dumps(dict(payload, id=rid)).encode() + b"\n")
         await writer.drain()
         answers.append(await reader.readline())
+        for name, series in per_request.items():
+            series.append(waits[name] - before[name])
+    asyncio.get_running_loop().set_task_factory(None)
     work = {layer: dict(counts) for layer, counts in work.items()}
+    per_request["memo_hits"] = sum(shard.metrics.memo_hits.value for shard in shards)
     routes = [
         router.ring.chain(plan_key(r.n, r.m, r.params), router.replication)[0]
         if router else None
@@ -140,12 +177,12 @@ async def run_sequence(via: str, monkeypatch):
         await router.shutdown()
     for shard in shards:
         await shard.shutdown()
-    return work, answers, routes
+    return work, per_request, answers, routes
 
 
 @pytest.mark.parametrize("via", ["server", "router"])
 def test_plan_sequence_work_budget(monkeypatch, via):
-    work, answers, routes = asyncio.run(run_sequence(via, monkeypatch))
+    work, waits, answers, routes = asyncio.run(run_sequence(via, monkeypatch))
     routed = via == "router"
     # The router names the shard and has always dropped an amend's
     # echo.  Each of its shard connections spent id 1 on the start-up
@@ -166,3 +203,6 @@ def test_plan_sequence_work_budget(monkeypatch, via):
         "router": {"decodes": 5 * routed, "encodes": 0, "bytes": sum(map(len, router_lines))},
         "hop": {"decodes": 0, "encodes": 5 * routed},
     }
+    # Requests 1, 3, 4 and 5 are cold and wait in the batcher; the
+    # repeat of request 1 is answered on the read loop.
+    assert waits == {"submits": [1, 0, 1, 1, 1], "tasks": [1, 0, 1, 1, 1], "memo_hits": 1}

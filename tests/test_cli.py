@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.cli import main
@@ -316,3 +318,18 @@ def test_full_protocol_keeps_seed(capsys, monkeypatch):
 def test_malformed_values_exit_2(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["plan", "-n", "8", "-m", "2"], ["cluster", "status"], ["metrics"]],
+    ids=["plan", "cluster-status", "metrics"],
+)
+def test_connect_to_a_closed_port_is_one_error_line(capsys, argv):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]  # closed again: nothing listens there
+    assert main([*argv, "--connect", f"127.0.0.1:{port}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unavailable: ")
+    assert len(err.splitlines()) == 1
