@@ -30,7 +30,6 @@ Quickstart::
 """
 
 from .core import (
-    AnalyticSurface,
     MulticastTree,
     OptimalKTable,
     build_binomial_tree,
@@ -75,6 +74,16 @@ from .params import PAPER_PARAMS, SystemParams
 from .sessions import Session, SessionResult, SessionSetResult, SessionSimulator
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # AnalyticSurface (and numpy with it) loads on first use; see repro.core.
+    if name == "AnalyticSurface":
+        from .core.surface import AnalyticSurface
+
+        return AnalyticSurface
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalyticSurface",

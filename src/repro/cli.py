@@ -66,7 +66,6 @@ from .analysis import (
 )
 from .analysis.experiments import DEST_AXIS, PACKET_AXIS, _testbed
 from .core import (
-    AnalyticSurface,
     build_kbinomial_tree,
     decoster_latency,
     decoster_optimal_packet_size,
@@ -262,6 +261,8 @@ def _cmd_optimal_k(args) -> None:
 
 
 def _cmd_surface(args) -> None:
+    from .core.surface import AnalyticSurface  # numpy, loaded for this command only
+
     if args.load:
         surface = AnalyticSurface.load(args.load)
         action = f"loaded from {args.load} (CRC verified)"

@@ -39,14 +39,15 @@ from .optimal import (
     optimal_k_exact,
     predicted_steps,
 )
-from .surface import AnalyticSurface
 from .related import decoster_latency, decoster_optimal_packet_size
 from .render import render_tree, tree_stats
 from .pipeline import (
     conventional_latency_model,
     fcfs_schedule,
+    fcfs_steps,
     fcfs_total_steps,
     fpfs_schedule,
+    fpfs_steps,
     fpfs_total_steps,
     multicast_latency_model,
     packet_completion_steps,
@@ -64,6 +65,17 @@ from .validation import (
     check_fanout_cap,
     check_kbinomial_depth,
 )
+
+
+def __getattr__(name: str):
+    # AnalyticSurface needs numpy, which nothing else on the import path
+    # of the CLI, the plan service or the cluster does: load it on first use.
+    if name == "AnalyticSurface":
+        from .surface import AnalyticSurface
+
+        return AnalyticSurface
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalyticSurface",
@@ -93,10 +105,12 @@ __all__ = [
     "decoster_latency",
     "decoster_optimal_packet_size",
     "fcfs_schedule",
+    "fcfs_steps",
     "fcfs_total_steps",
     "fcfs_buffer_time",
     "fpfs_buffer_time",
     "fpfs_schedule",
+    "fpfs_steps",
     "fpfs_total_steps",
     "linear_tree_steps",
     "min_k_binomial",

@@ -10,12 +10,16 @@ transmission).  Theorem 1 shows successive packets complete exactly
 
 This module provides:
 
-* :func:`fpfs_schedule` — an **exact** step-synchronous scheduler for
-  an arbitrary tree: returns the step at which every (node, packet)
-  pair is received.  It makes no k-binomial assumption, so it doubles
-  as the ground truth the theorems are verified against (the theorem
-  formula assumes no interior node out-fans the root, which k-binomial
-  trees guarantee; the scheduler is exact even when that fails).
+* :func:`fpfs_steps` — the **exact** step-synchronous FPFS schedule of
+  an arbitrary tree: each node's receive step of every packet.  It
+  makes no k-binomial assumption, so it doubles as the ground truth
+  the theorems are verified against (the theorem formula assumes no
+  interior node out-fans the root, which k-binomial trees guarantee;
+  the schedule is exact even when that fails).
+* :func:`fpfs_schedule` — the same schedule keyed by
+  ``(node, packet)``.
+* :func:`fcfs_steps` / :func:`fcfs_schedule` — the exact FCFS schedule
+  (§3.1's discipline), in the same two forms.
 * :func:`fpfs_total_steps` — completion step of the last packet at the
   last destination.
 * :func:`theorem2_steps` — the closed-form ``T1 + (m-1) * k_T``.
@@ -24,21 +28,30 @@ This module provides:
 * :func:`conventional_latency_model` — µs latency of conventional-NI
   binomial multicast, ``ceil(log2 n) * (m * t_step + t_s + t_r)``
   extended from the paper's single-packet expression.
+
+Both schedules come from one pass over the tree, parents before
+children, with per-node state only.  That is Theorem 1's own argument
+(``docs/THEORY.md`` §3): a node serves its packets in arrival order,
+its parent hands them over in index order, and its send ports serve
+no one else, so a node's sends follow from its own receive steps
+alone.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, Hashable, Tuple
+from heapq import heapreplace
+from typing import Callable, Dict, Hashable, List, Tuple
 
 from ..params import SystemParams
 from .trees import MulticastTree
 
 __all__ = [
     "fcfs_schedule",
+    "fcfs_steps",
     "fcfs_total_steps",
     "fpfs_schedule",
+    "fpfs_steps",
     "fpfs_total_steps",
     "packet_completion_steps",
     "theorem2_steps",
@@ -46,11 +59,77 @@ __all__ = [
     "conventional_latency_model",
 ]
 
+#: A schedule per node: ``node → [receive step of packet 0, 1, ..., m-1]``.
+Steps = Dict[Hashable, List[int]]
 
-def fpfs_schedule(
-    tree: MulticastTree, m: int, ports: int = 1
-) -> Dict[Tuple[Hashable, int], int]:
-    """Exact FPFS step schedule for ``m`` packets over ``tree``.
+
+def _check(m: int, ports: int = 1) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if ports < 1:
+        raise ValueError(f"ports must be >= 1, got {ports}")
+
+
+def _walk(
+    tree: MulticastTree, m: int, sends: Callable[[List[int], int], List[List[int]]]
+) -> Steps:
+    """Every node's receive steps, computed from the root down.
+
+    ``sends(recv, fanout)`` turns one node's receive steps (packet
+    order) into each child's, in child order.  The source holds all
+    ``m`` packets at step 0.
+    """
+    steps = {tree.root: [0] * m}
+    for node in tree.nodes():  # preorder: every parent before its children
+        children = tree.children(node)
+        if children:
+            steps.update(zip(children, sends(steps[node], len(children))))
+    return steps
+
+
+def _one_port_starts(recv: List[int], fanout: int) -> List[int]:
+    """The step at which a one-port NI sends each packet's first copy.
+
+    Packet ``p``, received at ``r_p``, leaves at
+    ``S_p = max(r_p + 1, free)``; its ``fanout`` copies take steps
+    ``S_p .. S_p + fanout - 1``, so the port is next free at
+    ``S_p + fanout``.
+    """
+    starts = []
+    free = 1
+    for r in recv:
+        if r >= free:
+            free = r + 1
+        starts.append(free)
+        free += fanout
+    return starts
+
+
+def _fpfs_one_port(recv: List[int], fanout: int) -> List[List[int]]:
+    """FPFS on one port: child ``i`` receives packet ``p`` at ``S_p + i``."""
+    starts = _one_port_starts(recv, fanout)
+    return [starts] + [[s + i for s in starts] for i in range(1, fanout)]
+
+
+def _fpfs_multi_port(ports: int) -> Callable[[List[int], int], List[List[int]]]:
+    """FPFS on ``ports`` ports: each send takes the earliest-free port."""
+
+    def sends(recv: List[int], fanout: int) -> List[List[int]]:
+        free = [1] * ports  # min-heap: the step at which each port is next free
+        received: List[List[int]] = [[] for _ in range(fanout)]
+        for r in recv:
+            for child in received:
+                # Occupy the earliest-free port, no sooner than arrival.
+                step = max(free[0], r + 1)
+                heapreplace(free, step + 1)
+                child.append(step)
+        return received
+
+    return sends
+
+
+def fpfs_steps(tree: MulticastTree, m: int, ports: int = 1) -> Steps:
+    """Exact FPFS step schedule for ``m`` packets over ``tree``, per node.
 
     Model (matches the paper's Figs. 5 and 8):
 
@@ -68,47 +147,33 @@ def fpfs_schedule(
     Returns
     -------
     dict
-        ``(node, packet_index)`` → receive step, with packets indexed
-        from 0.  The source's entries are all 0.
+        ``node`` → list of the steps at which it receives packets
+        ``0 .. m-1`` (never decreasing).  The source's entries are all
+        0.  Each call returns fresh lists.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if ports < 1:
-        raise ValueError(f"ports must be >= 1, got {ports}")
+    _check(m, ports)
+    return _walk(tree, m, _fpfs_one_port if ports == 1 else _fpfs_multi_port(ports))
 
-    recv: Dict[Tuple[Hashable, int], int] = {}
-    # Per-node send capacity: a min-heap of the steps at which each of
-    # the node's ports next becomes free (lazily created).
-    port_free: Dict[Hashable, list] = {}
-    # Heap of (available_step, packet_index, seq, node): the moment a
-    # packet becomes forwardable at a node.  Ordering by (step, packet)
-    # realises FPFS: earlier arrivals are fully serviced first.
-    heap: list = []
-    seq = 0
-    for p in range(m):
-        recv[(tree.root, p)] = 0
-        heapq.heappush(heap, (1, p, seq, tree.root))
-        seq += 1
 
-    while heap:
-        available, p, _, node = heapq.heappop(heap)
-        if not tree.fanout(node):
-            continue
-        free = port_free.setdefault(node, [1] * ports)
-        for child in tree.children(node):
-            # Occupy the earliest-free port, no sooner than arrival.
-            step = max(heapq.heappop(free), available)
-            heapq.heappush(free, step + 1)
-            recv[(child, p)] = step
-            heapq.heappush(heap, (step + 1, p, seq, child))
-            seq += 1
-    return recv
+def _by_packet(steps: Steps) -> Dict[Tuple[Hashable, int], int]:
+    return {(node, p): step for node, recv in steps.items() for p, step in enumerate(recv)}
+
+
+def fpfs_schedule(
+    tree: MulticastTree, m: int, ports: int = 1
+) -> Dict[Tuple[Hashable, int], int]:
+    """:func:`fpfs_steps` keyed by ``(node, packet_index)`` → receive step.
+
+    Packets are indexed from 0; the source's entries are all 0.
+    Prefer :func:`fpfs_steps` where the per-node lists suffice: this
+    view builds one dict entry per (node, packet) pair.
+    """
+    return _by_packet(fpfs_steps(tree, m, ports=ports))
 
 
 def fpfs_total_steps(tree: MulticastTree, m: int, ports: int = 1) -> int:
     """Completion step of the whole multicast (0 for a trivial tree)."""
-    recv = fpfs_schedule(tree, m, ports=ports)
-    return max(recv.values())
+    return max(recv[-1] for recv in fpfs_steps(tree, m, ports=ports).values())
 
 
 def packet_completion_steps(tree: MulticastTree, m: int, ports: int = 1) -> list[int]:
@@ -118,73 +183,41 @@ def packet_completion_steps(tree: MulticastTree, m: int, ports: int = 1) -> list
     k-binomial tree (one-port model); tests verify that against this
     exact schedule.
     """
-    recv = fpfs_schedule(tree, m, ports=ports)
-    completion = [0] * m
-    for (_, p), step in recv.items():
-        completion[p] = max(completion[p], step)
-    return completion
+    return [max(column) for column in zip(*fpfs_steps(tree, m, ports=ports).values())]
+
+
+def _fcfs_sends(recv: List[int], fanout: int) -> List[List[int]]:
+    """FCFS: each packet to the first child as it lands, then the whole
+    message to each further child in turn."""
+    first = _one_port_starts(recv, 1)
+    # The port is next free at first[-1] + 1, already past the last
+    # packet's arrival, so the further children's copies run back to back.
+    free, m = first[-1] + 1, len(recv)
+    return [first] + [list(range(free + j * m, free + (j + 1) * m)) for j in range(fanout - 1)]
+
+
+def fcfs_steps(tree: MulticastTree, m: int) -> Steps:
+    """Exact FCFS step schedule (§3.1's discipline), per node.
+
+    Same step mechanics as :func:`fpfs_steps` (one port), but
+    forwarding is child-major: each arriving packet is relayed to the
+    *first* child immediately; children ``2..c`` receive the whole
+    message only after the last packet has arrived.  The source, which
+    holds every packet at step 0, therefore streams the full message
+    child by child from step 1.
+    """
+    _check(m)
+    return _walk(tree, m, _fcfs_sends)
 
 
 def fcfs_schedule(tree: MulticastTree, m: int) -> Dict[Tuple[Hashable, int], int]:
-    """Exact FCFS step schedule (§3.1's discipline in the step model).
-
-    Same step mechanics as :func:`fpfs_schedule`, but forwarding is
-    child-major: each arriving packet is relayed to the *first* child
-    immediately; children ``2..c`` receive the whole message only after
-    the last packet has arrived.  The source (which holds all packets
-    at step 0) streams the full message child by child.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-
-    recv: Dict[Tuple[Hashable, int], int] = {}
-    next_free: Dict[Hashable, int] = {}
-    # (available_step, packet, seq, node) — arrival order drives the
-    # first-child relay; the remaining children are booked when the
-    # last packet lands.
-    heap: list = []
-    arrived: Dict[Hashable, int] = {}
-    seq = 0
-    for p in range(m):
-        recv[(tree.root, p)] = 0
-        heapq.heappush(heap, (1, p, seq, tree.root))
-        seq += 1
-
-    def book(node: Hashable, packet: int, child: Hashable, earliest: int) -> None:
-        nonlocal seq
-        step = max(earliest, next_free.get(node, 1))
-        next_free[node] = step + 1
-        recv[(child, packet)] = step
-        heapq.heappush(heap, (step + 1, packet, seq, child))
-        seq += 1
-
-    while heap:
-        available, p, _, node = heapq.heappop(heap)
-        children = tree.children(node)
-        if not children:
-            continue
-        arrived[node] = arrived.get(node, 0) + 1
-        if node == tree.root and p == 0 and arrived[node] == 1:
-            # The source holds everything: stream child-major at once.
-            arrived[node] = m
-            for _ in range(m - 1):
-                heapq.heappop(heap)  # drop the other root entries
-            for child in children:
-                for packet in range(m):
-                    book(node, packet, child, 1)
-            continue
-        book(node, p, children[0], available)
-        if arrived[node] == m:
-            for child in children[1:]:
-                for packet in range(m):
-                    book(node, packet, child, available)
-    return recv
+    """:func:`fcfs_steps` keyed by ``(node, packet_index)`` → receive step."""
+    return _by_packet(fcfs_steps(tree, m))
 
 
 def fcfs_total_steps(tree: MulticastTree, m: int) -> int:
     """Completion step of an FCFS multicast (0 for a trivial tree)."""
-    recv = fcfs_schedule(tree, m)
-    return max(recv.values())
+    return max(recv[-1] for recv in fcfs_steps(tree, m).values())
 
 
 def theorem2_steps(t1: int, m: int, k_t: int) -> int:

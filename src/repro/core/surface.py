@@ -48,7 +48,7 @@ import numpy as np
 
 from ..durable.errors import ValidationError
 from .kbinomial import build_kbinomial_tree, min_k_binomial
-from .pipeline import fpfs_schedule
+from .pipeline import packet_completion_steps
 
 __all__ = ["AnalyticSurface"]
 
@@ -96,12 +96,8 @@ def _exact_completion(n: int, k: int, m_max: int, ports: int) -> np.ndarray:
     ``p`` never move ``p``'s schedule — pinned by a property test).
     """
     tree = build_kbinomial_tree(list(range(n)), k)
-    recv = fpfs_schedule(tree, m_max, ports=ports)
-    completion = np.zeros(m_max, dtype=np.int64)
-    for (_, p), step in recv.items():
-        if step > completion[p]:
-            completion[p] = step
-    return np.maximum.accumulate(completion)
+    completion = packet_completion_steps(tree, m_max, ports=ports)
+    return np.maximum.accumulate(np.asarray(completion, dtype=np.int64))
 
 
 class AnalyticSurface:

@@ -133,22 +133,11 @@ class MulticastTree:
         One send per node per step, children served in order, a node may
         forward a packet the step after receiving it (the paper's step
         model; see Figs. 5 and 8).  The root holds the packet at step 0.
-        Equivalent to :func:`repro.core.pipeline.fpfs_schedule` with
-        ``m=1`` but cheaper.
+        The ``m = 1`` case of :func:`repro.core.pipeline.fpfs_steps`.
         """
-        recv = {self.root: 0}
-        # Process nodes in BFS order; each node starts sending the step
-        # after it received and sends to one child per step.
-        order = [self.root]
-        index = 0
-        while index < len(order):
-            node = order[index]
-            index += 1
-            t = recv[node]
-            for offset, child in enumerate(self._children[node], start=1):
-                recv[child] = t + offset
-                order.append(child)
-        return recv
+        from .pipeline import fpfs_steps  # the step model builds on this module
+
+        return {node: recv[0] for node, recv in fpfs_steps(self, 1).items()}
 
     def validate(self) -> None:
         """Raise ``ValueError`` if internal invariants are broken."""

@@ -37,12 +37,13 @@ import json
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, register_cache
 from ..durable.errors import ValidationError
 from ..core.optimal import optimal_k
-from ..core.pipeline import fpfs_schedule
+from ..core.pipeline import fpfs_steps
 from ..params import PAPER_MACHINE, MachineParams
 
 __all__ = [
@@ -59,10 +60,11 @@ __all__ = [
 #: Largest schedule work (:func:`plan_work`) the plan service accepts:
 #: the server refuses a larger plan or amend as ``bad_request``, and a
 #: journal replay skips it.  An exact FPFS schedule costs O(n·m) time
-#: and memory, so ``n=64,
-#: m=100000`` took 20 s and 1 GiB.  At this bound a cold plan took
-#: 0.3-1.3 s on a 2-vCPU host; 1024 × 32 is the largest plan the
-#: repository's own tests, CI and benchmarks ask for.
+#: and memory: ``n=64, m=100000`` took 0.75 s and 270 MiB.  At this
+#: bound a cold plan took 0.015 s (128 × 1024) to 2.0 s (131,072 × 1,
+#: where the tree build and the wire template dominate) on one vCPU of
+#: a 2-vCPU KVM guest; 1024 × 32 is the largest plan the repository's
+#: own tests, CI and benchmarks ask for.
 MAX_PLAN_WORK = 1 << 17
 
 
@@ -243,27 +245,28 @@ class _Shape(NamedTuple):
 
 
 def _canonical(n: int, k: int, m: int, ports: int):
-    """``(tree, recv, shape)`` of the canonical k-binomial tree over ``range(n)``.
+    """``(tree, steps, shape)`` of the canonical k-binomial tree over ``range(n)``.
 
-    The exact :func:`~repro.core.pipeline.fpfs_schedule` run is the
-    expensive part of a plan (O(n·m) events); both schedule memos below
-    are built from it, so they hold the same schedule in two forms.
+    ``steps`` is the exact per-node :func:`~repro.core.pipeline.fpfs_steps`
+    schedule, O(n·m) work, of which a plan reads each node's first and
+    last receive step; both schedule memos below are built from it, so
+    they hold the same schedule in two forms.
     """
     tree = cached_build_kbinomial_tree(range(n), k)
-    recv = fpfs_schedule(tree, m, ports=ports)
+    steps = fpfs_steps(tree, m, ports=ports)
     shape = _Shape(
         root_fanout=tree.root_fanout,
         max_fanout=tree.max_fanout,
-        total_steps=max(recv[(node, m - 1)] for node in range(n)),
+        total_steps=max(recv[-1] for recv in steps.values()),
         t1=cached_steps_needed(n, k),
     )
-    return tree, recv, shape
+    return tree, steps, shape
 
 
 @lru_cache(maxsize=4096)
 def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, Tuple[NodePlan, ...]]:
     """Memoized canonical schedule as :class:`NodePlan` rows, for :func:`plan`."""
-    tree, recv, shape = _canonical(n, k, m, ports)
+    tree, steps, shape = _canonical(n, k, m, ports)
     rows = []
     for node in range(n):
         children = tree.children(node)
@@ -272,9 +275,9 @@ def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, Tuple[No
                 node=node,
                 parent=None if node == tree.root else tree.parent(node),
                 children=tuple(children),
-                child_first_send=tuple(recv[(child, 0)] for child in children),
-                first_recv=recv[(node, 0)],
-                last_recv=recv[(node, m - 1)],
+                child_first_send=tuple(steps[child][0] for child in children),
+                first_recv=steps[node][0],
+                last_recv=steps[node][-1],
             )
         )
     return shape, tuple(rows)
@@ -347,23 +350,27 @@ class _LRUMemo:
             self._hits = self._misses = 0
 
 
-def _wire_entry(n: int, m: int, ports: int) -> Tuple[int, _Shape, bytes, Tuple[int, ...]]:
-    """``(k, shape, template, ids)``: the canonical schedule as a wire template.
+def _wire_entry(
+    n: int, m: int, ports: int
+) -> Tuple[int, _Shape, bytes, Tuple[int, ...], Callable[[List[int]], Tuple[int, ...]]]:
+    """``(k, shape, template, ids, remap)``: the canonical schedule as a wire template.
 
     The template is the ``"schedule"`` JSON array of :meth:`PlanResult.to_dict`
     with a ``%d`` slot wherever a node id goes (``node``, ``parent``,
     ``children``); ``ids`` gives the canonical position of each slot, in
     order.  ``template % ids`` is the canonical schedule's bytes, and
     filling the slots with the survivors' original positions instead
-    is the remapped schedule's.  It holds no :class:`NodePlan` objects
-    and takes about 0.6x the row memo's memory for the same keys.
+    is the remapped schedule's: ``remap(survivors)`` is that tuple
+    (``operator.itemgetter(*ids)``, one C call for every slot).  It
+    holds no :class:`NodePlan` objects and takes about 0.6x the row
+    memo's memory for the same keys.
 
     The entry carries ``k = optimal_k(n, m)``, so the memo is keyed on
     ``(n, m, ports)`` alone and :func:`plan_json_warm` can look a plan
     up without a Theorem-3 search.
     """
     k = optimal_k(n, m)
-    tree, recv, shape = _canonical(n, k, m, ports)
+    tree, steps, shape = _canonical(n, k, m, ports)
     ids: List[int] = []
     rows = []
     for node in range(n):
@@ -381,12 +388,13 @@ def _wire_entry(n: int, m: int, ports: int) -> Tuple[int, _Shape, bytes, Tuple[i
             % (
                 parent,
                 b",".join([b"%d"] * len(children)),
-                b",".join([b"%d" % recv[(child, 0)] for child in children]),
-                recv[(node, 0)],
-                recv[(node, m - 1)],
+                b",".join([b"%d" % steps[child][0] for child in children]),
+                steps[node][0],
+                steps[node][-1],
             )
         )
-    return k, shape, b"[" + b",".join(rows) + b"]", tuple(ids)
+    slots = tuple(ids)  # at least four (n >= 2), so the getter returns a tuple
+    return k, shape, b"[" + b",".join(rows) + b"]", slots, itemgetter(*slots)
 
 
 #: The wire memo :func:`plan_json` fills and :func:`plan_json_warm` reads.
@@ -416,8 +424,10 @@ def _fields(request: PlanRequest, k: int, shape: _Shape) -> dict:
 
 def _survivors(request: PlanRequest) -> List[int]:
     """The original chain position of each canonical position ``0..n_eff-1``."""
-    dead = set(request.exclude)
-    return [i for i in range(request.n) if i not in dead]
+    survivors = list(range(request.n))
+    for position in reversed(request.exclude):  # sorted: the last first keeps indices valid
+        del survivors[position]
+    return survivors
 
 
 def plan(request: PlanRequest) -> PlanResult:
@@ -451,9 +461,9 @@ def plan(request: PlanRequest) -> PlanResult:
 
 def _fill(request: PlanRequest, entry) -> bytes:
     """The answer bytes of ``request`` from its wire memo entry."""
-    k, shape, template, ids = entry
+    k, shape, template, ids, remap = entry
     if request.exclude:
-        ids = tuple(map(_survivors(request).__getitem__, ids))
+        ids = remap(_survivors(request))
     return b"".join(
         (
             json.dumps(_fields(request, k, shape), separators=(",", ":")).encode()[:-1],

@@ -248,12 +248,16 @@ class TestFailover:
             results = await asyncio.gather(
                 *[client.plan(n, 4) for n in keys.values()]
             )
-            for _ in range(100):  # probes evict within a few intervals
-                if router.ring.epoch > 0:
+            survivor = servers[1 - victim]
+            # Probes evict within a few intervals.  The eviction bumps
+            # the ring's epoch before it closes the dead shard's client
+            # and configures the survivor, so wait for both.
+            for _ in range(100):
+                if 0 < router.ring.epoch == survivor.ring_epoch:
                     break
                 await asyncio.sleep(0.05)
             status = router.status_report()
-            survivor_epoch = servers[1 - victim].ring_epoch
+            survivor_epoch = survivor.ring_epoch
             await client.close()
             await stop_cluster(servers, router)
             return keys, victim, results, status, survivor_epoch

@@ -37,9 +37,10 @@ import pytest
 
 from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.cluster import router as router_module
-from repro.core import clear_caches
+from repro.core import clear_caches, pipeline
 from repro.service import PlanBatcher, PlanRequest, PlanServer, framing, plan
 from repro.service import client as client_module
+from repro.service import planner as planner_module
 from repro.service import server as server_module
 
 pytestmark = pytest.mark.service
@@ -206,3 +207,24 @@ def test_plan_sequence_work_budget(monkeypatch, via):
     # Requests 1, 3, 4 and 5 are cold and wait in the batcher; the
     # repeat of request 1 is answered on the read loop.
     assert waits == {"submits": [1, 0, 1, 1, 1], "tasks": [1, 0, 1, 1, 1], "memo_hits": 1}
+
+
+def test_cold_plan_reads_step_lists_not_the_pair_dict(monkeypatch):
+    """A cold plan runs one per-node step pass and never builds
+    ``fpfs_schedule``'s dict of n·m ``(node, packet)`` pairs."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    schedule = counted("fpfs_schedule", pipeline.fpfs_schedule)
+    for module in (pipeline, planner_module):
+        monkeypatch.setattr(module, "fpfs_schedule", schedule, raising=False)
+    monkeypatch.setattr(planner_module, "fpfs_steps", counted("fpfs_steps", pipeline.fpfs_steps))
+    clear_caches()
+    planner_module.plan_json(PlanRequest(n=512, m=32))
+    assert calls == {"fpfs_steps": 1}

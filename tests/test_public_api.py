@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,37 @@ def test_star_import_is_clean():
     exec("from repro import *", namespace)  # noqa: S102 - deliberate
     assert "MulticastSimulator" in namespace
     assert "optimal_k" in namespace
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro",
+        "import repro.service",
+        "import repro.cluster",
+        "import repro.cli",
+        "from repro.cli import main; main(['plan', '-n', '64', '-m', '8'])",
+    ],
+)
+def test_numpy_loads_only_for_the_analytic_surface(code):
+    """numpy is the surface's alone: the package, the plan service, the
+    cluster and the CLI (through a ``plan`` command) never import it."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    check = code + "; import sys; sys.exit('numpy' in sys.modules and 'numpy loaded')"
+    child = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+
+
+def test_analytic_surface_resolves_on_first_use():
+    import repro
+    from repro.core import AnalyticSurface
+    from repro.core.surface import AnalyticSurface as defined
+
+    assert AnalyticSurface is defined and repro.AnalyticSurface is defined
+    with pytest.raises(AttributeError):
+        repro.core.NoSuchName  # noqa: B018 - the lazy lookup must not swallow typos
