@@ -95,7 +95,7 @@ class NIFaultGate:
     """Per-NI fault state consulted by the send/receive engines.
 
     The engine contract: each ``*_gate`` method is a generator the
-    engine ``yield from``s; it may stall (yield timeouts) and returns
+    engine ``yield from``s; it may stall (yield delays) and returns
     ``True`` when the packet must be dropped.  A crashed NI eats
     everything; a stalled NI delays everything until the stall window
     closes; a capacity-capped NI drops arrivals that would need a
@@ -120,7 +120,7 @@ class NIFaultGate:
         if self.crashed:
             return True
         while self.stalled_until > self.env.now:
-            yield self.env.timeout(self.stalled_until - self.env.now)
+            yield self.stalled_until - self.env.now
             if self.crashed:
                 return True
         return False
@@ -153,7 +153,7 @@ class NIFaultGate:
             return False
         extra = self.links.extra_delay(route)
         if extra > 0.0:
-            yield self.env.timeout(extra)
+            yield extra
         if self.links.drops(route):
             self.dropped_links += 1
             return True
@@ -179,9 +179,10 @@ class FaultInjector:
         self._registry = None
 
     def attach(self, env, registry, pool) -> None:
-        """Install gates on every NI of ``registry`` and start the driver."""
+        """Build every NI of ``registry``, gate each and start the driver."""
         if not self.schedule:
             return
+        registry.build_all()
         self._registry = registry
         self._hosts = frozenset(ni.host for ni in registry)
         for ni in registry:
@@ -209,7 +210,7 @@ class FaultInjector:
     def _driver(self, env):
         for event in self.schedule:
             if event.time > env.now:
-                yield env.timeout(event.time - env.now)
+                yield event.time - env.now
             self._apply(env, event)
 
     def _apply(self, env, event) -> None:
@@ -256,17 +257,17 @@ class FaultInjector:
         self.applied.append((env.now, event))
 
     def _heal_slowdown(self, env, ni, factor, duration):
-        yield env.timeout(duration)
+        yield duration
         p = ni.params
         ni.params = p.with_(t_ns=p.t_ns / factor, t_nr=p.t_nr / factor)
 
     def _heal_drop(self, env, target, duration):
-        yield env.timeout(duration)
+        yield duration
         self.links.dead_endpoints.discard(target)
         self.links.dead_links.discard(target)
 
     def _heal_degrade(self, env, table, target, delay_us, duration):
-        yield env.timeout(duration)
+        yield duration
         remaining = table.get(target, 0.0) - delay_us
         if remaining > 0.0:
             table[target] = remaining

@@ -71,6 +71,8 @@ class ReliableMulticastSimulator(MulticastSimulator):
         return self._current_pool
 
     def _post_build(self, env, registry, pool) -> None:
+        # Every NI runs behind the gate, and a NACK may go to any parent.
+        registry.build_all()
         gate = LossGate(pool)
         for ni in registry:
             ni.fault_gate = gate

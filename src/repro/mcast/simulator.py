@@ -1,10 +1,11 @@
 """End-to-end multicast simulation: trees × NIs × wormhole network.
 
 :class:`MulticastSimulator` assembles one simulation per ``run`` call:
-a fresh :class:`~repro.sim.Environment`, one NI per host (of the chosen
-forwarding discipline), a shared :class:`~repro.network.links.ChannelPool`,
-forwarding tables derived from the multicast tree, and the source's
-injection process.  The run ends when the system quiesces (every NI
+a fresh :class:`~repro.sim.Environment`, a shared
+:class:`~repro.network.links.ChannelPool`, an NI registry that builds a
+host's NI (of the chosen forwarding discipline) the first time the run
+looks it up, forwarding tables derived from the multicast tree, and the
+source's injection process.  The run ends when the system quiesces (every NI
 engine blocked on an empty queue), at which point every destination NI
 must hold every packet — verified, not assumed.
 
@@ -54,7 +55,8 @@ class MulticastResult:
     packet_completion: Tuple[float, ...]
     #: destination -> time its NI finished receiving the whole message.
     destination_completion: Dict[Node, float]
-    #: host -> peak packets buffered for forwarding at its NI.
+    #: host -> peak packets buffered for forwarding at its NI, for every
+    #: host of the topology in host order (0 where no NI was built).
     peak_buffers: Dict[Node, int]
     #: Total time packets spent blocked on busy channels (contention).
     blocked_time: float
@@ -185,11 +187,13 @@ class MulticastSimulator:
         return ChannelPool(env, host_link_capacity=self.ni_ports)
 
     def _post_build(self, env: Environment, registry: NICRegistry, pool: ChannelPool) -> None:
-        """Hook after the NIs exist but before any message is installed.
+        """Hook after the fabric exists but before any message is installed.
 
         :class:`repro.faults.inject.FaultyMulticastSimulator` attaches
         its fault injector here; the base simulator does nothing, so
-        fault-free runs are untouched.
+        fault-free runs are untouched.  A hook that touches every NI
+        calls ``registry.build_all()`` first: until then only looked-up
+        NIs exist.
         """
 
     def _params_for(self, host: Node) -> SystemParams:
@@ -265,13 +269,18 @@ class MulticastSimulator:
                 raise ValueError(f"tree node {node!r} is not a host of this topology")
 
     def _build_network(self):
-        """Fresh environment, channel pool, and one NI per host.
+        """Fresh environment, channel pool, and an NI registry over the hosts.
 
-        No messages are installed yet — :meth:`_execute` admits them all
-        at time zero, while :class:`repro.sessions.SessionSimulator`
-        reuses this exact fabric and admits messages as its scheduler
-        decides.  Returns ``(env, tracer, pool, registry)``; ``tracer`` is
-        :attr:`tracer`, ``None`` when the run is not traced.
+        The registry builds a host's NI on its first lookup, so a run
+        builds only the NIs its trees touch: an idle NI's engines would
+        only park on an empty queue.  An NI built after the fabric
+        opened averages its buffer level from the opening, like one
+        built with it.  No messages are installed yet — :meth:`_execute`
+        admits them all at time zero, while
+        :class:`repro.sessions.SessionSimulator` reuses this exact fabric
+        and admits messages as its scheduler decides.  Returns ``(env,
+        tracer, pool, registry)``; ``tracer`` is :attr:`tracer`, ``None``
+        when the run is not traced.
         """
         env = Environment()
         tracer = self.tracer
@@ -279,9 +288,10 @@ class MulticastSimulator:
             # Spans of this run read the fresh environment's clock.
             tracer.set_clock(lambda: env.now)
         pool = self._make_pool(env)
-        registry = NICRegistry()
-        for h in self.topology.hosts:
-            self.ni_class(
+        opened_at = env.now
+
+        def build(h: Node) -> NetworkInterface:
+            ni = self.ni_class(
                 env,
                 h,
                 self.router,
@@ -293,6 +303,10 @@ class MulticastSimulator:
                 channel_model=self.channel_model,
                 tracer=tracer,
             )
+            ni.forward_buffer.backdate(opened_at)
+            return ni
+
+        registry = NICRegistry(build, self.topology.hosts)
         self._post_build(env, registry, pool)
         return env, tracer, pool, registry
 
@@ -326,13 +340,20 @@ class MulticastSimulator:
     def _publish_gauges(self, registry: NICRegistry) -> None:
         """Close every NI buffer monitor and publish run-level gauges.
 
-        The gauges land in :data:`repro.obs.GLOBAL_METRICS` under
-        ``"sim"`` so one ``snapshot()`` call sees simulation buffer
-        levels next to service counters and cache hit rates.
+        The gauges cover every host, in host order; a host whose NI was
+        never built held nothing (peak 0, average 0.0).  They land in
+        :data:`repro.obs.GLOBAL_METRICS` under ``"sim"`` so one
+        ``snapshot()`` call sees simulation buffer levels next to
+        service counters and cache hit rates.
         """
         peaks = []
         averages = []
-        for ni in registry:
+        for h in self.topology.hosts:
+            ni = registry.get(h)
+            if ni is None:
+                peaks.append(0)
+                averages.append(0.0)
+                continue
             monitor = ni.forward_buffer
             monitor.finalize()
             peaks.append(monitor.peak)
@@ -364,7 +385,10 @@ class MulticastSimulator:
             destination_completion[dest] = dest_last
 
         completion = max(packet_completion)
-        peak_buffers = {ni.host: ni.forward_buffer.peak for ni in registry}
+        peak_buffers = {}
+        for h in self.topology.hosts:
+            ni = registry.get(h)
+            peak_buffers[h] = 0 if ni is None else ni.forward_buffer.peak
         return MulticastResult(
             latency=completion + self.params.t_r,
             completion_time=completion,

@@ -162,6 +162,7 @@ class ChurnSimulator(MulticastSimulator):
     def _post_build(self, env, registry, pool) -> None:
         if not self.schedule:
             return
+        registry.build_all()
         self._env = env
         self._registry = registry
         links = LinkFaultState()  # churn never breaks channels
@@ -227,7 +228,7 @@ class ChurnSimulator(MulticastSimulator):
     def _driver(self, env):
         for event in self.schedule:
             if event.time > env.now:
-                yield env.timeout(event.time - env.now)
+                yield event.time - env.now
             if event.kind == "leave":
                 self._apply_leave(env, event.node)
             else:  # join / rejoin

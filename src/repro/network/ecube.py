@@ -30,6 +30,9 @@ __all__ = ["EcubeRouter", "VirtualChannel"]
 class EcubeRouter:
     """Deterministic dimension-ordered routes with dateline VCs."""
 
+    #: ``route`` is a pure function of the pair.
+    fixed_routes = True
+
     def __init__(self, cube: KAryNCube) -> None:
         self.cube = cube
         self._route_cache: Dict[Tuple[Node, Node], List[VirtualChannel]] = {}

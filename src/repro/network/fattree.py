@@ -111,6 +111,9 @@ class FatTreeRouter:
     trunk (no reordering) while distinct pairs spread across trunks.
     """
 
+    #: ``route`` is a pure function of the pair.
+    fixed_routes = True
+
     def __init__(self, tree: FatTree) -> None:
         self.tree = tree
         self._route_cache: Dict[Tuple[Node, Node], list] = {}

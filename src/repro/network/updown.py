@@ -36,6 +36,10 @@ class UpDownRouter:
         neighbours (ties to the lowest id), the usual Autonet choice.
     """
 
+    #: ``route`` is a pure function of the pair, so a sender may resolve
+    #: it once per destination (see :class:`~repro.nic.NetworkInterface`).
+    fixed_routes = True
+
     def __init__(self, topology: Topology, root: Optional[Node] = None) -> None:
         self.topology = topology
         if not topology.switches:
@@ -197,6 +201,9 @@ class MultipathUpDownRouter(UpDownRouter):
     :class:`UpDownRouter` (deterministic single path); the multipath
     variant is for traffic-level ablations (A12-adjacent tests).
     """
+
+    #: Each ``route`` call advances the pair's rotation.
+    fixed_routes = False
 
     def __init__(self, topology: Topology, root: Optional[Node] = None, n_paths: int = 2) -> None:
         super().__init__(topology, root=root)

@@ -18,61 +18,55 @@ dateline VCs gives an acyclic channel dependency graph.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from ..params import SystemParams
-from ..sim import Environment, Request, Timeout
-from .links import ChannelPool
+from ..sim import Environment, Request
+from .links import ChannelResource
 
 __all__ = ["transmit", "transmit_windowed", "path_latency"]
 
 
-def transmit(
-    env: Environment,
-    pool: ChannelPool,
-    route: Sequence[Hashable],
-    params: SystemParams,
-):
-    """Process generator: move one packet along ``route``.
+def transmit(env: Environment, channels: Sequence[ChannelResource], params: SystemParams):
+    """Process generator: move one packet along a route's ``channels``.
 
-    Yields until the tail flit has drained at the destination.  The
-    caller (an NI send engine) decides what sender-side overlap to
-    allow; this generator only models the network part.
+    ``channels`` is the route resolved by
+    :meth:`~repro.network.links.ChannelPool.resolve`.  Yields until the
+    tail flit has drained at the destination.  The caller (an NI send
+    engine) decides what sender-side overlap to allow; this generator
+    only models the network part.
 
-    Runs once per packet: the pool's methods and ``t_switch`` are bound
-    once, and the clock is read once per hop.  The header asks for the
-    next channel exactly ``t_switch`` after it got the previous one,
-    the same float sum the event queue pops that timeout at.
+    Runs once per packet, so it touches only the channel objects: each
+    grant bumps the channel's own counters, and the clock is read once
+    per hop.  The header asks for the next channel exactly ``t_switch``
+    after it got the previous one, the same float sum the event queue
+    pops that sleep at.
     """
-    if not route:
+    if not channels:
         raise ValueError("route must contain at least one channel")
-    channel = pool.channel
-    record_acquisition = pool.record_acquisition
     t_switch = params.t_switch
     held = []
     try:
         asked_at = env.now
-        for key in route:
-            resource = channel(key)
-            request = Request(resource)
+        for channel in channels:
+            request = Request(channel)
             yield request
             granted_at = env.now
-            record_acquisition(key, granted_at - asked_at)
-            held.append((resource, request))
-            yield Timeout(env, t_switch)
+            acquisitions = channel.acquisitions
+            if not acquisitions:
+                channel.first_grant()
+            channel.acquisitions = acquisitions + 1
+            channel.blocked_time += granted_at - asked_at
+            held.append(request)
+            yield t_switch
             asked_at = granted_at + t_switch
-        yield Timeout(env, params.wire_time)
+        yield params.wire_time
     finally:
-        for resource, request in held:
-            resource.release(request)
+        for request in held:
+            request.resource.release(request)
 
 
-def transmit_windowed(
-    env: Environment,
-    pool: ChannelPool,
-    route: Sequence[Hashable],
-    params: SystemParams,
-):
+def transmit_windowed(env: Environment, channels: Sequence[ChannelResource], params: SystemParams):
     """Process generator: finite-worm wormhole transmission.
 
     A refinement of :func:`transmit`: instead of holding the entire
@@ -89,37 +83,39 @@ def transmit_windowed(
     experiment quantifies both effects and validates the paper-level
     abstraction.
     """
-    if not route:
+    if not channels:
         raise ValueError("route must contain at least one channel")
     window = max(1, params.worm_flits)
     held: list = []
     try:
-        for key in route:
-            resource = pool.channel(key)
+        for channel in channels:
             asked_at = env.now
-            request = resource.request()
+            request = Request(channel)
             yield request
-            pool.record_acquisition(key, env.now - asked_at)
-            held.append((resource, request))
-            yield env.timeout(params.t_switch + params.flit_cycle)
+            if not channel.acquisitions:
+                channel.first_grant()
+            channel.acquisitions += 1
+            channel.blocked_time += env.now - asked_at
+            held.append(request)
+            yield params.t_switch + params.flit_cycle
             if len(held) > window:
-                resource_old, request_old = held.pop(0)
-                resource_old.release(request_old)
+                request_old = held.pop(0)
+                request_old.resource.release(request_old)
         # Tail drain: the worm's flits stream into the destination at
         # the flit rate; each cycle frees the oldest held channel, and
         # any flits beyond the held span still take their cycles to
         # arrive (routes shorter than the worm).
         drain_cycles = window
         while held:
-            yield env.timeout(params.flit_cycle)
-            resource_old, request_old = held.pop(0)
-            resource_old.release(request_old)
+            yield params.flit_cycle
+            request_old = held.pop(0)
+            request_old.resource.release(request_old)
             drain_cycles -= 1
         if drain_cycles > 0:
-            yield env.timeout(drain_cycles * params.flit_cycle)
+            yield drain_cycles * params.flit_cycle
     finally:
-        for resource_old, request_old in held:
-            resource_old.release(request_old)
+        for request_old in held:
+            request_old.resource.release(request_old)
 
 
 def path_latency(route_length: int, params: SystemParams) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.trees import MulticastTree
-from ..sim import Timeout
 from .interface import NetworkInterface, SendJob
 from .packets import Message, Packet, packetize
 
@@ -35,7 +34,7 @@ class ConventionalInterface(NetworkInterface):
         self.env.process(self._dma_to_host(packet), name=f"dma@{self.host}")
 
     def _dma_to_host(self, packet: Packet):
-        yield Timeout(self.env, self.params.t_dma)
+        yield self.params.t_dma
         msg = packet.message
         arrived = self._host_memory.setdefault(msg.msg_id, [])
         arrived.append(packet)
@@ -54,13 +53,13 @@ class ConventionalInterface(NetworkInterface):
         """Host-level store-and-forward to each child in turn."""
         start = self.env.now if self.tracer.enabled else 0.0
         # Software overhead to receive/process the complete message.
-        yield Timeout(self.env, self.params.t_r)
+        yield self.params.t_r
         for child in children:
             # Each forwarded copy is a full host send: start-up plus
             # per-packet DMA down to the NI.
-            yield Timeout(self.env, self.params.t_s)
+            yield self.params.t_s
             for packet in packets:
-                yield Timeout(self.env, self.params.t_dma)
+                yield self.params.t_dma
                 self.send_queue.put_nowait(SendJob(packet, child))
         if self.tracer.enabled:
             self.tracer.complete(
@@ -79,9 +78,9 @@ class ConventionalInterface(NetworkInterface):
         start = self.env.now if self.tracer.enabled else 0.0
         packets = packetize(message)
         for child in tree.children(self.host):
-            yield Timeout(self.env, self.params.t_s)
+            yield self.params.t_s
             for packet in packets:
-                yield Timeout(self.env, self.params.t_dma)
+                yield self.params.t_dma
                 self.send_queue.put_nowait(SendJob(packet, child))
         if self.tracer.enabled:
             self.tracer.complete(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.trees import MulticastTree
-from ..sim import Timeout
 from .interface import NetworkInterface, SendJob
 from .packets import Message, Packet, packetize
 
@@ -80,7 +79,7 @@ class FCFSInterface(NetworkInterface):
         if tree.root != self.host:
             raise ValueError(f"{self.host!r} is not the root of the tree")
         start = self.env.now if self.tracer.enabled else 0.0
-        yield Timeout(self.env, self.params.t_s)
+        yield self.params.t_s
         children = tree.children(self.host)
         packets = packetize(message)
         if children:

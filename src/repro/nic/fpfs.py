@@ -14,7 +14,6 @@ why this class is a few lines on top of the base NI.
 from __future__ import annotations
 
 from ..core.trees import MulticastTree
-from ..sim import Timeout
 from .interface import NetworkInterface
 from .packets import Message, Packet, packetize
 
@@ -38,7 +37,7 @@ class FPFSInterface(NetworkInterface):
             raise ValueError(f"{self.host!r} is not the root of the tree")
         start = self.env.now if self.tracer.enabled else 0.0
         # Host software start-up: one t_s to move the message to NI memory.
-        yield Timeout(self.env, self.params.t_s)
+        yield self.params.t_s
         children = tree.children(self.host)
         for packet in packetize(message):
             self._enqueue_copies(packet, children)

@@ -15,7 +15,10 @@ loops model its behaviour:
   FCFS / FPFS / reliable subclasses).
 
 These are the only two loops: every discipline, the reliable NI
-included, customizes the hooks, never the loops.  Packet events go to
+included, customizes the hooks, never the loops.  Both sleep by
+yielding their delay (see :mod:`repro.sim.process`), and the send
+engine resolves each destination's route to its channel resources and
+receiving NI once (:meth:`NetworkInterface._route_to`).  Packet events go to
 one :class:`repro.obs.Tracer` as spans (``send``/``recv``), instants
 (``deliver``) and buffer counters, behind one ``tracer.enabled`` test.
 
@@ -26,15 +29,14 @@ so the FCFS-vs-FPFS buffer claim can be *measured*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
 from ..network.links import ChannelPool
 from ..network.topology import Node
 from ..network.wormhole import transmit, transmit_windowed
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..params import SystemParams
-from ..sim import Environment, LevelMonitor, Store, Timeout
+from ..sim import Environment, LevelMonitor, Store
 from .packets import Packet
 
 #: Available channel-occupancy models for the send engine.
@@ -46,24 +48,47 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SendJob", "NetworkInterface", "NICRegistry"]
 
 
-@dataclass(frozen=True)
 class SendJob:
     """One packet transmission queued at an NI.
 
     ``on_sent`` (if set) runs when the packet's tail has left — the
-    moment the NI may drop its buffered copy for this child.
+    moment the NI may drop its buffered copy for this child.  Built
+    once per queued copy, so it is a slotted plain class.
     """
 
-    packet: Packet
-    destination: Node
-    on_sent: Optional[Callable[[], None]] = None
+    __slots__ = ("packet", "destination", "on_sent")
+
+    def __init__(
+        self, packet: Packet, destination: Node, on_sent: Optional[Callable[[], None]] = None
+    ) -> None:
+        self.packet = packet
+        self.destination = destination
+        self.on_sent = on_sent
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"SendJob({self.packet!r}, {self.destination!r}, on_sent={self.on_sent!r})"
 
 
 class NICRegistry:
-    """host → NI lookup shared by all interfaces of one simulation."""
+    """host → NI lookup shared by all interfaces of one simulation.
 
-    def __init__(self) -> None:
+    A simulator's registry builds NIs on demand: given ``build``, a
+    ``host -> NI`` factory, and the fabric's ``hosts``, :meth:`lookup`
+    builds a host's NI (which registers itself) the first time it is
+    asked for, so a run builds only the NIs its trees touch.  Hooks
+    that need every NI call :meth:`build_all` first.  Iteration yields
+    the NIs built so far, in build order.
+    """
+
+    def __init__(
+        self,
+        build: Optional[Callable[[Node], "NetworkInterface"]] = None,
+        hosts: Iterable[Node] = (),
+    ) -> None:
         self._by_host: Dict[Node, "NetworkInterface"] = {}
+        self._build = build
+        self._hosts = tuple(hosts)
+        self._buildable = frozenset(self._hosts)
 
     def register(self, ni: "NetworkInterface") -> None:
         if ni.host in self._by_host:
@@ -71,7 +96,22 @@ class NICRegistry:
         self._by_host[ni.host] = ni
 
     def lookup(self, host: Node) -> "NetworkInterface":
-        return self._by_host[host]
+        """The NI of ``host``, built now if it does not exist yet."""
+        ni = self._by_host.get(host)
+        if ni is None:
+            if host not in self._buildable:
+                raise KeyError(host)
+            ni = self._build(host)
+        return ni
+
+    def get(self, host: Node) -> Optional["NetworkInterface"]:
+        """The NI of ``host`` if it has been built, else ``None``."""
+        return self._by_host.get(host)
+
+    def build_all(self) -> None:
+        """Build every host's NI that does not exist yet, in host order."""
+        for host in self._hosts:
+            self.lookup(host)
 
     def __iter__(self):
         return iter(self._by_host.values())
@@ -91,7 +131,10 @@ class NetworkInterface:
     host:
         The host node this NI serves.
     router:
-        Object with ``route(src_host, dst_host) -> [channel keys]``.
+        Object with ``route(src_host, dst_host) -> [channel keys]``.  A
+        router whose ``fixed_routes`` attribute is true always returns
+        the same route for a pair, so each destination's route is
+        resolved once; any other router is asked at every send.
     """
 
     def __init__(
@@ -117,6 +160,9 @@ class NetworkInterface:
         self.env = env
         self.host = host
         self.router = router
+        self._fixed_routes = getattr(router, "fixed_routes", False)
+        # destination -> (channel keys, channels, receiving NI).
+        self._routes: Dict[Node, tuple] = {}
         self.registry = registry
         self.pool = pool
         self.params = params
@@ -157,17 +203,21 @@ class NetworkInterface:
 
     # -- engines ------------------------------------------------------------
     def _send_engine(self):
+        routes = self._routes
         while True:
             job: SendJob = yield self.send_queue.get()
             if self.fault_gate is not None and (yield from self.fault_gate.send_gate(job)):
                 continue
             start = self.env.now if self.tracer.enabled else 0.0
-            yield Timeout(self.env, self.params.t_ns)
-            route = self.router.route(self.host, job.destination)
-            yield from self._transmit(self.env, self.pool, route, self.params)
+            yield self.params.t_ns
+            route = routes.get(job.destination)
+            if route is None:
+                route = self._route_to(job.destination)
+            keys, channels, receiver = route
+            yield from self._transmit(self.env, channels, self.params)
             delivered = True
             if self.fault_gate is not None:
-                delivered = not (yield from self.fault_gate.link_gate(route, job))
+                delivered = not (yield from self.fault_gate.link_gate(keys, job))
             if self.tracer.enabled:
                 self.tracer.complete(
                     "send",
@@ -185,7 +235,18 @@ class NetworkInterface:
             if job.on_sent is not None:
                 job.on_sent()
             if delivered:
-                self.registry.lookup(job.destination).recv_queue.put_nowait(job.packet)
+                receiver.recv_queue.put_nowait(job.packet)
+
+    def _route_to(self, destination: Node) -> tuple:
+        """``(channel keys, channels, receiving NI)`` of a send to ``destination``.
+
+        Cached per destination when the router's routes are fixed.
+        """
+        keys = self.router.route(self.host, destination)
+        route = (keys, self.pool.resolve(keys), self.registry.lookup(destination))
+        if self._fixed_routes:
+            self._routes[destination] = route
+        return route
 
     def _recv_engine(self):
         while True:
@@ -193,7 +254,7 @@ class NetworkInterface:
             if self.fault_gate is not None and (yield from self.fault_gate.recv_gate(payload)):
                 continue
             start = self.env.now if self.tracer.enabled else 0.0
-            yield Timeout(self.env, self.params.t_nr)
+            yield self.params.t_nr
             self._receive(payload, start)
 
     def _receive(self, packet: Packet, start: float) -> None:

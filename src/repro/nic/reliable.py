@@ -44,7 +44,7 @@ from typing import Dict, Set, Tuple
 
 from ..network.links import ChannelPool
 from ..network.topology import Node
-from ..sim import Environment, Timeout
+from ..sim import Environment
 from .fpfs import FPFSInterface
 from .interface import SendJob
 from .packets import Message, Packet, packetize
@@ -181,7 +181,7 @@ class ReliableFPFSInterface(FPFSInterface):
         )
 
     def _timeout_watch(self, message: Message, generation: int):
-        yield Timeout(self.env, self.NACK_TIMEOUT)
+        yield self.NACK_TIMEOUT
         if self._timer_generation.get(message.msg_id) != generation:
             return  # superseded by a newer arrival
         if self.message_complete(message):

@@ -14,7 +14,7 @@ here and why.  All times are microseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .durable.errors import ValidationError
 
@@ -173,8 +173,19 @@ class MachineParams:
         )
 
     def to_dict(self) -> dict:
-        """JSON-serializable wire form (inverse of :meth:`from_dict`)."""
-        return asdict(self)
+        """JSON-serializable wire form (inverse of :meth:`from_dict`).
+
+        The fields in declaration order, as ``dataclasses.asdict`` gives
+        them, without its per-field deep copy: the router re-encodes
+        ``params`` for every plan it forwards.
+        """
+        return {
+            "t_s": self.t_s,
+            "t_r": self.t_r,
+            "t_step": self.t_step,
+            "t_sq": self.t_sq,
+            "ports": self.ports,
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MachineParams":

@@ -156,15 +156,25 @@ class NodePlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NodePlan":
-        """Parse the wire form back into a :class:`NodePlan`."""
-        return cls(
-            node=payload["node"],
-            parent=payload["parent"],
-            children=tuple(payload["children"]),
-            child_first_send=tuple(payload["child_first_send"]),
-            first_recv=payload["first_recv"],
-            last_recv=payload["last_recv"],
+        """Parse the wire form back into a :class:`NodePlan`.
+
+        A decoded answer builds one row per node, so this fills the
+        instance dict directly: the frozen dataclass's ``__init__``
+        would pay one ``object.__setattr__`` per field.  The row equals
+        ``NodePlan(**fields)`` and hashes the same.
+        """
+        row = object.__new__(cls)
+        vars(row).update(
+            {
+                "node": payload["node"],
+                "parent": payload["parent"],
+                "children": tuple(payload["children"]),
+                "child_first_send": tuple(payload["child_first_send"]),
+                "first_recv": payload["first_recv"],
+                "last_recv": payload["last_recv"],
+            }
         )
+        return row
 
 
 @dataclass(frozen=True)
@@ -229,7 +239,7 @@ class PlanResult:
             total_steps=payload["total_steps"],
             latency_us=payload["latency_us"],
             buffer_bound_us=payload["buffer_bound_us"],
-            schedule=tuple(NodePlan.from_dict(row) for row in payload["schedule"]),
+            schedule=tuple(map(NodePlan.from_dict, payload["schedule"])),
             excluded=tuple(payload.get("excluded", ())),
         )
 

@@ -9,7 +9,7 @@ of who goes next.  :class:`SessionArbiter` adds exactly that, with two
 hooks and no changes to packet timing:
 
 * an **arrival process** per session marks it ready at its arrival
-  time (a plain DES timeout);
+  time (a plain DES sleep);
 * the NI **delivery listener** (the one-hook pattern of
   :mod:`repro.faults.inject` — ``None`` by default, one attribute test
   per packet) counts destination deliveries and fires session
@@ -105,7 +105,8 @@ class SessionArbiter:
 
     # -- fabric hooks --------------------------------------------------------
     def attach(self) -> None:
-        """Install the delivery listener on every NI of the fabric."""
+        """Build every NI of the fabric and install the delivery listener."""
+        self.registry.build_all()
         for ni in self.registry:
             ni.delivery_listener = self._on_delivery
 
@@ -113,7 +114,7 @@ class SessionArbiter:
         """DES process: wait until the session's arrival, mark it ready."""
         delay = plan.session.arrival_time - self.env.now
         if delay > 0:
-            yield self.env.timeout(delay)
+            yield delay
         self.mark_ready(plan)
 
     # -- admission -----------------------------------------------------------

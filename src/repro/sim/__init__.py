@@ -4,7 +4,8 @@ Public surface::
 
     env = Environment()
     env.process(gen)           # start a generator process
-    env.timeout(d)             # delay event
+    yield d                    # in a process: sleep d (an int or float >= 0)
+    env.timeout(d)             # delay event (for conditions, or to keep it)
     env.event()                # manual event
     env.all_of / env.any_of    # condition events
     Resource / PriorityResource
@@ -12,6 +13,9 @@ Public surface::
     LevelMonitor
 
 The kernel is deterministic: same inputs, same event ordering, always.
+A yielded delay re-arms the process's own wake event instead of
+allocating a :class:`Timeout`, at the same queue position, so the two
+sleeps are interchangeable.
 """
 
 from .engine import Environment

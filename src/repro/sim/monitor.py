@@ -51,6 +51,17 @@ class LevelMonitor:
         if self.level > self.peak:
             self.peak = self.level
 
+    def backdate(self, start: float) -> None:
+        """Open the averaging window at ``start``, before the monitor existed.
+
+        For a monitor created late on a level that was 0 all along (an
+        NI built mid-run): its average then covers the same window as
+        those of its peers created at ``start``.
+        """
+        if self.level or self._area:
+            raise ValueError("only a monitor whose level has not moved can be backdated")
+        self._started_at = self._last_change = start
+
     def finalize(self) -> None:
         """Close the integration window at the current time."""
         now = self.env.now

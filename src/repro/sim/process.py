@@ -5,6 +5,12 @@ instances.  Each ``yield`` suspends the process until the yielded event
 is processed, at which point the generator is resumed with the event's
 value (or has the event's exception raised into it, if it failed).
 
+A process sleeps by yielding its delay, a non-negative ``int`` or
+``float``: ``yield 2.5`` resumes it 2.5 time units later with ``None``,
+exactly as ``yield env.timeout(2.5)`` would (same time, same queue
+order), but it re-arms one wake event the process owns instead of
+allocating a :class:`~repro.sim.events.Timeout` per sleep.
+
 Processes are themselves events: they trigger when the generator
 returns (value = the generator's return value) or raises (the process
 event fails).  This lets processes wait on each other simply by
@@ -17,7 +23,7 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Optional
 
 from .errors import Interrupt, InvalidEventUsage
-from .events import PRIORITY_URGENT, Event, Initialize
+from .events import PRIORITY_NORMAL, PRIORITY_URGENT, Event, Initialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -29,7 +35,7 @@ class Process(Event):
     Do not instantiate directly; use :meth:`Environment.process`.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_wake", "name")
 
     def __init__(self, env: "Environment", generator, name: Optional[str] = None) -> None:
         if not isinstance(generator, GeneratorType):
@@ -42,6 +48,8 @@ class Process(Event):
         #: The event this process is currently waiting on (None when not
         #: started or already finished).
         self._target: Optional[Event] = None
+        #: The event a yielded delay re-arms (see :meth:`_resume`).
+        self._wake = _wake_event(env)
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -76,7 +84,12 @@ class Process(Event):
         event.callbacks.append(self._resume)
         self.env.schedule(event, PRIORITY_URGENT)
         # Detach from the old target so its eventual processing does not
-        # resume us a second time.
+        # resume us a second time.  An interrupted sleep leaves its wake
+        # entry in the queue, as an abandoned Timeout would be; the next
+        # sleep arms a fresh wake event, so that entry pops with no
+        # callbacks and can never resume this process.
+        if self._target is self._wake:
+            self._wake = _wake_event(self.env)
         if self._target.callbacks is not None and self._resume in self._target.callbacks:
             self._target.callbacks.remove(self._resume)
         self._target = None
@@ -86,7 +99,12 @@ class Process(Event):
         """Advance the generator with ``event``'s outcome.
 
         The only way a process resumes: every event a process waits on
-        carries this method as a callback.
+        carries this method as a callback.  A yielded delay schedules
+        the process's wake event through :meth:`Environment.schedule
+        <repro.sim.engine.Environment.schedule>` here, at the sequence
+        number ``Timeout(env, delay)`` would have taken in the generator
+        just before its yield; a delay ``schedule`` refuses (negative or
+        NaN) is raised at the ``yield``, where ``Timeout`` raised it.
         """
         env = self.env
         env._active_process = self
@@ -112,27 +130,51 @@ class Process(Event):
                 env.schedule(self)
                 return
 
-            if not isinstance(next_event, Event):
-                env._active_process = None
-                raise InvalidEventUsage(
-                    f"process {self.name!r} yielded {next_event!r}, which is not an Event"
-                )
-            if next_event.env is not env:
-                env._active_process = None
-                raise InvalidEventUsage(
-                    f"process {self.name!r} yielded an event from a different environment"
-                )
+            kind = type(next_event)
+            if kind is not float and kind is not int:
+                if isinstance(next_event, Event):
+                    if next_event.env is not env:
+                        env._active_process = None
+                        raise InvalidEventUsage(
+                            f"process {self.name!r} yielded an event from a different environment"
+                        )
+                    callbacks = next_event.callbacks
+                    if callbacks is None:
+                        # Already processed: loop around synchronously with its value.
+                        event = next_event
+                        continue
+                    self._target = next_event
+                    callbacks.append(self._resume)
+                    break
+                if kind is bool or not isinstance(next_event, (int, float)):
+                    env._active_process = None
+                    raise InvalidEventUsage(
+                        f"process {self.name!r} yielded {next_event!r}, "
+                        "which is not an Event or a delay"
+                    )
 
-            callbacks = next_event.callbacks
-            if callbacks is None:
-                # Already processed: loop around synchronously with its value.
-                event = next_event
+            # A delay: sleep on the wake event.
+            wake = self._wake
+            try:
+                env.schedule(wake, PRIORITY_NORMAL, next_event)
+            except ValueError as exc:
+                event = Event(env)
+                event._ok = False
+                event._value = exc
                 continue
-            self._target = next_event
-            callbacks.append(self._resume)
+            wake.callbacks = [self._resume]
+            self._target = wake
             break
         env._active_process = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "finished" if self.triggered else "alive"
         return f"<Process {self.name!r} {state} at {id(self):#x}>"
+
+
+def _wake_event(env: "Environment") -> Event:
+    """A process's wake event: born triggered (value ``None``), never queued
+    until a yielded delay arms it."""
+    wake = Event(env)
+    wake._value = None
+    return wake

@@ -38,20 +38,18 @@ class Request(Event):
 
     Built once per channel hop of every packet, so it sets its slots
     itself instead of going through :meth:`Event.__init__`, and a
-    request for a free slot is granted right here.
+    request for a free slot is granted right here.  Only a
+    :class:`PriorityRequest` carries a priority and an arrival number.
     """
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         self.env = env = resource.env
         self.callbacks = []
         self._ok = True
         self._defused = False
         self.resource = resource
-        self.priority = priority
-        resource._order_counter += 1
-        self._order = resource._order_counter
         users = resource._users
         if len(users) < resource.capacity:
             users.append(self)
@@ -78,6 +76,18 @@ class Request(Event):
             self.cancel()
 
 
+class PriorityRequest(Request):
+    """A :class:`PriorityResource` request: waits in (priority, arrival) order."""
+
+    __slots__ = ("priority", "_order")
+
+    def __init__(self, resource: "PriorityResource", priority: float = 0.0) -> None:
+        self.priority = priority
+        resource._order_counter += 1
+        self._order = resource._order_counter
+        super().__init__(resource)
+
+
 class Resource:
     """A pool of ``capacity`` slots with a FIFO wait queue.
 
@@ -91,6 +101,8 @@ class Resource:
         Requests currently waiting.
     """
 
+    __slots__ = ("env", "capacity", "_users", "_waiting")
+
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -98,7 +110,6 @@ class Resource:
         self.capacity = capacity
         self._users: list[Request] = []
         self._waiting: list[Request] = []
-        self._order_counter = 0
 
     # -- public API ------------------------------------------------------
     def request(self) -> Request:
@@ -151,8 +162,14 @@ class PriorityResource(Resource):
     priorities are FIFO.
     """
 
-    def request(self, priority: float = 0.0) -> Request:  # type: ignore[override]
-        return Request(self, priority)
+    __slots__ = ("_order_counter",)
+
+    def __init__(self, env: "Environment", capacity: int = 1) -> None:
+        super().__init__(env, capacity)
+        self._order_counter = 0
+
+    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
+        return PriorityRequest(self, priority)
 
     def _insert_waiting(self, request: Request) -> None:
         # Binary insertion keyed on (priority, arrival order).

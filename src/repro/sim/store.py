@@ -75,7 +75,10 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.items: deque = deque()
-        self._put_waiting: deque[StorePut] = deque()
+        # Blocked puts: only a bounded store has any.  A list, because
+        # every NI holds two stores and an empty deque is ten times the
+        # size of an empty list.
+        self._put_waiting: list[StorePut] = []
         self._get_waiting: list[StoreGet] = []
 
     def put(self, item: object) -> StorePut:
@@ -119,7 +122,7 @@ class Store:
             progress = False
             # Admit pending puts while there is room.
             while self._put_waiting and len(self.items) < self.capacity:
-                put = self._put_waiting.popleft()
+                put = self._put_waiting.pop(0)
                 self.items.append(put.item)
                 put.succeed()
                 progress = True

@@ -90,7 +90,7 @@ def test_random_traffic_quiesces_on_irregular_network(seed):
 
     def sender(env, a, b, delay):
         yield env.timeout(delay)
-        yield from transmit(env, pool, router.route(a, b), PARAMS)
+        yield from transmit(env, pool.resolve(router.route(a, b)), PARAMS)
         done.append((a, b))
 
     for _ in range(200):
@@ -113,7 +113,7 @@ def test_random_traffic_quiesces_on_torus(k, n):
 
     def sender(env, a, b, delay):
         yield env.timeout(delay)
-        yield from transmit(env, pool, router.route(a, b), PARAMS)
+        yield from transmit(env, pool.resolve(router.route(a, b)), PARAMS)
         done.append((a, b))
 
     for _ in range(200):

@@ -21,7 +21,7 @@ def run_windowed(routes, starts=None, params=PARAMS):
     def sender(env, route, delay):
         yield env.timeout(delay)
         begin = env.now
-        yield from transmit_windowed(env, pool, route, params)
+        yield from transmit_windowed(env, pool.resolve(route), params)
         spans.append((begin, env.now))
 
     starts = starts or [0.0] * len(routes)
@@ -34,7 +34,7 @@ def run_windowed(routes, starts=None, params=PARAMS):
 def test_empty_route_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        list(transmit_windowed(env, ChannelPool(env), [], PARAMS))
+        list(transmit_windowed(env, ChannelPool(env).resolve([]), PARAMS))
 
 
 def test_uncontended_latency_formula():
@@ -64,7 +64,7 @@ def test_early_channels_release_before_completion():
 
     def sender(env, name, route, delay):
         yield env.timeout(delay)
-        yield from transmit_windowed(env, pool, route, PARAMS)
+        yield from transmit_windowed(env, pool.resolve(route), PARAMS)
         times[name] = env.now
 
     env.process(sender(env, "long", long_route, 0.0))
@@ -86,7 +86,7 @@ def test_path_model_is_more_conservative():
 
         def sender(env, name, route, delay):
             yield env.timeout(delay)
-            yield from tx(env, pool, route, PARAMS)
+            yield from tx(env, pool.resolve(route), PARAMS)
             times[name] = env.now
 
         env.process(sender(env, "long", long_route, 0.0))

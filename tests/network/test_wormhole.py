@@ -20,7 +20,7 @@ def run_transfers(routes, starts=None, params=PARAMS):
     def sender(env, route, delay):
         yield env.timeout(delay)
         begin = env.now
-        yield from transmit(env, pool, route, params)
+        yield from transmit(env, pool.resolve(route), params)
         spans.append((begin, env.now))
 
     starts = starts or [0.0] * len(routes)
@@ -51,7 +51,7 @@ def test_empty_route_rejected():
     env = Environment()
     pool = ChannelPool(env)
     with pytest.raises(ValueError):
-        list(transmit(env, pool, [], PARAMS))
+        list(transmit(env, pool.resolve([]), PARAMS))
 
 
 def test_shared_channel_serializes():
@@ -77,7 +77,7 @@ def test_backpressure_holds_earlier_links():
 
     def sender(env, name, route, delay):
         yield env.timeout(delay)
-        yield from transmit(env, pool, route, PARAMS)
+        yield from transmit(env, pool.resolve(route), PARAMS)
         log[name] = env.now
 
     env.process(sender(env, "blocker", [("b", "c")], 0.0))

@@ -18,7 +18,7 @@ from repro.core import (
     steps_needed,
 )
 from repro.params import MachineParams
-from repro.service import PlanRequest, PlanResult, plan
+from repro.service import NodePlan, PlanRequest, PlanResult, plan
 from repro.service.planner import _LRUMemo, _schedule_wire, plan_json, plan_json_warm
 
 GRID = [(n, m) for n in (2, 3, 8, 16, 31, 64) for m in (1, 2, 8, 32)]
@@ -114,6 +114,29 @@ class TestWireFormat:
         """The service's encoder is ``plan()`` + ``to_dict`` + ``json.dumps``."""
         oracle = json.dumps(plan(request).to_dict(), separators=(",", ":")).encode()
         assert plan_json(request) == oracle
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=plan_requests())
+    def test_decoder_rebuilds_the_oracle(self, request):
+        """A decoded answer equals ``plan()`` and hashes the same; every
+        row equals the one its fields make through ``NodePlan.__init__``."""
+        oracle = plan(request)
+        decoded = PlanResult.from_dict(json.loads(plan_json(request)))
+        assert decoded == oracle
+        assert hash(decoded) == hash(oracle)
+        for row, fields in zip(decoded.schedule, json.loads(plan_json(request))["schedule"]):
+            fields["children"] = tuple(fields["children"])
+            fields["child_first_send"] = tuple(fields["child_first_send"])
+            built = NodePlan(**fields)
+            assert row == built and hash(row) == hash(built)
+            assert vars(row) == vars(built)
+
+    def test_machine_params_wire_form_is_asdict(self):
+        from dataclasses import asdict
+
+        for params in (MachineParams(), MachineParams(t_s=3, t_r=2.5, t_step=1, t_sq=0.5, ports=2)):
+            assert params.to_dict() == asdict(params)
+            assert json.dumps(params.to_dict()) == json.dumps(asdict(params))
 
 
 class TestWireMemo:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Interrupt, InvalidEventUsage
+from repro.sim import Environment, Interrupt, InvalidEventUsage
 
 
 def test_process_requires_generator(env):
@@ -63,13 +63,17 @@ def test_yield_already_processed_event_continues_synchronously(env):
     assert p.value == "x" and env.now == 1
 
 
-def test_yield_non_event_raises(env):
-    def proc(env):
-        yield 42
+def test_yield_non_event_raises():
+    # Numbers are delays (``yield 42`` sleeps); a bool is not one.
+    for value in ("42", True, None, [1.0]):
+        env = Environment()
 
-    env.process(proc(env))
-    with pytest.raises(InvalidEventUsage, match="not an Event"):
-        env.run()
+        def proc(env):
+            yield value
+
+        env.process(proc(env))
+        with pytest.raises(InvalidEventUsage, match="not an Event"):
+            env.run()
 
 
 def test_exception_in_process_fails_its_event(env):

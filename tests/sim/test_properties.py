@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nic.scheduling import RoundRobinSendQueue
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Interrupt, Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=40))
@@ -216,3 +216,115 @@ def test_dropping_unwaited_put_events_keeps_the_order(queue_cls, producers, cons
     assert log_nowait == log
     assert puts_nowait == puts
     assert scheduled - scheduled_nowait == puts
+
+
+def _run_sleep_program(sleepers, pairs, users, interrupts, as_timeout):
+    """Run one program of sleepers, producer/consumer pairs and resource
+    users; ``(log, scheduled)``.
+
+    Every sleep is ``yield env.timeout(d)`` when ``as_timeout`` and
+    ``yield d`` otherwise.  Every resumption appends ``(time, label,
+    value)`` to the log, where ``value`` is what the ``yield`` returned
+    or the text of what it raised (an interrupt, a refused delay).
+    """
+    env = _CountingEnvironment()
+    log = []
+
+    def sleep(delay):
+        return env.timeout(delay) if as_timeout else delay
+
+    def sleeper(sid, delays):
+        for step, delay in enumerate(delays):
+            try:
+                value = yield sleep(delay)
+            except (Interrupt, ValueError) as exc:
+                value = f"{type(exc).__name__}: {exc}"
+            log.append((env.now, ("sleeper", sid, step), value))
+
+    def producer(pid, store, delays):
+        for step, delay in enumerate(delays):
+            log.append((env.now, ("put", pid, step), (yield sleep(delay))))
+            store.put_nowait((pid, step))
+
+    def consumer(pid, store, delays):
+        for delay in delays:
+            item = yield store.get()
+            log.append((env.now, ("got", pid), item))
+            log.append((env.now, ("digested", pid), (yield sleep(delay))))
+
+    def user(uid, resource, start, hold):
+        log.append((env.now, ("arrived", uid), (yield sleep(start))))
+        with resource.request() as request:
+            yield request
+            log.append((env.now, ("holds", uid), (yield sleep(hold))))
+
+    def interrupter(victim, at, cause):
+        yield sleep(at)
+        if victim.is_alive and victim.target is not None:
+            victim.interrupt(cause)
+
+    processes = [env.process(sleeper(sid, delays)) for sid, delays in enumerate(sleepers)]
+    for pid, (produce, digest) in enumerate(pairs):
+        store = Store(env)
+        env.process(producer(pid, store, produce))
+        env.process(consumer(pid, store, digest))
+    resource = Resource(env, capacity=2)
+    for uid, (start, hold) in enumerate(users):
+        env.process(user(uid, resource, start, hold))
+    for victim, at in interrupts:
+        if victim < len(processes):
+            env.process(interrupter(processes[victim], at, f"at {at}"))
+    env.run()
+    return log, env.scheduled
+
+
+#: Float and integer delays, zero included; many tie on time.
+_sleep = st.one_of(
+    st.integers(0, 4), st.sampled_from([0.0, 0.5, 1.5]), st.floats(0, 5, allow_nan=False)
+)
+#: A sleeper's delays may also be refused: negative or NaN.
+_any_sleep = st.one_of(_sleep, st.sampled_from([-1, -0.5, float("nan")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sleepers=st.lists(st.lists(_any_sleep, min_size=1, max_size=6), max_size=4),
+    pairs=st.lists(
+        st.tuples(st.lists(_sleep, max_size=5), st.lists(_sleep, max_size=5)), max_size=2
+    ),
+    users=st.lists(st.tuples(_sleep, _sleep), max_size=5),
+    interrupts=st.lists(st.tuples(st.integers(0, 3), _sleep), max_size=3),
+)
+def test_sleeping_by_yielding_a_delay_is_a_timeout(sleepers, pairs, users, interrupts):
+    # A yielded delay schedules the process's own wake event at the
+    # sequence number Timeout(env, d) takes just before its yield, so
+    # both programs wake every process at the same time, in the same
+    # order, with the same value, through the same number of events.
+    # An interrupted sleep leaves its entry queued, as an abandoned
+    # Timeout does; the log equality shows it never wakes the sleeper.
+    with_timeouts = _run_sleep_program(sleepers, pairs, users, interrupts, as_timeout=True)
+    with_delays = _run_sleep_program(sleepers, pairs, users, interrupts, as_timeout=False)
+    assert with_delays == with_timeouts
+
+
+def test_interrupted_sleeper_is_not_woken_by_its_abandoned_entry():
+    env = Environment()
+    woke = []
+
+    def sleeper():
+        try:
+            yield 10
+        except Interrupt:
+            woke.append(("interrupted", env.now))
+        yield 20  # re-arms a fresh wake event; the t=10 entry is stale
+        woke.append(("slept", env.now))
+
+    def interrupter(victim):
+        yield 3
+        victim.interrupt()
+
+    victim = env.process(sleeper())
+    env.process(interrupter(victim))
+    env.run()
+    assert woke == [("interrupted", 3), ("slept", 23)]
+    assert env.now == 23

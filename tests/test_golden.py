@@ -33,6 +33,44 @@ def test_golden_machine_multicast():
     assert result.packet_completion[1] == pytest.approx(49.9)
 
 
+#: Fig. 13(b) at CFG: k-binomial latency per m, over DEST_AXIS (7..63).
+GOLDEN_FIG13B = {
+    8: [97.80000000000013, 115.4000000000002, 119.60000000000021, 122.20000000000022,
+        128.80000000000024, 125.9000000000002, 133.90000000000026, 132.80000000000024],
+    4: [74.80000000000004, 81.40000000000006, 86.40000000000008, 87.8000000000001,
+        93.80000000000011, 92.70000000000009, 99.20000000000013, 99.2000000000001],
+    2: [55.9, 64.40000000000002, 68.60000000000004, 70.60000000000002,
+        74.90000000000003, 74.00000000000003, 78.90000000000005, 80.30000000000004],
+    1: [43.39999999999999, 49.699999999999996, 55.6, 55.7,
+        62.10000000000001, 61.70000000000001, 61.800000000000004, 61.7],
+}
+#: Fig. 14(b) at CFG: binomial latency per m (k-binomial is Fig. 13(b)'s).
+GOLDEN_FIG14B_BINOMIAL = {
+    8: [130.90000000000026, 168.0000000000001, 196.09999999999988, 201.29999999999984,
+        230.29999999999956, 234.29999999999956, 233.5999999999996, 236.6999999999996],
+    2: [55.9, 66.60000000000002, 74.30000000000004, 76.50000000000003,
+        82.20000000000006, 84.90000000000006, 84.80000000000007, 86.70000000000006],
+}
+
+
+def test_golden_fig13b_series():
+    """Exact: the sparse points (7-63 destinations on the 64-host
+    testbed) leave most NIs of a fabric idle."""
+    from repro.analysis.experiments import fig13b_latency_vs_n
+
+    assert fig13b_latency_vs_n(CFG) == GOLDEN_FIG13B
+
+
+def test_golden_fig14b_series():
+    from repro.analysis.experiments import fig14b_comparison_vs_n
+
+    series = fig14b_comparison_vs_n(CFG)
+    assert series == {
+        m: {"binomial": GOLDEN_FIG14B_BINOMIAL[m], "kbinomial": GOLDEN_FIG13B[m]}
+        for m in (8, 2)
+    }
+
+
 def test_golden_analytics():
     # These are exact integers; no approx needed.
     from repro.core import coverage, fpfs_total_steps, build_kbinomial_tree, optimal_k
