@@ -18,6 +18,20 @@ alongside:
   router's own series labeled ``shard="router"``, merged per family by
   :func:`repro.obs.exposition.render_prometheus_cluster`.
 
+Request path: every connection, the router's clients' and its links
+to the shards, is a :class:`~repro.service.framing.LineProtocol`.  A
+client's line is decoded, validated and, for a ``plan`` or ``amend``,
+written to its primary's link in the read callback; the shard's answer
+is relayed from that link's read callback (a :class:`_Relay` is the
+link's waiter).  A successful forward therefore makes no task, future,
+lock or drain, and its deadline is the link's one timer, armed for its
+soonest pending request.  The forwards and relayed answers of one
+loop pass go out in one send per connection
+(:meth:`~repro.service.framing.LineProtocol.write_soon`).  Only a
+forward whose primary has no live link, or whose primary failed it,
+runs :meth:`ClusterRouter._forward`, the async walk down the replica
+chain that dials shards as it goes.
+
 Failure handling, in one place:
 
 * **Inline failover** — a forward that dies on a connection error or
@@ -38,20 +52,21 @@ Failure handling, in one place:
   memo tables are warm *before* a failover makes it primary.
 
 Byte relay: a forwarded ``plan`` or ``amend`` is answered with the
-shard's own bytes.  The router takes the shard's ``"ok":true`` line
-(:meth:`PlanClient.request_raw`), swaps the id-first prefix for its
-client's id and appends ``,"shard":<sid>`` — the plan body is never
-decoded or re-encoded on this hop.  It drops a shard's ``"amended"``
-echo, so a routed amend answers ``{"id", "ok", "result", "shard"}``
-like a routed plan.  Only lines that are not ``"ok":true`` are parsed,
-to classify the error for failover.
+shard's own bytes.  The router takes the shard's ``"ok":true`` line,
+swaps the id-first prefix for its client's id and appends
+``,"shard":<sid>`` — the plan body is never decoded or re-encoded on
+this hop.  It drops a shard's ``"amended"`` echo, so a routed amend
+answers ``{"id", "ok", "result", "shard"}`` like a routed plan.  Only
+lines that are not ``"ok":true`` are parsed, to classify the error for
+failover.  A forward carries ``params`` only when its client sent
+them, so a shard parses no machine the client did not name.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Coroutine, Dict, Optional, Sequence, Set, Union
 
 from ..durable.errors import check_positive_int, check_positive_number
 from ..obs.exposition import render_prometheus_cluster
@@ -67,7 +82,14 @@ from ..service.client import (
     _raise_for,
 )
 from ..service.metrics import Counter
-from ..service.server import _BadRequest, _encode, _error, _parse_plan_request, _too_large
+from ..service.server import (
+    _BadRequest,
+    _encode,
+    _error,
+    _internal,
+    _parse_plan_request,
+    _too_large,
+)
 from .ring import HashRing, plan_key
 from .shard import ShardSpec
 
@@ -170,8 +192,13 @@ class ClusterRouter:
         self._server: Optional[asyncio.base_events.Server] = None
         self._probe_task: Optional[asyncio.Task] = None
         self._request_tasks: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[framing.LineProtocol] = set()
+        # Relays on a shard link that have not had their outcome yet,
+        # and the future shutdown waits on until that count is 0.
+        self._relays = 0
+        self._idle: Optional[asyncio.Future] = None
         self._draining = False
+        self._closed = False
         GLOBAL_METRICS.register("router", self._router_tree)
 
     # -- observability -------------------------------------------------
@@ -241,8 +268,10 @@ class ClusterRouter:
         if self._server is not None:
             raise RuntimeError("router already started")
         await self._configure_members()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=framing.MAX_FRAME_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: framing.LineProtocol(self._line_received, self._connections),
+            self.host,
+            self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._probe_task = asyncio.ensure_future(self._probe_loop())
@@ -259,13 +288,21 @@ class ClusterRouter:
             self._probe_task = None
         if self._server is not None:
             self._server.close()
+        # In-flight forwards finish first: relays on their links, and
+        # tasks walking a replica chain.
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.request_timeout
+        if self._relays:
+            self._idle = loop.create_future()
+            await asyncio.wait([self._idle], timeout=self.request_timeout)
         tasks = [t for t in self._request_tasks if not t.done()]
         if tasks:
-            await asyncio.wait(tasks, timeout=self.request_timeout)
+            await asyncio.wait(tasks, timeout=max(deadline - loop.time(), 0.0))
+        self._closed = True
         for task in self._request_tasks:
             task.cancel()
-        for writer in list(self._writers):
-            writer.close()
+        for connection in list(self._connections):
+            connection.close()
         for client in list(self._clients.values()):
             await client.close()
         self._clients.clear()
@@ -401,7 +438,7 @@ class ClusterRouter:
 
     # -- hot-key warming -----------------------------------------------
 
-    def _note_hot(self, key: str, request, chain) -> None:
+    def _note_hot(self, key: str, request, params, chain) -> None:
         if self.hot_threshold == 0 or len(chain) < 2:
             return
         count = self._hot_counts.get(key, 0) + 1
@@ -409,9 +446,9 @@ class ClusterRouter:
         if count >= self.hot_threshold and key not in self._warmed:
             self._warmed.add(key)
             self.warmed_keys.inc()
-            asyncio.ensure_future(self._warm_replica(chain[1], request))
+            asyncio.ensure_future(self._warm_replica(chain[1], request, params))
 
-    async def _warm_replica(self, shard_id: int, request) -> None:
+    async def _warm_replica(self, shard_id: int, request, params) -> None:
         """Fire-and-forget: have the replica compute (and memoize) the key.
 
         The answer is only a side effect, so its bytes are dropped
@@ -420,7 +457,7 @@ class ClusterRouter:
         client = await self._client(shard_id)
         if client is None:
             return
-        wire = _plan_payload(request.n, request.m, request.params, request.exclude)
+        wire = _plan_payload(request.n, request.m, params, request.exclude)
         try:
             await client.request_raw(wire, timeout=self.request_timeout)
         except (PlanServiceError, ConnectionError, RuntimeError):
@@ -428,41 +465,8 @@ class ClusterRouter:
 
     # -- request handling ----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        try:
-            while not self._draining:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        _encode(_error(None, "bad_request", "request line too long")),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(self._handle_line(line, writer, write_lock))
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-        except ConnectionError:
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - already-broken socket
-                pass
-
-    async def _handle_line(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    def _line_received(self, line: bytes, connection: framing.LineProtocol) -> Optional[bytes]:
+        """A client's line: its answer now, or ``None`` once it is forwarded."""
         request_id = None
         try:
             payload = json.loads(line)
@@ -470,10 +474,10 @@ class ClusterRouter:
                 raise _BadRequest("request must be a JSON object")
             request_id = payload.get("id")
             kind = payload.get("type")
-            if kind == "plan":
-                response = await self._forward_plan(payload, request_id)
-            elif kind == "amend":
-                response = await self._forward_amend(payload, request_id)
+            if kind == "plan" or kind == "amend":
+                response = self._forward_request(payload, kind, request_id, connection)
+                if response is None:
+                    return None
             elif kind == "shard_map":
                 response = {
                     "id": request_id,
@@ -521,58 +525,132 @@ class ClusterRouter:
             response = _error(request_id, "bad_request", f"invalid JSON: {exc}")
         except Exception as exc:  # noqa: BLE001 - the router must answer
             self.errors.inc()
-            response = _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
+            response = _internal(request_id, exc)
+        return self._frame(request_id, response)
+
+    def _frame(self, request_id, response: Union[bytes, dict]) -> bytes:
+        """The answer line of ``response``, within the frame limit."""
         data = response if isinstance(response, bytes) else _encode(response)
         if len(data) > framing.MAX_FRAME_BYTES:
             self.errors.inc()
             data = _encode(_too_large(request_id, len(data)))
-        await self._write(writer, write_lock, data)
+        return data
 
-    async def _forward_plan(self, payload: dict, request_id) -> Union[bytes, dict]:
-        request = _parse_plan_request(payload, self.max_n)
-        wire = _plan_payload(request.n, request.m, request.params, request.exclude)
-        return await self._forward(request, request_id, wire)
+    def _forward_request(
+        self, payload: dict, kind: str, request_id, connection: framing.LineProtocol
+    ) -> Optional[dict]:
+        """Send a plan or amend to the shard its key names.
 
-    async def _forward_amend(self, payload: dict, request_id) -> Union[bytes, dict]:
-        """Route an amend by its *amended* plan key.
-
-        The delta is folded into the equivalent plan request first
-        (the same fold the shard performs), so every amend of the same
-        live plan walks the same replica chain as the plan it amends
-        into — dedupe locality holds across churn.  The raw delta is
-        still what gets forwarded: the shard keeps its own ``amends``
-        accounting and answers with the ``amended`` echo.
+        Only the ``params`` a client sent travel on.  An amend is
+        routed by its *amended* plan key: the delta is folded into the
+        equivalent plan request first (the same fold the shard
+        performs), so every amend of the same live plan walks the same
+        replica chain as the plan it amends into — dedupe locality
+        holds across churn.  The raw delta is still what gets
+        forwarded: the shard keeps its own ``amends`` accounting and
+        answers with the ``amended`` echo.  Returns an error response,
+        or ``None`` once the request is on its way.
         """
-        from ..faults.repair import SourceFailedError as _SourceFailed
-        from ..service.server import _parse_amend_request
+        if kind == "plan":
+            request = _parse_plan_request(payload, self.max_n)
+            params = request.params if payload.get("params") is not None else None
+            wire = _plan_payload(request.n, request.m, params, request.exclude)
+        else:
+            from ..faults.repair import SourceFailedError as _SourceFailed
+            from ..service.server import _parse_amend_request
 
-        try:
-            request = _parse_amend_request(payload, self.max_n)
-        except _SourceFailed as exc:
-            self.errors.inc()
-            return _error(request_id, "source_failed", str(exc))
-        delta = payload.get("delta") or {}
-        wire = _amend_payload(
-            payload["n"],
-            payload["m"],
-            request.params,
-            tuple(payload.get("exclude", ())),
-            delta.get("join", 0),
-            tuple(delta.get("leave", ())),
+            try:
+                request = _parse_amend_request(payload, self.max_n)
+            except _SourceFailed as exc:
+                self.errors.inc()
+                return _error(request_id, "source_failed", str(exc))
+            params = request.params if payload.get("params") is not None else None
+            delta = payload.get("delta") or {}
+            wire = _amend_payload(
+                payload["n"],
+                payload["m"],
+                params,
+                tuple(payload.get("exclude", ())),
+                delta.get("join", 0),
+                tuple(delta.get("leave", ())),
+            )
+        key = plan_key(request.n, request.m, request.params)
+        chain = self.ring.chain(key, self.replication)
+        self._note_hot(key, request, params, chain)
+        self.forwarded.inc()
+        client = self._clients.get(chain[0])
+        if client is not None and client.alive:
+            self._relays += 1
+            client._send(wire, _Relay(self, connection, request_id, wire, chain), self.request_timeout)
+        else:
+            self._answer_later(self._forward(request_id, wire, chain), request_id, connection)
+        return None
+
+    def _relay_done(self) -> None:
+        self._relays -= 1
+        if not self._relays and self._idle is not None and not self._idle.done():
+            self._idle.set_result(None)
+
+    def _relayed(self, request_id, body: bytes, hop: int, sid: int) -> bytes:
+        """A shard's answer body behind the client's id, naming the shard."""
+        if hop > 0:
+            self.failovers.inc()
+        return b"".join(
+            (framing.ID_PREFIX, framing.encode_id(request_id), body, b',"shard":%d}\n' % sid)
         )
-        return await self._forward(request, request_id, wire)
 
-    async def _forward(self, request, request_id, wire: dict) -> Union[bytes, dict]:
-        """Walk the key's replica chain, sending ``wire`` to each shard.
+    def _hop_error(self, sid: int, exc: Exception) -> Optional[dict]:
+        """The error a failed hop carries down the replica chain, or
+        ``None`` if the failure is not worth the next hop."""
+        if not _is_transient(exc):
+            return None
+        if not isinstance(exc, OverloadedError):
+            self._strike(sid)
+        return {"code": getattr(exc, "code", "unavailable"), "message": str(exc)}
+
+    def _relay_failed(self, relay: "_Relay", exc: Exception) -> None:
+        """The primary did not answer a relay with a plan: answer the
+        error, or walk on down the chain in :meth:`_forward`."""
+        if self._closed:
+            return
+        error = self._hop_error(relay.chain[0], exc)
+        if error is None:
+            self.errors.inc()
+            relay.connection.write(self._frame(relay.request_id, _final_error(relay.request_id, exc)))
+        else:
+            self._answer_later(
+                self._forward(relay.request_id, relay.wire, relay.chain, 1, error),
+                relay.request_id,
+                relay.connection,
+            )
+
+    def _answer_later(
+        self, answer: Coroutine, request_id, connection: framing.LineProtocol
+    ) -> None:
+        task = asyncio.ensure_future(self._write_answer(answer, request_id, connection))
+        self._request_tasks.add(task)
+        task.add_done_callback(self._request_tasks.discard)
+
+    async def _write_answer(
+        self, answer: Coroutine, request_id, connection: framing.LineProtocol
+    ) -> None:
+        try:
+            response = await answer
+        except Exception as exc:  # noqa: BLE001 - the router must answer
+            self.errors.inc()
+            response = _internal(request_id, exc)
+        connection.write(self._frame(request_id, response))
+
+    async def _forward(
+        self, request_id, wire: dict, chain, hop: int = 0, last_error: Optional[dict] = None
+    ) -> Union[bytes, dict]:
+        """Walk the replica ``chain`` from ``hop``, sending ``wire`` to
+        each shard until one answers; dial shards as needed.
 
         Returns the relayed answer line, or an error response.
         """
-        key = plan_key(request.n, request.m, request.params)
-        chain = self.ring.chain(key, self.replication)
-        self._note_hot(key, request, chain)
-        self.forwarded.inc()
-        last_error: Optional[dict] = None
-        for hop, sid in enumerate(chain):
+        for hop in range(hop, len(chain)):
+            sid = chain[hop]
             client = await self._client(sid)
             if client is None:
                 self._strike(sid)
@@ -588,23 +666,12 @@ class ClusterRouter:
                 line = await client.request_raw(wire, timeout=self.request_timeout)
                 body = _ok_body(line, amend=wire["type"] == "amend")
             except Exception as exc:  # noqa: BLE001 - classified below
-                if not _is_transient(exc):
-                    if isinstance(exc, PlanServiceError):
-                        self.errors.inc()
-                        return _error(request_id, exc.code, exc.message)
-                    raise
-                if not isinstance(exc, OverloadedError):
-                    self._strike(sid)
-                last_error = {
-                    "code": getattr(exc, "code", "unavailable"),
-                    "message": str(exc),
-                }
+                last_error = self._hop_error(sid, exc)
+                if last_error is None:
+                    self.errors.inc()
+                    return _final_error(request_id, exc)
                 continue
-            if hop > 0:
-                self.failovers.inc()
-            return b"".join(
-                (framing.ID_PREFIX, framing.encode_id(request_id), body, b',"shard":%d}\n' % sid)
-            )
+            return self._relayed(request_id, body, hop, sid)
         self.errors.inc()
         error = last_error or {"code": "unavailable", "message": "no shard answered"}
         return _error(
@@ -613,16 +680,49 @@ class ClusterRouter:
             f"all {len(chain)} replica(s) failed; last: {error['message']}",
         )
 
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, data: bytes
-    ) -> None:
+
+class _Relay:
+    """A forward on its primary's link, answered from the link's read
+    callback: a ``"ok":true`` line is relayed at once; anything else
+    goes to :meth:`ClusterRouter._relay_failed`."""
+
+    __slots__ = ("router", "connection", "request_id", "wire", "chain")
+
+    def __init__(self, router, connection, request_id, wire, chain) -> None:
+        self.router = router
+        self.connection = connection
+        self.request_id = request_id
+        self.wire = wire
+        self.chain = chain
+
+    def done(self) -> bool:
+        return False  # a link hands each waiter one outcome
+
+    def set_result(self, line: bytes) -> None:
+        router = self.router
         try:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-        except ConnectionError:  # client went away; nothing to tell it
-            pass
+            body = _ok_body(line, amend=self.wire["type"] == "amend")
+        except Exception as exc:  # noqa: BLE001 - classified by the router
+            router._relay_done()
+            router._relay_failed(self, exc)
+            return
+        self.connection.write_soon(
+            router._frame(self.request_id, router._relayed(self.request_id, body, 0, self.chain[0]))
+        )
+        # After the write is queued: a draining router closes its
+        # connections once the last relay is done.
+        router._relay_done()
+
+    def set_exception(self, exc: Exception) -> None:
+        self.router._relay_done()
+        self.router._relay_failed(self, exc)
+
+
+def _final_error(request_id, exc: Exception) -> dict:
+    """The answer to a forward that failed for good."""
+    if isinstance(exc, PlanServiceError):
+        return _error(request_id, exc.code, exc.message)
+    return _internal(request_id, exc)
 
 
 def _ok_body(line: bytes, amend: bool) -> bytes:

@@ -184,9 +184,14 @@ class ShardProcess:
         return self.process.poll() is None
 
     def kill(self) -> None:
-        """SIGKILL — the crash-failure the failover drill simulates."""
+        """SIGKILL — the crash-failure the failover drill simulates.
+
+        The child is reaped and its output pipe closed before this
+        returns, so a killed shard leaves no zombie or open file.
+        """
         if self.alive:
             self.process.send_signal(signal.SIGKILL)
+        self.wait()
 
     def terminate(self) -> None:
         """SIGTERM — the shard drains in-flight requests, then exits."""

@@ -227,7 +227,9 @@ class MulticastSimulator:
         env, tracer, pool, registry, messages = self._execute(
             multicasts, time_limit=time_limit, strict=True
         )
-        return [self._collect(registry, pool, message) for message in messages]
+        results = [self._collect(registry, pool, message) for message in messages]
+        self._release(registry, pool)
+        return results
 
     def _execute(self, multicasts, time_limit: Optional[float] = None, strict: bool = True):
         """Build and run one simulation; return its raw state.
@@ -259,6 +261,22 @@ class MulticastSimulator:
         self.last_registry = registry
         self._publish_gauges(registry)
         return env, tracer, pool, registry, messages
+
+    def _release(self, registry: NICRegistry, pool: ChannelPool) -> None:
+        """Free a finished, collected fabric by reference counting.
+
+        Closes every NI (its parked engines and its references back
+        into the fabric), the registry's factory and the channels' link
+        to their pool.  What a finished run is read for stays: every
+        built NI in :attr:`last_registry` with its ``received_at`` and
+        buffer monitor, and the pool's counters.  A run that stopped at
+        its time limit is not released: its engines may be parked
+        mid-send, and the garbage collector frees it as before.
+        """
+        for ni in registry:
+            ni.close()
+        registry.close()
+        pool.close()
 
     def _check_tree(self, tree: MulticastTree) -> None:
         """Validate a tree and confirm every node is a topology host."""

@@ -111,6 +111,15 @@ class ChannelPool:
         """The channels of ``route`` (channel keys), in route order."""
         return tuple(self.channel(key) for key in route)
 
+    def close(self) -> None:
+        """Let the channels go of this pool once a run is over.
+
+        A channel refers to its pool only to enter its first grant; the
+        counters and their views stay readable.
+        """
+        for channel in self._channels.values():
+            channel.pool = None
+
     @property
     def total_blocked_time(self) -> float:
         """Aggregate time packets spent blocked on busy channels."""

@@ -113,6 +113,15 @@ class NICRegistry:
         for host in self._hosts:
             self.lookup(host)
 
+    def close(self) -> None:
+        """Build nothing more; the built NIs stay.
+
+        Drops the factory, whose closure refers back to this registry;
+        :meth:`lookup` of a host never built then raises ``KeyError``.
+        """
+        self._build = None
+        self._buildable = frozenset()
+
     def __iter__(self):
         return iter(self._by_host.values())
 
@@ -197,9 +206,29 @@ class NetworkInterface:
         # One send engine per NI port; all drain the shared send queue
         # (the paper's model is one-port, ports > 1 is the multi-port
         # extension studied by the A10 bench).
-        for port in range(ports):
+        self._engines = [
             env.process(self._send_engine(), name=f"send{port}@{host}")
-        env.process(self._recv_engine(), name=f"recv@{host}")
+            for port in range(ports)
+        ]
+        self._engines.append(env.process(self._recv_engine(), name=f"recv@{host}"))
+
+    def close(self) -> None:
+        """Stop the engines and let go of the rest of the fabric.
+
+        Called once a run's results are collected: the parked engines
+        are closed, and the registry, route cache, delivery listener
+        and fault gate are dropped, so nothing of the fabric refers back
+        to this NI and the finished fabric is freed by reference
+        counting.  The NI's own records (:attr:`received_at`,
+        :attr:`forward_buffer`, :attr:`forwarding`) stay readable.
+        """
+        for engine in self._engines:
+            engine.close()
+        self._engines = []
+        self._routes = {}
+        self.registry = None
+        self.delivery_listener = None
+        self.fault_gate = None
 
     # -- engines ------------------------------------------------------------
     def _send_engine(self):

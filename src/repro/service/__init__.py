@@ -33,16 +33,19 @@ Layers, innermost out:
   membership delta (:mod:`repro.membership`) into an equivalent plan
   request — churn bursts coalesce in the batcher's single-flight
   dedupe.  It answers a memoized plan of at most ``INLINE_MAX_ROWS``
-  rows on the connection's read loop, and writes any other as the
+  rows in the connection's read callback, and writes any other as the
   batcher's bytes behind the request's id.
 * :mod:`~repro.service.client` — :class:`PlanClient` (async) and the
   :func:`plan_remote` / :func:`stats_remote` sync conveniences, with
   :class:`RetryPolicy` backoff over typed transient failures
   (``unavailable`` / :class:`PlanTimeoutError` / ``overloaded``).
-* :mod:`~repro.service.framing` — the line format every hop shares:
+* :mod:`~repro.service.framing` — the line protocol every hop shares:
   one ``MAX_FRAME_BYTES`` limit for readers and writers (an oversize
-  answer becomes a ``response_too_large`` error) and id-first answers,
-  so a plan is encoded once and relayed as bytes.
+  answer becomes a ``response_too_large`` error), id-first answers, so
+  a plan is encoded once and relayed as bytes, and
+  :class:`~repro.service.framing.LineProtocol`, the one
+  ``asyncio.Protocol`` that server, router and client connections
+  share: each received line is handled in the read callback.
 * :mod:`~repro.service.journal` — :class:`RequestJournal`: checksummed
   append-only log of distinct accepted plan requests, replayed through
   the encoder on restart to pre-warm the memo tables the server reads

@@ -3,7 +3,7 @@
 The service's traffic is skewed: a production control plane sees the
 same few ``(n, m, params)`` keys over and over (the same reason §4.3.1
 can precompute the optimal-k table at all).  The server answers a key
-already in the planner's wire memo on its read loop, so only cold keys
+already in the planner's wire memo in its read callback, so only cold keys
 (and warm plans over its inline row bound) reach the batcher, which is
 where computing them is worth coalescing.  :class:`PlanBatcher` does
 that twice:

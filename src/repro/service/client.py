@@ -1,12 +1,16 @@
 """Clients for the plan service: async, pipelined, plus sync wrappers.
 
 :class:`PlanClient` multiplexes any number of concurrent ``plan`` calls
-over one connection — requests carry monotonically increasing ids, a
-single reader task routes each response line to its waiter, so N
-in-flight calls cost one socket (and land in the same server-side
-micro-batch).  Service-level failures surface as
-:class:`PlanServiceError` (with :class:`OverloadedError` split out so
-callers can branch on back-off without string-matching codes).
+over one connection — requests carry monotonically increasing ids, and
+the connection's read callback (a
+:class:`~repro.service.framing.LineProtocol`) routes each response
+line to its waiter, so N in-flight calls cost one socket (and land in
+the same server-side micro-batch).  The requests of one loop pass go
+out in one send, and deadlines cost one timer per connection, armed
+for the soonest pending request.  Service-level
+failures surface as :class:`PlanServiceError` (with
+:class:`OverloadedError` split out so callers can branch on back-off
+without string-matching codes).
 
 Transient failures are retryable: :class:`RetryPolicy` drives
 exponential backoff with seeded (deterministic) jitter, and every
@@ -17,10 +21,12 @@ callers branch on class, never on string-matching codes.
 
 Answers are routed by their id-first prefix (:mod:`.framing`) without
 being decoded: :meth:`PlanClient.request_raw` hands back the answer line
-as bytes (the cluster router relays a shard's plan that way), and
-:meth:`PlanClient.request` decodes it for everyone else.  A connection
-whose reader has died fails the next request at once with
-``ConnectionError`` instead of waiting out its timeout.
+as bytes, and :meth:`PlanClient.request` decodes it for everyone else.
+A waiter need not be a future: the cluster router registers an object
+with a future's ``set_result``/``set_exception`` and relays a shard's
+plan from the read callback, with no task in between.  A lost
+connection fails the next request at once with ``ConnectionError``
+instead of waiting out its timeout.
 
 For scripts and the CLI, :func:`plan_remote` and :func:`stats_remote`
 wrap one connect/request/close round trip in ``asyncio.run``.
@@ -31,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence
@@ -189,6 +196,34 @@ class RetryPolicy:
             yield raw * (1.0 - self.jitter * rng.random())
 
 
+class _Link(framing.LineProtocol):
+    """A client's side of the line protocol.
+
+    It keeps reading answers while its requests back up: a server stops
+    reading a peer that does not read its answers, so a client that
+    stopped reading in turn would deadlock with it.  An answer line
+    over the frame limit closes the connection without a reply.
+    """
+
+    too_long_answer = None
+
+    def __init__(self, client: "PlanClient") -> None:
+        super().__init__(client._answer_received)
+        self._client = client
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self._client._connection_lost(
+            exc or self.error or ConnectionError("server closed the connection")
+        )
+
+    def pause_writing(self) -> None:
+        pass
+
+    def resume_writing(self) -> None:
+        pass
+
+
 class PlanClient:
     """One pipelined connection to a :class:`~repro.service.server.PlanServer`.
 
@@ -199,21 +234,25 @@ class PlanClient:
             result = await client.plan(64, 8)
     """
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._link = _Link(self)
         self._ids = itertools.count(1)
-        self._waiters: Dict[int, asyncio.Future] = {}
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        # request id -> (waiter, deadline or None, timeout); a waiter is
+        # anything with a future's done/set_result/set_exception.
+        self._waiters: Dict[int, tuple] = {}
         self._closed = False
-        #: Why the read loop stopped, once it has.
+        #: Why the connection stopped, once it has.
         self._lost: Optional[Exception] = None
+        # One timer, armed for the soonest deadline of a pending request.
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer_at = math.inf
+        self._loop = asyncio.get_running_loop()
 
     @classmethod
     async def connect(
         cls, host: str, port: int, timeout: Optional[float] = None
     ) -> "PlanClient":
-        """Open a connection and start the response router.
+        """Open a connection; its answers are routed from the read callback.
 
         Connection failures (refused, unreachable, DNS) raise
         ``PlanServiceError(code="unavailable")`` rather than a raw
@@ -221,12 +260,13 @@ class PlanClient:
         attempt with :class:`PlanTimeoutError` — both retryable.  Answer
         lines may be up to :data:`~.framing.MAX_FRAME_BYTES` long.
         """
-        dial = asyncio.open_connection(host, port, limit=framing.MAX_FRAME_BYTES)
+        client = cls()
+        dial = client._loop.create_connection(lambda: client._link, host, port)
         try:
             if timeout is not None:
-                reader, writer = await asyncio.wait_for(dial, timeout)
+                await asyncio.wait_for(dial, timeout)
             else:
-                reader, writer = await dial
+                await dial
         except asyncio.TimeoutError:
             raise PlanTimeoutError(
                 f"connect to {host}:{port} timed out after {timeout}s"
@@ -235,7 +275,7 @@ class PlanClient:
             raise PlanServiceError(
                 "unavailable", f"cannot connect to {host}:{port}: {exc}"
             ) from exc
-        return cls(reader, writer)
+        return client
 
     async def __aenter__(self) -> "PlanClient":
         return self
@@ -248,10 +288,10 @@ class PlanClient:
         """Whether the connection can still carry requests.
 
         ``close()`` flips :attr:`_closed`, but a *server*-side drop
-        only kills the reader task — pool owners (the cluster router)
+        only ends the connection — pool owners (the cluster router)
         check this before reusing a cached connection.
         """
-        return not self._closed and not self._reader_task.done()
+        return not self._closed and self._lost is None
 
     # -- requests -----------------------------------------------------------
     async def request(self, payload: dict, timeout: Optional[float] = None) -> dict:
@@ -264,31 +304,36 @@ class PlanClient:
 
         ``timeout`` (seconds) bounds the wait with
         :class:`PlanTimeoutError`; the stale response, if it ever
-        arrives, is dropped by the router (its waiter is gone).  A
-        closed client raises ``RuntimeError``; a connection whose
-        reader has died raises ``ConnectionError`` at once.
+        arrives, is dropped (its waiter is gone).  A closed client
+        raises ``RuntimeError``; a lost connection raises
+        ``ConnectionError`` at once.
+        """
+        future = self._loop.create_future()
+        request_id = self._send(payload, future, timeout)
+        try:
+            return await future
+        finally:
+            self._waiters.pop(request_id, None)
+
+    def _send(self, payload: dict, waiter, timeout: Optional[float]) -> int:
+        """Write one request; its answer line goes to ``waiter.set_result``.
+
+        A timeout (:class:`PlanTimeoutError`) or a lost connection goes
+        to ``waiter.set_exception``.  Returns the request's id.
         """
         if self._closed:
             raise RuntimeError("client is closed")
-        if self._reader_task.done():
+        if self._lost is not None:
             raise ConnectionError(f"connection lost: {self._lost!r}")
         request_id = next(self._ids)
-        payload = dict(payload, id=request_id)
-        future = asyncio.get_running_loop().create_future()
-        self._waiters[request_id] = future
-        try:
-            self._writer.write(json.dumps(payload).encode() + b"\n")
-            await self._writer.drain()
-            if timeout is None:
-                return await future
-            try:
-                return await asyncio.wait_for(future, timeout)
-            except asyncio.TimeoutError:
-                raise PlanTimeoutError(
-                    f"no response to request {request_id} within {timeout}s"
-                ) from None
-        finally:
-            self._waiters.pop(request_id, None)
+        deadline = None
+        if timeout is not None:
+            deadline = self._loop.time() + timeout
+            if deadline < self._timer_at:
+                self._arm(deadline)
+        self._waiters[request_id] = (waiter, deadline, timeout)
+        self._link.write_soon(json.dumps(dict(payload, id=request_id)).encode() + b"\n")
+        return request_id
 
     async def plan(
         self,
@@ -402,38 +447,63 @@ class PlanClient:
         if self._closed:
             return
         self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass
-        self._writer.close()
+        self._link.close()
         self._fail_waiters(ConnectionError("client closed"))
+        await asyncio.sleep(0)  # let the transport let go of its socket
 
     # -- internals ----------------------------------------------------------
-    async def _read_loop(self) -> None:
+    def _answer_received(self, line: bytes, link: _Link) -> None:
+        """Route one answer line to its waiter, from the read callback."""
+        request_id, _ = framing.leading_id(line)
         try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    raise ConnectionError("server closed the connection")
-                request_id, _ = framing.leading_id(line)
-                if request_id is None:  # not id-first: parse to find the id
-                    request_id = json.loads(line).get("id")
-                waiter = self._waiters.pop(request_id, None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(line)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - fan the failure out
+            if request_id is None:  # not id-first: parse to find the id
+                request_id = json.loads(line).get("id")
+            entry = self._waiters.pop(request_id, None)
+        except Exception as exc:  # noqa: BLE001 - an unroutable answer
+            link.error = exc
+            link.close()
+            return
+        if entry is not None and not entry[0].done():
+            entry[0].set_result(line)
+
+    def _connection_lost(self, exc: Exception) -> None:
+        if self._lost is None:
             self._lost = exc
-            self._fail_waiters(exc)
+        self._fail_waiters(self._lost)
+
+    def _arm(self, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._loop.call_at(deadline, self._expire)
+        self._timer_at = deadline
+
+    def _expire(self) -> None:
+        """Time out every request past its deadline; re-arm for the next."""
+        self._timer, self._timer_at = None, math.inf
+        now = self._loop.time()
+        soonest = math.inf
+        for request_id, (waiter, deadline, timeout) in list(self._waiters.items()):
+            if deadline is None:
+                continue
+            if deadline > now:
+                soonest = min(soonest, deadline)
+                continue
+            del self._waiters[request_id]
+            if not waiter.done():
+                waiter.set_exception(
+                    PlanTimeoutError(f"no response to request {request_id} within {timeout}s")
+                )
+        if soonest < self._timer_at:
+            self._arm(soonest)
 
     def _fail_waiters(self, exc: Exception) -> None:
-        for waiter in self._waiters.values():
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer, self._timer_at = None, math.inf
+        waiters, self._waiters = self._waiters, {}
+        for waiter, _, _ in waiters.values():
             if not waiter.done():
                 waiter.set_exception(exc)
-        self._waiters.clear()
 
 
 async def _one_shot(host: str, port: int, payload: dict) -> dict:

@@ -63,13 +63,16 @@ answer begins ``{"id":<id>,``.
 Encoding: the server never builds a :class:`PlanResult` or calls
 ``json.dumps`` on a plan.  Each answer's ``"result"`` is the planner's
 memoized wire template of the canonical schedule, filled with the
-request's positions (:mod:`repro.service.planner`).  The connection's
-read loop decodes each line once and handles it to its answer without
-yielding: checks, admission, journal, then
-:func:`~repro.service.planner.plan_json_warm`.  A plan whose template
-is already memoized and at most :data:`INLINE_MAX_ROWS` rows long is
-filled and written right there, and the loop then yields once so other
-connections run between the answers of a pipelined burst.  Only a cold
+request's positions (:mod:`repro.service.planner`).  Every connection
+is a :class:`~repro.service.framing.LineProtocol`, whose read callback
+hands each received line to :meth:`PlanServer._answer_line`, which
+decodes it once and handles it to its answer without yielding: checks,
+admission, journal, then :func:`~repro.service.planner.plan_json_warm`.
+A plan whose template is already memoized and at most
+:data:`INLINE_MAX_ROWS` rows long is filled right there; the answers
+of one received chunk go out in one write, and after
+:data:`~repro.service.framing.LINES_PER_CALLBACK` lines the callback
+hands the loop to the other connections before going on.  Only a cold
 key (or a larger one) waits in the batcher, in a task of its own: the
 batcher's worker encodes each computation's ``"result"`` once
 (:func:`~repro.service.planner.plan_json`), and every waiter sharing
@@ -88,8 +91,8 @@ the batcher server-wide; while that many wait, every further plan or
 amend, warm ones included, is *refused immediately* with
 ``overloaded`` instead of queuing — bounded admission means bounded
 latency, and a client that sees ``overloaded`` can back off, while a
-client stuck in an invisible queue cannot.  A plan answered on the
-read loop never holds a slot, and ``request_timeout`` applies only to
+client stuck in an invisible queue cannot.  A plan answered in the
+read callback never holds a slot, and ``request_timeout`` applies only to
 plans that wait.  ``stats``/``ping``/``health``/``metrics`` bypass
 admission so the service stays observable while saturated.
 
@@ -123,7 +126,7 @@ from .planner import MAX_PLAN_WORK, PlanRequest, plan_json_warm, plan_work
 __all__ = ["INLINE_MAX_ROWS", "PlanServer"]
 
 #: Largest warm plan, in schedule rows (``n - |exclude|``), that the
-#: server answers on the connection's read loop.  Filling a memoized
+#: server answers in the connection's read callback.  Filling a memoized
 #: wire template costs about 0.2-0.3 µs per row and barely depends on
 #: ``m``, so a row bound (not a bound on ``rows × m``) is what keeps an
 #: inline answer short: at 1,024 rows it stays under a third of the
@@ -335,7 +338,7 @@ class PlanServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._active_plans = 0
         self._request_tasks: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[framing.LineProtocol] = set()
         self._draining = False
         self._fault_mode: Optional[str] = None
         self._fault_remaining = 0
@@ -413,8 +416,10 @@ class PlanServer:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.journal.replay
             )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=framing.MAX_FRAME_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: framing.LineProtocol(self._line_received, self._connections),
+            self.host,
+            self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.profiler.enabled:
@@ -439,9 +444,8 @@ class PlanServer:
         self._draining = True
         if self._server is not None:
             # close() stops the accept loop; we deliberately skip
-            # wait_closed(), which (3.12+) would block on connection
-            # handlers that are parked in readline() until the client
-            # hangs up.  Closing the writers below unblocks them.
+            # wait_closed(), which (3.12+) waits for every connection
+            # to end.  Closing the connections below ends them.
             self._server.close()
         if drain:
             loop = asyncio.get_running_loop()
@@ -460,8 +464,8 @@ class PlanServer:
         for task in self._request_tasks:
             task.cancel()
         await self.batcher.close()
-        for writer in list(self._writers):
-            writer.close()
+        for connection in list(self._connections):
+            connection.close()
         if self.profiler.enabled:
             self.profiler.stop()
 
@@ -486,45 +490,16 @@ class PlanServer:
             await self.shutdown(drain=True)
 
     # -- connection handling ------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        try:
-            while not self._draining:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        _encode(_error(None, "bad_request", "request line too long")),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                answer = self._answer_line(line)
-                if isinstance(answer, bytes):
-                    await self._write(writer, write_lock, answer)
-                    # Neither a buffered readline nor an undrained write
-                    # yields, so let the selector serve other
-                    # connections between the answers of a pipeline.
-                    await asyncio.sleep(0)
-                    continue
-                task = asyncio.ensure_future(self._handle_line(answer, writer, write_lock))
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-        except ConnectionError:
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - already-broken socket
-                pass
+    def _line_received(self, line: bytes, connection: framing.LineProtocol) -> Optional[bytes]:
+        """A connection's line: its answer now, or ``None`` once a task
+        waits for it (:meth:`_handle_line` writes it)."""
+        answer = self._answer_line(line)
+        if type(answer) is bytes:
+            return answer
+        task = asyncio.ensure_future(self._handle_line(answer, connection))
+        self._request_tasks.add(task)
+        task.add_done_callback(self._request_tasks.discard)
+        return None
 
     def _answer_line(self, line: bytes) -> Union[bytes, _Waiting]:
         """Handle one request line up to its answer, without yielding.
@@ -579,17 +554,16 @@ class PlanServer:
             self.metrics.errors.inc()
         return self._finish(kind, request_id, span_start, response)
 
-    async def _handle_line(
-        self, waiting: _Waiting, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    async def _handle_line(self, waiting: _Waiting, connection: framing.LineProtocol) -> None:
         """Await a waiting line's answer, then finish and write it."""
         try:
             response = await waiting.answer
         except Exception as exc:  # noqa: BLE001 - the service must answer
             response = _internal(waiting.request_id, exc)
             self.metrics.errors.inc()
-        data = self._finish(waiting.kind, waiting.request_id, waiting.span_start, response)
-        await self._write(writer, write_lock, data)
+        connection.write(
+            self._finish(waiting.kind, waiting.request_id, waiting.span_start, response)
+        )
 
     def _finish(self, kind, request_id, span_start: float, response) -> bytes:
         """The answer line of ``response``: frame limit, span and SLO applied."""
@@ -748,17 +722,6 @@ class PlanServer:
             if tracker is not None:
                 bound = tracker.spec.bound or float("inf")
                 self.slos.record("plan_latency_p99", elapsed * 1e6 <= bound)
-
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, data: bytes
-    ) -> None:
-        try:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-        except ConnectionError:  # client went away; nothing to tell it
-            pass
 
 
 def _plan_line(request_id, result: bytes, echo: Optional[dict]) -> bytes:

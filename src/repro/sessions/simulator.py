@@ -264,4 +264,7 @@ class SessionSimulator(MulticastSimulator):
             peak_link_sharing=arbiter.peak_link_sharing,
         )
         SESSION_METRICS.record_run(set_result.summary())
+        # ``start`` refers to this simulator, which keeps the arbiter.
+        arbiter.start_session = None
+        self._release(registry, pool)
         return set_result

@@ -90,8 +90,24 @@ class Process(Event):
         # callbacks and can never resume this process.
         if self._target is self._wake:
             self._wake = _wake_event(self.env)
-        if self._target.callbacks is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
+        self._detach()
+
+    def close(self) -> None:
+        """Stop a parked process for good: nothing resumes it again.
+
+        Detaches it from the event it waits on and closes its generator,
+        which releases the generator's frame, so an idle engine of a
+        finished simulation no longer holds what it ran on.
+        """
+        if self._target is not None:
+            self._detach()
+        self._generator.close()
+
+    def _detach(self) -> None:
+        """Stop waiting on the target: its processing no longer resumes us."""
+        callbacks = self._target.callbacks
+        if callbacks is not None and self._resume in callbacks:
+            callbacks.remove(self._resume)
         self._target = None
 
     # -- internal ------------------------------------------------------

@@ -114,6 +114,44 @@ class TestRouterForwarding:
         assert stats[owner]["plans"] == 24
         assert stats[1 - owner]["plans"] == 0
 
+    def test_only_the_params_a_client_sent_travel_on(self, monkeypatch):
+        """A request without ``params`` is forwarded without them, so
+        no shard parses the paper machine's; sent ones travel on."""
+        from repro.params import MachineParams
+
+        parsed = []
+        from_dict = MachineParams.from_dict.__func__
+
+        def counted(cls, payload):
+            parsed.append(payload)
+            return from_dict(cls, payload)
+
+        monkeypatch.setattr(MachineParams, "from_dict", classmethod(counted))
+        params = MachineParams(t_s=1.0, t_r=2.0, t_step=1.0, t_sq=0.5, ports=2)
+
+        async def body():
+            servers, router = await started_cluster(2, hot_threshold=0)
+            async with await PlanClient.connect("127.0.0.1", router.port) as client:
+                plain = [await client.plan(32, 4), await client.amend(32, 4, join=1)]
+                plain_parsed = parsed[:]
+                del parsed[:]
+                custom = [
+                    await client.plan(32, 4, params),
+                    await client.amend(32, 4, params, join=1),
+                ]
+            await stop_cluster(servers, router)
+            return plain, plain_parsed, custom
+
+        plain, plain_parsed, custom = run(body())
+        assert plain == [plan(PlanRequest(n=32, m=4)), plan(PlanRequest(n=33, m=4))]
+        assert plain_parsed == []
+        assert custom == [
+            plan(PlanRequest(n=32, m=4, params=params)),
+            plan(PlanRequest(n=33, m=4, params=params)),
+        ]
+        # Each custom request is parsed once by the router, once by its shard.
+        assert parsed == [params.to_dict()] * 4
+
     def test_bad_requests_answer_without_a_shard_hop(self):
         async def body():
             servers, router = await started_cluster(2)
@@ -234,6 +272,32 @@ class TestEpochFencing:
             assert result == plan(PlanRequest(n=n, m=4))
         assert retries >= 1
         assert refreshed == stale_epoch + 1
+
+
+class TestRouterShutdown:
+    @pytest.mark.usefixtures("cold_memos")
+    def test_shutdown_answers_forwards_in_flight(self):
+        """A forward whose shard is still computing when the router
+        shuts down is answered before the router closes."""
+
+        async def body():
+            shard = PlanServer(port=0, max_delay=0.3, shard_id=0)
+            await shard.start()
+            router = ClusterRouter(
+                [ShardSpec(0, "127.0.0.1", shard.port)], port=0, probe_interval=3600.0
+            )
+            await router.start()
+            client = await PlanClient.connect("127.0.0.1", router.port)
+            pending = asyncio.ensure_future(client.plan(24, 3, timeout=10))
+            await asyncio.sleep(0.05)  # forwarded, parked in the batch window
+            assert not pending.done()
+            await router.shutdown()
+            result = await pending
+            await client.close()
+            await shard.shutdown()
+            return result
+
+        assert run(body()) == plan(PlanRequest(n=24, m=3))
 
 
 class TestFailover:

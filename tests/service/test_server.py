@@ -25,6 +25,7 @@ from repro.service import (
     PlanServer,
     PlanServiceError,
     batching,
+    framing,
     plan,
 )
 
@@ -129,25 +130,29 @@ class TestEndToEnd:
 class TestFairness:
     @pytest.mark.usefixtures("cold_memos")
     def test_a_pipelined_burst_does_not_hold_the_loop(self, monkeypatch):
-        """A warm answer is written on the read loop, which then yields:
-        4,000 pipelined warm plans on one connection must not keep a
-        ping on another waiting until the last of them is answered.
+        """Warm answers are written from the read callback, at most
+        :data:`~repro.service.framing.LINES_PER_CALLBACK` lines per
+        callback: 4,000 pipelined warm plans on one connection must not
+        keep a ping on another waiting until the last of them is
+        answered.
 
         The server's loop runs in a thread and is held while both
         connections send, and a thread reads connection A's answers, so
-        no write of the server's waits.  A loop that only yielded when
-        its read buffer ran dry would answer the ping after a whole
-        receive window of A's lines (about 1,750 of them here); one that
-        yields after each answer answers it within the first few.
+        no write of the server's waits.  A callback that answered every
+        line it had received would answer the ping after a whole receive
+        window of A's lines (about 1,750 of them here); one that hands
+        the loop back after a budget of lines answers it within the
+        first few dozen.  The written lines are recorded in order, each
+        ``write`` split into its lines.
         """
         written = []
-        write = PlanServer._write
+        write = framing.LineProtocol.write
 
-        async def recording(writer, write_lock, data):
-            written.append(data)
-            await write(writer, write_lock, data)
+        def recording(connection, data):
+            written.extend(data.splitlines(keepends=True))
+            write(connection, data)
 
-        monkeypatch.setattr(PlanServer, "_write", staticmethod(recording))
+        monkeypatch.setattr(framing.LineProtocol, "write", recording)
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()

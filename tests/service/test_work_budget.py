@@ -6,19 +6,23 @@ plan path's JSON work is countable exactly: one decode of each request
 line on every process it enters, one re-encode of the request on the
 router's forward to its shard, no encode of any plan answer, and no
 decode of an id-first shard answer.  A warm plan is answered on the
-server's read loop, so the path's waiting is countable too: each cold
-request makes one batcher submit and one task of the server's, and the
-warm repeat makes neither.  This test pins those counts, and the bytes
-each layer writes, for five requests sent one at a time:
+server's read callback, so the path's waiting is countable too: each
+cold request makes one batcher submit and one task of the server's,
+the warm repeat makes neither, and a forward the router relays from its
+shard link's read callback makes no task at all.  This test pins those
+counts, and the bytes each layer writes, for five requests sent one at
+a time:
 
 * ``[server]`` — to one in-process :class:`PlanServer`;
 * ``[router]`` — to a :class:`ClusterRouter` over two in-process shards.
 
 The ``json`` attribute of the server, router and client modules (the
 client module carries the router's forward to a shard) is swapped for
-a counting stand-in, both layers' ``_write`` are wrapped to count
-bytes, :meth:`PlanBatcher.submit` is wrapped to count calls, and a task
-factory on the loop counts the tasks whose coroutine is the server's.
+a counting stand-in, :meth:`LineProtocol.write` is wrapped to count the
+bytes each layer's connections write, :meth:`PlanBatcher.submit` is
+wrapped to count calls, and a task factory on the loop counts the tasks
+whose coroutine is the server's, and those whose coroutine is the
+router's or the client module's.
 The memos start empty, counting starts after start-up, the router
 never warms keys (``hot_threshold=0``) or probes (an hour's interval),
 and the requests come from a raw socket, so only the sequence's own
@@ -82,8 +86,12 @@ class CountingJson:
         return json.dumps(*args, **kwargs)
 
 
-def count_work(monkeypatch) -> dict:
-    """Install the counters; return the live counts by layer."""
+def count_work(monkeypatch, owners: dict) -> dict:
+    """Install the counters; return the live counts by layer.
+
+    ``owners`` maps a layer to the servers (or router) whose accepted
+    connections' writes it counts.
+    """
     work = {
         "server": {"decodes": 0, "encodes": 0, "bytes": 0},
         "router": {"decodes": 0, "encodes": 0, "bytes": 0},
@@ -96,21 +104,23 @@ def count_work(monkeypatch) -> dict:
     ):
         monkeypatch.setattr(module, "json", CountingJson(work[layer]))
 
-    def counted(write, counts):
-        async def wrapper(writer, write_lock, data):
-            counts["bytes"] += len(data)
-            await write(writer, write_lock, data)
+    write = framing.LineProtocol.write
 
-        return staticmethod(wrapper)
+    def counted(connection, data):
+        for layer, servers in owners.items():
+            if any(connection in server._connections for server in servers):
+                work[layer]["bytes"] += len(data)
+        write(connection, data)
 
-    for layer, cls in (("server", PlanServer), ("router", ClusterRouter)):
-        monkeypatch.setattr(cls, "_write", counted(cls._write, work[layer]))
+    monkeypatch.setattr(framing.LineProtocol, "write", counted)
     return work
 
 
 def count_waits(monkeypatch, loop) -> dict:
-    """Count batcher submits and the server's tasks; return the live counts."""
-    waits = {"submits": 0, "tasks": 0}
+    """Count batcher submits, the server's tasks and the forward path's
+    tasks; return the live counts."""
+    forward_files = (router_module.__file__, client_module.__file__)
+    waits = {"submits": 0, "tasks": 0, "forward_tasks": 0}
     submit = PlanBatcher.submit
 
     async def counted_submit(batcher, request):
@@ -123,6 +133,8 @@ def count_waits(monkeypatch, loop) -> dict:
         code = getattr(coro, "cr_code", None)
         if code is not None and code.co_filename == server_module.__file__:
             waits["tasks"] += 1
+        if code is not None and code.co_filename in forward_files:
+            waits["forward_tasks"] += 1
         return asyncio.Task(coro, loop=loop, **kwargs)
 
     loop.set_task_factory(task_factory)
@@ -151,13 +163,13 @@ async def run_sequence(via: str, monkeypatch):
         )
         await router.start()
         port = router.port
-    work = count_work(monkeypatch)
+    work = count_work(monkeypatch, {"server": shards, "router": [router] if router else []})
     reader, writer = await asyncio.open_connection(
         "127.0.0.1", port, limit=framing.MAX_FRAME_BYTES
     )
     waits = count_waits(monkeypatch, asyncio.get_running_loop())
     answers = []
-    per_request = {"submits": [], "tasks": []}
+    per_request = {"submits": [], "tasks": [], "forward_tasks": []}
     for rid, (payload, _, _) in enumerate(SEQUENCE, 1):
         before = dict(waits)
         writer.write(json.dumps(dict(payload, id=rid)).encode() + b"\n")
@@ -205,8 +217,14 @@ def test_plan_sequence_work_budget(monkeypatch, via):
         "hop": {"decodes": 0, "encodes": 5 * routed},
     }
     # Requests 1, 3, 4 and 5 are cold and wait in the batcher; the
-    # repeat of request 1 is answered on the read loop.
-    assert waits == {"submits": [1, 0, 1, 1, 1], "tasks": [1, 0, 1, 1, 1], "memo_hits": 1}
+    # repeat of request 1 is answered in the read callback.  The router
+    # relays every answer from its shard link's read callback.
+    assert waits == {
+        "submits": [1, 0, 1, 1, 1],
+        "tasks": [1, 0, 1, 1, 1],
+        "forward_tasks": [0, 0, 0, 0, 0],
+        "memo_hits": 1,
+    }
 
 
 def test_cold_plan_reads_step_lists_not_the_pair_dict(monkeypatch):
