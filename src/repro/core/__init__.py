@@ -46,6 +46,7 @@ from .pipeline import (
     fcfs_schedule,
     fcfs_steps,
     fcfs_total_steps,
+    fpfs_first_last,
     fpfs_schedule,
     fpfs_steps,
     fpfs_total_steps,
@@ -109,6 +110,7 @@ __all__ = [
     "fcfs_total_steps",
     "fcfs_buffer_time",
     "fpfs_buffer_time",
+    "fpfs_first_last",
     "fpfs_schedule",
     "fpfs_steps",
     "fpfs_total_steps",

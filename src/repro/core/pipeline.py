@@ -18,6 +18,8 @@ This module provides:
   the schedule is exact even when that fails).
 * :func:`fpfs_schedule` — the same schedule keyed by
   ``(node, packet)``.
+* :func:`fpfs_first_last` — each node's first and last receive step
+  on one port, in O(n) (Theorem 1's spacing argument per node).
 * :func:`fcfs_steps` / :func:`fcfs_schedule` — the exact FCFS schedule
   (§3.1's discipline), in the same two forms.
 * :func:`fpfs_total_steps` — completion step of the last packet at the
@@ -50,6 +52,7 @@ __all__ = [
     "fcfs_schedule",
     "fcfs_steps",
     "fcfs_total_steps",
+    "fpfs_first_last",
     "fpfs_schedule",
     "fpfs_steps",
     "fpfs_total_steps",
@@ -112,10 +115,16 @@ def _fpfs_one_port(recv: List[int], fanout: int) -> List[List[int]]:
 
 
 def _fpfs_multi_port(ports: int) -> Callable[[List[int], int], List[List[int]]]:
-    """FPFS on ``ports`` ports: each send takes the earliest-free port."""
+    """FPFS on ``ports`` ports: each send takes the earliest-free port.
+
+    A node makes ``fanout · m`` sends, so with that many ports one of
+    them is still unused (free at step 1) at every send: more ports
+    change nothing, and the heap never holds more than that.
+    """
 
     def sends(recv: List[int], fanout: int) -> List[List[int]]:
-        free = [1] * ports  # min-heap: the step at which each port is next free
+        # min-heap: the step at which each port is next free
+        free = [1] * min(ports, fanout * len(recv))
         received: List[List[int]] = [[] for _ in range(fanout)]
         for r in recv:
             for child in received:
@@ -153,6 +162,35 @@ def fpfs_steps(tree: MulticastTree, m: int, ports: int = 1) -> Steps:
     """
     _check(m, ports)
     return _walk(tree, m, _fpfs_one_port if ports == 1 else _fpfs_multi_port(ports))
+
+
+def fpfs_first_last(tree: MulticastTree, m: int) -> Dict[Hashable, Tuple[int, int]]:
+    """One-port FPFS: ``node → (first, last)`` receive step, in O(n).
+
+    The ends of each :func:`fpfs_steps` list (``ports=1``) without the
+    ``m`` steps between them.  A node whose packets arrive ``D`` steps
+    apart, and which has ``c`` children, sends them ``max(D, c)`` steps
+    apart: packet 0's first copy leaves the step after it arrives, and
+    each later packet as soon as both it and the port are free.  Child
+    ``i`` gets every packet ``i`` steps after the first copy leaves.
+    So a node's packets arrive spaced by the largest fan-out among its
+    proper ancestors, and ``last = first + (m - 1) · spacing``
+    (``docs/THEORY.md`` §3; Theorem 1 is the case of the last node).
+    """
+    _check(m)
+    tail = m - 1
+    ends = {tree.root: (0, 0)}
+    spacing = {tree.root: 0}  # the source holds every packet at step 0
+    for node in tree.nodes():  # preorder: every parent before its children
+        children = tree.children(node)
+        if children:
+            gap = max(spacing[node], len(children))
+            step = ends[node][0]
+            for child in children:
+                step += 1
+                spacing[child] = gap
+                ends[child] = (step, step + tail * gap)
+    return ends
 
 
 def _by_packet(steps: Steps) -> Dict[Tuple[Hashable, int], int]:

@@ -30,14 +30,17 @@ cheaper than process fan-out would cost in pickling; inject a
 ``ProcessPoolExecutor`` for cold, CPU-bound grids (requests and
 results are picklable by design).
 
-Each computation's outcome is its answer's encoded ``"result"`` bytes
-(:func:`~repro.service.planner.plan_json`), so every single-flight
-waiter shares one bytes object and a computation is encoded exactly
-once, in the executor.
+Each computation's outcome is its answer's encoded ``"result"`` bytes,
+so every single-flight waiter shares one bytes object and a
+computation is encoded exactly once, in the executor: a
+:class:`~repro.service.planner.PlanRequest` in the full form
+(:func:`~repro.service.planner.plan_json`), a
+:class:`~repro.service.planner.CompactRequest` in the compact form
+(:func:`~repro.service.planner.plan_compact_json`).  The two are
+different keys, so they never share a computation.
 
 All public methods must be called from the event loop thread; the
-executor workers only run the pure
-:func:`~repro.service.planner.plan_json`.
+executor workers only run the pure encoders.
 """
 
 from __future__ import annotations
@@ -47,15 +50,17 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metrics import ServiceMetrics
-from .planner import PlanRequest, plan_json
+from .planner import CompactRequest, PlanRequest, plan_compact_json, plan_json
 
 __all__ = ["PlanBatcher", "plan_chunk"]
 
+#: What the batcher computes: a request's full-form answer, or its compact one.
+_Job = Union[PlanRequest, CompactRequest]
 #: A chunk outcome: the encoded result, or the exception the plan raised.
 _Outcome = Union[bytes, Exception]
 
 
-def plan_chunk(requests: Sequence[PlanRequest]) -> List[_Outcome]:
+def plan_chunk(requests: Sequence[_Job]) -> List[_Outcome]:
     """Executor-side body: encode each request's plan, capturing per-item errors.
 
     Module-level (like the sweep engine's ``_measure_chunk``) so it
@@ -65,7 +70,10 @@ def plan_chunk(requests: Sequence[PlanRequest]) -> List[_Outcome]:
     outcomes: List[_Outcome] = []
     for request in requests:
         try:
-            outcomes.append(plan_json(request))
+            if type(request) is CompactRequest:
+                outcomes.append(plan_compact_json(request.request))
+            else:
+                outcomes.append(plan_json(request))
         except Exception as exc:  # noqa: BLE001 - relayed to the caller
             outcomes.append(exc)
     return outcomes
@@ -120,15 +128,16 @@ class PlanBatcher:
         self.metrics = metrics
         self._executor = executor
         self._owns_executor = executor is None
-        self._inflight: Dict[PlanRequest, asyncio.Future] = {}
-        self._pending: List[PlanRequest] = []
+        self._inflight: Dict[_Job, asyncio.Future] = {}
+        self._pending: List[_Job] = []
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._chunk_tasks: "set[asyncio.Future]" = set()
         self._closed = False
 
     # -- public API ---------------------------------------------------------
-    async def submit(self, request: PlanRequest) -> bytes:
-        """``plan_json(request)``, sharing any in-flight computation of the key."""
+    async def submit(self, request: _Job) -> bytes:
+        """The encoded answer to ``request``, sharing any in-flight
+        computation of the key (see the module docstring)."""
         if self._closed:
             raise RuntimeError("batcher is closed")
         future = self._inflight.get(request)
@@ -225,7 +234,7 @@ class PlanBatcher:
             self._chunk_tasks.add(task)
             task.add_done_callback(lambda done, chunk=chunk: self._finish(chunk, done))
 
-    def _finish(self, chunk: Tuple[PlanRequest, ...], done: asyncio.Future) -> None:
+    def _finish(self, chunk: Tuple[_Job, ...], done: asyncio.Future) -> None:
         self._chunk_tasks.discard(done)
         # Every waiter of the chunk is settled, whatever became of it.
         if done.cancelled():

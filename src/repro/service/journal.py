@@ -1,10 +1,10 @@
 """Service request journaling: warm restarts for the plan service.
 
-The plan service's speed comes from its memo tables (the wire memo
-:func:`~repro.service.planner._schedule_wire` that
-:func:`~repro.service.planner.plan_json` fills, and the
-:mod:`repro.core.cache` layers underneath) — and those die with the
-process.  After a restart, the first client to ask for each popular
+The plan service's speed comes from its memo tables (the compact memo
+:func:`~repro.service.planner._plan_shape` that
+:func:`~repro.service.planner.plan_compact_json` fills, the wire memo
+of the full form, and the :mod:`repro.core.cache` layers underneath) —
+and those die with the process.  After a restart, the first client to ask for each popular
 ``(n, k, m, ports)`` shape pays the full O(n·m) schedule construction
 again: a cold-cache latency cliff exactly when the service just proved
 it can crash.
@@ -14,9 +14,9 @@ checksummed JSON line per *distinct* accepted plan request (the
 journal is a warm-cache seed, not an audit log — duplicates carry no
 information, so they are deduplicated in memory and never hit disk
 twice).  On restart, :meth:`replay` re-encodes every journaled request
-with the server's own encoder, repopulating the memo tables it reads
-before the socket accepts traffic, and
-reports how many entries it recovered — surfaced on the server's
+in the compact form every client asks for, repopulating the memo its
+answers read (without building a full-form template) before the socket
+accepts traffic, and reports how many entries it recovered — surfaced on the server's
 ``health`` endpoint as ``recovered_entries``.
 
 Durability posture: lines carry the same CRC-32 convention as the
@@ -37,7 +37,7 @@ from typing import Dict, Optional, Set, Tuple, Union
 from ..durable.journal import _encode_line, _line_crc
 from ..durable.metrics import DURABLE_METRICS
 from ..params import MachineParams
-from .planner import MAX_PLAN_WORK, PlanRequest, plan_json, plan_work
+from .planner import MAX_PLAN_WORK, PlanRequest, plan_compact_json, plan_work
 
 __all__ = ["RequestJournal"]
 
@@ -147,7 +147,7 @@ class RequestJournal:
         return requests, skipped
 
     def replay(self) -> int:
-        """Re-encode every journaled request, warming the server's memo tables.
+        """Re-encode every journaled request, warming the compact memo.
 
         Returns the number of recovered entries (also kept on
         :attr:`recovered_entries`); marks each as seen so the restarted
@@ -156,7 +156,7 @@ class RequestJournal:
         requests, skipped = self.load()
         for request in requests:
             self._seen.add(self._key(request))
-            plan_json(request)
+            plan_compact_json(request)
         self.recovered_entries = len(requests)
         self.skipped_entries = skipped
         if requests:

@@ -13,18 +13,29 @@ stands in for any chain, as in :func:`repro.core.cache`), and a
 request with excluded positions reuses the canonical schedule of its
 ``n - |exclude|`` survivors, relabelled onto their original positions.
 
-There are two outputs and a memo for each.  :func:`plan` returns a
-:class:`PlanResult` (the library API, and the oracle the tests hold
-the service to), built from :class:`NodePlan` rows.  :func:`plan_json`
-returns the same result already JSON-encoded, as the plan service
-sends it, filled into a memoized wire template without building any
-rows.  :func:`plan_json_warm` is :func:`plan_json` from the wire memo
-alone: it answers ``None`` instead of computing, which is how the
-plan service tells a warm key, answered on its event loop, from a
-cold one it batches.  Both memos register in the
-:mod:`repro.core.cache` registry, so the hit rates are observable via
+A plan travels in one of two forms.  The *full* form is
+:meth:`PlanResult.to_dict`, every node's row included, O(n) bytes.  The
+*compact* form is the paper's own: the NI keeps only the optimal-k
+table (§4.3.1), and the tree and its FPFS schedule follow from k and
+the contention-free chain (Fig. 11, Theorem 1).  It holds the scalar
+fields, the machine's ``ports`` and the ``excluded`` positions, no
+``"schedule"``, and :meth:`PlanResult.from_dict` expands it into the
+same :class:`PlanResult` with the same canonical tree, row memo and
+survivor relabelling that :func:`plan` uses.
+
+:func:`plan` returns a :class:`PlanResult` (the library API, and the
+oracle the tests hold the service to), built from memoized
+:class:`NodePlan` rows.  The plan service sends bytes:
+:func:`plan_json` writes the full form from a memoized wire template
+without building any rows, and :func:`plan_compact_json` the compact
+form from a memo of k and the schedule's shape alone.
+:func:`plan_json_warm` and :func:`plan_compact_json_warm` answer from
+their memos only, ``None`` instead of computing, which is how the plan
+service tells a warm key, answered on its event loop, from a cold one
+it batches.  Every memo registers in the :mod:`repro.core.cache`
+registry, so the hit rates are observable via
 :func:`~repro.core.cache.cache_stats` (``plan_schedule`` for the rows,
-``plan_wire`` for the templates).
+``plan_wire`` for the templates, ``plan_shape`` for the compact form).
 
 The analytic half of a plan comes from the same memos as everywhere
 else: the Theorem-3 fan-out from :func:`~repro.core.optimal.optimal_k`
@@ -36,35 +47,43 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, register_cache
+from ..core.kbinomial import build_kbinomial_tree
 from ..durable.errors import ValidationError
 from ..core.optimal import optimal_k
-from ..core.pipeline import fpfs_steps
+from ..core.pipeline import fpfs_first_last, fpfs_steps
 from ..params import PAPER_MACHINE, MachineParams
 
 __all__ = [
     "MAX_PLAN_WORK",
+    "CompactRequest",
     "NodePlan",
     "PlanRequest",
     "PlanResult",
     "plan",
+    "plan_compact_json",
+    "plan_compact_json_warm",
     "plan_json",
     "plan_json_warm",
     "plan_work",
 ]
 
 #: Largest schedule work (:func:`plan_work`) the plan service accepts:
-#: the server refuses a larger plan or amend as ``bad_request``, and a
-#: journal replay skips it.  An exact FPFS schedule costs O(n·m) time
-#: and memory: ``n=64, m=100000`` took 0.75 s and 270 MiB.  At this
-#: bound a cold plan took 0.015 s (128 × 1024) to 2.0 s (131,072 × 1,
-#: where the tree build and the wire template dominate) on one vCPU of
-#: a 2-vCPU KVM guest; 1024 × 32 is the largest plan the repository's
-#: own tests, CI and benchmarks ask for.
+#: the server refuses a larger plan or amend as ``bad_request``, a
+#: journal replay skips it, and a compact payload naming more is
+#: malformed.  An exact FPFS schedule costs O(n·m) time and memory:
+#: ``n=64, m=100000`` took 0.75 s and 270 MiB.  On one port a plan
+#: reads only each node's first and last step, O(n), so at this bound
+#: a cold plan took (process time, one pinned vCPU of a 2-vCPU KVM
+#: guest, six runs) 0.003-0.005 s in the full form and 0.002-0.003 s
+#: in the compact form at 128 × 1024, and 0.94-1.53 s and 0.65-1.05 s
+#: at 131,072 × 1, where the tree build dominates; expanding that
+#: compact answer took 0.84-1.18 s.
+#: 1024 × 32 is the largest plan the repository's own tests, CI and
+#: benchmarks ask for.
 MAX_PLAN_WORK = 1 << 17
 
 
@@ -100,10 +119,12 @@ class PlanRequest:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if not isinstance(self.params, MachineParams):
             raise ValidationError(f"params must be MachineParams, got {type(self.params).__name__}")
-        exclude = tuple(sorted(set(self.exclude)))
-        for node in exclude:
+        exclude = tuple(self.exclude)
+        for node in exclude:  # before sorting, which mixed types would break
             if isinstance(node, bool) or not isinstance(node, int):
                 raise ValidationError(f"exclude entries must be integers, got {node!r}")
+        exclude = tuple(sorted(set(exclude)))
+        for node in exclude:
             if node == 0:
                 raise ValidationError("cannot exclude the source (position 0)")
             if not (1 <= node <= self.n - 1):
@@ -158,23 +179,36 @@ class NodePlan:
     def from_dict(cls, payload: dict) -> "NodePlan":
         """Parse the wire form back into a :class:`NodePlan`.
 
-        A decoded answer builds one row per node, so this fills the
-        instance dict directly: the frozen dataclass's ``__init__``
-        would pay one ``object.__setattr__`` per field.  The row equals
-        ``NodePlan(**fields)`` and hashes the same.
+        The row equals ``NodePlan(**fields)`` and hashes the same.
         """
-        row = object.__new__(cls)
-        vars(row).update(
-            {
-                "node": payload["node"],
-                "parent": payload["parent"],
-                "children": tuple(payload["children"]),
-                "child_first_send": tuple(payload["child_first_send"]),
-                "first_recv": payload["first_recv"],
-                "last_recv": payload["last_recv"],
-            }
+        return _node_plan(
+            payload["node"],
+            payload["parent"],
+            tuple(payload["children"]),
+            tuple(payload["child_first_send"]),
+            payload["first_recv"],
+            payload["last_recv"],
         )
-        return row
+
+
+def _node_plan(node, parent, children, child_first_send, first_recv, last_recv) -> NodePlan:
+    """``NodePlan(...)`` without the frozen dataclass's ``__init__``.
+
+    A schedule holds one row per node, so its builders fill the
+    instance dict directly: ``__init__`` would pay one
+    ``object.__setattr__`` per field.  The row equals the one
+    ``__init__`` makes and hashes the same.
+    """
+    row = object.__new__(NodePlan)
+    vars(row).update(
+        node=node,
+        parent=parent,
+        children=children,
+        child_first_send=child_first_send,
+        first_recv=first_recv,
+        last_recv=last_recv,
+    )
+    return row
 
 
 @dataclass(frozen=True)
@@ -228,7 +262,18 @@ class PlanResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PlanResult":
-        """Parse the wire form back into a :class:`PlanResult`."""
+        """Parse either wire form back into a :class:`PlanResult`.
+
+        A payload without ``"schedule"`` is the compact form: its rows
+        are rebuilt from ``k`` and the surviving chain, as :func:`plan`
+        builds them (see :func:`_expand`, which raises ``ValueError``
+        on a malformed one).
+        """
+        if "schedule" in payload:
+            schedule = tuple(map(NodePlan.from_dict, payload["schedule"]))
+            excluded = tuple(payload.get("excluded", ()))
+        else:
+            schedule, excluded = _expand(payload)
         return cls(
             n=payload["n"],
             m=payload["m"],
@@ -239,8 +284,8 @@ class PlanResult:
             total_steps=payload["total_steps"],
             latency_us=payload["latency_us"],
             buffer_bound_us=payload["buffer_bound_us"],
-            schedule=tuple(map(NodePlan.from_dict, payload["schedule"])),
-            excluded=tuple(payload.get("excluded", ())),
+            schedule=schedule,
+            excluded=excluded,
         )
 
 
@@ -254,46 +299,64 @@ class _Shape(NamedTuple):
     t1: int
 
 
-def _canonical(n: int, k: int, m: int, ports: int):
-    """``(tree, steps, shape)`` of the canonical k-binomial tree over ``range(n)``.
+def _canonical(n: int, k: int, m: int, ports: int, build: Callable):
+    """``(tree, ends, shape)`` of the canonical k-binomial tree over
+    ``range(n)``, built by ``build(range(n), k)``.
 
-    ``steps`` is the exact per-node :func:`~repro.core.pipeline.fpfs_steps`
-    schedule, O(n·m) work, of which a plan reads each node's first and
-    last receive step; both schedule memos below are built from it, so
-    they hold the same schedule in two forms.
+    ``ends`` maps each node to its first and last receive step of the
+    exact FPFS schedule, all a plan reads of it: one port takes the
+    O(n) :func:`~repro.core.pipeline.fpfs_first_last`, more ports the
+    ends of :func:`~repro.core.pipeline.fpfs_steps`, O(n·m).  Every
+    memo below is built from it, so they hold the same schedule in
+    three forms.
     """
-    tree = cached_build_kbinomial_tree(range(n), k)
-    steps = fpfs_steps(tree, m, ports=ports)
+    tree = build(range(n), k)
+    if ports == 1:
+        ends = fpfs_first_last(tree, m)
+    else:
+        steps = fpfs_steps(tree, m, ports=ports)
+        ends = {node: (recv[0], recv[-1]) for node, recv in steps.items()}
     shape = _Shape(
         root_fanout=tree.root_fanout,
         max_fanout=tree.max_fanout,
-        total_steps=max(recv[-1] for recv in steps.values()),
+        total_steps=max(last for _, last in ends.values()),
         t1=cached_steps_needed(n, k),
     )
-    return tree, steps, shape
+    return tree, ends, shape
 
 
-@lru_cache(maxsize=4096)
-def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, Tuple[NodePlan, ...]]:
-    """Memoized canonical schedule as :class:`NodePlan` rows, for :func:`plan`."""
-    tree, steps, shape = _canonical(n, k, m, ports)
-    rows = []
-    for node in range(n):
-        children = tree.children(node)
-        rows.append(
-            NodePlan(
-                node=node,
-                parent=None if node == tree.root else tree.parent(node),
-                children=tuple(children),
-                child_first_send=tuple(steps[child][0] for child in children),
-                first_recv=steps[node][0],
-                last_recv=steps[node][-1],
-            )
-        )
-    return shape, tuple(rows)
+def _survivors(request: PlanRequest) -> List[int]:
+    """The original chain position of each canonical position ``0..n_eff-1``."""
+    survivors = list(range(request.n))
+    for position in reversed(request.exclude):  # sorted: the last first keeps indices valid
+        del survivors[position]
+    return survivors
 
 
-register_cache("plan_schedule", _schedule_rows)
+def _relabel(rows: Tuple[NodePlan, ...], request: PlanRequest) -> Tuple[NodePlan, ...]:
+    """Canonical rows moved onto the survivors' original positions.
+
+    Callers keep addressing their pre-failure chain; the steps do not
+    change.  Below the first excluded position every survivor keeps its
+    canonical position, so a row whose node and children all lie there
+    is shared, not copied.
+    """
+    at = _survivors(request).__getitem__
+    kept = request.exclude[0]
+    moved = []
+    for row in rows:
+        fields = vars(row)
+        children = fields["children"]
+        if fields["node"] >= kept or (children and max(children) >= kept):
+            row = object.__new__(NodePlan)  # filled as _node_plan fills it
+            copy = vars(row)
+            copy.update(fields)
+            copy["node"] = at(fields["node"])
+            if fields["parent"] is not None:
+                copy["parent"] = at(fields["parent"])
+            copy["children"] = tuple(map(at, children))
+        moved.append(row)
+    return tuple(moved)
 
 
 class _CacheInfo(NamedTuple):
@@ -310,17 +373,23 @@ class _LRUMemo:
 
     Calling it is :func:`functools.lru_cache`: a hit returns the stored
     value, a miss computes it (outside the lock) and stores it, evicting
-    the least recently used entry past ``maxsize``.  :meth:`lookup` is
+    the least recently used entries while the stored entries' total
+    ``weight`` (1 each by default, so ``maxsize`` counts entries)
+    exceeds ``maxsize``; the newest entry always stays.  :meth:`lookup` is
     the part an ``lru_cache`` lacks: it returns a stored value, counted
     as a hit, or ``None``, and never computes.  ``cache_info()`` and
     ``cache_clear()`` keep the ``lru_cache`` protocol, so the memo sits
     in the :mod:`repro.core.cache` registry like the others.
     """
 
-    def __init__(self, fn, maxsize: int) -> None:
+    def __init__(
+        self, fn, maxsize: int, weight: Callable[[object], int] = lambda entry: 1
+    ) -> None:
         self._fn = fn
         self._maxsize = maxsize
+        self._weight = weight
         self._entries: dict = {}
+        self._total = 0
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -344,10 +413,15 @@ class _LRUMemo:
                 return entry
             self._misses += 1
         entry = self._fn(*key)
+        weight = self._weight(entry)
         with self._lock:
+            stored = self._entries.pop(key, None)  # a concurrent miss may have stored it
+            if stored is not None:
+                self._total -= self._weight(stored)
             self._entries[key] = entry
-            if len(self._entries) > self._maxsize:
-                del self._entries[next(iter(self._entries))]
+            self._total += weight
+            while self._total > self._maxsize and len(self._entries) > 1:
+                self._total -= self._weight(self._entries.pop(next(iter(self._entries))))
         return entry
 
     def cache_info(self) -> _CacheInfo:
@@ -357,7 +431,41 @@ class _LRUMemo:
     def cache_clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = 0
+            self._total = self._hits = self._misses = 0
+
+
+def _rows_entry(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, Tuple[NodePlan, ...]]:
+    """The canonical schedule as :class:`NodePlan` rows, for :func:`plan`
+    and the compact form's expansion.
+
+    It builds its own tree rather than filling the shared tree memo,
+    which has no bound: every process that expands compact answers
+    (each client) computes rows for each size it is sent.
+    """
+    tree, ends, shape = _canonical(n, k, m, ports, build_kbinomial_tree)
+    rows = []
+    for node in range(n):
+        children = tree.children(node)
+        first, last = ends[node]
+        rows.append(
+            _node_plan(
+                node,
+                None if node == tree.root else tree.parent(node),
+                children,
+                tuple([ends[child][0] for child in children]),
+                first,
+                last,
+            )
+        )
+    return shape, tuple(rows)
+
+
+#: The row memo, bounded by rows rather than keys: it holds at most
+#: :data:`MAX_PLAN_WORK` rows, as many as the largest plan the service
+#: accepts has (57 MiB at about 450 bytes a row).  A larger
+#: :func:`plan`'s rows are held alone until the next key evicts them.
+_schedule_rows = _LRUMemo(_rows_entry, maxsize=MAX_PLAN_WORK, weight=lambda entry: len(entry[1]))
+register_cache("plan_schedule", _schedule_rows)
 
 
 def _wire_entry(
@@ -380,7 +488,7 @@ def _wire_entry(
     up without a Theorem-3 search.
     """
     k = optimal_k(n, m)
-    tree, steps, shape = _canonical(n, k, m, ports)
+    tree, ends, shape = _canonical(n, k, m, ports, cached_build_kbinomial_tree)
     ids: List[int] = []
     rows = []
     for node in range(n):
@@ -398,9 +506,8 @@ def _wire_entry(
             % (
                 parent,
                 b",".join([b"%d"] * len(children)),
-                b",".join([b"%d" % steps[child][0] for child in children]),
-                steps[node][0],
-                steps[node][-1],
+                b",".join([b"%d" % ends[child][0] for child in children]),
+                *ends[node],
             )
         )
     slots = tuple(ids)  # at least four (n >= 2), so the getter returns a tuple
@@ -412,11 +519,39 @@ _schedule_wire = _LRUMemo(_wire_entry, maxsize=4096)
 register_cache("plan_wire", _schedule_wire)
 
 
+def _shape_entry(n: int, m: int, ports: int) -> Tuple[int, _Shape]:
+    """``(k, shape)``: all a compact answer needs of the canonical schedule.
+
+    §4.3.1's table entry, plus the tree's fan-outs and step counts.
+    Computing it builds the canonical tree and its schedule's ends, but
+    no rows and no wire template.
+    """
+    k = optimal_k(n, m)
+    return k, _canonical(n, k, m, ports, cached_build_kbinomial_tree)[2]
+
+
+#: The compact memo :func:`plan_compact_json` and
+#: :func:`plan_compact_json_warm` read, keyed like the wire memo.
+_plan_shape = _LRUMemo(_shape_entry, maxsize=4096)
+register_cache("plan_shape", _plan_shape)
+
+
+class CompactRequest(NamedTuple):
+    """A :class:`PlanRequest` to be answered in the compact form.
+
+    The plan service's batcher single-flights on it and encodes it
+    with :func:`plan_compact_json`; a bare :class:`PlanRequest` is
+    answered in the full form.
+    """
+
+    request: PlanRequest
+
+
 def _fields(request: PlanRequest, k: int, shape: _Shape) -> dict:
     """The :class:`PlanResult` fields ahead of ``schedule``, in wire order.
 
-    Both :func:`plan` and :func:`plan_json` build them here, so their
-    k, ``t1`` and costs cannot drift apart.
+    :func:`plan` and both encoders build them here, so their k, ``t1``
+    and costs cannot drift apart.
     """
     params = request.params
     return {
@@ -432,14 +567,6 @@ def _fields(request: PlanRequest, k: int, shape: _Shape) -> dict:
     }
 
 
-def _survivors(request: PlanRequest) -> List[int]:
-    """The original chain position of each canonical position ``0..n_eff-1``."""
-    survivors = list(range(request.n))
-    for position in reversed(request.exclude):  # sorted: the last first keeps indices valid
-        del survivors[position]
-    return survivors
-
-
 def plan(request: PlanRequest) -> PlanResult:
     """Resolve one :class:`PlanRequest` into a :class:`PlanResult`.
 
@@ -447,30 +574,57 @@ def plan(request: PlanRequest) -> PlanResult:
     caches it leans on are the thread-safe :mod:`repro.core.cache`
     tables) and from the batcher's executor workers.
     """
-    n_eff = request.n - len(request.exclude)
-    k = optimal_k(n_eff, request.m)
-    shape, rows = _schedule_rows(n_eff, k, request.m, request.params.ports)
-    if request.exclude:
-        # The memoized schedule is over canonical positions 0..n_eff-1;
-        # map those onto the surviving original positions, so callers
-        # can keep addressing their pre-failure chain.
-        survivors = _survivors(request)
-        rows = tuple(
-            NodePlan(
-                node=survivors[row.node],
-                parent=None if row.parent is None else survivors[row.parent],
-                children=tuple(survivors[c] for c in row.children),
-                child_first_send=row.child_first_send,
-                first_recv=row.first_recv,
-                last_recv=row.last_recv,
-            )
-            for row in rows
-        )
+    k = optimal_k(request.n - len(request.exclude), request.m)
+    shape, rows = _rows(request, k)
     return PlanResult(**_fields(request, k, shape), schedule=rows, excluded=request.exclude)
 
 
+def _rows(request: PlanRequest, k: int) -> Tuple[_Shape, Tuple[NodePlan, ...]]:
+    """The shape and rows of ``request``'s schedule with fan-out cap ``k``.
+
+    The row memo holds the canonical schedule over positions
+    ``0..n_eff-1``; with positions excluded, its rows are relabelled
+    onto the survivors.
+    """
+    n_eff = request.n - len(request.exclude)
+    shape, rows = _schedule_rows(n_eff, k, request.m, request.params.ports)
+    if request.exclude:
+        rows = _relabel(rows, request)
+    return shape, rows
+
+
+def _expand(payload: dict) -> Tuple[Tuple[NodePlan, ...], Tuple[int, ...]]:
+    """The schedule and exclusions of a compact payload, built as
+    :func:`plan` builds them, with the payload's ``k``.
+
+    The payload must name a request the plan service would plan: its
+    fields pass :class:`PlanRequest`'s checks and :data:`MAX_PLAN_WORK`,
+    ``excluded`` is a list already sorted and distinct (as
+    :func:`plan_compact_json` writes it), and ``k`` lies in
+    ``[1, n - |excluded|]``.  Otherwise it raises ``ValueError`` before
+    any tree is built.
+    """
+    k, excluded = payload["k"], payload["excluded"]
+    if not isinstance(excluded, list):
+        raise ValueError(f"compact plan: excluded must be a list, got {excluded!r}")
+    ports = payload["ports"]
+    # The paper's one-port machine is the common case: skip re-validating it per answer.
+    params = PAPER_MACHINE if type(ports) is int and ports == 1 else MachineParams(ports=ports)
+    request = PlanRequest(payload["n"], payload["m"], params, tuple(excluded))
+    if list(request.exclude) != excluded:
+        raise ValueError(f"compact plan: excluded must rise strictly, got {excluded}")
+    n_eff = request.n - len(request.exclude)
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n_eff:
+        raise ValueError(f"compact plan: k={k!r} outside [1, {n_eff}]")
+    if plan_work(request) > MAX_PLAN_WORK:
+        raise ValueError(
+            f"compact plan: work {plan_work(request)} exceeds the limit of {MAX_PLAN_WORK}"
+        )
+    return _rows(request, k)[1], request.exclude
+
+
 def _fill(request: PlanRequest, entry) -> bytes:
-    """The answer bytes of ``request`` from its wire memo entry."""
+    """The full-form answer bytes of ``request`` from its wire memo entry."""
     k, shape, template, ids, remap = entry
     if request.exclude:
         ids = remap(_survivors(request))
@@ -486,14 +640,22 @@ def _fill(request: PlanRequest, entry) -> bytes:
     )
 
 
+def _compact(request: PlanRequest, entry: Tuple[int, _Shape]) -> bytes:
+    """The compact answer bytes of ``request`` from its compact memo entry."""
+    fields = _fields(request, *entry)
+    fields["ports"] = request.params.ports
+    fields["excluded"] = request.exclude
+    return json.dumps(fields, separators=(",", ":")).encode()
+
+
 def plan_json(request: PlanRequest) -> bytes:
     """``json.dumps(plan(request).to_dict(), separators=(",", ":"))``, encoded.
 
-    The plan service's encoder.  It fills the memoized wire template of
-    the request's canonical schedule with the survivors' positions, so
-    it builds no :class:`NodePlan` rows and no :class:`PlanResult`, and
-    it never touches :func:`plan`'s row memo.  Thread-safe like
-    :func:`plan`.
+    The plan service's full-form encoder.  It fills the memoized wire
+    template of the request's canonical schedule with the survivors'
+    positions, so it builds no :class:`NodePlan` rows and no
+    :class:`PlanResult`, and it never touches :func:`plan`'s row memo.
+    Thread-safe like :func:`plan`.
     """
     n_eff = request.n - len(request.exclude)
     return _fill(request, _schedule_wire(n_eff, request.m, request.params.ports))
@@ -510,3 +672,28 @@ def plan_json_warm(request: PlanRequest) -> Optional[bytes]:
     n_eff = request.n - len(request.exclude)
     entry = _schedule_wire.lookup(n_eff, request.m, request.params.ports)
     return None if entry is None else _fill(request, entry)
+
+
+def plan_compact_json(request: PlanRequest) -> bytes:
+    """The compact form of ``plan(request)``, JSON-encoded.
+
+    :func:`plan_json`'s object without ``"schedule"``, with
+    ``"ports"`` ahead of ``"excluded"``: about 150 bytes at any n.
+    :meth:`PlanResult.from_dict` expands it into ``plan(request)``.
+    Filling it costs O(|exclude|); k and the shape come from the
+    compact memo, keyed ``(n - |exclude|, m, ports)``.  Thread-safe
+    like :func:`plan`.
+    """
+    n_eff = request.n - len(request.exclude)
+    return _compact(request, _plan_shape(n_eff, request.m, request.params.ports))
+
+
+def plan_compact_json_warm(request: PlanRequest) -> Optional[bytes]:
+    """:func:`plan_compact_json` from the compact memo alone, else ``None``.
+
+    Never computes, like :func:`plan_json_warm`; a hit counts as a
+    ``plan_shape`` cache hit.
+    """
+    n_eff = request.n - len(request.exclude)
+    entry = _plan_shape.lookup(n_eff, request.m, request.params.ports)
+    return None if entry is None else _compact(request, entry)

@@ -116,8 +116,11 @@ class TestRouterForwarding:
 
     def test_only_the_params_a_client_sent_travel_on(self, monkeypatch):
         """A request without ``params`` is forwarded without them, so
-        no shard parses the paper machine's; sent ones travel on."""
+        no shard parses the paper machine's; sent ones travel on.  So
+        does ``form``: a client's compact form reaches the shard, and a
+        line without one is answered in the full form."""
         from repro.params import MachineParams
+        from repro.service import server as server_module
 
         parsed = []
         from_dict = MachineParams.from_dict.__func__
@@ -128,6 +131,14 @@ class TestRouterForwarding:
 
         monkeypatch.setattr(MachineParams, "from_dict", classmethod(counted))
         params = MachineParams(t_s=1.0, t_r=2.0, t_step=1.0, t_sq=0.5, ports=2)
+        forms = []  # the form of each plan or amend a shard received
+        compact_form = server_module._compact_form
+
+        def recorded(payload):
+            forms.append(payload.get("form"))
+            return compact_form(payload)
+
+        monkeypatch.setattr(server_module, "_compact_form", recorded)
 
         async def body():
             servers, router = await started_cluster(2, hot_threshold=0)
@@ -139,10 +150,13 @@ class TestRouterForwarding:
                     await client.plan(32, 4, params),
                     await client.amend(32, 4, params, join=1),
                 ]
+                full = json.loads(await client.request_raw({"type": "plan", "n": 32, "m": 4}))
             await stop_cluster(servers, router)
-            return plain, plain_parsed, custom
+            return plain, plain_parsed, custom, full
 
-        plain, plain_parsed, custom = run(body())
+        plain, plain_parsed, custom, full = run(body())
+        assert forms == ["compact"] * 4 + [None]
+        assert full["result"] == plan(PlanRequest(n=32, m=4)).to_dict()
         assert plain == [plan(PlanRequest(n=32, m=4)), plan(PlanRequest(n=33, m=4))]
         assert plain_parsed == []
         assert custom == [
@@ -389,6 +403,47 @@ class TestFailover:
         assert warmed == 1
         assert counts[owner] == 6
         assert counts[1 - owner] == 1  # exactly the warm request
+
+    def test_a_warmed_compact_key_is_a_memo_hit_after_failover(self):
+        """The replica's warm request asks for the compact form, so once
+        the primary dies the hot key is answered on the replica's read
+        loop: a memo hit, no batcher submit, and no full-form template
+        built anywhere."""
+        from repro.core import clear_caches
+        from repro.service.planner import _plan_shape, _schedule_wire
+
+        async def body():
+            clear_caches()
+            servers, router = await started_cluster(
+                2, hot_threshold=4, probe_interval=5.0, rejoin=False
+            )
+            owner = router.ring.lookup(plan_key(64, 8))
+            replica = servers[1 - owner]
+            client = await PlanClient.connect("127.0.0.1", router.port)
+            for _ in range(4):
+                await client.plan(64, 8, exclude=(5,))
+            for _ in range(100):  # the fire-and-forget warm request lands
+                if replica.metrics.plans.value:
+                    break
+                await asyncio.sleep(0.02)
+            await servers[owner].shutdown(drain=False)
+            before = replica.metrics.snapshot()["counters"]
+            result = await client.plan(64, 8, exclude=(5,))
+            after = replica.metrics.snapshot()["counters"]
+            memos = _plan_shape.cache_info().currsize, _schedule_wire.cache_info().currsize
+            failovers = router.failovers.value
+            await client.close()
+            await stop_cluster(servers, router)
+            return result, before, after, memos, failovers
+
+        result, before, after, memos, failovers = run(body())
+        assert result == plan(PlanRequest(n=64, m=8, exclude=(5,)))
+        assert failovers == 1
+        assert before["plans"] == 1  # the warm request
+        assert after["plans"] - before["plans"] == 1
+        assert after["memo_hits"] - before["memo_hits"] == 1
+        assert after["planned"] == before["planned"]
+        assert memos == (1, 0)
 
 
 class TestClusterExposition:

@@ -5,7 +5,9 @@ compute each node's sends from its own receive steps, parents before
 children.  The schedulers below replay every (node, packet) pair on one
 global event heap instead; they are kept here, verbatim apart from
 their names, as the reference the pass must match exactly: same keys,
-same values, for every tree, packet count and port count.
+same values, for every tree, packet count and port count.  The O(n)
+one-port :func:`~repro.core.pipeline.fpfs_first_last` must give the
+ends of every :func:`~repro.core.pipeline.fpfs_steps` list.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core import (
     fcfs_schedule,
     fcfs_steps,
     fcfs_total_steps,
+    fpfs_first_last,
     fpfs_schedule,
     fpfs_steps,
     fpfs_total_steps,
@@ -147,10 +150,13 @@ def assert_lists_are_the_dict_view(tree, m, steps, schedule) -> None:
 
 
 packets = st.integers(min_value=1, max_value=40)
+#: Few ports, and as many as a node can ever use at once (fan-out · m)
+#: or more, where the pass stops growing its port heap.
+port_counts = st.integers(min_value=1, max_value=4) | st.integers(min_value=40, max_value=2000)
 
 
 @settings(max_examples=300, deadline=None)
-@given(tree=trees(), m=packets, ports=st.integers(min_value=1, max_value=4))
+@given(tree=trees(), m=packets, ports=port_counts)
 def test_fpfs_pass_equals_the_heap_reference(tree, m, ports):
     reference = heap_fpfs_schedule(tree, m, ports=ports)
     assert fpfs_schedule(tree, m, ports=ports) == reference
@@ -159,6 +165,15 @@ def test_fpfs_pass_equals_the_heap_reference(tree, m, ports):
     assert packet_completion_steps(tree, m, ports=ports) == [
         max(step for (_, p), step in reference.items() if p == packet) for packet in range(m)
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=trees(), m=packets)
+def test_first_last_pass_is_the_ends_of_the_one_port_schedule(tree, m):
+    """``last = first + (m - 1) · (largest fan-out among the proper
+    ancestors)``, with no (node, packet) pair computed."""
+    ends = {node: (recv[0], recv[-1]) for node, recv in fpfs_steps(tree, m).items()}
+    assert fpfs_first_last(tree, m) == ends
 
 
 @settings(max_examples=300, deadline=None)
@@ -185,6 +200,7 @@ def test_first_packet_steps_is_the_one_packet_schedule(tree):
         (fpfs_schedule, heap_fpfs_schedule, (2, 0)),
         (fpfs_schedule, heap_fpfs_schedule, (0, 0)),
         (fcfs_schedule, heap_fcfs_schedule, (0,)),
+        (fpfs_first_last, heap_fpfs_schedule, (0,)),
     ],
 )
 def test_invalid_arguments_raise_the_same_errors(schedule, reference, args):

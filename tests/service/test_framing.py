@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter, ShardSpec
 from repro.service import PlanClient, PlanRequest, PlanServer, PlanServiceError, framing, plan
+from repro.service.client import _plan_result
 from repro.service.framing import encode_id, leading_id
 from repro.service.planner import MAX_PLAN_WORK
 
@@ -51,6 +52,13 @@ async def stop_cluster(shards, router):
         await shard.shutdown()
 
 
+async def full_form_plan(client, n, m, timeout=5):
+    """``client.plan(n, m)`` asked without ``form``: the full form's
+    O(n) answer, where the compact one a client asks for is ~150 bytes."""
+    line = await client.request_raw({"type": "plan", "n": n, "m": m}, timeout=timeout)
+    return _plan_result(json.loads(line))
+
+
 class TestFrameLimit:
     def test_large_plan_then_small_on_one_connection(self):
         """A ~100 KB answer used to exceed the client's 64 KiB line limit."""
@@ -59,7 +67,7 @@ class TestFrameLimit:
             server = PlanServer(port=0)
             await server.start()
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
-                large = await client.plan(1024, 32, timeout=30)
+                large = await full_form_plan(client, 1024, 32, timeout=30)
                 small = await client.plan(8, 2, timeout=5)
             await server.shutdown()
             return large, small
@@ -72,7 +80,7 @@ class TestFrameLimit:
         async def body():
             shards, router = await started_cluster()
             async with await PlanClient.connect("127.0.0.1", router.port) as client:
-                large = await client.plan(1024, 32, timeout=30)
+                large = await full_form_plan(client, 1024, 32, timeout=30)
                 small = await client.plan(8, 2, timeout=5)
             errors = router.errors.value
             await stop_cluster(shards, router)
@@ -91,7 +99,7 @@ class TestFrameLimit:
             await server.start()
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
                 with pytest.raises(PlanServiceError) as info:
-                    await client.plan(64, 8, timeout=5)  # about 7 KB
+                    await full_form_plan(client, 64, 8)  # about 7 KB
                 small = await client.plan(8, 2, timeout=5)
                 alive = client.alive
             errors = server.metrics.errors.value
@@ -112,7 +120,7 @@ class TestFrameLimit:
             shards, router = await started_cluster()
             async with await PlanClient.connect("127.0.0.1", router.port) as client:
                 with pytest.raises(PlanServiceError) as info:
-                    await client.plan(64, 8, timeout=5)
+                    await full_form_plan(client, 64, 8)
                 small = await client.plan(8, 2, timeout=5)
             # The shard's answer fits, but the router's, carrying a
             # long client id, would not: the router's own check.
@@ -135,6 +143,39 @@ class TestFrameLimit:
         assert relayed["id"] == rid
         assert relayed["error"]["code"] == "response_too_large"
         assert pong == {"id": 2, "ok": True, "pong": True}
+
+    @pytest.mark.parametrize("via", ["server", "router"])
+    def test_compact_answers_fit_a_small_limit_at_any_n(self, monkeypatch, via):
+        """A client's plan travels compact: 1024 x 32 fits where the
+        full form's ~100 KB, and 64 x 8's ~7 KB, do not."""
+        monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 4096)
+
+        async def body():
+            if via == "server":
+                shards, router = [PlanServer(port=0)], None
+                await shards[0].start()
+                port = shards[0].port
+            else:
+                shards, router = await started_cluster()
+                port = router.port
+            async with await PlanClient.connect("127.0.0.1", port) as client:
+                large = await client.plan(1024, 32, timeout=30)
+                amended = await client.amend(1024, 32, leave=[5, 700], timeout=30)
+                with pytest.raises(PlanServiceError) as info:
+                    await full_form_plan(client, 1024, 32)
+            errors = sum(shard.metrics.errors.value for shard in shards)
+            if router is None:
+                await shards[0].shutdown()
+            else:
+                errors += router.errors.value
+                await stop_cluster(shards, router)
+            return large, amended, info.value, errors
+
+        large, amended, error, errors = run(body())
+        assert large == plan(PlanRequest(n=1024, m=32))
+        assert amended == plan(PlanRequest(n=1024, m=32, exclude=(5, 700)))
+        assert error.code == "response_too_large"
+        assert errors == (1 if via == "server" else 2)
 
 
 class TestWorkBound:

@@ -10,7 +10,13 @@ import pytest
 from repro.core.cache import cache_stats
 from repro.params import MachineParams
 from repro.service import PlanClient, PlanRequest, PlanServer, RequestJournal
-from repro.service.planner import MAX_PLAN_WORK, _schedule_wire, plan_json, plan_work
+from repro.service.planner import (
+    MAX_PLAN_WORK,
+    _plan_shape,
+    _schedule_wire,
+    plan_compact_json,
+    plan_work,
+)
 
 pytestmark = pytest.mark.service
 
@@ -62,22 +68,25 @@ class TestRequestJournal:
         journal.record(PlanRequest(n=48, m=6))
         journal.record(PlanRequest(n=24, m=3))
 
+        _plan_shape.cache_clear()
         _schedule_wire.cache_clear()
         fresh = RequestJournal(path)
         assert fresh.replay() == 2
         assert fresh.recovered_entries == 2
-        # The memo the server reads is hot before any request.
-        assert _schedule_wire.cache_info().currsize == 2
+        # The memo a client's compact answer reads is hot before any
+        # request, and no full-form template was built.
+        assert _plan_shape.cache_info().currsize == 2
+        assert _schedule_wire.cache_info().currsize == 0
 
-        _schedule_wire.cache_clear()
+        _plan_shape.cache_clear()
 
         async def first_request():
             server = PlanServer(port=0, journal=RequestJournal(path))
             await server.start()  # replays the journal
-            before = cache_stats()["plan_wire"]
+            before = cache_stats()["plan_shape"]
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
                 await client.plan(48, 6)
-            after = cache_stats()["plan_wire"]
+            after = cache_stats()["plan_shape"]
             await server.shutdown()
             return before, after
 
@@ -96,14 +105,14 @@ class TestRequestJournal:
 
         encoded = []
 
-        def guarded_plan_json(request):
+        def guarded_encode(request):
             # Fail instead of running a schedule that would take minutes
             # and gigabytes.
             assert plan_work(request) <= MAX_PLAN_WORK, request
             encoded.append(request)
-            return plan_json(request)
+            return plan_compact_json(request)
 
-        monkeypatch.setattr("repro.service.journal.plan_json", guarded_plan_json)
+        monkeypatch.setattr("repro.service.journal.plan_compact_json", guarded_encode)
         fresh = RequestJournal(path)
         started = time.perf_counter()
         assert fresh.replay() == 2

@@ -2,10 +2,12 @@
 
 Each example writes 1-40 request lines back to back on one connection,
 then a ``ping``, and reads every answer.  The lines mix warm plans (keys
-planned just before the burst), cold plans, duplicates of earlier keys,
-amends (some naming the source), plans over ``max_n`` and over
-:data:`~repro.service.planner.MAX_PLAN_WORK`, a stale epoch after a
-``configure``, non-JSON garbage, a JSON non-object and blank lines.
+planned in both answer forms just before the burst), cold plans,
+duplicates of earlier keys, amends (some naming the source), plans over
+``max_n`` and over :data:`~repro.service.planner.MAX_PLAN_WORK`, a
+stale epoch after a ``configure``, non-JSON garbage, a JSON non-object
+and blank lines; each plan and amend asks for the compact answer form
+or names none, which gets the full form.
 A warm plan is answered on the server's read loop and a cold one in the
 batcher, so one burst's answers come back in an order the example does
 not fix.  Whatever the order:
@@ -13,7 +15,8 @@ not fix.  Whatever the order:
 * each id gets exactly one answer, each garbage line one with a null
   id, and a blank line none;
 * an ok answer is byte-equal to the line built from in-process
-  ``plan()``, an amend's with its ``"amended"`` echo;
+  ``plan()`` (a compact one without the schedule, with the machine's
+  ports), an amend's with its ``"amended"`` echo;
 * an error answer carries its typed code;
 * the final ``ping`` is answered;
 * over the burst, ``plans == memo_hits + planned + singleflight_hits``;
@@ -46,6 +49,8 @@ from repro.membership.amend import amended_request
 from repro.params import MachineParams
 from repro.service import PlanRequest, PlanServer, plan
 from repro.service.planner import MAX_PLAN_WORK
+
+from .helpers import compact_result
 
 pytestmark = pytest.mark.service
 
@@ -115,6 +120,10 @@ def cold_keys(draw):
     return n, m, tuple(sorted(exclude))
 
 
+#: What a plan or amend line adds to ask for its answer form.
+forms = st.sampled_from([{}, {"form": "compact"}])
+
+
 @st.composite
 def bursts(draw, routed: bool):
     """``[(kind, payload)]``: a dict payload gets its id later, bytes go raw."""
@@ -139,18 +148,14 @@ def bursts(draw, routed: bool):
             free = [p for p in range(n) if p not in exclude]  # 0 is the source
             survivors = n + join - len(exclude)
             leave = draw(st.sets(st.sampled_from(free), max_size=min(2, survivors - 2)))
-            out.append(
-                (
-                    "amend",
-                    {
-                        "type": "amend",
-                        "n": n,
-                        "m": m,
-                        "exclude": list(exclude),
-                        "delta": {"join": join, "leave": sorted(leave)},
-                    },
-                )
-            )
+            payload = {
+                "type": "amend",
+                "n": n,
+                "m": m,
+                "exclude": list(exclude),
+                "delta": {"join": join, "leave": sorted(leave)},
+            }
+            out.append(("amend", dict(payload, **draw(forms))))
         else:
             if kind == "warm":
                 key = draw(st.sampled_from(WARM))
@@ -160,7 +165,8 @@ def bursts(draw, routed: bool):
                 key = draw(cold_keys())
             keys.append(key)
             n, m, exclude = key
-            out.append(("plan", {"type": "plan", "n": n, "m": m, "exclude": list(exclude)}))
+            payload = {"type": "plan", "n": n, "m": m, "exclude": list(exclude)}
+            out.append(("plan", dict(payload, **draw(forms))))
     return out
 
 
@@ -193,7 +199,9 @@ def expectation(services: Services, kind: str, payload: dict, routed: bool):
         return kind
     if routed:
         extra = {"shard": owner(services, request)}
-    return line({"id": payload["id"], "ok": True, "result": plan(request).to_dict(), **extra})
+    compact = payload.get("form") == "compact"
+    result = compact_result(request) if compact else plan(request).to_dict()
+    return line({"id": payload["id"], "ok": True, "result": result, **extra})
 
 
 def counters(servers) -> collections.Counter:
@@ -212,9 +220,10 @@ def run_burst(services: Services, burst, routed: bool) -> None:
     answers = sock.makefile("rb")
     try:
         for rid, (n, m, exclude) in enumerate(WARM):
-            payload = {"type": "plan", "id": rid, "n": n, "m": m, "exclude": list(exclude)}
-            sock.sendall(json.dumps(payload).encode() + b"\n")
-            assert json.loads(answers.readline())["ok"] is True
+            for form in ({}, {"form": "compact"}):
+                payload = {"type": "plan", "id": rid, "n": n, "m": m, "exclude": list(exclude)}
+                sock.sendall(json.dumps(dict(payload, **form)).encode() + b"\n")
+                assert json.loads(answers.readline())["ok"] is True
 
         raw, expected, garbage = [], {}, 0
         epoch = services.single.ring_epoch

@@ -12,14 +12,29 @@ from hypothesis import strategies as st
 
 from repro.core import (
     build_kbinomial_tree,
+    cache_stats,
     cached_kbinomial_steps,
+    clear_caches,
     fpfs_schedule,
     optimal_k,
     steps_needed,
 )
+from repro.membership.amend import amended_request
 from repro.params import MachineParams
 from repro.service import NodePlan, PlanRequest, PlanResult, plan
-from repro.service.planner import _LRUMemo, _schedule_wire, plan_json, plan_json_warm
+from repro.service import planner as planner_module
+from repro.service.planner import (
+    MAX_PLAN_WORK,
+    _LRUMemo,
+    _plan_shape,
+    _schedule_wire,
+    plan_compact_json,
+    plan_compact_json_warm,
+    plan_json,
+    plan_json_warm,
+)
+
+from .helpers import compact_result
 
 GRID = [(n, m) for n in (2, 3, 8, 16, 31, 64) for m in (1, 2, 8, 32)]
 
@@ -139,6 +154,100 @@ class TestWireFormat:
             assert json.dumps(params.to_dict()) == json.dumps(asdict(params))
 
 
+@st.composite
+def compact_requests(draw):
+    """n in [2, 1024], ports 1-3, any exclusions, some folded from an amend delta."""
+    n = draw(st.integers(2, 1024))
+    m = draw(st.integers(1, min(40, MAX_PLAN_WORK // n)))
+    exclude = tuple(draw(st.sets(st.integers(1, n - 1), max_size=min(n - 2, 8))))
+    params = MachineParams(ports=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        return PlanRequest(n=n, m=m, params=params, exclude=exclude)
+    join = draw(st.integers(0, 3))
+    free = [p for p in range(1, n) if p not in exclude]
+    leave = draw(st.sets(st.sampled_from(free), max_size=min(len(free) + join - 1, 4)))
+    return amended_request(n, m, params, exclude, join=join, leave=tuple(leave))
+
+
+class TestCompactForm:
+    @settings(max_examples=80, deadline=None)
+    @given(request=compact_requests())
+    def test_compact_answer_expands_to_the_plan(self, request):
+        """The compact line is about 150 bytes at any n, and
+        ``from_dict`` rebuilds exactly ``plan()`` from it."""
+        encoded = plan_compact_json(request)
+        assert encoded == json.dumps(compact_result(request), separators=(",", ":")).encode()
+        assert len(encoded) <= 256 + 8 * len(request.exclude)
+        decoded = PlanResult.from_dict(json.loads(encoded))
+        oracle = plan(request)
+        assert decoded == oracle
+        assert hash(decoded) == hash(oracle)
+        for row in decoded.schedule:
+            built = NodePlan(**vars(row))
+            assert row == built and hash(row) == hash(built)
+
+    def test_warm_lookup_reads_the_compact_memo_only(self):
+        request = PlanRequest(n=512, m=32, exclude=(3, 7, 9))
+        _plan_shape.cache_clear()
+        _schedule_wire.cache_clear()
+        assert plan_compact_json_warm(request) is None
+        assert _plan_shape.cache_info().currsize == 0
+        encoded = plan_compact_json(request)
+        assert plan_compact_json_warm(request) == encoded
+        # A compact answer never builds the full form's wire template.
+        assert _schedule_wire.cache_info().currsize == 0
+        assert plan_json_warm(request) is None
+
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            ({"k": 0}, "k=0 outside"),
+            ({"k": 513}, "k=513 outside"),
+            ({"k": True}, "k=True outside"),
+            ({"k": 2.0}, "k=2.0 outside"),
+            ({"n": 1}, "n must be >= 2"),
+            ({"n": 512.0}, "n must be an integer"),
+            ({"m": 0}, "m must be >= 1"),
+            ({"ports": 0}, "ports must be >= 1"),
+            ({"ports": True}, "ports must be an integer"),
+            ({"ports": 1.0}, "ports must be an integer"),
+            ({"n": 131073, "m": 1, "k": 3}, "exceeds the limit"),
+            ({"m": MAX_PLAN_WORK}, "exceeds the limit"),
+            ({"excluded": [7, 3]}, "rise strictly"),
+            ({"excluded": [3, 3]}, "rise strictly"),
+            ({"excluded": [0]}, "cannot exclude the source"),
+            ({"excluded": [512]}, "position 512 outside"),
+            ({"excluded": ["3"]}, "entries must be integers"),
+            ({"excluded": ["3", 1]}, "entries must be integers"),
+            ({"excluded": 3}, "must be a list"),
+            ({"n": 3, "k": 1, "excluded": [1, 2]}, "leaves no destinations"),
+        ],
+    )
+    def test_malformed_compact_payloads_raise_before_building(self, monkeypatch, change, fragment):
+        payload = json.loads(plan_compact_json(PlanRequest(n=512, m=32)))
+        payload.update(change)
+
+        def refuse(*args):
+            raise AssertionError("a malformed payload built a tree")
+
+        for name in ("build_kbinomial_tree", "cached_build_kbinomial_tree"):
+            monkeypatch.setattr(planner_module, name, refuse)
+        planner_module._schedule_rows.cache_clear()
+        with pytest.raises(ValueError, match=fragment):
+            PlanResult.from_dict(payload)
+
+    def test_expansion_holds_rows_in_a_row_bounded_memo_only(self):
+        """A client expands compact answers into the row memo, which is
+        bounded by rows, and never into the unbounded shared tree memo."""
+        payload = json.loads(plan_compact_json(PlanRequest(n=300, m=8, exclude=(4,))))
+        clear_caches()
+        assert PlanResult.from_dict(payload) == plan(PlanRequest(n=300, m=8, exclude=(4,)))
+        stats = cache_stats()
+        assert stats["build_kbinomial_tree"].currsize == 0
+        assert stats["plan_schedule"].currsize == 1
+        assert planner_module._schedule_rows.cache_info().maxsize == MAX_PLAN_WORK
+
+
 class TestWireMemo:
     @settings(max_examples=30, deadline=None)
     @given(request=plan_requests())
@@ -169,6 +278,24 @@ class TestWireMemo:
         memo.cache_clear()
         assert tuple(memo.cache_info()) == (0, 0, 3, 0)
         assert _schedule_wire.cache_info().maxsize == 4096
+
+    def test_weighted_bound_evicts_by_total_weight(self):
+        """With a ``weight``, ``maxsize`` bounds the stored entries' total
+        weight, and the newest entry stays even when it alone is over."""
+        memo = _LRUMemo(lambda n: "x" * n, maxsize=10, weight=len)
+        memo(4), memo(5)
+        assert memo.lookup(4) == "xxxx"  # 9 of 10; 4 is now the most recent
+        memo(3)  # 12 of 10: evicts 5, the least recently used
+        assert memo.lookup(5) is None
+        assert memo.cache_info().currsize == 2
+        memo(20)  # over the bound alone: held, every other entry evicted
+        assert memo.lookup(20) == "x" * 20
+        assert memo.cache_info().currsize == 1
+        memo(1)
+        assert memo.lookup(20) is None and memo.lookup(1) == "x"
+        memo.cache_clear()
+        memo(6), memo(4)  # exactly 10: a clear forgot the weight held
+        assert memo.cache_info().currsize == 2
 
     def test_counts_and_bound_hold_under_threads(self):
         """Ten threads calling and looking up over a small memo: no

@@ -74,7 +74,7 @@ class TestEndToEnd:
         assert counters["singleflight_hits"] > 0
         assert counters["shed"] == 0
         assert stats["plan_latency"]["count"] == 120
-        assert stats["cache"]["plan_wire"]["misses"] >= 1
+        assert stats["cache"]["plan_shape"]["misses"] >= 1
 
     def test_custom_params_travel_the_wire(self):
         async def body():

@@ -6,9 +6,12 @@ with only the id swapped.  These properties pin what that must not
 change: every line the server writes and every line the router relays
 is ``json.dumps(answer, separators=(",", ":")) + "\\n"`` of the answer
 object the service has always built, for any id, for ``plan`` and
-``amend``; error answers keep their codes, and injected transient
-errors still fail over; N concurrent waiters on one computation cost
-one encode (one ``plan_json`` call); and serving builds no
+``amend``; a compact line's result is that object without its
+schedule, with the machine's ports, and expands into ``plan()``; error
+answers keep their codes, a form other than ``"compact"`` is a
+``bad_request``, and injected transient errors still fail over; N
+concurrent waiters on one computation cost one encode (one
+``plan_json`` call); and serving builds no
 ``NodePlan`` rows, calls no ``PlanResult.to_dict`` and leaves
 ``plan()``'s row memo empty.
 
@@ -41,6 +44,8 @@ from repro.service import (
     plan,
 )
 from repro.service.planner import _schedule_rows
+
+from .helpers import compact_result
 
 pytestmark = pytest.mark.service
 
@@ -199,6 +204,50 @@ def test_amend_lines_are_the_seed_bytes(services, data, key, rid):
     )
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), key=plan_keys(), rid=IDS)
+def test_compact_lines_expand_to_the_plan(services, data, key, rid):
+    n, m, exclude = key
+    join, leave = data.draw(amend_deltas(key))
+    request = PlanRequest(n=n, m=m, exclude=exclude)
+    folded = PlanRequest(n=n + join, m=m, exclude=tuple(sorted({*exclude, *leave})))
+    echo = {"n": folded.n, "m": m, "exclude": list(folded.exclude)}
+    for payload, want, extra in (
+        (plan_payload(rid, n, m, exclude), request, {}),
+        (amend_payload(rid, n, m, exclude, join, leave), folded, {"amended": echo}),
+    ):
+        full = plan(want).to_dict()
+        assert services.server.ask(payload) == line(
+            {"id": rid, "ok": True, "result": full, **extra}
+        )
+        shard = services.chain(want.n, m)[0]
+        for hop, extra in ((services.server, extra), (services.router, {"shard": shard})):
+            raw = hop.ask(dict(payload, form="compact"))
+            assert raw == line({"id": rid, "ok": True, "result": compact_result(want), **extra})
+            assert PlanResult.from_dict(json.loads(raw)["result"]) == plan(want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), key=plan_keys(), via=st.sampled_from(["server", "router"]))
+def test_client_plans_and_amends_equal_plan(services, data, key, via):
+    """Every client call asks compact and returns ``plan()``'s result."""
+    n, m, exclude = key
+    join, leave = data.draw(amend_deltas(key))
+    port = services.single.port if via == "server" else services.cluster.port
+
+    async def calls():
+        async with await PlanClient.connect("127.0.0.1", port) as client:
+            return (
+                await client.plan(n, m, exclude=exclude, timeout=30),
+                await client.amend(n, m, exclude=exclude, join=join, leave=leave, timeout=30),
+            )
+
+    planned, amended = asyncio.run(calls())
+    assert planned == plan(PlanRequest(n=n, m=m, exclude=exclude))
+    folded = tuple(sorted({*exclude, *leave}))
+    assert amended == plan(PlanRequest(n=n + join, m=m, exclude=folded))
+
+
 def assert_error(raw: bytes, rid, code: str) -> None:
     answer = json.loads(raw)
     assert raw == line(answer)
@@ -214,10 +263,15 @@ def test_error_answers_keep_their_codes(services, key, rid, kind):
     # n = 1 fails validation on both paths; so does an amend naming
     # an exclude position past n.
     bad = plan_payload(rid, 1, m, ()) if kind == "plan" else amend_payload(rid, n, m, (n,), 0, ())
+    good = plan_payload(rid, n, m, exclude) if kind == "plan" else amend_payload(
+        rid, n, m, exclude, 1, ()
+    )
     for hop in (services.server, services.router):
         assert_error(hop.ask(bad), rid, "bad_request")
         source_left = amend_payload(rid, n, m, exclude, 0, (0,))
         assert_error(hop.ask(source_left), rid, "source_failed")
+        for form in ("tree", "full", None, 1, ["compact"]):
+            assert_error(hop.ask(dict(good, form=form)), rid, "bad_request")
 
 
 @pytest.mark.parametrize("via", ["server", "router"])

@@ -16,6 +16,10 @@ a time:
 * ``[server]`` — to one in-process :class:`PlanServer`;
 * ``[router]`` — to a :class:`ClusterRouter` over two in-process shards.
 
+The same sequence asking for the compact form costs the same decodes,
+encodes, submits, tasks and memo hits, with answers of about 150 bytes
+whatever n is: the compact fill is the planner's, not the server's.
+
 The ``json`` attribute of the server, router and client modules (the
 client module carries the router's forward to a shard) is swapped for
 a counting stand-in, :meth:`LineProtocol.write` is wrapped to count the
@@ -42,10 +46,13 @@ import pytest
 from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.cluster import router as router_module
 from repro.core import clear_caches, pipeline
+from repro.params import MachineParams
 from repro.service import PlanBatcher, PlanRequest, PlanServer, framing, plan
 from repro.service import client as client_module
 from repro.service import planner as planner_module
 from repro.service import server as server_module
+
+from .helpers import compact_result
 
 pytestmark = pytest.mark.service
 
@@ -141,13 +148,15 @@ def count_waits(monkeypatch, loop) -> dict:
     return waits
 
 
-def answer_line(rid, request: PlanRequest, **extra) -> bytes:
-    answer = {"id": rid, "ok": True, "result": plan(request).to_dict(), **extra}
+def answer_line(rid, request: PlanRequest, form=None, **extra) -> bytes:
+    result = compact_result(request) if form == "compact" else plan(request).to_dict()
+    answer = {"id": rid, "ok": True, "result": result, **extra}
     return (json.dumps(answer, separators=(",", ":")) + "\n").encode()
 
 
-async def run_sequence(via: str, monkeypatch):
-    """``(work, per-request waits, answers, the shard each request routes to)``."""
+async def run_sequence(via: str, monkeypatch, form=None):
+    """``(work, per-request waits, answers, the shard each request routes
+    to, the shards' plan counters)``; ``form`` goes on every line."""
     clear_caches()
     shards = [PlanServer(port=0, shard_id=sid) for sid in range(2 if via == "router" else 1)]
     for shard in shards:
@@ -172,6 +181,8 @@ async def run_sequence(via: str, monkeypatch):
     per_request = {"submits": [], "tasks": [], "forward_tasks": []}
     for rid, (payload, _, _) in enumerate(SEQUENCE, 1):
         before = dict(waits)
+        if form is not None:
+            payload = dict(payload, form=form)
         writer.write(json.dumps(dict(payload, id=rid)).encode() + b"\n")
         await writer.drain()
         answers.append(await reader.readline())
@@ -180,6 +191,10 @@ async def run_sequence(via: str, monkeypatch):
     asyncio.get_running_loop().set_task_factory(None)
     work = {layer: dict(counts) for layer, counts in work.items()}
     per_request["memo_hits"] = sum(shard.metrics.memo_hits.value for shard in shards)
+    counters = {
+        name: sum(getattr(shard.metrics, name).value for shard in shards)
+        for name in ("plans", "memo_hits", "planned", "singleflight_hits")
+    }
     routes = [
         router.ring.chain(plan_key(r.n, r.m, r.params), router.replication)[0]
         if router else None
@@ -190,26 +205,34 @@ async def run_sequence(via: str, monkeypatch):
         await router.shutdown()
     for shard in shards:
         await shard.shutdown()
-    return work, per_request, answers, routes
+    return work, per_request, answers, routes, counters
 
 
-@pytest.mark.parametrize("via", ["server", "router"])
-def test_plan_sequence_work_budget(monkeypatch, via):
-    work, waits, answers, routes = asyncio.run(run_sequence(via, monkeypatch))
-    routed = via == "router"
-    # The router names the shard and has always dropped an amend's
-    # echo.  Each of its shard connections spent id 1 on the start-up
-    # configure, so the forwards on it are numbered from 2.
+def expected_lines(routes, routed: bool, form=None):
+    """The shards' answer lines and the router's, from in-process ``plan()``.
+
+    The router names the shard and has always dropped an amend's echo.
+    Each of its shard connections spent id 1 on the start-up configure,
+    so the forwards on it are numbered from 2.
+    """
     forward_ids = collections.Counter()
     server_lines, router_lines = [], []
     for rid, ((_, request, echo), shard) in enumerate(zip(SEQUENCE, routes), 1):
         amended = {} if echo is None else {"amended": echo}
         if routed:
             forward_ids[shard] += 1
-            server_lines.append(answer_line(forward_ids[shard] + 1, request, **amended))
-            router_lines.append(answer_line(rid, request, shard=shard))
+            server_lines.append(answer_line(forward_ids[shard] + 1, request, form, **amended))
+            router_lines.append(answer_line(rid, request, form, shard=shard))
         else:
-            server_lines.append(answer_line(rid, request, **amended))
+            server_lines.append(answer_line(rid, request, form, **amended))
+    return server_lines, router_lines
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_plan_sequence_work_budget(monkeypatch, via):
+    work, waits, answers, routes, counters = asyncio.run(run_sequence(via, monkeypatch))
+    routed = via == "router"
+    server_lines, router_lines = expected_lines(routes, routed)
     assert answers == (router_lines if routed else server_lines)
     assert work == {
         "server": {"decodes": 5, "encodes": 1, "bytes": sum(map(len, server_lines))},
@@ -225,11 +248,40 @@ def test_plan_sequence_work_budget(monkeypatch, via):
         "forward_tasks": [0, 0, 0, 0, 0],
         "memo_hits": 1,
     }
+    answered = counters["memo_hits"] + counters["planned"] + counters["singleflight_hits"]
+    assert counters["plans"] == answered
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_compact_sequence_work_budget(monkeypatch, via):
+    work, waits, answers, routes, counters = asyncio.run(
+        run_sequence(via, monkeypatch, form="compact")
+    )
+    routed = via == "router"
+    server_lines, router_lines = expected_lines(routes, routed, form="compact")
+    assert answers == (router_lines if routed else server_lines)
+    # 512 x 32 with two positions excluded: 49.8 KB in the full form.
+    assert max(map(len, server_lines)) < 256
+    assert work == {
+        "server": {"decodes": 5, "encodes": 1, "bytes": sum(map(len, server_lines))},
+        "router": {"decodes": 5 * routed, "encodes": 0, "bytes": sum(map(len, router_lines))},
+        "hop": {"decodes": 0, "encodes": 5 * routed},
+    }
+    # A cold compact key waits in the batcher like a full-form one; the
+    # repeat of request 1 is a compact-memo hit on the read callback.
+    assert waits == {
+        "submits": [1, 0, 1, 1, 1],
+        "tasks": [1, 0, 1, 1, 1],
+        "forward_tasks": [0, 0, 0, 0, 0],
+        "memo_hits": 1,
+    }
+    assert counters == {"plans": 5, "memo_hits": 1, "planned": 4, "singleflight_hits": 0}
 
 
 def test_cold_plan_reads_step_lists_not_the_pair_dict(monkeypatch):
-    """A cold plan runs one per-node step pass and never builds
-    ``fpfs_schedule``'s dict of n·m ``(node, packet)`` pairs."""
+    """A cold plan never builds ``fpfs_schedule``'s dict of n·m
+    ``(node, packet)`` pairs: on one port it runs the O(n) first/last
+    pass and no ``fpfs_steps`` at all, on two one per-node step pass."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -243,6 +295,50 @@ def test_cold_plan_reads_step_lists_not_the_pair_dict(monkeypatch):
     for module in (pipeline, planner_module):
         monkeypatch.setattr(module, "fpfs_schedule", schedule, raising=False)
     monkeypatch.setattr(planner_module, "fpfs_steps", counted("fpfs_steps", pipeline.fpfs_steps))
-    clear_caches()
-    planner_module.plan_json(PlanRequest(n=512, m=32))
-    assert calls == {"fpfs_steps": 1}
+    passes = {}
+    for ports in (1, 2):
+        clear_caches()
+        calls.clear()
+        planner_module.plan_json(PlanRequest(n=512, m=32, params=MachineParams(ports=ports)))
+        passes[ports] = dict(calls)
+    assert passes == {1: {}, 2: {"fpfs_steps": 1}}
+
+
+def test_inline_row_bound_holds_for_the_full_form_only(monkeypatch):
+    """A warm full-form plan over :data:`INLINE_MAX_ROWS` rows still
+    waits in the batcher, and one at the bound (counting rows as
+    ``n - |exclude|``) is answered on the read callback; a warm compact
+    plan is answered there whatever its size."""
+    bound = server_module.INLINE_MAX_ROWS
+    at = {"type": "plan", "n": bound, "m": 2}
+    over = {"type": "plan", "n": bound + 1, "m": 2}
+    lines = [at, at, over, over, dict(over, exclude=[5]), dict(over, form="compact")] + [
+        dict(over, n=4 * bound, form="compact")
+    ] * 2
+
+    async def body():
+        clear_caches()
+        server = PlanServer(port=0)
+        await server.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port, limit=framing.MAX_FRAME_BYTES
+        )
+        waits = count_waits(monkeypatch, asyncio.get_running_loop())
+        submits, answers = [], []
+        for rid, payload in enumerate(lines, 1):
+            before = waits["submits"]
+            writer.write(json.dumps(dict(payload, id=rid)).encode() + b"\n")
+            await writer.drain()
+            answers.append(await reader.readline())
+            submits.append(waits["submits"] - before)
+        asyncio.get_running_loop().set_task_factory(None)
+        writer.close()
+        await server.shutdown()
+        return submits, answers
+
+    submits, answers = asyncio.run(body())
+    # The compact 1,025-row plan is cold: the full form's memo is not its.
+    assert submits == [1, 0, 1, 1, 0, 1, 1, 0]
+    for rid, (payload, answer) in enumerate(zip(lines, answers), 1):
+        request = PlanRequest(n=payload["n"], m=2, exclude=tuple(payload.get("exclude", ())))
+        assert answer == answer_line(rid, request, payload.get("form"))
