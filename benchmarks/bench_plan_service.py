@@ -3,11 +3,14 @@
 Drives the asyncio plan server over a real socket with a Zipf-shaped
 request mix (a few hot (n, m) keys and a long tail — the distribution
 a shared planning service actually sees) at increasing client
-concurrency.  Claims: throughput scales with pipelining (more
-in-flight requests never slow the service down below the serial
-floor), single-flight dedupe collapses the hot keys to a handful of
-computations (observable in the metrics), and every answer matches
-the direct in-process planner.
+concurrency, each row from empty memos.  Claims: throughput scales
+with pipelining (more in-flight requests never slow the service down
+below the serial floor); the ledger is exact (every request is a memo
+hit on the read loop, a computation, or a single-flight follower of
+one); each unique key is computed exactly once, a warm repeat served
+from the memo and a repeat in flight from the shared computation; at
+high concurrency the hot keys meet in flight, so single-flight absorbs
+duplicates; and every answer matches the direct in-process planner.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import asyncio
 
 from repro.analysis import render_table
 from repro.analysis.load import zipf_plan_mix
+from repro.core import clear_caches
 from repro.service import PlanClient, PlanRequest, PlanServer, plan
 
 CONCURRENCY = (1, 8, 32, 128)
@@ -45,6 +49,7 @@ async def drive(mix, concurrency: int) -> dict:
         "elapsed": elapsed,
         "throughput": len(mix) / elapsed,
         "p95_us": stats["plan_latency"]["p95_us"],
+        "memo_hits": stats["counters"]["memo_hits"],
         "planned": stats["counters"]["planned"],
         "singleflight_hits": stats["counters"]["singleflight_hits"],
         "shed": stats["counters"]["shed"],
@@ -56,12 +61,14 @@ def measure():
     unique = len(set(mix))
     rows = []
     for concurrency in CONCURRENCY:
+        clear_caches()  # each row starts cold, not from the last row's memos
         sample = asyncio.run(drive(mix, concurrency))
         rows.append(
             [
                 concurrency,
                 len(mix),
                 unique,
+                sample["memo_hits"],
                 sample["planned"],
                 sample["singleflight_hits"],
                 round(sample["throughput"], 0),
@@ -79,6 +86,7 @@ def test_plan_service_throughput(benchmark, show):
                 "concurrency",
                 "requests",
                 "unique keys",
+                "memo hits",
                 "planned",
                 "sf hits",
                 "req/s",
@@ -88,15 +96,15 @@ def test_plan_service_throughput(benchmark, show):
             title=f"A15: plan service under a Zipf mix of {REQUESTS} requests",
         )
     )
-    for concurrency, total, unique, planned, hits, _, _ in rows:
-        # Correctness of the ledger: every request either computed or
-        # rode an in-flight duplicate.
-        assert planned + hits == total
-        # Each unique key computes at least once; dedupe never exceeds
-        # the duplicate count.
-        assert unique <= planned <= total
+    for concurrency, total, unique, memo_hits, planned, hits, _, _ in rows:
+        # The ledger is exact: every request was answered from the memo
+        # on the read loop, computed, or rode an in-flight duplicate.
+        assert memo_hits + planned + hits == total
+        # Each unique key is computed exactly once: a warm repeat is a
+        # memo hit, and a repeat in flight shares the computation.
+        assert planned == unique
     # At high concurrency the hot keys overlap in flight: dedupe must
     # collapse a Zipf mix well below one computation per request.
     high = rows[-1]
-    assert high[3] < REQUESTS / 2, f"expected single-flight dedupe, planned={high[3]}"
-    assert high[4] > 0
+    assert high[4] < REQUESTS / 2, f"expected single-flight dedupe, planned={high[4]}"
+    assert high[5] > 0

@@ -58,10 +58,10 @@ swaps the id-first prefix for its client's id and appends
 this hop.  It drops a shard's ``"amended"`` echo, so a routed amend
 answers ``{"id", "ok", "result", "shard"}`` like a routed plan.  Only
 lines that are not ``"ok":true`` are parsed, to classify the error for
-failover.  A forward carries ``params`` and ``form`` only when its
-client sent them, so a shard parses no machine the client did not name
-and answers in the form the client asked for: the relay never looks
-inside the result, full or compact.
+failover.  A forward carries ``params`` only when its client sent
+them, so a shard parses no machine the client did not name.  It never
+carries ``"form"``: the router refuses any form but ``"compact"``, the
+one a shard answers in, so the relay never looks inside the result.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from ..service.client import (
 from ..service.metrics import Counter
 from ..service.server import (
     _BadRequest,
-    _compact_form,
+    _check_form,
     _encode,
     _error,
     _internal,
@@ -454,14 +454,13 @@ class ClusterRouter:
     async def _warm_replica(self, shard_id: int, request, params) -> None:
         """Fire-and-forget: have the replica compute (and memoize) the key.
 
-        It asks for the compact form, so the replica memoizes the entry
-        that compact answers read, without a wire template.  The answer
-        is only a side effect, so its bytes are dropped undecoded.
+        The replica memoizes the entry its answers read.  The answer is
+        only a side effect, so its bytes are dropped undecoded.
         """
         client = await self._client(shard_id)
         if client is None:
             return
-        wire = _plan_payload(request.n, request.m, params, request.exclude, form="compact")
+        wire = _plan_payload(request.n, request.m, params, request.exclude)
         try:
             await client.request_raw(wire, timeout=self.request_timeout)
         except (PlanServiceError, ConnectionError, RuntimeError):
@@ -545,9 +544,9 @@ class ClusterRouter:
     ) -> Optional[dict]:
         """Send a plan or amend to the shard its key names.
 
-        Only the ``params`` and ``form`` a client sent travel on.  An
-        amend is routed by its *amended* plan key: the delta is folded
-        into the equivalent plan request first (the same fold the shard
+        Only the ``params`` a client sent travel on.  An amend is routed
+        by its *amended* plan key: the delta is folded into the
+        equivalent plan request first (the same fold the shard
         performs), so every amend of the same live plan walks the same
         replica chain as the plan it amends into — dedupe locality
         holds across churn.  The raw delta is still what gets
@@ -555,12 +554,11 @@ class ClusterRouter:
         answers with the ``amended`` echo.  Returns an error response,
         or ``None`` once the request is on its way.
         """
-        _compact_form(payload)  # an unknown form is this hop's bad_request
-        form = payload.get("form")
+        _check_form(payload)  # an unknown form is this hop's bad_request
         if kind == "plan":
             request = _parse_plan_request(payload, self.max_n)
             params = request.params if payload.get("params") is not None else None
-            wire = _plan_payload(request.n, request.m, params, request.exclude, form=form)
+            wire = _plan_payload(request.n, request.m, params, request.exclude)
         else:
             from ..faults.repair import SourceFailedError as _SourceFailed
             from ..service.server import _parse_amend_request
@@ -579,7 +577,6 @@ class ClusterRouter:
                 tuple(payload.get("exclude", ())),
                 delta.get("join", 0),
                 tuple(delta.get("leave", ())),
-                form=form,
             )
         key = plan_key(request.n, request.m, request.params)
         chain = self.ring.chain(key, self.replication)

@@ -47,7 +47,9 @@ def coverage(s: int, k: int) -> int:
     """Lemma 1: nodes covered in ``s`` steps by a k-binomial tree.
 
     ``coverage(0, k) == 1`` (just the source); for ``s <= k`` the cap
-    never binds and the tree doubles each step.
+    never binds and the tree doubles each step.  A chain (``k = 1``)
+    adds one node per step, ``N(s, 1) = s + 1``, in closed form: the
+    recurrence would nest ``s`` calls deep.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -55,6 +57,8 @@ def coverage(s: int, k: int) -> int:
         raise ValueError(f"s must be >= 0, got {s}")
     if s <= k:
         return 2**s
+    if k == 1:
+        return s + 1
     return 1 + sum(coverage(s - i, k) for i in range(1, k + 1))
 
 
@@ -94,10 +98,13 @@ def coverage_table(s_max: int, k_max: int):
 def steps_needed(n: int, k: int) -> int:
     """Theorem 3's ``T1``: minimum steps to cover a multicast set of ``n``.
 
-    ``n`` counts the source plus all destinations.
+    ``n`` counts the source plus all destinations.  A chain (``k = 1``)
+    needs ``n - 1`` steps, in closed form rather than a scan of ``s``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if k == 1:
+        return n - 1
     s = 0
     while coverage(s, k) < n:
         s += 1
@@ -149,31 +156,32 @@ def build_kbinomial_tree(chain: Sequence, k: int) -> MulticastTree:
     if len(set(chain)) != len(chain):
         raise ValueError("chain contains duplicate nodes")
 
+    chain = list(chain)
     tree = MulticastTree(chain[0])
-    _cover_segment(tree, list(chain), k)
+    # Depth first over the segments chain[lo:hi], each with its parent:
+    # a segment's root joins the tree when the segment is popped, and
+    # its child segments are pushed last first, so nodes and children
+    # are added in preorder, with no recursion depth growing with n.
+    stack = [(None, 0, len(chain))]
+    while stack:
+        parent, lo, hi = stack.pop()
+        root = chain[lo]
+        if parent is not None:
+            tree.add_child(parent, root)
+        if hi - lo == 1:
+            continue
+        s = steps_needed(hi - lo, k)
+        children = []
+        for i in range(1, k + 1):
+            if hi == lo + 1:
+                break
+            take = min(coverage(s - i, k), hi - lo - 1)
+            children.append((root, hi - take, hi))
+            hi -= take
+        if hi != lo + 1:  # pragma: no cover - guarded by N(s,k) >= n
+            raise AssertionError(f"segment at {lo} not covered by fan-out {k} in {s} steps")
+        stack.extend(reversed(children))
     return tree
-
-
-def _cover_segment(tree: MulticastTree, segment: list, k: int) -> None:
-    """Recursively cover ``segment`` (segment[0] is its local root)."""
-    root = segment[0]
-    rest = segment[1:]
-    if not rest:
-        return
-    s = steps_needed(len(segment), k)
-    for i in range(1, k + 1):
-        if not rest:
-            break
-        cap = coverage(s - i, k)
-        take = min(cap, len(rest))
-        child_segment = rest[len(rest) - take :]
-        rest = rest[: len(rest) - take]
-        tree.add_child(root, child_segment[0])
-        _cover_segment(tree, child_segment, k)
-    if rest:  # pragma: no cover - guarded by N(s,k) >= n
-        raise AssertionError(
-            f"segment of {len(segment)} nodes not covered by fan-out {k} in {s} steps"
-        )
 
 
 def root_fanout(n: int, k: int) -> int:

@@ -8,13 +8,13 @@ terminal::
     render_tree(build_kbinomial_tree(list(range(8)), 2))
 
     0 [s0]
-    ├─ 4 [s1]
-    │  ├─ 6 [s2]
-    │  │  └─ 7 [s3]
-    │  └─ 5 [s3]
-    └─ 1 [s2]
-       ├─ 2 [s3]
-       └─ 3 [s4]
+    └─ 1 [s1]
+       ├─ 4 [s2]
+       │  ├─ 6 [s3]
+       │  │  └─ 7 [s4]
+       │  └─ 5 [s4]
+       └─ 2 [s3]
+          └─ 3 [s4]
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ def render_tree(
     if label is None:
         label = _default_label
     steps = tree.first_packet_steps() if show_steps else {}
-    lines: list[str] = []
 
     def fmt(node) -> str:
         text = label(node)
@@ -52,19 +51,18 @@ def render_tree(
             text += f" [s{steps[node]}]"
         return text
 
-    def walk(node, prefix: str, is_last: bool, is_root: bool) -> None:
-        if is_root:
-            lines.append(fmt(node))
-            child_prefix = ""
-        else:
-            connector = "└─ " if is_last else "├─ "
-            lines.append(prefix + connector + fmt(node))
-            child_prefix = prefix + ("   " if is_last else "│  ")
-        children = tree.children(node)
-        for i, child in enumerate(children):
-            walk(child, child_prefix, i == len(children) - 1, False)
+    def below(node, prefix: str) -> list:
+        """``(child, prefix, is_last)`` of each child, last first."""
+        return [(child, prefix, i == 0) for i, child in enumerate(reversed(tree.children(node)))]
 
-    walk(tree.root, "", True, True)
+    # Preorder from an explicit stack, so a deep tree (a chain) draws
+    # without recursion.
+    lines = [fmt(tree.root)]
+    stack = below(tree.root, "")
+    while stack:
+        node, prefix, is_last = stack.pop()
+        lines.append(prefix + ("└─ " if is_last else "├─ ") + fmt(node))
+        stack += below(node, prefix + ("   " if is_last else "│  "))
     return "\n".join(lines)
 
 

@@ -13,13 +13,11 @@ Layers, innermost out:
   :class:`PlanRequest` (``n``, ``m``, :class:`~repro.params.MachineParams`)
   to :class:`PlanResult` (chosen k, per-node FPFS forwarding schedule,
   cost breakdown ``T1 + (m-1)·k_T``, buffer bound ``c·t_sq``), memoized
-  through :mod:`repro.core.cache`; and its two encoders, what the
-  server sends: ``plan_json`` writes the full form, the same result's
-  JSON bytes, from a memoized wire template of the canonical schedule,
-  and ``plan_compact_json`` the compact form, k and the scalars without
-  the schedule (about 150 bytes at any n), which
-  :meth:`PlanResult.from_dict` expands locally.  Their ``_warm`` twins
-  answer from the memos alone or ``None``.
+  through :mod:`repro.core.cache`; and its encoder, what the server
+  sends: ``plan_compact_json`` writes the paper's (k, chain) form, k
+  and the scalars without the schedule (about 150 bytes at any n),
+  which :meth:`PlanResult.from_dict` expands locally.  Its ``_warm``
+  twin answers from the memo alone or ``None``.
 * :mod:`~repro.service.batching` — :class:`PlanBatcher`: micro-batches
   concurrent requests for cold keys, collapses identical keys into single-flight
   computations, and fans distinct keys over an executor in sweep-style
@@ -35,12 +33,12 @@ Layers, innermost out:
   work bound at the wire, and the ``amend`` wire type that folds a
   membership delta (:mod:`repro.membership`) into an equivalent plan
   request — churn bursts coalesce in the batcher's single-flight
-  dedupe.  It answers a memoized plan in the connection's read callback
-  (a full-form one of at most ``INLINE_MAX_ROWS`` rows), and writes any
-  other as the batcher's bytes behind the request's id.
+  dedupe.  It answers a memoized plan in the connection's read
+  callback, and writes any other as the batcher's bytes behind the
+  request's id.
 * :mod:`~repro.service.client` — :class:`PlanClient` (async) and the
   :func:`plan_remote` / :func:`stats_remote` sync conveniences, which
-  ask for the compact form and return the expanded result, with
+  return the expanded result, with
   :class:`RetryPolicy` backoff over typed transient failures
   (``unavailable`` / :class:`PlanTimeoutError` / ``overloaded``).
 * :mod:`~repro.service.framing` — the line protocol every hop shares:
@@ -51,9 +49,10 @@ Layers, innermost out:
   ``asyncio.Protocol`` that server, router and client connections
   share: each received line is handled in the read callback.
 * :mod:`~repro.service.journal` — :class:`RequestJournal`: checksummed
-  append-only log of distinct accepted plan requests, replayed through
-  the encoder on restart to pre-warm the memo tables the server reads
-  (``recovered_entries`` on the health endpoint).
+  append-only log of accepted plan requests, one per memo entry they
+  warm, replayed through the encoder on restart to pre-warm the memo
+  tables the server reads (``recovered_entries`` on the health
+  endpoint).
 
 Quickstart::
 

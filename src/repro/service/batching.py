@@ -3,10 +3,9 @@
 The service's traffic is skewed: a production control plane sees the
 same few ``(n, m, params)`` keys over and over (the same reason §4.3.1
 can precompute the optimal-k table at all).  The server answers a key
-already in the planner's wire memo in its read callback, so only cold keys
-(and warm plans over its inline row bound) reach the batcher, which is
-where computing them is worth coalescing.  :class:`PlanBatcher` does
-that twice:
+already in the planner's compact memo in its read callback, so only
+cold keys reach the batcher, which is where computing them is worth
+coalescing.  :class:`PlanBatcher` does that twice:
 
 * **single-flight** — while a key is being computed, every further
   request for it attaches to the in-flight future instead of enqueuing
@@ -31,13 +30,10 @@ cheaper than process fan-out would cost in pickling; inject a
 results are picklable by design).
 
 Each computation's outcome is its answer's encoded ``"result"`` bytes,
-so every single-flight waiter shares one bytes object and a
-computation is encoded exactly once, in the executor: a
-:class:`~repro.service.planner.PlanRequest` in the full form
-(:func:`~repro.service.planner.plan_json`), a
-:class:`~repro.service.planner.CompactRequest` in the compact form
-(:func:`~repro.service.planner.plan_compact_json`).  The two are
-different keys, so they never share a computation.
+:func:`~repro.service.planner.plan_compact_json` of the
+:class:`~repro.service.planner.PlanRequest`, so every single-flight
+waiter shares one bytes object and a computation is encoded exactly
+once, in the executor.
 
 All public methods must be called from the event loop thread; the
 executor workers only run the pure encoders.
@@ -50,17 +46,15 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metrics import ServiceMetrics
-from .planner import CompactRequest, PlanRequest, plan_compact_json, plan_json
+from .planner import PlanRequest, plan_compact_json
 
 __all__ = ["PlanBatcher", "plan_chunk"]
 
-#: What the batcher computes: a request's full-form answer, or its compact one.
-_Job = Union[PlanRequest, CompactRequest]
 #: A chunk outcome: the encoded result, or the exception the plan raised.
 _Outcome = Union[bytes, Exception]
 
 
-def plan_chunk(requests: Sequence[_Job]) -> List[_Outcome]:
+def plan_chunk(requests: Sequence[PlanRequest]) -> List[_Outcome]:
     """Executor-side body: encode each request's plan, capturing per-item errors.
 
     Module-level (like the sweep engine's ``_measure_chunk``) so it
@@ -70,10 +64,7 @@ def plan_chunk(requests: Sequence[_Job]) -> List[_Outcome]:
     outcomes: List[_Outcome] = []
     for request in requests:
         try:
-            if type(request) is CompactRequest:
-                outcomes.append(plan_compact_json(request.request))
-            else:
-                outcomes.append(plan_json(request))
+            outcomes.append(plan_compact_json(request))
         except Exception as exc:  # noqa: BLE001 - relayed to the caller
             outcomes.append(exc)
     return outcomes
@@ -128,14 +119,14 @@ class PlanBatcher:
         self.metrics = metrics
         self._executor = executor
         self._owns_executor = executor is None
-        self._inflight: Dict[_Job, asyncio.Future] = {}
-        self._pending: List[_Job] = []
+        self._inflight: Dict[PlanRequest, asyncio.Future] = {}
+        self._pending: List[PlanRequest] = []
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._chunk_tasks: "set[asyncio.Future]" = set()
         self._closed = False
 
     # -- public API ---------------------------------------------------------
-    async def submit(self, request: _Job) -> bytes:
+    async def submit(self, request: PlanRequest) -> bytes:
         """The encoded answer to ``request``, sharing any in-flight
         computation of the key (see the module docstring)."""
         if self._closed:
@@ -234,7 +225,7 @@ class PlanBatcher:
             self._chunk_tasks.add(task)
             task.add_done_callback(lambda done, chunk=chunk: self._finish(chunk, done))
 
-    def _finish(self, chunk: Tuple[_Job, ...], done: asyncio.Future) -> None:
+    def _finish(self, chunk: Tuple[PlanRequest, ...], done: asyncio.Future) -> None:
         self._chunk_tasks.discard(done)
         # Every waiter of the chunk is settled, whatever became of it.
         if done.cancelled():

@@ -19,11 +19,11 @@ failure mode carries a typed exception — connection refusal is
 :class:`PlanTimeoutError`, shedding is :class:`OverloadedError` — so
 callers branch on class, never on string-matching codes.
 
-Every plan and amend asks for the compact answer form (``"form":
-"compact"``): about 150 bytes at any n, which
+Every plan and amend is answered in the paper's compact (k, chain)
+form: about 150 bytes at any n, which
 :meth:`~repro.service.planner.PlanResult.from_dict` expands locally
-into the same :class:`~repro.service.planner.PlanResult` the full form
-carries (see :mod:`repro.service.planner`).
+into the :class:`~repro.service.planner.PlanResult` that ``plan()``
+returns (see :mod:`repro.service.planner`).
 
 Answers are routed by their id-first prefix (:mod:`.framing`) without
 being decoded: :meth:`PlanClient.request_raw` hands back the answer line
@@ -136,13 +136,8 @@ def _plan_result(response: dict) -> PlanResult:
     return PlanResult.from_dict(response["result"])
 
 
-#: The answer form every client plan and amend asks for.
-_COMPACT = "compact"
-
-
-def _plan_payload(n, m, params=None, exclude=(), epoch=None, form=None) -> dict:
-    """The ``plan`` request object (without its ``id``); ``form`` is
-    left out when ``None``."""
+def _plan_payload(n, m, params=None, exclude=(), epoch=None) -> dict:
+    """The ``plan`` request object (without its ``id``)."""
     payload: dict = {"type": "plan", "n": n, "m": m}
     if params is not None:
         payload["params"] = params.to_dict()
@@ -150,14 +145,10 @@ def _plan_payload(n, m, params=None, exclude=(), epoch=None, form=None) -> dict:
         payload["exclude"] = sorted(set(exclude))
     if epoch is not None:
         payload["epoch"] = epoch
-    if form is not None:
-        payload["form"] = form
     return payload
 
 
-def _amend_payload(
-    n, m, params=None, exclude=(), join=0, leave=(), epoch=None, form=None
-) -> dict:
+def _amend_payload(n, m, params=None, exclude=(), join=0, leave=(), epoch=None) -> dict:
     """The ``amend`` request object (without its ``id``)."""
     payload: dict = {"type": "amend", "n": n, "m": m, "delta": {}}
     if join:
@@ -170,8 +161,6 @@ def _amend_payload(
         payload["exclude"] = sorted(set(exclude))
     if epoch is not None:
         payload["epoch"] = epoch
-    if form is not None:
-        payload["form"] = form
     return payload
 
 
@@ -376,7 +365,7 @@ class PlanClient:
         refresh their map and re-route — deliberately *not* part of
         the blind retry loop here).
         """
-        payload = _plan_payload(n, m, params, exclude, epoch, _COMPACT)
+        payload = _plan_payload(n, m, params, exclude, epoch)
         return await self._plan_call(payload, timeout, retry)
 
     async def amend(
@@ -402,7 +391,7 @@ class PlanClient:
         (not retryable).  ``retry`` and ``epoch`` behave exactly as in
         :meth:`plan`.
         """
-        payload = _amend_payload(n, m, params, exclude, join, leave, epoch, _COMPACT)
+        payload = _amend_payload(n, m, params, exclude, join, leave, epoch)
         return await self._plan_call(payload, timeout, retry)
 
     async def _plan_call(
@@ -540,7 +529,7 @@ def plan_remote(
     exclude: Sequence[int] = (),
 ) -> PlanResult:
     """Synchronous one-shot plan request (the CLI's ``--connect`` path)."""
-    payload = _plan_payload(n, m, params, exclude, form=_COMPACT)
+    payload = _plan_payload(n, m, params, exclude)
     return _plan_result(asyncio.run(_one_shot(host, port, payload)))
 
 
@@ -556,7 +545,7 @@ def amend_remote(
     leave: Sequence[int] = (),
 ) -> PlanResult:
     """Synchronous one-shot amend request (the CLI's ``--connect`` path)."""
-    payload = _amend_payload(n, m, params, exclude, join, leave, form=_COMPACT)
+    payload = _amend_payload(n, m, params, exclude, join, leave)
     return _plan_result(asyncio.run(_one_shot(host, port, payload)))
 
 

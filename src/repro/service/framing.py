@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 #: Longest line, newline included, any plan-service reader accepts and
-#: any writer sends.  The largest plan the default ``max_n`` (65536)
-#: admits encodes to about 7 MB, so it fits.  A connection reads it
-#: when it opens.
+#: any writer sends.  A plan answer grows only with the positions it
+#: excludes: the largest the default ``max_n`` (65536) admits, an amend
+#: whose result and echo each list 65,534 of them, is about 0.8 MB, so
+#: it fits.  A connection reads it when it opens.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: Lines one read callback hands to its owner.  The rest of a larger

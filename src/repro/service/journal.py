@@ -2,21 +2,23 @@
 
 The plan service's speed comes from its memo tables (the compact memo
 :func:`~repro.service.planner._plan_shape` that
-:func:`~repro.service.planner.plan_compact_json` fills, the wire memo
-of the full form, and the :mod:`repro.core.cache` layers underneath) —
-and those die with the process.  After a restart, the first client to ask for each popular
-``(n, k, m, ports)`` shape pays the full O(n·m) schedule construction
-again: a cold-cache latency cliff exactly when the service just proved
-it can crash.
+:func:`~repro.service.planner.plan_compact_json` fills, and the
+:mod:`repro.core.cache` layers underneath) — and those die with the
+process.  After a restart, the first client to ask for each popular
+``(n, k, m, ports)`` shape pays the full schedule construction again:
+a cold-cache latency cliff exactly when the service just proved it can
+crash.
 
 :class:`RequestJournal` removes the cliff.  The server appends one
-checksummed JSON line per *distinct* accepted plan request (the
-journal is a warm-cache seed, not an audit log — duplicates carry no
-information, so they are deduplicated in memory and never hit disk
-twice).  On restart, :meth:`replay` re-encodes every journaled request
-in the compact form every client asks for, repopulating the memo its
-answers read (without building a full-form template) before the socket
-accepts traffic, and reports how many entries it recovered — surfaced on the server's
+checksummed JSON line per accepted plan request that warms a memo
+entry no earlier line warms (the journal is a warm-cache seed, not an
+audit log).  The compact memo is keyed ``(n - |exclude|, m, ports)``,
+so requests that differ only in which positions they exclude, or in
+machine times, share an entry: only the first is written, and the rest
+are deduplicated in memory and never hit disk.  On restart,
+:meth:`replay` re-encodes every journaled request, repopulating the
+memo the server's answers read before the socket accepts traffic, and
+reports how many entries it recovered — surfaced on the server's
 ``health`` endpoint as ``recovered_entries``.
 
 Durability posture: lines carry the same CRC-32 convention as the
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Set, Tuple, Union
 
 from ..durable.journal import _encode_line, _line_crc
 from ..durable.metrics import DURABLE_METRICS
@@ -68,12 +70,14 @@ class RequestJournal:
         self._seen: Set[Tuple] = set()
 
     @staticmethod
-    def _key(request: PlanRequest) -> Tuple:
-        return (request.n, request.m, request.params, request.exclude)
+    def _key(request: PlanRequest) -> Tuple[int, int, int]:
+        """The compact memo key that replaying ``request`` warms."""
+        return (request.n - len(request.exclude), request.m, request.params.ports)
 
     # -- write path ----------------------------------------------------------
     def record(self, request: PlanRequest) -> bool:
-        """Append ``request`` if it is new; return whether it was written."""
+        """Append ``request`` if it warms a memo entry no journaled
+        request warms; return whether it was written."""
         key = self._key(request)
         if key in self._seen:
             return False

@@ -13,29 +13,24 @@ stands in for any chain, as in :func:`repro.core.cache`), and a
 request with excluded positions reuses the canonical schedule of its
 ``n - |exclude|`` survivors, relabelled onto their original positions.
 
-A plan travels in one of two forms.  The *full* form is
-:meth:`PlanResult.to_dict`, every node's row included, O(n) bytes.  The
-*compact* form is the paper's own: the NI keeps only the optimal-k
-table (§4.3.1), and the tree and its FPFS schedule follow from k and
-the contention-free chain (Fig. 11, Theorem 1).  It holds the scalar
-fields, the machine's ``ports`` and the ``excluded`` positions, no
-``"schedule"``, and :meth:`PlanResult.from_dict` expands it into the
-same :class:`PlanResult` with the same canonical tree, row memo and
-survivor relabelling that :func:`plan` uses.
-
 :func:`plan` returns a :class:`PlanResult` (the library API, and the
 oracle the tests hold the service to), built from memoized
-:class:`NodePlan` rows.  The plan service sends bytes:
-:func:`plan_json` writes the full form from a memoized wire template
-without building any rows, and :func:`plan_compact_json` the compact
-form from a memo of k and the schedule's shape alone.
-:func:`plan_json_warm` and :func:`plan_compact_json_warm` answer from
-their memos only, ``None`` instead of computing, which is how the plan
-service tells a warm key, answered on its event loop, from a cold one
-it batches.  Every memo registers in the :mod:`repro.core.cache`
+:class:`NodePlan` rows; :meth:`PlanResult.to_dict` writes it with every
+node's row, O(n) bytes.  The plan service sends the paper's own form
+instead: the NI keeps only the optimal-k table (§4.3.1), and the tree
+and its FPFS schedule follow from k and the contention-free chain
+(Fig. 11, Theorem 1).  :func:`plan_compact_json` writes it from a memo
+of k and the schedule's shape alone: the scalar fields, the machine's
+``ports`` and the ``excluded`` positions, no ``"schedule"``, about 150
+bytes at any n.  :meth:`PlanResult.from_dict` expands it into the same
+:class:`PlanResult` with the same canonical tree, row memo and survivor
+relabelling that :func:`plan` uses.  :func:`plan_compact_json_warm`
+answers from the memo only, ``None`` instead of computing, which is how
+the plan service tells a warm key, answered on its event loop, from a
+cold one it batches.  Both memos register in the :mod:`repro.core.cache`
 registry, so the hit rates are observable via
 :func:`~repro.core.cache.cache_stats` (``plan_schedule`` for the rows,
-``plan_wire`` for the templates, ``plan_shape`` for the compact form).
+``plan_shape`` for the compact form).
 
 The analytic half of a plan comes from the same memos as everywhere
 else: the Theorem-3 fan-out from :func:`~repro.core.optimal.optimal_k`
@@ -47,7 +42,6 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, register_cache
@@ -59,15 +53,12 @@ from ..params import PAPER_MACHINE, MachineParams
 
 __all__ = [
     "MAX_PLAN_WORK",
-    "CompactRequest",
     "NodePlan",
     "PlanRequest",
     "PlanResult",
     "plan",
     "plan_compact_json",
     "plan_compact_json_warm",
-    "plan_json",
-    "plan_json_warm",
     "plan_work",
 ]
 
@@ -77,11 +68,10 @@ __all__ = [
 #: malformed.  An exact FPFS schedule costs O(n·m) time and memory:
 #: ``n=64, m=100000`` took 0.75 s and 270 MiB.  On one port a plan
 #: reads only each node's first and last step, O(n), so at this bound
-#: a cold plan took (process time, one pinned vCPU of a 2-vCPU KVM
-#: guest, six runs) 0.003-0.005 s in the full form and 0.002-0.003 s
-#: in the compact form at 128 × 1024, and 0.94-1.53 s and 0.65-1.05 s
-#: at 131,072 × 1, where the tree build dominates; expanding that
-#: compact answer took 0.84-1.18 s.
+#: a cold compact answer took (process time, one pinned vCPU of a
+#: 2-vCPU KVM guest, six runs) 0.002-0.003 s at 128 × 1024, and
+#: 0.65-1.05 s at 131,072 × 1, where the tree build dominates;
+#: expanding that answer took 0.84-1.18 s.
 #: 1024 × 32 is the largest plan the repository's own tests, CI and
 #: benchmarks ask for.
 MAX_PLAN_WORK = 1 << 17
@@ -262,7 +252,8 @@ class PlanResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PlanResult":
-        """Parse either wire form back into a :class:`PlanResult`.
+        """Parse :meth:`to_dict`'s form, or the compact form the plan
+        service sends, back into a :class:`PlanResult`.
 
         A payload without ``"schedule"`` is the compact form: its rows
         are rebuilt from ``k`` and the surviving chain, as :func:`plan`
@@ -306,9 +297,9 @@ def _canonical(n: int, k: int, m: int, ports: int, build: Callable):
     ``ends`` maps each node to its first and last receive step of the
     exact FPFS schedule, all a plan reads of it: one port takes the
     O(n) :func:`~repro.core.pipeline.fpfs_first_last`, more ports the
-    ends of :func:`~repro.core.pipeline.fpfs_steps`, O(n·m).  Every
-    memo below is built from it, so they hold the same schedule in
-    three forms.
+    ends of :func:`~repro.core.pipeline.fpfs_steps`, O(n·m).  Both
+    memos below are built from it, so they hold the same schedule in
+    two forms.
     """
     tree = build(range(n), k)
     if ports == 1:
@@ -468,90 +459,30 @@ _schedule_rows = _LRUMemo(_rows_entry, maxsize=MAX_PLAN_WORK, weight=lambda entr
 register_cache("plan_schedule", _schedule_rows)
 
 
-def _wire_entry(
-    n: int, m: int, ports: int
-) -> Tuple[int, _Shape, bytes, Tuple[int, ...], Callable[[List[int]], Tuple[int, ...]]]:
-    """``(k, shape, template, ids, remap)``: the canonical schedule as a wire template.
-
-    The template is the ``"schedule"`` JSON array of :meth:`PlanResult.to_dict`
-    with a ``%d`` slot wherever a node id goes (``node``, ``parent``,
-    ``children``); ``ids`` gives the canonical position of each slot, in
-    order.  ``template % ids`` is the canonical schedule's bytes, and
-    filling the slots with the survivors' original positions instead
-    is the remapped schedule's: ``remap(survivors)`` is that tuple
-    (``operator.itemgetter(*ids)``, one C call for every slot).  It
-    holds no :class:`NodePlan` objects and takes about 0.6x the row
-    memo's memory for the same keys.
-
-    The entry carries ``k = optimal_k(n, m)``, so the memo is keyed on
-    ``(n, m, ports)`` alone and :func:`plan_json_warm` can look a plan
-    up without a Theorem-3 search.
-    """
-    k = optimal_k(n, m)
-    tree, ends, shape = _canonical(n, k, m, ports, cached_build_kbinomial_tree)
-    ids: List[int] = []
-    rows = []
-    for node in range(n):
-        children = tree.children(node)
-        if node == tree.root:
-            parent = b"null"
-            ids.append(node)
-        else:
-            parent = b"%d"
-            ids += (node, tree.parent(node))
-        ids += children
-        rows.append(
-            b'{"node":%%d,"parent":%s,"children":[%s],"child_first_send":[%s],'
-            b'"first_recv":%d,"last_recv":%d}'
-            % (
-                parent,
-                b",".join([b"%d"] * len(children)),
-                b",".join([b"%d" % ends[child][0] for child in children]),
-                *ends[node],
-            )
-        )
-    slots = tuple(ids)  # at least four (n >= 2), so the getter returns a tuple
-    return k, shape, b"[" + b",".join(rows) + b"]", slots, itemgetter(*slots)
-
-
-#: The wire memo :func:`plan_json` fills and :func:`plan_json_warm` reads.
-_schedule_wire = _LRUMemo(_wire_entry, maxsize=4096)
-register_cache("plan_wire", _schedule_wire)
-
-
 def _shape_entry(n: int, m: int, ports: int) -> Tuple[int, _Shape]:
     """``(k, shape)``: all a compact answer needs of the canonical schedule.
 
     §4.3.1's table entry, plus the tree's fan-outs and step counts.
     Computing it builds the canonical tree and its schedule's ends, but
-    no rows and no wire template.
+    no rows.
     """
     k = optimal_k(n, m)
     return k, _canonical(n, k, m, ports, cached_build_kbinomial_tree)[2]
 
 
-#: The compact memo :func:`plan_compact_json` and
-#: :func:`plan_compact_json_warm` read, keyed like the wire memo.
+#: The compact memo :func:`plan_compact_json` fills and
+#: :func:`plan_compact_json_warm` reads, keyed ``(n - |exclude|, m,
+#: ports)``: k is part of the entry, so a warm lookup needs no
+#: Theorem-3 search.
 _plan_shape = _LRUMemo(_shape_entry, maxsize=4096)
 register_cache("plan_shape", _plan_shape)
-
-
-class CompactRequest(NamedTuple):
-    """A :class:`PlanRequest` to be answered in the compact form.
-
-    The plan service's batcher single-flights on it and encodes it
-    with :func:`plan_compact_json`; a bare :class:`PlanRequest` is
-    answered in the full form.
-    """
-
-    request: PlanRequest
 
 
 def _fields(request: PlanRequest, k: int, shape: _Shape) -> dict:
     """The :class:`PlanResult` fields ahead of ``schedule``, in wire order.
 
-    :func:`plan` and both encoders build them here, so their k, ``t1``
-    and costs cannot drift apart.
+    :func:`plan` and :func:`plan_compact_json` build them here, so their
+    k, ``t1`` and costs cannot drift apart.
     """
     params = request.params
     return {
@@ -623,23 +554,6 @@ def _expand(payload: dict) -> Tuple[Tuple[NodePlan, ...], Tuple[int, ...]]:
     return _rows(request, k)[1], request.exclude
 
 
-def _fill(request: PlanRequest, entry) -> bytes:
-    """The full-form answer bytes of ``request`` from its wire memo entry."""
-    k, shape, template, ids, remap = entry
-    if request.exclude:
-        ids = remap(_survivors(request))
-    return b"".join(
-        (
-            json.dumps(_fields(request, k, shape), separators=(",", ":")).encode()[:-1],
-            b',"schedule":',
-            template % ids,
-            b',"excluded":[',
-            b",".join([b"%d" % position for position in request.exclude]),
-            b"]}",
-        )
-    )
-
-
 def _compact(request: PlanRequest, entry: Tuple[int, _Shape]) -> bytes:
     """The compact answer bytes of ``request`` from its compact memo entry."""
     fields = _fields(request, *entry)
@@ -648,36 +562,10 @@ def _compact(request: PlanRequest, entry: Tuple[int, _Shape]) -> bytes:
     return json.dumps(fields, separators=(",", ":")).encode()
 
 
-def plan_json(request: PlanRequest) -> bytes:
-    """``json.dumps(plan(request).to_dict(), separators=(",", ":"))``, encoded.
-
-    The plan service's full-form encoder.  It fills the memoized wire
-    template of the request's canonical schedule with the survivors'
-    positions, so it builds no :class:`NodePlan` rows and no
-    :class:`PlanResult`, and it never touches :func:`plan`'s row memo.
-    Thread-safe like :func:`plan`.
-    """
-    n_eff = request.n - len(request.exclude)
-    return _fill(request, _schedule_wire(n_eff, request.m, request.params.ports))
-
-
-def plan_json_warm(request: PlanRequest) -> Optional[bytes]:
-    """:func:`plan_json` if the request's canonical schedule is memoized, else ``None``.
-
-    Never computes: a miss costs one locked dict lookup, with no tree
-    build, no FPFS schedule and no Theorem-3 search, so the plan
-    service can try it on its event loop before handing a cold key to
-    the batcher.  A hit counts as a ``plan_wire`` cache hit.
-    """
-    n_eff = request.n - len(request.exclude)
-    entry = _schedule_wire.lookup(n_eff, request.m, request.params.ports)
-    return None if entry is None else _fill(request, entry)
-
-
 def plan_compact_json(request: PlanRequest) -> bytes:
     """The compact form of ``plan(request)``, JSON-encoded.
 
-    :func:`plan_json`'s object without ``"schedule"``, with
+    ``plan(request).to_dict()`` without ``"schedule"``, with
     ``"ports"`` ahead of ``"excluded"``: about 150 bytes at any n.
     :meth:`PlanResult.from_dict` expands it into ``plan(request)``.
     Filling it costs O(|exclude|); k and the shape come from the
@@ -691,8 +579,10 @@ def plan_compact_json(request: PlanRequest) -> bytes:
 def plan_compact_json_warm(request: PlanRequest) -> Optional[bytes]:
     """:func:`plan_compact_json` from the compact memo alone, else ``None``.
 
-    Never computes, like :func:`plan_json_warm`; a hit counts as a
-    ``plan_shape`` cache hit.
+    Never computes: a miss costs one locked dict lookup, with no tree
+    build, no FPFS schedule and no Theorem-3 search, so the plan
+    service can try it on its event loop before handing a cold key to
+    the batcher.  A hit counts as a ``plan_shape`` cache hit.
     """
     n_eff = request.n - len(request.exclude)
     entry = _plan_shape.lookup(n_eff, request.m, request.params.ports)

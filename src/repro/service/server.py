@@ -5,17 +5,18 @@ TCP.  Requests carry a ``type`` and an optional ``id`` the response
 echoes back (so clients may pipeline):
 
 * ``{"type": "plan", "id": 1, "n": 64, "m": 8, "params": {...}?,
-  "exclude": [3, 7]?, "form": "compact"?}`` →
-  ``{"id": 1, "ok": true, "result": <PlanResult.to_dict()>}`` — with
-  ``"form": "compact"`` the result is the compact form instead: the
-  same object without ``"schedule"``, with ``"ports"`` ahead of
-  ``"excluded"``, about 150 bytes at any n, which
-  :meth:`~repro.service.planner.PlanResult.from_dict` expands into the
-  same plan (:mod:`repro.service.planner`).  Any other form is a
-  ``bad_request``.
+  "exclude": [3, 7]?}`` →
+  ``{"id": 1, "ok": true, "result": <plan_compact_json(request)>}`` —
+  the paper's (k, chain) form of the plan: the object
+  :meth:`~repro.service.planner.PlanResult.to_dict` writes without its
+  ``"schedule"``, with ``"ports"`` ahead of ``"excluded"``, about 150
+  bytes at any n, which
+  :meth:`~repro.service.planner.PlanResult.from_dict` expands into
+  ``plan(request)`` (:mod:`repro.service.planner`).  A line may still
+  name ``"form": "compact"``, the only form there is; any other
+  ``"form"`` is a ``bad_request``.
 * ``{"type": "amend", "id": 2, "n": 64, "m": 8, "params": {...}?,
-  "exclude": [...]?, "delta": {"join": 2?, "leave": [5, 9]?},
-  "form": "compact"?}`` →
+  "exclude": [...]?, "delta": {"join": 2?, "leave": [5, 9]?}}`` →
   ``{"id": 2, "ok": true, "result": ..., "amended": {"n": ...,
   "m": ..., "exclude": [...]}}`` — live plan amendment: the delta is
   folded into an equivalent plan request
@@ -67,29 +68,23 @@ answer that would be longer is replaced by the non-retryable
 ``response_too_large`` error and the connection keeps serving.  Every
 answer begins ``{"id":<id>,``.
 
-Encoding: the server never builds a :class:`PlanResult` or calls
-``json.dumps`` on a plan.  A full-form ``"result"`` is the planner's
-memoized wire template of the canonical schedule, filled with the
-request's positions; a compact one is the scalar fields of a memo
-holding k and the schedule's shape (:mod:`repro.service.planner`).
-Every connection is a :class:`~repro.service.framing.LineProtocol`,
-whose read callback hands each received line to
-:meth:`PlanServer._answer_line`, which decodes it once and handles it
-to its answer without yielding: checks, admission, journal, then
-:func:`~repro.service.planner.plan_compact_json_warm` or
-:func:`~repro.service.planner.plan_json_warm`.  A plan already in its
-form's memo is filled right there: a compact one at any n, since its
-fill costs O(|exclude|), and a full one when at most
-:data:`INLINE_MAX_ROWS` rows long.  The answers of one received chunk
-go out in one write, and after
-:data:`~repro.service.framing.LINES_PER_CALLBACK` lines the callback
-hands the loop to the other connections before going on.  Only a cold
-key (or a larger full-form one) waits in the batcher, in a task of its
-own: the batcher's worker encodes each computation's ``"result"``
-once, and every waiter sharing the computation (single-flight
-followers, and amends that fold into the same plan) gets those bytes
-behind its own id.  Either way an amend's ``"amended"`` echo follows
-the result.
+Encoding: the server never builds a :class:`PlanResult` or a schedule
+row.  A ``"result"`` is the scalar fields of a memo holding k and the
+schedule's shape (:mod:`repro.service.planner`).  Every connection is
+a :class:`~repro.service.framing.LineProtocol`, whose read callback
+hands each received line to :meth:`PlanServer._answer_line`, which
+decodes it once and handles it to its answer without yielding: checks,
+admission, journal, then
+:func:`~repro.service.planner.plan_compact_json_warm`.  A plan already
+in the memo is filled right there, at any n, since its fill costs
+O(|exclude|).  The answers of one received chunk go out in one write,
+and after :data:`~repro.service.framing.LINES_PER_CALLBACK` lines the
+callback hands the loop to the other connections before going on.
+Only a cold key waits in the batcher, in a task of its own: the
+batcher's worker encodes each computation's ``"result"`` once, and
+every waiter sharing the computation (single-flight followers, and
+amends that fold into the same plan) gets those bytes behind its own
+id.  Either way an amend's ``"amended"`` echo follows the result.
 
 Request size: ``max_n`` bounds ``n``, and
 :data:`~repro.service.planner.MAX_PLAN_WORK` bounds the schedule work
@@ -132,26 +127,9 @@ from . import framing
 from .batching import PlanBatcher
 from .journal import RequestJournal
 from .metrics import ServiceMetrics
-from .planner import (
-    MAX_PLAN_WORK,
-    CompactRequest,
-    PlanRequest,
-    plan_compact_json_warm,
-    plan_json_warm,
-    plan_work,
-)
+from .planner import MAX_PLAN_WORK, PlanRequest, plan_compact_json_warm, plan_work
 
-__all__ = ["INLINE_MAX_ROWS", "PlanServer"]
-
-#: Largest warm full-form plan, in schedule rows (``n - |exclude|``),
-#: that the server answers in the connection's read callback.  Filling
-#: a memoized wire template costs about 0.2-0.3 µs per row and barely
-#: depends on ``m``, so a row bound (not a bound on ``rows × m``) is
-#: what keeps an inline answer short: at 1,024 rows it stays under a
-#: third of the 1 ms ``max_delay`` window it replaces.  Larger warm
-#: answers go through the batcher, whose executor thread leaves the
-#: loop free.  A compact answer has no rows, so it needs no bound.
-INLINE_MAX_ROWS = 1024
+__all__ = ["PlanServer"]
 
 
 class _BadRequest(ValueError):
@@ -184,14 +162,11 @@ def _check_size(request: PlanRequest, max_n: int, what: str) -> None:
         )
 
 
-def _compact_form(payload: dict) -> bool:
-    """Whether a plan or amend line asks for the compact answer form;
-    a line without ``"form"`` gets the full form."""
-    if "form" not in payload:
-        return False
-    if payload["form"] != "compact":
+def _check_form(payload: dict) -> None:
+    """Refuse a plan or amend line naming a ``"form"`` other than
+    ``"compact"``, the one answer form."""
+    if "form" in payload and payload["form"] != "compact":
         raise _BadRequest(f'form must be "compact" or absent, got {payload["form"]!r}')
-    return True
 
 
 def _parse_plan_request(payload: dict, max_n: int) -> PlanRequest:
@@ -668,9 +643,8 @@ class PlanServer:
 
         The checks run in this order: the epoch fence, an armed fault,
         parsing (form included) and size, admission, then the journal.
-        An admitted request already in its form's memo is answered here
-        (a full-form one only up to :data:`INLINE_MAX_ROWS` rows); any
-        other waits in the batcher.
+        An admitted request already in the compact memo is answered
+        here; any other waits in the batcher.
         """
         fenced = self._fence_epoch(payload, request_id)
         if fenced is not None:
@@ -682,7 +656,7 @@ class PlanServer:
                 self._fault_mode = None
             return self._injected_fault(code, request_id)
         echo = None
-        compact = _compact_form(payload)
+        _check_form(payload)
         if kind == "plan":
             request = _parse_plan_request(payload, self.max_n)
         else:
@@ -711,12 +685,7 @@ class PlanServer:
             # server actually plans are worth replaying at restart.
             self.journal.record(request)
         started = time.monotonic()
-        if compact:
-            result = plan_compact_json_warm(request)
-        elif request.n - len(request.exclude) <= INLINE_MAX_ROWS:
-            result = plan_json_warm(request)
-        else:
-            result = None
+        result = plan_compact_json_warm(request)
         if result is not None:
             self.metrics.memo_hits.inc()
             self._observe_plan(started)
@@ -724,15 +693,10 @@ class PlanServer:
         # The slot is taken now, not when the task first runs, so the
         # rest of a pipelined burst sees it at admission.
         self._active_plans += 1
-        job = CompactRequest(request) if compact else request
-        return self._submit_plan(job, request_id, echo, started)
+        return self._submit_plan(request, request_id, echo, started)
 
     async def _submit_plan(
-        self,
-        request: Union[PlanRequest, CompactRequest],
-        request_id,
-        echo: Optional[dict],
-        started: float,
+        self, request: PlanRequest, request_id, echo: Optional[dict], started: float
     ) -> Union[bytes, dict]:
         """Wait in the batcher for a cold plan; release its admission slot."""
         try:

@@ -32,6 +32,8 @@ from repro.service import (
     plan,
 )
 
+from ..service.helpers import compact_result
+
 pytestmark = pytest.mark.service
 
 
@@ -116,9 +118,9 @@ class TestRouterForwarding:
 
     def test_only_the_params_a_client_sent_travel_on(self, monkeypatch):
         """A request without ``params`` is forwarded without them, so
-        no shard parses the paper machine's; sent ones travel on.  So
-        does ``form``: a client's compact form reaches the shard, and a
-        line without one is answered in the full form."""
+        no shard parses the paper machine's; sent ones travel on.  No
+        ``form`` does: clients send none, the router drops a client's
+        ``"compact"``, and every answer is the compact form."""
         from repro.params import MachineParams
         from repro.service import server as server_module
 
@@ -132,13 +134,13 @@ class TestRouterForwarding:
         monkeypatch.setattr(MachineParams, "from_dict", classmethod(counted))
         params = MachineParams(t_s=1.0, t_r=2.0, t_step=1.0, t_sq=0.5, ports=2)
         forms = []  # the form of each plan or amend a shard received
-        compact_form = server_module._compact_form
+        check_form = server_module._check_form
 
         def recorded(payload):
             forms.append(payload.get("form"))
-            return compact_form(payload)
+            return check_form(payload)
 
-        monkeypatch.setattr(server_module, "_compact_form", recorded)
+        monkeypatch.setattr(server_module, "_check_form", recorded)
 
         async def body():
             servers, router = await started_cluster(2, hot_threshold=0)
@@ -150,13 +152,15 @@ class TestRouterForwarding:
                     await client.plan(32, 4, params),
                     await client.amend(32, 4, params, join=1),
                 ]
-                full = json.loads(await client.request_raw({"type": "plan", "n": 32, "m": 4}))
+                named = json.loads(
+                    await client.request_raw({"type": "plan", "n": 32, "m": 4, "form": "compact"})
+                )
             await stop_cluster(servers, router)
-            return plain, plain_parsed, custom, full
+            return plain, plain_parsed, custom, named
 
-        plain, plain_parsed, custom, full = run(body())
-        assert forms == ["compact"] * 4 + [None]
-        assert full["result"] == plan(PlanRequest(n=32, m=4)).to_dict()
+        plain, plain_parsed, custom, named = run(body())
+        assert forms == [None] * 5
+        assert named["result"] == compact_result(PlanRequest(n=32, m=4))
         assert plain == [plan(PlanRequest(n=32, m=4)), plan(PlanRequest(n=33, m=4))]
         assert plain_parsed == []
         assert custom == [
@@ -405,12 +409,11 @@ class TestFailover:
         assert counts[1 - owner] == 1  # exactly the warm request
 
     def test_a_warmed_compact_key_is_a_memo_hit_after_failover(self):
-        """The replica's warm request asks for the compact form, so once
+        """The replica's warm request fills the compact memo, so once
         the primary dies the hot key is answered on the replica's read
-        loop: a memo hit, no batcher submit, and no full-form template
-        built anywhere."""
+        loop: a memo hit, no batcher submit, and one memo entry in all."""
         from repro.core import clear_caches
-        from repro.service.planner import _plan_shape, _schedule_wire
+        from repro.service.planner import _plan_shape
 
         async def body():
             clear_caches()
@@ -430,7 +433,7 @@ class TestFailover:
             before = replica.metrics.snapshot()["counters"]
             result = await client.plan(64, 8, exclude=(5,))
             after = replica.metrics.snapshot()["counters"]
-            memos = _plan_shape.cache_info().currsize, _schedule_wire.cache_info().currsize
+            memos = _plan_shape.cache_info().currsize
             failovers = router.failovers.value
             await client.close()
             await stop_cluster(servers, router)
@@ -443,7 +446,7 @@ class TestFailover:
         assert after["plans"] - before["plans"] == 1
         assert after["memo_hits"] - before["memo_hits"] == 1
         assert after["planned"] == before["planned"]
-        assert memos == (1, 0)
+        assert memos == 1
 
 
 class TestClusterExposition:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import (
@@ -10,8 +12,11 @@ from repro.core import (
     check_covers,
     check_fanout_cap,
     check_kbinomial_depth,
+    clear_caches,
     coverage,
     min_k_binomial,
+    optimal_k_exact,
+    render_tree,
     root_fanout,
     steps_needed,
 )
@@ -168,3 +173,68 @@ class TestRootFanout:
         for n in range(2, 80):
             for k in range(1, 8):
                 assert root_fanout(n, k) <= k
+
+
+def recursive_kbinomial_tree(chain, k):
+    """The Fig. 11 builder as first written, one recursion per tree
+    level: the reference the iterative builder must equal."""
+    from repro.core import MulticastTree
+
+    def cover(tree, segment):
+        root, rest = segment[0], segment[1:]
+        if not rest:
+            return
+        s = steps_needed(len(segment), k)
+        for i in range(1, k + 1):
+            if not rest:
+                break
+            take = min(coverage(s - i, k), len(rest))
+            child, rest = rest[len(rest) - take :], rest[: len(rest) - take]
+            tree.add_child(root, child[0])
+            cover(tree, child)
+
+    tree = MulticastTree(chain[0])
+    cover(tree, list(chain))
+    return tree
+
+
+def insertion_order(tree):
+    """Every node with its parent and children, in the order the builder
+    added them."""
+    return [(node, tree._parent.get(node), tree.children(node)) for node in tree._children]
+
+
+class TestNoRecursionDepth:
+    """No build, search or drawing nests one call per tree level, so a
+    chain (k = 1) over thousands of nodes works."""
+
+    def test_iterative_builder_equals_the_recursive_one(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 3000))  # the reference nests n calls at k = 1
+        try:
+            for n in [*range(1, 300), 511, 512, 513, 900]:
+                chain = list(range(n))
+                for k in range(1, 12):
+                    built = build_kbinomial_tree(chain, k)
+                    assert insertion_order(built) == insertion_order(
+                        recursive_kbinomial_tree(chain, k)
+                    ), (n, k)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_a_5000_node_chain_builds(self):
+        tree = build_kbinomial_tree(range(5000), 1)
+        assert tree.children(4998) == (4999,)
+        assert tree.max_fanout == 1 and len(tree) == 5000
+
+    def test_chain_coverage_and_steps_are_closed_form(self):
+        clear_caches()
+        assert coverage(5000, 1) == 5001  # cold: the recurrence would nest 5000 calls
+        assert steps_needed(100_000, 1) == 99_999
+        assert [coverage(s, 1) for s in range(6)] == [1, 2, 3, 4, 5, 6]
+
+    def test_exact_search_and_drawing_of_a_long_chain(self):
+        assert optimal_k_exact(1100, 1) >= 1
+        lines = render_tree(build_kbinomial_tree(range(1200), 1), show_steps=False).splitlines()
+        assert len(lines) == 1200
+        assert lines[-1] == " " * 3 * 1198 + "└─ 1199"

@@ -9,9 +9,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.service import PlanBatcher, PlanRequest, ServiceMetrics, plan
+from repro.service import PlanBatcher, PlanRequest, ServiceMetrics
 from repro.service.batching import plan_chunk
-from repro.service.planner import plan_json
+from repro.service.planner import plan_compact_json
+
+from .helpers import compact_result
 
 
 class CountingExecutor(ThreadPoolExecutor):
@@ -33,7 +35,7 @@ def run(coro):
 
 def oracle(request: PlanRequest) -> bytes:
     """The encoded result the batcher must hand back for ``request``."""
-    return json.dumps(plan(request).to_dict(), separators=(",", ":")).encode()
+    return json.dumps(compact_result(request), separators=(",", ":")).encode()
 
 
 class TestSingleFlight:
@@ -118,14 +120,14 @@ class TestBatching:
 
 class TestFailureAndLifecycle:
     def test_plan_errors_reach_only_their_waiter(self, monkeypatch):
-        real_plan_json = plan_json
+        real_plan_compact_json = plan_compact_json
 
         def exploding(request):
             if request.n == 13:
                 raise RuntimeError("boom")
-            return real_plan_json(request)
+            return real_plan_compact_json(request)
 
-        monkeypatch.setattr("repro.service.batching.plan_json", exploding)
+        monkeypatch.setattr("repro.service.batching.plan_compact_json", exploding)
 
         async def body():
             batcher = PlanBatcher(max_delay=0.005)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter, ShardSpec
 from repro.service import PlanClient, PlanRequest, PlanServer, PlanServiceError, framing, plan
-from repro.service.client import _plan_result
 from repro.service.framing import encode_id, leading_id
 from repro.service.planner import MAX_PLAN_WORK
 
@@ -52,42 +51,51 @@ async def stop_cluster(shards, router):
         await shard.shutdown()
 
 
-async def full_form_plan(client, n, m, timeout=5):
-    """``client.plan(n, m)`` asked without ``form``: the full form's
-    O(n) answer, where the compact one a client asks for is ~150 bytes."""
-    line = await client.request_raw({"type": "plan", "n": n, "m": m}, timeout=timeout)
-    return _plan_result(json.loads(line))
+#: A plan whose answer is still large: the compact form echoes the
+#: excluded positions, here a 79 KB answer, over a 64 KiB line.
+LARGE = PlanRequest(n=20000, m=1, exclude=tuple(range(1, 15001)))
+
+
+async def large_plan(client):
+    return await client.plan(LARGE.n, LARGE.m, exclude=LARGE.exclude, timeout=30)
+
+
+async def long_amend(client):
+    """An amend whose answer lists its 500 leaving positions twice, in
+    the result's ``excluded`` and in the ``"amended"`` echo: about 5 KB
+    answering a 3 KB request line."""
+    return await client.amend(2000, 1, leave=range(1000, 1500), timeout=5)
 
 
 class TestFrameLimit:
     def test_large_plan_then_small_on_one_connection(self):
-        """A ~100 KB answer used to exceed the client's 64 KiB line limit."""
+        """A 79 KB answer would exceed the client's old 64 KiB line limit."""
 
         async def body():
             server = PlanServer(port=0)
             await server.start()
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
-                large = await full_form_plan(client, 1024, 32, timeout=30)
+                large = await large_plan(client)
                 small = await client.plan(8, 2, timeout=5)
             await server.shutdown()
             return large, small
 
         large, small = run(body())
-        assert large == plan(PlanRequest(n=1024, m=32))
+        assert large == plan(LARGE)
         assert small == plan(PlanRequest(n=8, m=2))
 
     def test_large_plan_then_small_through_the_router(self):
         async def body():
             shards, router = await started_cluster()
             async with await PlanClient.connect("127.0.0.1", router.port) as client:
-                large = await full_form_plan(client, 1024, 32, timeout=30)
+                large = await large_plan(client)
                 small = await client.plan(8, 2, timeout=5)
             errors = router.errors.value
             await stop_cluster(shards, router)
             return large, small, errors
 
         large, small, errors = run(body())
-        assert large == plan(PlanRequest(n=1024, m=32))
+        assert large == plan(LARGE)
         assert small == plan(PlanRequest(n=8, m=2))
         assert errors == 0
 
@@ -99,7 +107,7 @@ class TestFrameLimit:
             await server.start()
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
                 with pytest.raises(PlanServiceError) as info:
-                    await full_form_plan(client, 64, 8)  # about 7 KB
+                    await long_amend(client)
                 small = await client.plan(8, 2, timeout=5)
                 alive = client.alive
             errors = server.metrics.errors.value
@@ -120,12 +128,13 @@ class TestFrameLimit:
             shards, router = await started_cluster()
             async with await PlanClient.connect("127.0.0.1", router.port) as client:
                 with pytest.raises(PlanServiceError) as info:
-                    await full_form_plan(client, 64, 8)
+                    await long_amend(client)
                 small = await client.plan(8, 2, timeout=5)
             # The shard's answer fits, but the router's, carrying a
-            # long client id, would not: the router's own check.
+            # long client id, would not: the router's own check.  The
+            # request line is about 4,020 bytes, the answer 4,175.
             reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
-            rid = "x" * 3500
+            rid = "x" * 3980
             writer.write(json.dumps({"type": "plan", "id": rid, "n": 8, "m": 2}).encode() + b"\n")
             relayed = json.loads(await reader.readline())
             writer.write(b'{"type": "ping", "id": 2}\n')
@@ -146,8 +155,9 @@ class TestFrameLimit:
 
     @pytest.mark.parametrize("via", ["server", "router"])
     def test_compact_answers_fit_a_small_limit_at_any_n(self, monkeypatch, via):
-        """A client's plan travels compact: 1024 x 32 fits where the
-        full form's ~100 KB, and 64 x 8's ~7 KB, do not."""
+        """A plan travels compact: 1024 x 32 and its amend fit a 4 KiB
+        line, which only an answer echoing kilobytes of excluded
+        positions outgrows."""
         monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 4096)
 
         async def body():
@@ -162,7 +172,7 @@ class TestFrameLimit:
                 large = await client.plan(1024, 32, timeout=30)
                 amended = await client.amend(1024, 32, leave=[5, 700], timeout=30)
                 with pytest.raises(PlanServiceError) as info:
-                    await full_form_plan(client, 1024, 32)
+                    await long_amend(client)
             errors = sum(shard.metrics.errors.value for shard in shards)
             if router is None:
                 await shards[0].shutdown()

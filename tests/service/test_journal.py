@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import random
 import time
 
 import pytest
@@ -13,7 +14,6 @@ from repro.service import PlanClient, PlanRequest, PlanServer, RequestJournal
 from repro.service.planner import (
     MAX_PLAN_WORK,
     _plan_shape,
-    _schedule_wire,
     plan_compact_json,
     plan_work,
 )
@@ -69,14 +69,11 @@ class TestRequestJournal:
         journal.record(PlanRequest(n=24, m=3))
 
         _plan_shape.cache_clear()
-        _schedule_wire.cache_clear()
         fresh = RequestJournal(path)
         assert fresh.replay() == 2
         assert fresh.recovered_entries == 2
-        # The memo a client's compact answer reads is hot before any
-        # request, and no full-form template was built.
+        # The memo the server's answers read is hot before any request.
         assert _plan_shape.cache_info().currsize == 2
-        assert _schedule_wire.cache_info().currsize == 0
 
         _plan_shape.cache_clear()
 
@@ -119,6 +116,52 @@ class TestRequestJournal:
         assert time.perf_counter() - started < 5.0
         assert fresh.skipped_entries == 1
         assert [r.n for r in encoded] == [24, 66]
+
+    def test_requests_sharing_a_memo_entry_append_once(self, tmp_path):
+        """Replay warms the compact memo, keyed ``(n - |exclude|, m,
+        ports)``, so a request that warms no new entry is not written."""
+        path = tmp_path / "req.journal"
+        journal = RequestJournal(path)
+        assert journal.record(PlanRequest(n=64, m=8)) is True
+        assert journal.record(PlanRequest(n=65, m=8, exclude=(3,))) is False
+        assert journal.record(PlanRequest(n=66, m=8, exclude=(9, 40))) is False
+        assert journal.record(PlanRequest(n=64, m=8, params=MachineParams(t_s=2.0))) is False
+        assert journal.record(PlanRequest(n=64, m=8, params=MachineParams(ports=2))) is True
+        assert journal.record(PlanRequest(n=64, m=9)) is True
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_a_routed_stream_journals_one_line_per_memo_key(self, tmp_path):
+        """A stream like the ``plan_routed`` benchmark's: 2,000 mostly
+        unique plans (n 128-512, m 8-32, 0-3 random exclusions) and the
+        60-key warm set.  The journal holds at most one line per memo
+        key, and replaying it fills the same memo entries as replaying
+        every request."""
+        rng = random.Random(0)
+        sizes = [(n, m) for n in (128, 192, 256, 384, 512) for m in (8, 16, 32)]
+        warm = [
+            PlanRequest(n=n, m=m, exclude=tuple(range(1, e + 1))) for n, m in sizes for e in range(4)
+        ]
+        stream = []
+        while len(stream) < 2000:
+            for n, m in rng.sample(sizes, len(sizes)):
+                exclude = rng.sample(range(1, n), rng.randint(0, 3))
+                stream.append(PlanRequest(n=n, m=m, exclude=tuple(exclude)))
+        requests = warm + stream[:2000]
+        path = tmp_path / "req.journal"
+        journal = RequestJournal(path)
+        for request in requests:
+            journal.record(request)
+        keys = {(r.n - len(r.exclude), r.m, r.params.ports) for r in requests}
+        assert len(keys) == 60
+        assert len(path.read_text().splitlines()) <= len(keys)
+
+        _plan_shape.cache_clear()
+        for request in requests:
+            plan_compact_json(request)
+        every = set(_plan_shape._entries)
+        _plan_shape.cache_clear()
+        RequestJournal(path).replay()
+        assert set(_plan_shape._entries) == every == keys
 
     def test_replay_marks_entries_seen(self, tmp_path):
         path = tmp_path / "req.journal"

@@ -2,12 +2,12 @@
 
 Each example writes 1-40 request lines back to back on one connection,
 then a ``ping``, and reads every answer.  The lines mix warm plans (keys
-planned in both answer forms just before the burst), cold plans,
-duplicates of earlier keys, amends (some naming the source), plans over
-``max_n`` and over :data:`~repro.service.planner.MAX_PLAN_WORK`, a
-stale epoch after a ``configure``, non-JSON garbage, a JSON non-object
-and blank lines; each plan and amend asks for the compact answer form
-or names none, which gets the full form.
+planned just before the burst), cold plans, duplicates of earlier keys,
+amends (some naming the source), plans over ``max_n`` and over
+:data:`~repro.service.planner.MAX_PLAN_WORK`, a stale epoch after a
+``configure``, non-JSON garbage, a JSON non-object and blank lines;
+each plan and amend names ``"form": "compact"`` or no form, which are
+the same request.
 A warm plan is answered on the server's read loop and a cold one in the
 batcher, so one burst's answers come back in an order the example does
 not fix.  Whatever the order:
@@ -15,8 +15,8 @@ not fix.  Whatever the order:
 * each id gets exactly one answer, each garbage line one with a null
   id, and a blank line none;
 * an ok answer is byte-equal to the line built from in-process
-  ``plan()`` (a compact one without the schedule, with the machine's
-  ports), an amend's with its ``"amended"`` echo;
+  ``plan()`` (without the schedule, with the machine's ports), an
+  amend's with its ``"amended"`` echo;
 * an error answer carries its typed code;
 * the final ``ping`` is answered;
 * over the burst, ``plans == memo_hits + planned + singleflight_hits``;
@@ -25,6 +25,9 @@ not fix.  Whatever the order:
 The same holds through a :class:`ClusterRouter` for the plan, amend,
 oversize and garbage lines (a router takes no ``configure``): its ok
 answers name the owning shard, and the shards' counters reconcile.
+A third property pipelines twin lines, each plan or amend once with no
+form and once naming ``"compact"`` under the same id, and checks that
+both get the same bytes, from the server and through the router.
 
 The servers run on an event loop in a background thread for the whole
 module, and each example talks to them over a plain blocking socket.
@@ -47,7 +50,7 @@ from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.core import clear_caches
 from repro.membership.amend import amended_request
 from repro.params import MachineParams
-from repro.service import PlanRequest, PlanServer, plan
+from repro.service import PlanRequest, PlanServer
 from repro.service.planner import MAX_PLAN_WORK
 
 from .helpers import compact_result
@@ -120,7 +123,7 @@ def cold_keys(draw):
     return n, m, tuple(sorted(exclude))
 
 
-#: What a plan or amend line adds to ask for its answer form.
+#: What a plan or amend line may add: the one answer form, or nothing.
 forms = st.sampled_from([{}, {"form": "compact"}])
 
 
@@ -199,9 +202,7 @@ def expectation(services: Services, kind: str, payload: dict, routed: bool):
         return kind
     if routed:
         extra = {"shard": owner(services, request)}
-    compact = payload.get("form") == "compact"
-    result = compact_result(request) if compact else plan(request).to_dict()
-    return line({"id": payload["id"], "ok": True, "result": result, **extra})
+    return line({"id": payload["id"], "ok": True, "result": compact_result(request), **extra})
 
 
 def counters(servers) -> collections.Counter:
@@ -220,10 +221,9 @@ def run_burst(services: Services, burst, routed: bool) -> None:
     answers = sock.makefile("rb")
     try:
         for rid, (n, m, exclude) in enumerate(WARM):
-            for form in ({}, {"form": "compact"}):
-                payload = {"type": "plan", "id": rid, "n": n, "m": m, "exclude": list(exclude)}
-                sock.sendall(json.dumps(dict(payload, **form)).encode() + b"\n")
-                assert json.loads(answers.readline())["ok"] is True
+            payload = {"type": "plan", "id": rid, "n": n, "m": m, "exclude": list(exclude)}
+            sock.sendall(json.dumps(payload).encode() + b"\n")
+            assert json.loads(answers.readline())["ok"] is True
 
         raw, expected, garbage = [], {}, 0
         epoch = services.single.ring_epoch
@@ -295,3 +295,40 @@ def test_pipelined_server_answers_every_line(services, burst):
 @given(burst=bursts(routed=True))
 def test_pipelined_router_answers_every_line(services, burst):
     run_burst(services, burst, routed=True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    data=st.data(),
+    keys=st.lists(st.sampled_from(WARM) | cold_keys(), min_size=1, max_size=8),
+    routed=st.booleans(),
+)
+def test_form_less_and_compact_twins_get_the_same_bytes(services, data, keys, routed):
+    """Each plan or amend goes out twice under one id, back to back in
+    one pipelined burst: once naming no form and once naming
+    ``"compact"``, in a drawn order.  Both twins get the one answer
+    line in-process ``plan()`` gives, whether the pair met cold (in the
+    batcher) or warm (on the read loop)."""
+    port = services.cluster.port if routed else services.single.port
+    clear_caches()
+    raw, expected = [], collections.Counter()
+    for rid, (n, m, exclude) in enumerate(keys):
+        payload = {"type": "plan", "id": rid, "n": n, "m": m, "exclude": list(exclude)}
+        kind = "plan"
+        if data.draw(st.booleans()):
+            payload.update(type="amend", delta={"join": 1, "leave": []})
+            kind = "amend"
+        twins = [payload, dict(payload, form="compact")]
+        if data.draw(st.booleans()):
+            twins.reverse()
+        raw += [json.dumps(twin).encode() for twin in twins]
+        expected[expectation(services, kind, payload, routed)] += 2
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    answers = sock.makefile("rb")
+    try:
+        sock.sendall(b"\n".join(raw) + b"\n")
+        got = collections.Counter(answers.readline() for _ in raw)
+    finally:
+        answers.close()
+        sock.close()
+    assert got == expected

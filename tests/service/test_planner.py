@@ -27,11 +27,8 @@ from repro.service.planner import (
     MAX_PLAN_WORK,
     _LRUMemo,
     _plan_shape,
-    _schedule_wire,
     plan_compact_json,
     plan_compact_json_warm,
-    plan_json,
-    plan_json_warm,
 )
 
 from .helpers import compact_result
@@ -125,21 +122,16 @@ class TestWireFormat:
 
     @settings(max_examples=60, deadline=None)
     @given(request=plan_requests())
-    def test_encoder_writes_the_oracle_bytes(self, request):
-        """The service's encoder is ``plan()`` + ``to_dict`` + ``json.dumps``."""
-        oracle = json.dumps(plan(request).to_dict(), separators=(",", ":")).encode()
-        assert plan_json(request) == oracle
-
-    @settings(max_examples=60, deadline=None)
-    @given(request=plan_requests())
     def test_decoder_rebuilds_the_oracle(self, request):
-        """A decoded answer equals ``plan()`` and hashes the same; every
-        row equals the one its fields make through ``NodePlan.__init__``."""
+        """A decoded ``to_dict`` equals ``plan()`` and hashes the same;
+        every row equals the one its fields make through
+        ``NodePlan.__init__``."""
         oracle = plan(request)
-        decoded = PlanResult.from_dict(json.loads(plan_json(request)))
+        encoded = json.dumps(oracle.to_dict(), separators=(",", ":"))
+        decoded = PlanResult.from_dict(json.loads(encoded))
         assert decoded == oracle
         assert hash(decoded) == hash(oracle)
-        for row, fields in zip(decoded.schedule, json.loads(plan_json(request))["schedule"]):
+        for row, fields in zip(decoded.schedule, json.loads(encoded)["schedule"]):
             fields["children"] = tuple(fields["children"])
             fields["child_first_send"] = tuple(fields["child_first_send"])
             built = NodePlan(**fields)
@@ -189,14 +181,12 @@ class TestCompactForm:
     def test_warm_lookup_reads_the_compact_memo_only(self):
         request = PlanRequest(n=512, m=32, exclude=(3, 7, 9))
         _plan_shape.cache_clear()
-        _schedule_wire.cache_clear()
         assert plan_compact_json_warm(request) is None
         assert _plan_shape.cache_info().currsize == 0
         encoded = plan_compact_json(request)
         assert plan_compact_json_warm(request) == encoded
-        # A compact answer never builds the full form's wire template.
-        assert _schedule_wire.cache_info().currsize == 0
-        assert plan_json_warm(request) is None
+        # The compact memo is the service's only answer memo.
+        assert "plan_wire" not in cache_stats()
 
     @pytest.mark.parametrize(
         "change, fragment",
@@ -252,12 +242,12 @@ class TestWireMemo:
     @settings(max_examples=30, deadline=None)
     @given(request=plan_requests())
     def test_warm_lookup_answers_only_from_the_memo(self, request):
-        _schedule_wire.cache_clear()
-        assert plan_json_warm(request) is None
-        assert _schedule_wire.cache_info().currsize == 0  # the miss computed nothing
-        encoded = plan_json(request)
-        assert plan_json_warm(request) == encoded
-        info = _schedule_wire.cache_info()
+        _plan_shape.cache_clear()
+        assert plan_compact_json_warm(request) is None
+        assert _plan_shape.cache_info().currsize == 0  # the miss computed nothing
+        encoded = plan_compact_json(request)
+        assert plan_compact_json_warm(request) == encoded
+        info = _plan_shape.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_bounded_lru_with_lookup_hits(self):
@@ -277,7 +267,7 @@ class TestWireMemo:
         assert tuple(memo.cache_info()) == (3, 4, 3, 3)  # hits, misses, maxsize, size
         memo.cache_clear()
         assert tuple(memo.cache_info()) == (0, 0, 3, 0)
-        assert _schedule_wire.cache_info().maxsize == 4096
+        assert _plan_shape.cache_info().maxsize == 4096
 
     def test_weighted_bound_evicts_by_total_weight(self):
         """With a ``weight``, ``maxsize`` bounds the stored entries' total

@@ -5,13 +5,13 @@ waiter behind its own id, and the cluster router relays a shard's bytes
 with only the id swapped.  These properties pin what that must not
 change: every line the server writes and every line the router relays
 is ``json.dumps(answer, separators=(",", ":")) + "\\n"`` of the answer
-object the service has always built, for any id, for ``plan`` and
-``amend``; a compact line's result is that object without its
-schedule, with the machine's ports, and expands into ``plan()``; error
-answers keep their codes, a form other than ``"compact"`` is a
-``bad_request``, and injected transient errors still fail over; N
-concurrent waiters on one computation cost one encode (one
-``plan_json`` call); and serving builds no
+object, for any id, for ``plan`` and ``amend``; its result is
+``plan()``'s ``to_dict`` without the schedule, with the machine's
+ports, and expands into ``plan()``; a line naming ``"form": "compact"``
+gets the same bytes as one naming no form; error answers keep their
+codes, any other form is a ``bad_request``, and injected transient
+errors still fail over; N concurrent waiters on one computation cost
+one encode (one ``plan_compact_json`` call); and serving builds no
 ``NodePlan`` rows, calls no ``PlanResult.to_dict`` and leaves
 ``plan()``'s row memo empty.
 
@@ -74,7 +74,7 @@ def amend_deltas(draw, key):
 
 
 def line(answer: dict) -> bytes:
-    """The answer line as the seed encoder wrote it."""
+    """The answer line, as ``json.dumps`` writes it."""
     return (json.dumps(answer, separators=(",", ":")) + "\n").encode()
 
 
@@ -177,7 +177,7 @@ def amend_payload(rid, n, m, exclude, join, leave) -> dict:
 def test_plan_lines_are_the_seed_bytes(services, key, rid):
     n, m, exclude = key
     payload = plan_payload(rid, n, m, exclude)
-    result = plan(PlanRequest(n=n, m=m, exclude=exclude)).to_dict()
+    result = compact_result(PlanRequest(n=n, m=m, exclude=exclude))
     assert services.server.ask(payload) == line({"id": rid, "ok": True, "result": result})
     shard = services.chain(n, m)[0]
     assert services.router.ask(payload) == line(
@@ -192,7 +192,7 @@ def test_amend_lines_are_the_seed_bytes(services, data, key, rid):
     join, leave = data.draw(amend_deltas(key))
     payload = amend_payload(rid, n, m, exclude, join, leave)
     folded = tuple(sorted(set(exclude) | set(leave)))
-    result = plan(PlanRequest(n=n + join, m=m, exclude=folded)).to_dict()
+    result = compact_result(PlanRequest(n=n + join, m=m, exclude=folded))
     amended = {"n": n + join, "m": m, "exclude": list(folded)}
     assert services.server.ask(payload) == line(
         {"id": rid, "ok": True, "result": result, "amended": amended}
@@ -216,15 +216,30 @@ def test_compact_lines_expand_to_the_plan(services, data, key, rid):
         (plan_payload(rid, n, m, exclude), request, {}),
         (amend_payload(rid, n, m, exclude, join, leave), folded, {"amended": echo}),
     ):
-        full = plan(want).to_dict()
-        assert services.server.ask(payload) == line(
-            {"id": rid, "ok": True, "result": full, **extra}
-        )
         shard = services.chain(want.n, m)[0]
         for hop, extra in ((services.server, extra), (services.router, {"shard": shard})):
             raw = hop.ask(dict(payload, form="compact"))
             assert raw == line({"id": rid, "ok": True, "result": compact_result(want), **extra})
             assert PlanResult.from_dict(json.loads(raw)["result"]) == plan(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), key=plan_keys(), rid=IDS, compact_first=st.booleans())
+def test_form_less_and_compact_lines_get_the_same_bytes(services, data, key, rid, compact_first):
+    """A line naming no form and one naming ``"form": "compact"`` are
+    answered byte for byte alike, cold or warm, by the server and
+    through the router."""
+    n, m, exclude = key
+    join, leave = data.draw(amend_deltas(key))
+    clear_caches()  # the first of each pair is cold
+    for payload in (plan_payload(rid, n, m, exclude), amend_payload(rid, n, m, exclude, join, leave)):
+        for hop in (services.server, services.router):
+            pair = [payload, dict(payload, form="compact")]
+            if compact_first:
+                pair.reverse()
+            first, second = map(hop.ask, pair)
+            assert first == second
+            assert json.loads(first)["ok"] is True
 
 
 @settings(max_examples=10, deadline=None)
@@ -295,7 +310,7 @@ def test_injected_transient_errors_fail_over(services, key, rid, code):
     primary, replica = services.chain(n, m)
     failovers = services.cluster.failovers.value
     services.inject(services.shards[primary], code)
-    result = plan(PlanRequest(n=n, m=m, exclude=exclude)).to_dict()
+    result = compact_result(PlanRequest(n=n, m=m, exclude=exclude))
     assert services.router.ask(payload) == line(
         {"id": rid, "ok": True, "result": result, "shard": replica}
     )
@@ -323,26 +338,26 @@ def test_concurrent_waiters_share_one_encode(services, key, waiters, via, amends
             return await asyncio.gather(*(client.request_raw(p, timeout=30) for p in payloads))
 
     encodes = []
-    plan_json = batching.plan_json
+    plan_compact_json = batching.plan_compact_json
 
     def counted(request):
         encodes.append(request)
-        return plan_json(request)
+        return plan_compact_json(request)
 
     # An earlier example may have planned this key, and a warm key is
     # answered on the read loop without a computation to share.
     clear_caches()
     planned = services.planned()
-    batching.plan_json = counted
+    batching.plan_compact_json = counted
     try:
         lines = asyncio.run(burst())
     finally:
-        batching.plan_json = plan_json
+        batching.plan_compact_json = plan_compact_json
     computations = services.planned() - planned
     assert computations >= 1
     assert len(encodes) == computations
 
-    expected = plan(PlanRequest(n=n + 1, m=m, exclude=exclude)).to_dict()
+    expected = compact_result(PlanRequest(n=n + 1, m=m, exclude=exclude))
     for raw, payload in zip(lines, payloads):
         answer = json.loads(raw)
         assert raw == line(answer)
@@ -353,14 +368,14 @@ def test_concurrent_waiters_share_one_encode(services, key, waiters, via, amends
 
 @pytest.mark.parametrize("via", ["server", "router"])
 def test_serving_builds_no_rows(services, monkeypatch, via):
-    """A served burst of plans and amends comes from the wire memo alone."""
+    """A served burst of plans and amends comes from the compact memo alone."""
     payloads, expected = [], []
     for rid, (n, m, exclude) in enumerate([(64, 8, ()), (200, 16, (5, 77)), (33, 3, (1,))]):
         payloads.append(plan_payload(rid, n, m, exclude))
-        expected.append(plan(PlanRequest(n=n, m=m, exclude=exclude)).to_dict())
+        expected.append(compact_result(PlanRequest(n=n, m=m, exclude=exclude)))
         payloads.append(amend_payload(rid, n, m, exclude, 2, (2,)))
         folded = tuple(sorted({*exclude, 2}))
-        expected.append(plan(PlanRequest(n=n + 2, m=m, exclude=folded)).to_dict())
+        expected.append(compact_result(PlanRequest(n=n + 2, m=m, exclude=folded)))
     payloads, expected = payloads * 2, expected * 2  # repeats meet in single-flight
     port = services.single.port if via == "server" else services.cluster.port
 

@@ -1,11 +1,12 @@
 """Exact JSON, write and wait work of one scripted plan sequence (service tier).
 
-A plan answer is filled from a memoized JSON template, and the cluster
-router relays a shard's answer bytes behind the client's id, so the
-plan path's JSON work is countable exactly: one decode of each request
-line on every process it enters, one re-encode of the request on the
-router's forward to its shard, no encode of any plan answer, and no
-decode of an id-first shard answer.  A warm plan is answered on the
+A plan answer is filled from a memo of k and the schedule's shape, and
+the cluster router relays a shard's answer bytes behind the client's
+id, so the plan path's JSON work is countable exactly: one decode of
+each request line on every process it enters, one re-encode of the
+request on the router's forward to its shard, no encode of any plan
+answer, and no decode of an id-first shard answer.  A warm plan is
+answered on the
 server's read callback, so the path's waiting is countable too: each
 cold request makes one batcher submit and one task of the server's,
 the warm repeat makes neither, and a forward the router relays from its
@@ -16,9 +17,10 @@ a time:
 * ``[server]`` — to one in-process :class:`PlanServer`;
 * ``[router]`` — to a :class:`ClusterRouter` over two in-process shards.
 
-The same sequence asking for the compact form costs the same decodes,
-encodes, submits, tasks and memo hits, with answers of about 150 bytes
-whatever n is: the compact fill is the planner's, not the server's.
+Every answer is the compact (k, chain) form, about 150 bytes whatever
+n is: the fill is the planner's, not the server's.  The same sequence
+naming ``"form": "compact"`` on every line gets the same bytes and
+costs the same decodes, encodes, submits, tasks and memo hits.
 
 The ``json`` attribute of the server, router and client modules (the
 client module carries the router's forward to a shard) is swapped for
@@ -47,7 +49,7 @@ from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.cluster import router as router_module
 from repro.core import clear_caches, pipeline
 from repro.params import MachineParams
-from repro.service import PlanBatcher, PlanRequest, PlanServer, framing, plan
+from repro.service import PlanBatcher, PlanRequest, PlanServer, framing
 from repro.service import client as client_module
 from repro.service import planner as planner_module
 from repro.service import server as server_module
@@ -148,9 +150,8 @@ def count_waits(monkeypatch, loop) -> dict:
     return waits
 
 
-def answer_line(rid, request: PlanRequest, form=None, **extra) -> bytes:
-    result = compact_result(request) if form == "compact" else plan(request).to_dict()
-    answer = {"id": rid, "ok": True, "result": result, **extra}
+def answer_line(rid, request: PlanRequest, **extra) -> bytes:
+    answer = {"id": rid, "ok": True, "result": compact_result(request), **extra}
     return (json.dumps(answer, separators=(",", ":")) + "\n").encode()
 
 
@@ -208,7 +209,7 @@ async def run_sequence(via: str, monkeypatch, form=None):
     return work, per_request, answers, routes, counters
 
 
-def expected_lines(routes, routed: bool, form=None):
+def expected_lines(routes, routed: bool):
     """The shards' answer lines and the router's, from in-process ``plan()``.
 
     The router names the shard and has always dropped an amend's echo.
@@ -221,10 +222,10 @@ def expected_lines(routes, routed: bool, form=None):
         amended = {} if echo is None else {"amended": echo}
         if routed:
             forward_ids[shard] += 1
-            server_lines.append(answer_line(forward_ids[shard] + 1, request, form, **amended))
-            router_lines.append(answer_line(rid, request, form, shard=shard))
+            server_lines.append(answer_line(forward_ids[shard] + 1, request, **amended))
+            router_lines.append(answer_line(rid, request, shard=shard))
         else:
-            server_lines.append(answer_line(rid, request, form, **amended))
+            server_lines.append(answer_line(rid, request, **amended))
     return server_lines, router_lines
 
 
@@ -258,17 +259,17 @@ def test_compact_sequence_work_budget(monkeypatch, via):
         run_sequence(via, monkeypatch, form="compact")
     )
     routed = via == "router"
-    server_lines, router_lines = expected_lines(routes, routed, form="compact")
+    server_lines, router_lines = expected_lines(routes, routed)
     assert answers == (router_lines if routed else server_lines)
-    # 512 x 32 with two positions excluded: 49.8 KB in the full form.
+    # 512 x 32 with two positions excluded: 49.8 KB with every row.
     assert max(map(len, server_lines)) < 256
     assert work == {
         "server": {"decodes": 5, "encodes": 1, "bytes": sum(map(len, server_lines))},
         "router": {"decodes": 5 * routed, "encodes": 0, "bytes": sum(map(len, router_lines))},
         "hop": {"decodes": 0, "encodes": 5 * routed},
     }
-    # A cold compact key waits in the batcher like a full-form one; the
-    # repeat of request 1 is a compact-memo hit on the read callback.
+    # Naming the form changes nothing: request 1's repeat is a memo hit
+    # on the read callback, and the cold keys wait in the batcher.
     assert waits == {
         "submits": [1, 0, 1, 1, 1],
         "tasks": [1, 0, 1, 1, 1],
@@ -299,22 +300,27 @@ def test_cold_plan_reads_step_lists_not_the_pair_dict(monkeypatch):
     for ports in (1, 2):
         clear_caches()
         calls.clear()
-        planner_module.plan_json(PlanRequest(n=512, m=32, params=MachineParams(ports=ports)))
+        planner_module.plan_compact_json(
+            PlanRequest(n=512, m=32, params=MachineParams(ports=ports))
+        )
         passes[ports] = dict(calls)
     assert passes == {1: {}, 2: {"fpfs_steps": 1}}
 
 
-def test_inline_row_bound_holds_for_the_full_form_only(monkeypatch):
-    """A warm full-form plan over :data:`INLINE_MAX_ROWS` rows still
-    waits in the batcher, and one at the bound (counting rows as
-    ``n - |exclude|``) is answered on the read callback; a warm compact
-    plan is answered there whatever its size."""
-    bound = server_module.INLINE_MAX_ROWS
-    at = {"type": "plan", "n": bound, "m": 2}
-    over = {"type": "plan", "n": bound + 1, "m": 2}
-    lines = [at, at, over, over, dict(over, exclude=[5]), dict(over, form="compact")] + [
-        dict(over, n=4 * bound, form="compact")
-    ] * 2
+def test_warm_plans_are_answered_inline_at_any_n(monkeypatch):
+    """A warm plan is answered on the read callback whatever its n: a
+    compact answer has no rows to fill.  A request that keeps the same
+    survivors (``n - |exclude|``) is warm too, and naming the form
+    changes nothing."""
+    big = {"type": "plan", "n": 4096, "m": 2}
+    lines = [
+        big,
+        big,
+        dict(big, form="compact"),
+        dict(big, n=4097, exclude=[5]),
+        dict(big, n=4097),
+        dict(big, n=4097, form="compact"),
+    ]
 
     async def body():
         clear_caches()
@@ -337,8 +343,7 @@ def test_inline_row_bound_holds_for_the_full_form_only(monkeypatch):
         return submits, answers
 
     submits, answers = asyncio.run(body())
-    # The compact 1,025-row plan is cold: the full form's memo is not its.
-    assert submits == [1, 0, 1, 1, 0, 1, 1, 0]
+    assert submits == [1, 0, 0, 0, 1, 0]
     for rid, (payload, answer) in enumerate(zip(lines, answers), 1):
         request = PlanRequest(n=payload["n"], m=2, exclude=tuple(payload.get("exclude", ())))
-        assert answer == answer_line(rid, request, payload.get("form"))
+        assert answer == answer_line(rid, request)

@@ -41,6 +41,15 @@ def test_tree_defaults_to_optimal_k(capsys):
     assert "2-binomial tree" in out  # optimal_k(16, 8) == 2
 
 
+def test_long_chains_draw_and_plan(capsys):
+    """A k = 1 tree over 1,200 nodes, and a plan whose optimal tree is a
+    1,500-node chain, nest no call per tree level."""
+    out = run_cli(capsys, "tree", "-n", "1200", "-k", "1")
+    assert "1-binomial tree" in out and "└─ 1199 [s1199]" in out
+    out = run_cli(capsys, "plan", "-n", "1500", "-m", "3000")
+    assert "1500  3000  1    1  1499" in out
+
+
 def test_simulate(capsys):
     out = run_cli(capsys, "simulate", "--dests", "7", "--bytes", "128")
     assert "latency" in out and "fpfs" in out
