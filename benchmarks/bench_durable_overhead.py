@@ -2,10 +2,9 @@
 
 The durable execution layer (``repro.durable``) promises two numbers:
 
-* ``run_sweep`` without ``checkpoint``/``chunk_timeout`` takes the
-  byte-for-byte pre-durability code path — zero overhead, verified
-  structurally (the durable engine is never entered) and by identical
-  results;
+* ``run_sweep`` without ``checkpoint`` runs the same chunk loop and
+  writes nothing to disk, and its results are identical to a
+  checkpointed run's;
 * with a checkpoint journal enabled, the fsynced append per chunk must
   stay within 3% paired-median wall-clock of the plain sweep on a
   measure shaped like the paper's model evaluations (hundreds of grid
@@ -43,7 +42,7 @@ def measure(n, m):
 
 
 def test_disabled_durability_is_the_plain_path(tmp_path):
-    """No checkpoint/timeout -> identical results to the plain sweep."""
+    """No checkpoint -> identical results to the checkpointed sweep."""
     plain = run_sweep(measure, GRIDS)
     durable = run_sweep(measure, GRIDS, checkpoint=tmp_path / "sweep.ckpt")
     assert [json.dumps(p.value, sort_keys=True) for p in plain] == [

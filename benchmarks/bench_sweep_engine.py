@@ -15,9 +15,9 @@ Three claims, each timed on a 240-point (n, m) grid:
    first pass is an order of magnitude faster because
    ``cached_kbinomial_steps`` (and the ``coverage``/``optimal_k``
    memos under it) serve every point; the hit counters prove it.
-3. **Result store** — a sweep with ``store=`` persists its points, and
-   a re-run against the same file recomputes nothing (the measure
-   function is never called).
+3. **Checkpoint replay** — a sweep with ``checkpoint=`` journals its
+   chunks, and a re-run of the same sweep against the same journal
+   resumes every point and journals nothing new.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 import time
 
 from repro.analysis import run_sweep
-from repro.analysis.sweep import SweepStore
 from repro.core import cache_stats, cached_kbinomial_steps, clear_caches, optimal_k
+from repro.durable import DURABLE_METRICS
 
 #: 12 × 20 = 240 grid points (the acceptance floor is 200+).
 N_VALUES = tuple(range(8, 128, 10))
@@ -49,17 +49,13 @@ def stalled_point(n: int, m: int) -> int:
     return cached_kbinomial_steps(n, optimal_k(n, m), m)
 
 
-def never_called(n: int, m: int) -> int:
-    raise AssertionError(f"store should have served point n={n}, m={m}")
-
-
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
 
 
-def measure(store_path: str):
+def measure(checkpoint: str):
     out = {}
 
     # 1 — serial vs 4-worker parallel on the stall-dominated grid.
@@ -78,22 +74,24 @@ def measure(store_path: str):
     out["warm_identical"] = cold == warm
     out["cache"] = cache_stats()
 
-    # 3 — on-disk store: second run serves every point from JSON.
-    store = SweepStore(store_path)
-    stored = run_sweep(analytic_point, ANALYTIC_GRID, workers=1, store=store)
-    out["store_first_misses"] = store.misses
-    restore = SweepStore(store_path)
-    replayed, out["store_s"] = _timed(
-        lambda: run_sweep(never_called, ANALYTIC_GRID, workers=1, store=restore)
+    # 3 — checkpoint: the second run replays every point from the journal.
+    before = DURABLE_METRICS.snapshot()
+    journaled = run_sweep(analytic_point, ANALYTIC_GRID, workers=1, checkpoint=checkpoint)
+    first = DURABLE_METRICS.snapshot()
+    replayed, out["replay_s"] = _timed(
+        lambda: run_sweep(analytic_point, ANALYTIC_GRID, workers=1, checkpoint=checkpoint)
     )
-    out["store_second_hits"] = restore.hits
-    out["store_identical"] = [p.value for p in stored] == [p.value for p in replayed]
+    second = DURABLE_METRICS.snapshot()
+    out["first_journaled"] = first["chunks_journaled"] - before["chunks_journaled"]
+    out["second_journaled"] = second["chunks_journaled"] - first["chunks_journaled"]
+    out["second_resumed_points"] = second["points_resumed"] - first["points_resumed"]
+    out["replay_identical"] = [p.value for p in journaled] == [p.value for p in replayed]
     return out
 
 
 def test_sweep_engine(benchmark, show, tmp_path):
     out = benchmark.pedantic(
-        lambda: measure(str(tmp_path / "sweep_store.json")), rounds=1, iterations=1
+        lambda: measure(str(tmp_path / "sweep.ckpt")), rounds=1, iterations=1
     )
     kb = out["cache"]["kbinomial_steps"]
     show(
@@ -103,8 +101,8 @@ def test_sweep_engine(benchmark, show, tmp_path):
         f"  analytic grid cold {out['cold_s'] * 1e3:.0f} ms, "
         f"warm {out['warm_s'] * 1e3:.1f} ms "
         f"(kbinomial_steps cache: {kb.hits} hits / {kb.misses} misses)\n"
-        f"  store replay {out['store_s'] * 1e3:.1f} ms "
-        f"({out['store_second_hits']} points served from JSON)"
+        f"  checkpoint replay {out['replay_s'] * 1e3:.1f} ms "
+        f"({out['second_resumed_points']} points resumed from the journal)"
     )
     assert out["points"] == len(N_VALUES) * len(M_VALUES) >= 200
     assert out["identical"], "parallel merge must reproduce the serial records"
@@ -113,8 +111,10 @@ def test_sweep_engine(benchmark, show, tmp_path):
     assert out["warm_identical"]
     assert kb.hits > 0 and kb.hits >= kb.misses
     assert out["warm_s"] < out["cold_s"]
-    # Store round-trip: first run computes all, replay computes none.
+    # Checkpoint round-trip: the first run journals its chunks, the
+    # replay resumes every point and journals none.
     n_points = len(ANALYTIC_GRID["n"]) * len(ANALYTIC_GRID["m"])
-    assert out["store_first_misses"] == n_points
-    assert out["store_second_hits"] == n_points
-    assert out["store_identical"]
+    assert out["first_journaled"] >= 1
+    assert out["second_resumed_points"] == n_points == 42
+    assert out["second_journaled"] == 0
+    assert out["replay_identical"]

@@ -18,8 +18,8 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
     """Stamp ``--benchmark-json`` output with this run's manifest.
 
     A saved benchmark JSON then carries the same provenance block
-    (package version, git SHA, python, platform, argv) as sweep stores
-    and exported traces — see ``repro.obs.manifest``.
+    (package version, git SHA, python, platform, argv) as campaign
+    records and exported traces — see ``repro.obs.manifest``.
     """
     from repro.obs import run_manifest
 

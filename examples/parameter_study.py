@@ -10,10 +10,11 @@ binomial/k-binomial latency ratio at each grid point.
 The measure is a module-level (picklable) function, so ``--workers N``
 fans the grid out over processes — each worker rebuilds the testbed
 once (memoized) and keeps its tree caches warm across points — and
-``--store FILE`` makes re-runs incremental: points already in the JSON
-store are never simulated again.
+``--checkpoint FILE`` journals each finished chunk: a re-run of the
+same study (same ``--workers``) resumes from the journal and simulates
+only the chunks it does not hold.
 
-Run:  python examples/parameter_study.py [--workers 4] [--store study.json]
+Run:  python examples/parameter_study.py [--workers 4] [--checkpoint study.ckpt]
 """
 
 from __future__ import annotations
@@ -62,14 +63,14 @@ def ratio(t_ns: float, m: int) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=1, help="sweep processes")
-    parser.add_argument("--store", default=None, help="JSON result store (incremental re-runs)")
+    parser.add_argument("--checkpoint", default=None, help="chunk journal (resumable re-runs)")
     args = parser.parse_args()
 
     points = run_sweep(
         ratio,
         {"t_ns": [1.0, 3.0, 6.0], "m": [2, 8, 32]},
         workers=args.workers,
-        store=args.store,
+        checkpoint=args.checkpoint,
     )
     headers, rows = sweep_table(points, value_name="binomial/kbinomial")
     n = len(_testbed()[2])

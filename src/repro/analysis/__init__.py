@@ -19,7 +19,7 @@ from .export import series_to_csv, write_csv
 from .load import zipf_draw, zipf_plan_mix, zipf_weights
 from .plot import ascii_plot
 from .stats import Summary, summarize
-from .sweep import SweepPoint, SweepStore, run_sweep, sweep, sweep_table, workers_from_env
+from .sweep import SweepPoint, run_sweep, sweep, sweep_table, workers_from_env
 from .tables import render_comparison, render_series, render_table
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "LatencyBreakdown",
     "Summary",
     "SweepPoint",
-    "SweepStore",
     "ascii_plot",
     "fig12a_optimal_k",
     "fig12b_optimal_k",

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence
 
+from .kbinomial import _FILLED as _COVERAGE_FILLED
 from .kbinomial import build_kbinomial_tree, coverage, steps_needed
 from .optimal import optimal_k
 from .pipeline import fpfs_total_steps
@@ -185,3 +186,6 @@ def clear_caches() -> None:
     with _REGISTRY_LOCK:
         for fn in _REGISTRY.values():
             fn.cache_clear()
+        # coverage() fills upward from this mark, so it restarts with
+        # an empty coverage cache.
+        _COVERAGE_FILLED.clear()

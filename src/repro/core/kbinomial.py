@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Dict, Sequence
 
 from .trees import MulticastTree
 
@@ -42,14 +42,24 @@ __all__ = [
 ]
 
 
+#: Per ``k >= 2``, the ``s`` up to which :func:`coverage` has cached
+#: every value.  A miss fills upward from here;
+#: :func:`~repro.core.cache.clear_caches` resets it with the cache.
+#: The mark only steers the fill, so a stale one (say, from threads
+#: racing a clear) costs call depth, never a wrong value.
+_FILLED: Dict[int, int] = {}
+
+
 @lru_cache(maxsize=None)
 def coverage(s: int, k: int) -> int:
     """Lemma 1: nodes covered in ``s`` steps by a k-binomial tree.
 
     ``coverage(0, k) == 1`` (just the source); for ``s <= k`` the cap
     never binds and the tree doubles each step.  A chain (``k = 1``)
-    adds one node per step, ``N(s, 1) = s + 1``, in closed form: the
-    recurrence would nest ``s`` calls deep.
+    adds one node per step, ``N(s, 1) = s + 1``, in closed form.  For
+    ``k >= 2`` a miss first fills the cache upward from the last ``s``
+    it holds: the recurrence alone would nest ``s - k`` calls deep on
+    a cold cache.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -59,7 +69,13 @@ def coverage(s: int, k: int) -> int:
         return 2**s
     if k == 1:
         return s + 1
-    return 1 + sum(coverage(s - i, k) for i in range(1, k + 1))
+    # Each call below finds its k predecessors cached, so none nests
+    # more than one level deep, and an ascending scan pays O(k) a step.
+    for t in range(_FILLED.get(k, k) + 1, s):
+        coverage(t, k)
+    value = 1 + sum(coverage(s - i, k) for i in range(1, k + 1))
+    _FILLED[k] = max(s, _FILLED.get(k, k))
+    return value
 
 
 def coverage_table(s_max: int, k_max: int):

@@ -1,4 +1,4 @@
-"""Durable execution: crash-safe checkpoints, corruption-proof stores.
+"""Durable execution: crash-safe checkpoints, corruption-proof artifacts.
 
 The simulation and service layers assume a well-behaved host; this
 package drops that assumption.  It makes the pipeline that produces
@@ -13,10 +13,6 @@ wrong figure):
 * :mod:`~repro.durable.journal` — the write-ahead chunk journal behind
   ``run_sweep(checkpoint=...)``: fsynced, checksummed appends; torn
   tails self-heal; fingerprints refuse resumes against changed sweeps.
-* :mod:`~repro.durable.watchdog` — per-chunk deadlines over the sweep
-  workers: hung or OOM-killed chunks are killed, retried with seeded
-  backoff, and surfaced as :class:`ChunkFailure` records instead of
-  hanging the run.
 * :mod:`~repro.durable.errors` — the typed failure vocabulary,
   including :class:`ValidationError` for refusing bad arguments before
   any work is scheduled.
@@ -25,21 +21,19 @@ wrong figure):
 
 The cardinal invariant, pinned by ``tests/durable/test_kill_resume.py``
 and ``benchmarks/bench_durable_overhead.py``: a sweep killed and
-resumed from its checkpoint produces a store *byte-identical* (modulo
-manifest timestamps) to an uninterrupted run, and a sweep with no
-checkpoint runs the exact pre-durability code path.
+resumed from its checkpoint returns points *byte-identical* to an
+uninterrupted run's, and a sweep with no checkpoint writes nothing to
+disk.
 """
 
 from .atomic import (
     atomic_write_json,
     atomic_write_text,
     crc32_of,
-    quarantine,
     safe_load_json,
 )
 from .errors import (
     CheckpointMismatchError,
-    ChunkRetryError,
     DurabilityError,
     StoreCorruptionError,
     StoreVersionError,
@@ -49,15 +43,12 @@ from .errors import (
 )
 from .journal import ChunkJournal, sweep_fingerprint
 from .metrics import DURABLE_METRICS, DurableMetrics
-from .watchdog import ChunkFailure, run_chunks_watchdog
 
 __all__ = [
     "DURABLE_METRICS",
     "DurableMetrics",
     "CheckpointMismatchError",
-    "ChunkFailure",
     "ChunkJournal",
-    "ChunkRetryError",
     "DurabilityError",
     "StoreCorruptionError",
     "StoreVersionError",
@@ -67,8 +58,6 @@ __all__ = [
     "check_positive_int",
     "check_positive_number",
     "crc32_of",
-    "quarantine",
-    "run_chunks_watchdog",
     "safe_load_json",
     "sweep_fingerprint",
 ]

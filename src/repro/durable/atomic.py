@@ -1,7 +1,7 @@
 """Corruption-proof JSON artifacts: atomic writes, verified loads.
 
-Every JSON artifact this repository emits (sweep stores, chaos
-records, Chrome traces, ``BENCH_*.json``) funnels through two
+Every JSON artifact this repository emits (campaign records, analytic
+surfaces, Chrome traces, ``BENCH_*.json``) funnels through two
 functions:
 
 * :func:`atomic_write_json` — serialize to a same-directory temp file,
@@ -38,7 +38,6 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_text",
     "crc32_of",
-    "quarantine",
     "safe_load_json",
 ]
 
@@ -125,18 +124,6 @@ def atomic_write_json(
     return atomic_write_text(path, text, fsync=fsync)
 
 
-def quarantine(path: PathLike) -> str:
-    """Move a corrupt artifact aside as ``<path>.corrupt``; return the new path.
-
-    An existing quarantine file is overwritten — the freshest corpse is
-    the one worth autopsying.
-    """
-    path = os.fspath(path)
-    target = f"{path}.corrupt"
-    os.replace(path, target)
-    return target
-
-
 def safe_load_json(
     path: PathLike,
     *,
@@ -169,12 +156,12 @@ def safe_load_json(
     except json.JSONDecodeError as exc:
         raise StoreCorruptionError(
             f"{path!r} is not valid JSON ({exc}); the file is truncated or "
-            "corrupt — delete or quarantine it to start fresh"
+            "corrupt — delete it or move it aside to start fresh"
         ) from exc
     if not isinstance(doc, dict):
         raise StoreCorruptionError(
             f"{path!r} holds a JSON {type(doc).__name__}, expected an object; "
-            "delete or quarantine it to start fresh"
+            "delete it or move it aside to start fresh"
         )
     stored_crc = doc.pop(CRC_KEY, None)
     if stored_crc is None:
@@ -189,7 +176,7 @@ def safe_load_json(
             raise StoreCorruptionError(
                 f"{path!r} failed its checksum (stored {stored_crc}, computed "
                 f"{actual}); the file was modified or corrupted after writing — "
-                "delete or quarantine it to start fresh"
+                "delete it or move it aside to start fresh"
             )
     if expected_version is not None:
         version = doc.get("version")

@@ -18,7 +18,6 @@ import math
 
 __all__ = [
     "CheckpointMismatchError",
-    "ChunkRetryError",
     "DurabilityError",
     "StoreCorruptionError",
     "StoreVersionError",
@@ -29,15 +28,15 @@ __all__ = [
 
 
 class DurabilityError(RuntimeError):
-    """Base class for durable-layer failures (corruption, mismatch, retry)."""
+    """Base class for durable-layer failures (corruption, version, mismatch)."""
 
 
 class StoreCorruptionError(DurabilityError):
     """An on-disk artifact is truncated, torn, or fails its checksum.
 
-    The message names the file and the remedy (delete it, or pass
-    ``on_corruption="quarantine"`` where supported); the original
-    decode error, when one exists, rides along as ``__cause__``.
+    The message names the file and the remedy (delete it to start
+    fresh); the original decode error, when one exists, rides along as
+    ``__cause__``.
     """
 
 
@@ -52,29 +51,6 @@ class CheckpointMismatchError(DurabilityError):
     chunking, so resuming against changed inputs is refused instead of
     silently merging stale results into a fresh run.
     """
-
-
-class ChunkRetryError(DurabilityError):
-    """One or more sweep chunks exhausted their watchdog retry budget.
-
-    Carries the :class:`~repro.durable.watchdog.ChunkFailure` records
-    on :attr:`failures`; every chunk that *did* complete was journaled
-    first, so rerunning with the same checkpoint resumes rather than
-    recomputes.
-    """
-
-    def __init__(self, failures) -> None:
-        self.failures = tuple(failures)
-        detail = "; ".join(
-            f"chunk {f.chunk_index} ({f.points} points): {f.reason} "
-            f"after {f.attempts} attempts"
-            for f in self.failures
-        )
-        super().__init__(
-            f"{len(self.failures)} sweep chunk(s) exhausted their retry budget: "
-            f"{detail}. Completed chunks are journaled; rerun with the same "
-            "checkpoint to resume."
-        )
 
 
 class ValidationError(ValueError):

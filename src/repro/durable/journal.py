@@ -26,8 +26,7 @@ belongs to, then one line per *completed* chunk carrying that chunk's
   merging stale results into a different run.
 
 Replaying the journal and re-measuring produce *identical* results
-(values round-trip through JSON exactly as they would through a
-:class:`~repro.analysis.sweep.SweepStore`), which is what makes a
+(values round-trip through JSON exactly), which is what makes a
 resumed sweep byte-identical to an uninterrupted one.
 """
 
@@ -84,22 +83,20 @@ def _describe_measure(measure: Callable) -> str:
 def sweep_fingerprint(
     measure: Callable,
     combos: Sequence[Mapping[str, object]],
-    pending_indices: Sequence[int],
     chunk_size: int,
 ) -> str:
     """The identity hash binding a checkpoint to one specific sweep.
 
-    Covers the measure, the full grid, which points were pending when
-    the journal was created (store hits change it — deliberately: a
-    store mutated between runs means the chunk indices no longer line
-    up), and the chunk size.  Any difference yields a different
-    fingerprint and a refused resume.
+    Covers the measure, the full grid and the chunk size.  Any
+    difference yields a different fingerprint and a refused resume.
     """
     doc = {
         "journal_version": JOURNAL_VERSION,
         "measure": _describe_measure(measure),
         "grid": [dict(c) for c in combos],
-        "pending": list(pending_indices),
+        # The chunks are cut from every grid index.  The list stays in
+        # the hash so journals written by earlier versions still resume.
+        "pending": list(range(len(combos))),
         "chunk_size": chunk_size,
     }
     canonical = json.dumps(doc, sort_keys=True, default=repr)
@@ -126,8 +123,6 @@ class ChunkJournal:
         self.completed: Dict[int, List[Tuple[int, object]]] = {}
         #: Chunks loaded from disk at open (the resume credit).
         self.resumed_chunks = 0
-        #: Chunks appended by this process.
-        self.appended_chunks = 0
         #: Lazily-opened persistent append handle — reopening the file
         #: for every chunk would double the per-append cost.
         self._fh = None
@@ -166,9 +161,9 @@ class ChunkJournal:
         if header.get("fingerprint") != self.fingerprint:
             raise CheckpointMismatchError(
                 f"checkpoint {self.path!r} belongs to a different sweep "
-                "(grid, measure, store contents, or chunking changed since it "
-                "was written); delete it to start fresh, or rerun the original "
-                "sweep configuration to resume it"
+                "(grid, measure, or chunking changed since it was written); "
+                "delete it to start fresh, or rerun the original sweep "
+                "configuration to resume it"
             )
         for record in records[1:]:
             if record.get("kind") != "chunk":
@@ -236,7 +231,6 @@ class ChunkJournal:
         self.completed[int(chunk_index)] = [
             (int(index), value) for index, value in results
         ]
-        self.appended_chunks += 1
 
     def close(self) -> None:
         """Release the append handle (safe to call repeatedly).

@@ -1,12 +1,12 @@
 """Checkpoint/recovery counters, surfaced through ``GLOBAL_METRICS``.
 
 One process-wide :class:`DurableMetrics` instance counts everything
-the durable layer does — chunks journaled and resumed, watchdog
-retries and failures, stores quarantined, service journal entries
-replayed — and registers itself as the ``"durable"`` provider of
-:data:`repro.obs.GLOBAL_METRICS` the first time any counter moves, so
-``repro-mcast ... --stats`` and the service's stats endpoint see
-recovery activity next to cache and service metrics.
+the durable layer does — sweep chunks journaled and resumed, points
+resumed, service journal entries replayed — and registers itself as
+the ``"durable"`` provider of :data:`repro.obs.GLOBAL_METRICS` the
+first time any counter moves, so ``repro-mcast ... --stats`` and the
+service's stats endpoint see recovery activity next to cache and
+service metrics.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ _COUNTERS = (
     "chunks_journaled",
     "chunks_resumed",
     "points_resumed",
-    "chunk_retries",
-    "chunk_failures",
-    "stores_quarantined",
     "journal_entries_recovered",
 )
 
 
 class DurableMetrics:
-    """Thread-safe counters for checkpoint, watchdog, and recovery events."""
+    """Thread-safe counters for checkpoint and recovery events."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

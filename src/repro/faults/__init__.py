@@ -10,8 +10,10 @@ when a subtree dies mid-message?" in four layers:
 * :mod:`~repro.faults.inject` — gates that apply a schedule to the
   live DES without forking the NI models; every forwarding discipline
   runs under the same schedule.
-* :mod:`~repro.faults.repair` — failure-aware re-planning: rebuild
-  the k-binomial tree over the survivors with a fresh Theorem-3 k.
+* :mod:`~repro.faults.repair` — failure-aware re-planning: find the
+  dead subtrees and the coverage a re-plan keeps;
+  :func:`repro.membership.amend.amend_plan` rebuilds the k-binomial
+  tree over the survivors with a fresh Theorem-3 k.
 * :mod:`~repro.faults.chaos` — the chaos campaign: sweep scenarios,
   measure survival (coverage, delivery, skew, drops), report repairs.
 
@@ -22,13 +24,7 @@ simulator (``benchmarks/bench_faults_overhead.py`` enforces it).
 
 from .chaos import CHAOS, SCENARIOS, chaos_point
 from .inject import DegradedResult, FaultInjector, FaultyMulticastSimulator, LinkFaultState, NIFaultGate
-from .repair import (
-    RepairPlan,
-    SourceFailedError,
-    repair_plan,
-    surviving_chain,
-    unreachable_set,
-)
+from .repair import SourceFailedError, repair_coverage, unreachable_set
 from .schedule import (
     FAULT_KINDS,
     FaultEvent,
@@ -50,10 +46,8 @@ __all__ = [
     "FaultInjector",
     "DegradedResult",
     "FaultyMulticastSimulator",
-    "RepairPlan",
     "SourceFailedError",
-    "repair_plan",
-    "surviving_chain",
+    "repair_coverage",
     "unreachable_set",
     "CHAOS",
     "SCENARIOS",

@@ -4,7 +4,8 @@ Each grid point runs one multicast on the 64-host irregular testbed
 under one named fault scenario and reports a flat JSON-safe record:
 coverage (destinations that got the whole message), delivery ratio,
 completion skew, drop counts by cause, and — when nodes crashed — the
-:mod:`~repro.faults.repair` re-plan over the survivors.
+re-plan over the survivors (:func:`~repro.membership.amend.amend_plan`
+with the dead subtrees as leavers).
 
 Scenarios (:data:`SCENARIOS`):
 
@@ -37,7 +38,7 @@ from ..core.kbinomial import build_kbinomial_tree
 from ..core.optimal import optimal_k
 from ..mcast.orderings import chain_for
 from .inject import FaultyMulticastSimulator
-from .repair import repair_plan
+from .repair import repair_coverage, unreachable_set
 from .schedule import (
     FaultSchedule,
     poisson_schedule,
@@ -82,9 +83,14 @@ def chaos_point(scenario: str, seed: int, dests: int, m: int) -> dict:
     Builds the standard testbed for ``seed``, draws one (source,
     destinations) set, plans the Theorem-3 k-binomial tree, applies the
     scenario's schedule, and measures degraded-mode delivery.  Crashed
-    nodes additionally get a :func:`~repro.faults.repair.repair_plan`
-    over the survivors.
+    nodes additionally get a re-plan over the survivors: the dead
+    subtrees leave the plan through
+    :func:`~repro.membership.amend.amend_plan`.
     """
+    # membership.amend imports faults.repair, so a module-level import
+    # here would make ``import repro.membership`` circular.
+    from ..membership.amend import MembershipDelta, amend_plan
+
     topology, router, ordering = _testbed(1997 + seed)
     rng = random.Random(f"chaos:{seed}:{dests}")
     picked = rng.sample(list(topology.hosts), dests + 1)
@@ -99,15 +105,16 @@ def chaos_point(scenario: str, seed: int, dests: int, m: int) -> dict:
     crashed = [e.target for e in schedule if e.kind == "node_crash"]
     repair = None
     if crashed:
-        plan = repair_plan(tree, chain, crashed, m)
+        delta = MembershipDelta(leaves=tuple(unreachable_set(tree, crashed)))
+        plan = amend_plan(tree, chain, delta, m, base_ordering=ordering)
         repair = {
-            "survivors": len(plan.survivors),
-            "lost": len(plan.lost),
+            "survivors": len(plan.chain),
+            "lost": len(plan.departed),
             "k": plan.k,
             "t1": plan.t1,
             "total_steps": plan.total_steps,
             "original_steps": plan.original_steps,
-            "coverage": plan.coverage,
+            "coverage": repair_coverage(plan.chain, chain),
         }
     return {
         "scenario": scenario,

@@ -1,4 +1,4 @@
-"""Failure-aware re-planning: rebuild the k-binomial tree over survivors.
+"""Failure-aware re-planning: who a crash cuts off.
 
 A crashed node starves its whole subtree (every descendant's packets
 route through it), so recovery is a *planning* problem, not a packet
@@ -10,16 +10,17 @@ paper's tree family:
 
 * :func:`unreachable_set` — the failed nodes plus every node whose
   tree path to the root crosses one (the dead subtrees).
-* :func:`surviving_chain` — the original contention-free ordering with
-  the unreachable nodes removed; order is preserved, so the rebuilt
-  tree inherits the ordering's contention-freedom over the survivors.
-* :func:`repair_plan` — the full repair: re-optimized ``k*`` via
-  :func:`~repro.core.optimal.optimal_k` on ``n - f`` nodes, a fresh
-  Fig. 11 tree over the surviving chain, and the degraded-mode
-  metrics (coverage, ``T1``, total steps = the repair cost).
+* :func:`repair_coverage` — the share of the original destinations a
+  re-plan over the survivors still reaches.
+* The re-plan itself is :func:`repro.membership.amend.amend_plan` with
+  a leave-only delta of the unreachable nodes: the surviving chain
+  keeps its order (so the rebuilt tree inherits the ordering's
+  contention-freedom), ``k*`` is re-optimized on ``n - f`` nodes, and
+  the Fig. 11 tree is rebuilt over the survivors.
 
-The property-test contract: the rebuilt tree is *exactly* the tree a
-from-scratch plan over the survivors would produce —
+The property-test contract (``tests/faults/test_repair.py``): the
+re-planned tree is *exactly* the tree a from-scratch plan over the
+survivors would produce —
 ``build_kbinomial_tree(survivors, optimal_k(n - f, m))`` — and its
 height satisfies Lemma 1 coverage, so repair never pays more than a
 cold re-plan.
@@ -27,20 +28,11 @@ cold re-plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
-from ..core.kbinomial import build_kbinomial_tree, steps_needed
-from ..core.optimal import optimal_k, predicted_steps
 from ..core.trees import MulticastTree
 
-__all__ = [
-    "SourceFailedError",
-    "unreachable_set",
-    "surviving_chain",
-    "RepairPlan",
-    "repair_plan",
-]
+__all__ = ["SourceFailedError", "repair_coverage", "unreachable_set"]
 
 
 class SourceFailedError(ValueError):
@@ -77,98 +69,10 @@ def unreachable_set(tree: MulticastTree, failed: Iterable) -> frozenset:
     return frozenset(n for n in tree.nodes() if n not in reached)
 
 
-def surviving_chain(chain: Sequence, unreachable: Iterable) -> list:
-    """``chain`` minus the unreachable nodes, order preserved."""
-    dead = set(unreachable)
-    return [node for node in chain if node not in dead]
+def repair_coverage(survivors: Sequence, chain: Sequence) -> float:
+    """Fraction of ``chain``'s destinations the ``survivors`` chain keeps.
 
-
-@dataclass(frozen=True)
-class RepairPlan:
-    """The re-planned multicast over the survivors of a failure."""
-
-    #: Surviving chain (source first, original ordering preserved).
-    survivors: Tuple
-    #: Destinations lost to the failure (unreachable, chain order).
-    lost: Tuple
-    #: Re-optimized fan-out (Theorem 3 on the reduced ``n``).
-    k: int
-    #: The rebuilt Fig. 11 tree over the survivors.
-    tree: MulticastTree
-    #: First-packet steps of the rebuilt tree: ``T1(n - f, k)``.
-    t1: int
-    #: Repair cost in steps: ``T1 + (m - 1) * k`` to re-multicast.
-    total_steps: int
-    #: Steps the original (pre-failure) plan needed, for comparison.
-    original_steps: int
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of the original destinations still reachable."""
-        original = len(self.survivors) + len(self.lost) - 1
-        return (len(self.survivors) - 1) / original if original else 1.0
-
-    @property
-    def step_overhead(self) -> int:
-        """Extra steps the repaired plan pays vs the original (can be < 0:
-        fewer nodes can genuinely plan faster)."""
-        return self.total_steps - self.original_steps
-
-
-def repair_plan(tree: MulticastTree, chain: Sequence, failed: Iterable, m: int) -> RepairPlan:
-    """Re-plan ``tree``'s multicast after ``failed`` nodes died.
-
-    Parameters
-    ----------
-    tree:
-        The original multicast tree (used to find dead subtrees).
-    chain:
-        The contention-free ordering the original tree was built over;
-        ``chain[0]`` must be the source.
-    failed:
-        The nodes reported dead (hosts whose NI crashed).
-    m:
-        Packets per message — the re-optimization depends on it
-        (Theorem 3's ``T1 + (m - 1) * k`` trade-off shifts as n drops).
+    Both chains start at the source, so a survivor chain of the source
+    alone reaches none of them (``0.0``).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    chain = list(chain)
-    if not chain or chain[0] != tree.root:
-        raise ValueError("chain[0] must be the multicast source (tree.root)")
-    tree_nodes = set(tree.nodes())
-    missing = tree_nodes - set(chain)
-    if missing:
-        raise ValueError(f"chain is missing tree nodes: {sorted(map(repr, missing))}")
-
-    unreachable = unreachable_set(tree, failed)
-    survivors = surviving_chain(chain, unreachable)
-    lost = tuple(node for node in chain if node in unreachable)
-    n_old = len(chain)
-    n_new = len(survivors)
-    original_steps = predicted_steps(n_old, optimal_k(n_old, m), m) if n_old >= 2 else 0
-
-    if n_new < 2:
-        # Everyone but the source died: the repaired "tree" is just the
-        # root and there is nothing left to send.
-        return RepairPlan(
-            survivors=tuple(survivors),
-            lost=lost,
-            k=1,
-            tree=MulticastTree(tree.root),
-            t1=0,
-            total_steps=0,
-            original_steps=original_steps,
-        )
-
-    k = optimal_k(n_new, m)
-    rebuilt = build_kbinomial_tree(survivors, k)
-    return RepairPlan(
-        survivors=tuple(survivors),
-        lost=lost,
-        k=k,
-        tree=rebuilt,
-        t1=steps_needed(n_new, k),
-        total_steps=predicted_steps(n_new, k, m),
-        original_steps=original_steps,
-    )
+    return (len(survivors) - 1) / (len(chain) - 1)

@@ -1,16 +1,17 @@
 """Live plan amendment: arbitrary membership deltas, not just crashes.
 
-:mod:`repro.faults.repair` rebuilds the k-binomial tree over the
-*survivors* of a crash — removal only.  This module generalizes that to
-any :class:`MembershipDelta` (joins and leaves together), with the same
-contract dialed up:
+The one re-plan path: any :class:`MembershipDelta` (joins and leaves
+together) amends a plan, and a crash repair is the leave-only case —
+:mod:`repro.faults.chaos` passes the dead subtrees
+(:func:`~repro.faults.repair.unreachable_set`) as leavers.  The
+contract:
 
 * **graft** — joiners are inserted into the contention-free chain at
   their canonical :func:`~repro.mcast.orderings.chain_for` position
   (the base-ordering rotation key), so the amended chain is *exactly*
   the chain a cold re-plan over the new member set would build.
-* **prune** — leavers are filtered out, order preserved, like
-  :func:`~repro.faults.repair.surviving_chain`.
+* **prune** — leavers are filtered out, order preserved, so the
+  surviving chain keeps the ordering's contention-freedom.
 * **re-optimize** — Theorem 3's ``optimal_k`` is re-run on the new
   ``n`` whenever membership drift since the last optimization crosses
   the ``k_drift`` epoch threshold (default ``0.0``: always, which is
@@ -26,7 +27,7 @@ delta is the identity.
 A delta whose leavers include the source raises
 :class:`~repro.faults.repair.SourceFailedError` — with a departed
 source there is no multicast left to amend, the same dead-end the
-crash repairer refuses.  The plan service surfaces it as a structured
+crash repair refuses.  The plan service surfaces it as a structured
 ``source_failed`` error (see :mod:`repro.service.server`).
 
 :func:`amended_request` is the service-side (positional) twin: it folds
@@ -118,10 +119,9 @@ class MembershipDelta:
 class AmendedPlan:
     """The amended multicast plan over the post-delta member set.
 
-    The shape mirrors :class:`~repro.faults.repair.RepairPlan` — an
-    amendment *is* a repair when the delta is leave-only — extended
-    with the join side and the epoch bookkeeping of deferred
-    re-optimization.
+    An amendment *is* a crash repair when the delta is leave-only; the
+    join side and the epoch bookkeeping of deferred re-optimization
+    extend it.
     """
 
     #: The amended contention-free chain (source first).

@@ -16,7 +16,7 @@ Every layer of the system measures itself through this package:
   rates, and sim-side gauges (NI buffer levels) behind one
   :func:`~repro.obs.metrics.MetricsRegistry.snapshot` call.
 * :mod:`repro.obs.manifest` — run manifests (params, seed, package
-  version, git SHA, timestamps) attached to sweep stores, benchmark
+  version, git SHA, timestamps) attached to campaign records, benchmark
   JSON, and exported traces so every number is reproducible from its
   artifact.
 * :mod:`repro.obs.profiler` — a sampling wall-clock profiler

@@ -5,8 +5,7 @@ version, git SHA (when a repository is reachable), Python/platform,
 timestamps, the invoking ``argv``, and the caller's parameters and
 seed — as one JSON-serializable dict.  It is attached to
 
-* sweep stores (:class:`repro.analysis.sweep.SweepStore` writes it on
-  every flush),
+* campaign records (:func:`repro.analysis.campaign.write_records`),
 * benchmark JSON (the ``pytest_benchmark_update_json`` hook in
   ``benchmarks/conftest.py``), and
 * exported Chrome traces (the ``metadata`` field).

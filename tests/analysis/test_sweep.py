@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import pytest
 
 from repro.analysis import run_sweep, sweep, sweep_table
-from repro.analysis.sweep import SweepStore
 
 
 def picklable_measure(n, m):
@@ -107,55 +112,6 @@ def test_parallel_progress_sees_every_point_in_grid_order():
     assert seen == [(1, 3), (1, 4), (2, 3), (2, 4)]
 
 
-def test_store_skips_already_computed_points(tmp_path):
-    path = tmp_path / "store.json"
-    grids = {"n": [1, 2, 3], "m": [1, 2]}
-    first = SweepStore(path)
-    computed = run_sweep(picklable_measure, grids, store=first)
-    assert first.misses == 6 and first.hits == 0
-    assert len(first) == 6
-
-    calls = []
-
-    def tracking(n, m):  # unpicklable on purpose; runs serial
-        calls.append((n, m))
-        return picklable_measure(n, m)
-
-    second = SweepStore(path)
-    replayed = run_sweep(tracking, grids, store=second)
-    assert calls == []  # nothing recomputed
-    assert second.hits == 6 and second.misses == 0
-    # JSON round-trips tuples as lists; params and ordering are intact.
-    assert [p.params for p in replayed] == [p.params for p in computed]
-    assert [p.value for p in replayed] == [list(p.value) for p in computed]
-
-
-def test_store_extends_incrementally(tmp_path):
-    path = tmp_path / "store.json"
-    run_sweep(picklable_measure, {"n": [1], "m": [1, 2]}, store=path)
-    store = SweepStore(path)
-    run_sweep(picklable_measure, {"n": [1, 2], "m": [1, 2]}, store=store)
-    assert store.hits == 2 and store.misses == 2
-    assert len(SweepStore(path)) == 4
-
-
-def test_store_rejects_unserializable_values(tmp_path):
-    with pytest.raises(TypeError, match="JSON-serializable"):
-        run_sweep(lambda x: object(), {"x": [1]}, store=tmp_path / "bad.json")
-
-
-def test_parallel_with_store_only_measures_missing_points(tmp_path):
-    path = tmp_path / "store.json"
-    run_sweep(picklable_measure, {"n": [1, 2], "m": [1, 2]}, store=path)
-    store = SweepStore(path)
-    points = run_sweep(
-        picklable_measure, {"n": [1, 2, 3, 4], "m": [1, 2]}, workers=4, store=store
-    )
-    assert store.hits == 4 and store.misses == 4
-    expected = run_sweep(picklable_measure, {"n": [1, 2, 3, 4], "m": [1, 2]})
-    assert [tuple(p.value) for p in points] == [tuple(p.value) for p in expected]
-
-
 def test_serial_sweep_records_a_span_per_point():
     from repro.obs import Tracer
 
@@ -179,23 +135,22 @@ def test_parallel_sweep_records_a_span_per_chunk():
     assert sum(e.args["points"] for e in spans) == 8
 
 
-def test_store_flush_embeds_run_manifest(tmp_path):
-    import json
+def test_traced_resume_records_one_checkpoint_instant(tmp_path):
+    from repro.obs import Tracer
 
-    path = tmp_path / "store.json"
-    run_sweep(picklable_measure, {"n": [1, 2], "m": [1]}, store=path)
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 1
-    manifest = doc["manifest"]
-    assert manifest["schema"] == 1 and manifest["package"] == "repro"
-    assert manifest["points"] == 2
-    # The store still round-trips through SweepStore after the format gained
-    # its manifest envelope.
-    store = SweepStore(path)
-    assert len(store) == 2
+    checkpoint = tmp_path / "sweep.ckpt"
+    grids = {"n": [1, 2], "m": [3]}  # 2 chunks of 1 point
+    run_sweep(picklable_measure, grids, checkpoint=checkpoint)
+    tracer = Tracer()
+    run_sweep(picklable_measure, grids, tracer=tracer, checkpoint=checkpoint)
+    instants = [e for e in tracer.events if e.ph == "i"]
+    assert [(e.name, e.cat, e.args["chunks"]) for e in instants] == [
+        ("checkpoint resume", "durable", 2)
+    ]
+    assert not [e for e in tracer.events if e.ph == "X"]  # nothing left to measure
 
 
-# -- durability: checkpointed runs, corrupt stores ---------------------------
+# -- durability: checkpointed runs, dead workers ------------------------------
 
 COUNT_FILE = None  # set per-test via _counting_measure's side-channel file
 
@@ -207,6 +162,12 @@ def _counting_measure(n, m):
     return picklable_measure(n, m)
 
 
+def _calls() -> int:
+    """Calls ``_counting_measure`` has logged so far."""
+    with open(COUNT_FILE) as fh:
+        return len(fh.readlines())
+
+
 def test_checkpoint_resume_skips_journaled_chunks(tmp_path):
     global COUNT_FILE
     COUNT_FILE = str(tmp_path / "calls.log")
@@ -214,7 +175,7 @@ def test_checkpoint_resume_skips_journaled_chunks(tmp_path):
     grids = {"n": [1, 2], "m": [1, 2, 3]}
 
     full = run_sweep(_counting_measure, grids, chunk_size=2, checkpoint=checkpoint)
-    first_calls = len(open(COUNT_FILE).readlines())
+    first_calls = _calls()
     assert first_calls == 6
 
     # Simulate a crash after the first chunk: keep header + one chunk line.
@@ -222,12 +183,10 @@ def test_checkpoint_resume_skips_journaled_chunks(tmp_path):
     checkpoint.write_text("".join(lines[:2]))
 
     resumed = run_sweep(_counting_measure, grids, chunk_size=2, checkpoint=checkpoint)
-    recomputed = len(open(COUNT_FILE).readlines()) - first_calls
+    recomputed = _calls() - first_calls
     assert recomputed == 4  # only the two lost chunks re-ran
-    # Journaled values round-trip through JSON (tuples become lists), the
-    # same canonical form every store sees — compare in that form.
-    import json
-
+    # Journaled values round-trip through JSON (tuples become lists):
+    # compare in that form.
     canonical = [json.dumps(p.value) for p in full]
     assert [json.dumps(p.value) for p in resumed] == canonical
     assert [p.params for p in resumed] == [p.params for p in full]
@@ -239,53 +198,51 @@ def test_completed_checkpoint_recomputes_nothing(tmp_path):
     checkpoint = tmp_path / "sweep.ckpt"
     grids = {"n": [1, 2], "m": [1, 2]}
     run_sweep(_counting_measure, grids, checkpoint=checkpoint)
-    before = len(open(COUNT_FILE).readlines())
+    before = _calls()
     run_sweep(_counting_measure, grids, checkpoint=checkpoint)
-    assert len(open(COUNT_FILE).readlines()) == before
+    assert _calls() == before
 
 
-def test_checkpointed_store_manifest_reports_resume(tmp_path):
-    import json
+def _exit_on_armed_point(n, m, marker):
+    """Kills its worker on point (3, 4) while ``marker`` exists."""
+    if (n, m) == (3, 4) and os.path.exists(marker):
+        time.sleep(0.2)  # every earlier chunk is collected before the death
+        os._exit(1)
+    return n * 1000 + m
 
-    global COUNT_FILE
-    COUNT_FILE = str(tmp_path / "calls.log")
+
+def test_dead_worker_fails_fast_and_the_rerun_resumes(tmp_path):
+    from repro.durable import DURABLE_METRICS
+
+    marker = tmp_path / "armed"
+    marker.touch()
+    measure = partial(_exit_on_armed_point, marker=str(marker))
+    grids = {"n": [1, 2, 3], "m": [1, 2, 3, 4]}  # 6 chunks; (3, 4) is in the last
     checkpoint = tmp_path / "sweep.ckpt"
-    store = tmp_path / "store.json"
-    run_sweep(
-        _counting_measure, {"n": [1, 2], "m": [1, 2]}, checkpoint=checkpoint, store=store
-    )
-    manifest = json.loads(store.read_text())["manifest"]
-    snap = manifest["checkpoint"]
-    assert snap["path"].endswith("sweep.ckpt")
-    assert snap["resumed_chunks"] == 0
-    assert snap["journaled_chunks"] >= 1
 
+    def on_alarm(signum, frame):
+        raise TimeoutError("a dead worker hung the sweep")
 
-def test_corrupt_store_raises_typed_error(tmp_path):
-    from repro.durable import StoreCorruptionError
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(60)
+    before = DURABLE_METRICS.snapshot()
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(measure, grids, workers=2, chunk_size=2, checkpoint=checkpoint)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    journaled = DURABLE_METRICS.snapshot()["chunks_journaled"] - before["chunks_journaled"]
+    lines = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+    assert [line["chunk"] for line in lines if line["kind"] == "chunk"] == [0, 1, 2, 3, 4]
+    assert journaled == 5
 
-    path = tmp_path / "store.json"
-    run_sweep(picklable_measure, {"n": [1], "m": [1]}, store=path)
-    path.write_text(path.read_text()[:-20])  # truncate: invalid JSON
-    with pytest.raises(StoreCorruptionError):
-        SweepStore(path)
-
-
-def test_corrupt_store_quarantine_and_continue(tmp_path):
-    path = tmp_path / "store.json"
-    run_sweep(picklable_measure, {"n": [1], "m": [1]}, store=path)
-    path.write_text("{not json")
-    store = SweepStore(path, on_corruption="quarantine")
-    assert len(store) == 0
-    assert store.quarantined_to == str(path) + ".corrupt"
-    assert (tmp_path / "store.json.corrupt").read_text() == "{not json"
-    # The sweep proceeds as if the store were empty, then heals the file.
-    run_sweep(picklable_measure, {"n": [1], "m": [1]}, store=store)
-    assert len(SweepStore(path)) == 1
-
-
-def test_invalid_on_corruption_mode_rejected(tmp_path):
-    from repro.durable import ValidationError
-
-    with pytest.raises(ValidationError):
-        SweepStore(tmp_path / "s.json", on_corruption="explode")
+    # Disarmed, the same measure (same fingerprint) resumes the 5 chunks
+    # and measures the last one.
+    marker.unlink()
+    resumed = run_sweep(measure, grids, workers=2, chunk_size=2, checkpoint=checkpoint)
+    after = DURABLE_METRICS.snapshot()
+    assert after["chunks_resumed"] - before["chunks_resumed"] == 5
+    assert after["chunks_journaled"] - before["chunks_journaled"] == 6
+    serial = run_sweep(measure, grids)
+    assert [(p.params, p.value) for p in resumed] == [(p.params, p.value) for p in serial]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -232,6 +233,29 @@ class TestNoRecursionDepth:
         assert coverage(5000, 1) == 5001  # cold: the recurrence would nest 5000 calls
         assert steps_needed(100_000, 1) == 99_999
         assert [coverage(s, 1) for s in range(6)] == [1, 2, 3, 4, 5, 6]
+
+    def test_cold_coverage_fills_bottom_up(self):
+        """A cold ``coverage(s, k >= 2)`` does not nest a call per step."""
+
+        def lemma1(s, k):
+            row = [2**t for t in range(min(s, k) + 1)]
+            while len(row) <= s:
+                row.append(1 + sum(row[-k:]))
+            return row[s]
+
+        rng = random.Random(1997)
+        cases = [(1500, 2)] + [(rng.randint(0, 400), rng.randint(1, 12)) for _ in range(40)]
+        for s, k in cases:
+            clear_caches()
+            assert coverage(s, k) == lemma1(s, k), (s, k)
+
+    def test_a_miss_after_a_fill_reads_only_its_k_predecessors(self):
+        clear_caches()
+        coverage(300, 3)
+        before = coverage.cache_info()
+        coverage(301, 3)
+        after = coverage.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
 
     def test_exact_search_and_drawing_of_a_long_chain(self):
         assert optimal_k_exact(1100, 1) >= 1

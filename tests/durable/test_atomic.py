@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.durable import (
     atomic_write_json,
     atomic_write_text,
     crc32_of,
-    quarantine,
     safe_load_json,
 )
 
@@ -117,12 +115,3 @@ class TestSafeLoad:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc, indent=4, sort_keys=True))
         assert safe_load_json(path, require_crc=True) == {"a": 1, "b": 2}
-
-
-def test_quarantine_moves_artifact_aside(tmp_path):
-    path = tmp_path / "doc.json"
-    path.write_text("garbage")
-    moved = quarantine(path)
-    assert moved == f"{path}.corrupt"
-    assert not path.exists()
-    assert os.path.exists(moved)

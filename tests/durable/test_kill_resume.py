@@ -1,11 +1,11 @@
 """The cardinal invariant: SIGKILL a sweep, resume it, get identical bytes.
 
 A child process runs a checkpointed sweep with a deliberately slow
-measure; the parent SIGKILLs it once the journal shows progress, reruns
-the identical command to completion, and compares the resulting store's
-``records`` byte-for-byte against an uninterrupted control run.  Only
-the manifest (timestamps, host) may differ — the paper's numbers may
-not.
+measure and prints the points it returns as canonical JSON; the parent
+SIGKILLs the child's process group (its pool workers included) once
+the journal shows progress, reruns the identical command to
+completion, and compares the printed points byte-for-byte against an
+uninterrupted control run.
 """
 
 from __future__ import annotations
@@ -21,9 +21,12 @@ import time
 import pytest
 
 #: The sweep the child runs: 12 points in 6 chunks, ~60 ms per point,
-#: so the parent has a wide window to kill inside.
+#: so the parent has a wide window to kill inside.  A script file, not
+#: ``-c``, so pool workers can import ``slow_measure`` under any start
+#: method.
 CHILD_SCRIPT = textwrap.dedent(
     """
+    import json
     import sys
     import time
 
@@ -33,32 +36,39 @@ CHILD_SCRIPT = textwrap.dedent(
         time.sleep(0.06)
         return {"v": n * 1000 + m, "f": n / m}
 
-    store, checkpoint = sys.argv[1], sys.argv[2]
-    run_sweep(
-        slow_measure,
-        {"n": [1, 2, 3], "m": [1, 2, 3, 4]},
-        chunk_size=2,
-        store=store,
-        checkpoint=checkpoint,
-    )
-    print("COMPLETE")
+    if __name__ == "__main__":
+        checkpoint, workers = sys.argv[1], int(sys.argv[2])
+        points = run_sweep(
+            slow_measure,
+            {"n": [1, 2, 3], "m": [1, 2, 3, 4]},
+            workers=workers,
+            chunk_size=2,
+            checkpoint=checkpoint,
+        )
+        print(json.dumps([[p.params, p.value] for p in points], sort_keys=True))
     """
 )
 
 
-def _launch(tmp_path, store_name):
+def _launch(tmp_path, workers):
+    script = tmp_path / "sweep_child.py"
+    script.write_text(CHILD_SCRIPT)
     return subprocess.Popen(
-        [
-            sys.executable,
-            "-c",
-            CHILD_SCRIPT,
-            str(tmp_path / store_name),
-            str(tmp_path / "sweep.ckpt"),
-        ],
+        [sys.executable, str(script), str(tmp_path / "sweep.ckpt"), str(workers)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,  # its own process group, pool workers included
     )
+
+
+def _kill_group(proc) -> None:
+    """SIGKILL ``proc``'s process group and reap ``proc``."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the whole group already exited
+        pass
+    proc.communicate(timeout=10)
 
 
 def _journal_chunk_lines(path) -> int:
@@ -68,47 +78,46 @@ def _journal_chunk_lines(path) -> int:
         return sum(1 for line in fh if '"kind": "chunk"' in line or '"kind":"chunk"' in line)
 
 
-def test_sigkill_then_resume_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigkill_then_resume_is_byte_identical(tmp_path, workers):
     checkpoint = tmp_path / "sweep.ckpt"
 
     # Round 1: kill mid-flight, after >= 2 chunks have been journaled
     # but well before all 6 are.
-    victim = _launch(tmp_path, "store.json")
-    deadline = time.monotonic() + 30.0
-    while _journal_chunk_lines(checkpoint) < 2:
-        assert victim.poll() is None, "sweep finished before we could kill it"
-        assert time.monotonic() < deadline, "journal never showed progress"
-        time.sleep(0.01)
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.wait(timeout=10)
+    victim = _launch(tmp_path, workers)
+    try:
+        deadline = time.monotonic() + 30.0
+        while _journal_chunk_lines(checkpoint) < 2:
+            assert victim.poll() is None, "sweep finished before we could kill it"
+            assert time.monotonic() < deadline, "journal never showed progress"
+            time.sleep(0.01)
+    finally:
+        _kill_group(victim)
     assert victim.returncode == -signal.SIGKILL
 
     killed_at = _journal_chunk_lines(checkpoint)
     assert 2 <= killed_at < 6
-    assert not (tmp_path / "store.json").exists()  # store flushes at the end
 
     # Round 2: identical command, same checkpoint — runs to completion.
-    resumed = _launch(tmp_path, "store.json")
-    out, err = resumed.communicate(timeout=60)
+    resumed = _launch(tmp_path, workers)
+    try:
+        out, err = resumed.communicate(timeout=60)
+    finally:
+        if resumed.poll() is None:
+            _kill_group(resumed)
     assert resumed.returncode == 0, err
-    assert "COMPLETE" in out
     # The resumed run journaled only the missing chunks.
     assert _journal_chunk_lines(checkpoint) == 6
 
     # Control: the same sweep, uninterrupted, in-process, no checkpoint
-    # — the values are pure functions of the grid, so the stores must
-    # agree byte-for-byte in their records.
+    # — the values are pure functions of the grid, so the printed points
+    # must agree byte-for-byte.
     from repro.analysis.sweep import run_sweep
 
-    control_store = tmp_path / "control.json"
-    run_sweep(_control_measure, {"n": [1, 2, 3], "m": [1, 2, 3, 4]}, store=control_store)
-
-    resumed_doc = json.loads((tmp_path / "store.json").read_text())
-    control_doc = json.loads(control_store.read_text())
-    canonical = lambda doc: json.dumps(doc["records"], sort_keys=True)  # noqa: E731
-    assert canonical(resumed_doc) == canonical(control_doc)
-    assert resumed_doc["records"]  # non-trivial comparison
-    assert len(resumed_doc["records"]) == 12
+    control = run_sweep(_control_measure, {"n": [1, 2, 3], "m": [1, 2, 3, 4]})
+    expected = json.dumps([[p.params, p.value] for p in control], sort_keys=True)
+    assert out.strip() == expected
+    assert len(json.loads(out)) == 12
 
 
 def test_resume_with_changed_grid_is_refused(tmp_path):

@@ -49,6 +49,7 @@ class TestSmoke:
         assert repair is not None
         assert repair["survivors"] + repair["lost"] == worst["dests"] + 1
         assert repair["survivors"] >= 2 and repair["total_steps"] > 0
+        assert repair["coverage"] == (repair["survivors"] - 1) / worst["dests"]
 
     def test_records_are_json_safe(self, records):
         assert json.loads(records_json(records)) == records

@@ -1,9 +1,11 @@
 """Tree repair: dead-subtree detection and re-planning over survivors.
 
-The load-bearing property (the ISSUE's acceptance contract): the
-repaired tree over the ``n - f`` survivors is *exactly* the tree a
-from-scratch Theorem-3 plan would build — same re-optimized ``k*``,
-same Fig. 11 edges — and its height satisfies Lemma 1 coverage.
+A crash re-plan is :func:`repro.membership.amend.amend_plan` with the
+dead subtrees as leavers, the fold ``chaos_point`` makes.  The
+load-bearing property: the repaired tree over the ``n - f`` survivors
+is *exactly* the tree a from-scratch Theorem-3 plan would build — same
+re-optimized ``k*``, same Fig. 11 edges — and its height satisfies
+Lemma 1 coverage.
 """
 
 from __future__ import annotations
@@ -15,11 +17,18 @@ from hypothesis import strategies as st
 from repro.core import build_kbinomial_tree, coverage, optimal_k, steps_needed
 from repro.core.optimal import predicted_steps
 from repro.core.trees import MulticastTree
-from repro.faults import repair_plan, surviving_chain, unreachable_set
+from repro.faults import repair_coverage, unreachable_set
+from repro.membership import MembershipDelta, amend_chain, amend_plan
 
 
 def _tree_edges(tree: MulticastTree) -> list:
     return list(tree.edges())
+
+
+def replan_survivors(tree, chain, failed, m):
+    """Re-plan over the survivors of ``failed``: the dead subtrees leave."""
+    delta = MembershipDelta(leaves=tuple(unreachable_set(tree, failed)))
+    return amend_plan(tree, chain, delta, m, base_ordering=chain)
 
 
 class TestUnreachableSet:
@@ -51,45 +60,46 @@ class TestUnreachableSet:
 
 class TestSurvivingChain:
     def test_order_preserved(self):
-        assert surviving_chain([0, 1, 2, 3, 4], {1, 3}) == [0, 2, 4]
+        chain = [0, 1, 2, 3, 4]
+        assert amend_chain(chain, MembershipDelta(leaves=(1, 3)), chain) == [0, 2, 4]
 
     def test_no_unreachable_is_identity(self):
-        assert surviving_chain([0, 1, 2], ()) == [0, 1, 2]
+        assert amend_chain([0, 1, 2], MembershipDelta(), [0, 1, 2]) == [0, 1, 2]
 
 
 class TestRepairPlanValidation:
     def test_chain_must_start_at_the_source(self):
         tree = build_kbinomial_tree([0, 1, 2, 3], 2)
         with pytest.raises(ValueError, match="chain\\[0\\]"):
-            repair_plan(tree, [1, 0, 2, 3], [2], m=2)
+            replan_survivors(tree, [1, 0, 2, 3], [2], m=2)
 
     def test_chain_must_cover_the_tree(self):
         tree = build_kbinomial_tree([0, 1, 2, 3], 2)
         with pytest.raises(ValueError, match="missing tree nodes"):
-            repair_plan(tree, [0, 1, 2], [1], m=2)
+            replan_survivors(tree, [0, 1, 2], [1], m=2)
 
     def test_m_must_be_positive(self):
         tree = build_kbinomial_tree([0, 1, 2, 3], 2)
         with pytest.raises(ValueError, match="m must be"):
-            repair_plan(tree, [0, 1, 2, 3], [1], m=0)
+            replan_survivors(tree, [0, 1, 2, 3], [1], m=0)
 
 
 class TestRepairPlan:
     def test_everyone_dead_leaves_a_root_only_plan(self):
         chain = list(range(6))
         tree = build_kbinomial_tree(chain, 2)
-        plan = repair_plan(tree, chain, tree.children(tree.root), m=4)
-        assert plan.survivors == (0,)
-        assert set(plan.lost) == set(chain[1:])
+        plan = replan_survivors(tree, chain, tree.children(tree.root), m=4)
+        assert plan.chain == (0,)
+        assert set(plan.departed) == set(chain[1:])
         assert plan.total_steps == 0 and plan.t1 == 0
         assert list(plan.tree.nodes()) == [0]
-        assert plan.coverage == 0.0
+        assert repair_coverage(plan.chain, chain) == 0.0
 
     def test_step_overhead_compares_to_the_original_plan(self):
         chain = list(range(16))
         m = 4
         tree = build_kbinomial_tree(chain, optimal_k(16, m))
-        plan = repair_plan(tree, chain, [chain[-1]], m=m)
+        plan = replan_survivors(tree, chain, [chain[-1]], m=m)
         assert plan.original_steps == predicted_steps(16, optimal_k(16, m), m)
         assert plan.step_overhead == plan.total_steps - plan.original_steps
 
@@ -108,12 +118,12 @@ class TestRepairPlan:
             label="failed",
         )
 
-        plan = repair_plan(tree, chain, failed, m=m)
+        plan = replan_survivors(tree, chain, failed, m=m)
 
         unreachable = unreachable_set(tree, failed)
         survivors = [node for node in chain if node not in unreachable]
-        assert list(plan.survivors) == survivors
-        assert set(plan.lost) == set(unreachable)
+        assert list(plan.chain) == survivors
+        assert set(plan.departed) == set(unreachable)
 
         n_new = len(survivors)
         if n_new < 2:
