@@ -29,7 +29,9 @@ from .kbinomial import (
     coverage,
     coverage_table,
     min_k_binomial,
+    one_port_shape,
     root_fanout,
+    split_segment,
     steps_needed,
 )
 from .optimal import (
@@ -117,12 +119,14 @@ __all__ = [
     "linear_tree_steps",
     "min_k_binomial",
     "multicast_latency_model",
+    "one_port_shape",
     "optimal_k",
     "optimal_k_exact",
     "packet_completion_steps",
     "predicted_steps",
     "render_tree",
     "root_fanout",
+    "split_segment",
     "steps_needed",
     "theorem2_steps",
     "tree_stats",

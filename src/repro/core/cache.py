@@ -26,7 +26,8 @@ across grid points (the executor reuses worker processes).
 
 :func:`cache_stats` exposes hit/miss counters and :func:`clear_caches`
 resets every registered cache — including the module-level
-``lru_cache``\\ s on :func:`~repro.core.kbinomial.coverage` and
+``lru_cache``\\ s on :func:`~repro.core.kbinomial.coverage`, Fig. 11's
+:func:`~repro.core.kbinomial.split_segment` and
 :func:`~repro.core.optimal.optimal_k`, the one memoized Theorem-3
 search every optimal-k caller goes through — for test isolation and
 for timing cold-vs-warm runs (see ``benchmarks/bench_sweep_engine.py``).
@@ -52,7 +53,7 @@ from functools import lru_cache
 from typing import Dict, Sequence
 
 from .kbinomial import _FILLED as _COVERAGE_FILLED
-from .kbinomial import build_kbinomial_tree, coverage, steps_needed
+from .kbinomial import _split, build_kbinomial_tree, coverage, steps_needed
 from .optimal import optimal_k
 from .pipeline import fpfs_total_steps
 from .trees import MulticastTree
@@ -133,11 +134,12 @@ def cached_kbinomial_steps(n: int, k: int, m: int, ports: int = 1) -> int:
     return fpfs_total_steps(_build_tree(tuple(range(n)), k), m, ports=ports)
 
 
-#: Every cache clear_caches()/cache_stats() manages.  The coverage and
-#: optimal_k entries are the pre-existing module-level lru_caches; the
-#: rest live here.
+#: Every cache clear_caches()/cache_stats() manages.  The coverage,
+#: split_segment and optimal_k entries are the module-level lru_caches
+#: of their own modules; the rest live here.
 _REGISTRY = {
     "coverage": coverage,
+    "split_segment": _split,
     "optimal_k": optimal_k,
     "steps_needed": cached_steps_needed,
     "build_kbinomial_tree": _build_tree,

@@ -12,12 +12,17 @@ This module is the analytic heart of the reproduction.  It implements
   the first packet to reach ``n - 1`` destinations, i.e. the smallest
   ``s`` with ``N(s, k) >= n``.
 
-* ``build_kbinomial_tree(chain, k)`` — the Fig. 11 construction of a
-  (contention-free, when ``chain`` is a contention-free ordering)
-  k-binomial tree: the root sends first to the node ``N(s-1, k)``
-  positions from the right end of the chain, then ``N(s-2, k)``
-  positions left of that recipient, and so on; each recipient recurses
-  on the chain segment to its right.
+* ``split_segment(size, k)`` — Fig. 11's split of one chain segment:
+  its head sends first to the ``N(s-1, k)`` nodes at the segment's
+  right end, then to the ``N(s-2, k)`` left of those, and so on, each
+  recipient heading the segment it was sent.  Segment sizes alone
+  decide it, so everything below drives from it:
+
+  - ``build_kbinomial_tree(chain, k)`` — the (contention-free, when
+    ``chain`` is a contention-free ordering) k-binomial tree;
+  - ``root_fanout(n, k)`` — the root's fan-out ``k_T``;
+  - ``one_port_shape(n, k, m)`` — the tree's root and largest fan-out
+    and its exact one-port FPFS total, without building the tree.
 
 A k-binomial tree with ``k >= ceil(log2 n)`` is exactly a binomial tree
 (``N(s, k) = 2**s``), so the classic binomial baseline is the ``k ->
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from .trees import MulticastTree
 
@@ -37,8 +42,10 @@ __all__ = [
     "coverage_table",
     "steps_needed",
     "min_k_binomial",
+    "split_segment",
     "build_kbinomial_tree",
     "root_fanout",
+    "one_port_shape",
 ]
 
 
@@ -139,6 +146,40 @@ def min_k_binomial(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) if n > 1 else 0
 
 
+def split_segment(size: int, k: int) -> Tuple[int, ...]:
+    """Fig. 11's split: the sizes of a chain segment's child segments.
+
+    A segment of ``size`` nodes needs ``s = T1(size, k)`` steps.  Its
+    head sends first to the segment of the ``N(s-1, k)`` nodes at the
+    right end, then to the ``N(s-2, k)`` nodes left of that, and so on,
+    in send order; the last child takes what is left, so it is the only
+    one that may fall short of its cap.  A single node has no children,
+    and a chain (``k = 1``) hands its one child the rest of the segment.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if k == 1:  # closed form, kept out of the memo: a chain has n sizes
+        return (size - 1,) if size > 1 else ()
+    return _split(size, k)
+
+
+@lru_cache(maxsize=4096)
+def _split(size: int, k: int) -> Tuple[int, ...]:
+    """:func:`split_segment` for ``k >= 2``.  A tree over any n has at
+    most ``2·T1 + 1`` distinct segment sizes (every segment's children
+    are full but the last), so a bounded memo holds a whole build."""
+    s = steps_needed(size, k)
+    sizes = []
+    remaining = size - 1
+    while remaining:
+        take = min(coverage(s - 1 - len(sizes), k), remaining)
+        sizes.append(take)
+        remaining -= take
+    return tuple(sizes)
+
+
 def build_kbinomial_tree(chain: Sequence, k: int) -> MulticastTree:
     """Construct a k-binomial tree over an ordered chain (paper Fig. 11).
 
@@ -158,12 +199,13 @@ def build_kbinomial_tree(chain: Sequence, k: int) -> MulticastTree:
 
     Notes
     -----
-    Segment sizes are assigned greedily from the right end of the chain
-    with capacities ``N(s-1, k), N(s-2, k), ...``.  When ``n`` is not
-    exactly ``N(s, k)``, early segments absorb the slack, so the root
-    may end up with fewer than ``k`` children; the tree still completes
-    the first packet in ``steps_needed(n, k)`` steps and no node exceeds
-    fan-out ``k`` (both properties are asserted by the test suite).
+    Each segment is split by :func:`split_segment`: capacities
+    ``N(s-1, k), N(s-2, k), ...`` are assigned greedily from the right
+    end of the chain.  When ``n`` is not exactly ``N(s, k)``, early
+    segments absorb the slack, so the root may end up with fewer than
+    ``k`` children; the tree still completes the first packet in
+    ``steps_needed(n, k)`` steps and no node exceeds fan-out ``k`` (both
+    properties are asserted by the test suite).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -184,36 +226,72 @@ def build_kbinomial_tree(chain: Sequence, k: int) -> MulticastTree:
         root = chain[lo]
         if parent is not None:
             tree.add_child(parent, root)
-        if hi - lo == 1:
-            continue
-        s = steps_needed(hi - lo, k)
         children = []
-        for i in range(1, k + 1):
-            if hi == lo + 1:
-                break
-            take = min(coverage(s - i, k), hi - lo - 1)
-            children.append((root, hi - take, hi))
-            hi -= take
-        if hi != lo + 1:  # pragma: no cover - guarded by N(s,k) >= n
-            raise AssertionError(f"segment at {lo} not covered by fan-out {k} in {s} steps")
+        for size in split_segment(hi - lo, k):
+            children.append((root, hi - size, hi))
+            hi -= size
         stack.extend(reversed(children))
     return tree
 
 
 def root_fanout(n: int, k: int) -> int:
-    """Number of children the Fig. 11 construction gives the root.
+    """Number of children the Fig. 11 construction gives the root (``k_T``).
 
-    Cheaper than building the tree; used by the refined (exact) optimal
-    search in :mod:`repro.core.optimal`.
+    Cheaper than building the tree: one :func:`split_segment`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    remaining = n - 1
-    s = steps_needed(n, k)
-    fanout = 0
-    for i in range(1, k + 1):
-        if remaining == 0:
-            break
-        remaining -= min(coverage(s - i, k), remaining)
-        fanout += 1
-    return fanout
+    return len(split_segment(n, k))
+
+
+def one_port_shape(n: int, k: int, m: int) -> Tuple[int, int, int]:
+    """``(root fan-out, largest fan-out, total steps)`` of the k-binomial
+    tree over ``n`` nodes and its exact one-port FPFS schedule of ``m``
+    packets, without building the tree.
+
+    The total is :func:`~repro.core.pipeline.fpfs_first_last`'s: a node
+    whose packets arrive ``D`` steps apart and which has ``c`` children
+    sends child ``i`` packet 0 ``i`` steps after it got it and spaces
+    every child's packets ``max(D, c)`` apart, so a node receives its
+    last packet at ``first + (m - 1) · spacing``.  A subtree's fan-outs
+    and its steps, counted from its head's first receive step, depend
+    only on its segment's size (Fig. 11) and the spacing at its head,
+    so one memo entry per (size, spacing) pair covers every subtree
+    alike: a k-binomial tree over any n has at most ``2·T1 + 1``
+    segment sizes and ``k + 1`` spacings.  The walk pops the memo's
+    pairs from an explicit stack, and a chain (``k = 1``) is a closed
+    form, so no call depth grows with n.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if n == 1:
+        return 0, 0, 0
+    if k == 1:  # node p receives packet 0 at step p, one packet a step
+        return 1, 1, (n - 1) + (m - 1)
+    tail = m - 1
+    done: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (size, spacing) -> (fan-out, last)
+    stack = [(n, 0)]  # the source holds every packet at step 0
+    while stack:
+        key = stack[-1]
+        if key in done:
+            stack.pop()
+            continue
+        size, spacing = key
+        sizes = split_segment(size, k)
+        gap = max(spacing, len(sizes))
+        todo = [(child, gap) for child in sizes if (child, gap) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        fanout, last = len(sizes), tail * spacing
+        for step, child in enumerate(sizes, 1):
+            child_fanout, child_last = done[child, gap]
+            fanout = max(fanout, child_fanout)
+            last = max(last, step + child_last)
+        done[key] = fanout, last
+    return (root_fanout(n, k), *done[n, 0])

@@ -15,14 +15,19 @@ request with excluded positions reuses the canonical schedule of its
 
 :func:`plan` returns a :class:`PlanResult` (the library API, and the
 oracle the tests hold the service to), built from memoized
-:class:`NodePlan` rows; :meth:`PlanResult.to_dict` writes it with every
-node's row, O(n) bytes.  The plan service sends the paper's own form
-instead: the NI keeps only the optimal-k table (§4.3.1), and the tree
-and its FPFS schedule follow from k and the contention-free chain
+:class:`NodePlan` rows, which are tuples; :meth:`PlanResult.to_dict`
+writes it with every node's row, O(n) bytes.  The row memo also holds
+the canonical schedule as columns, and a request's survivors relabel
+them column by column in C.  The plan service sends the paper's own
+form instead: the NI keeps only the optimal-k table (§4.3.1), and the
+tree and its FPFS schedule follow from k and the contention-free chain
 (Fig. 11, Theorem 1).  :func:`plan_compact_json` writes it from a memo
 of k and the schedule's shape alone: the scalar fields, the machine's
 ``ports`` and the ``excluded`` positions, no ``"schedule"``, about 150
-bytes at any n.  :meth:`PlanResult.from_dict` expands it into the same
+bytes at any n.  On one port that shape comes from Fig. 11's segment
+sizes (:func:`~repro.core.kbinomial.one_port_shape`) with no tree at
+all; on more ports from the built tree and its exact step schedule.
+:meth:`PlanResult.from_dict` expands a compact answer into the same
 :class:`PlanResult` with the same canonical tree, row memo and survivor
 relabelling that :func:`plan` uses.  :func:`plan_compact_json_warm`
 answers from the memo only, ``None`` instead of computing, which is how
@@ -30,7 +35,8 @@ the plan service tells a warm key, answered on its event loop, from a
 cold one it batches.  Both memos register in the :mod:`repro.core.cache`
 registry, so the hit rates are observable via
 :func:`~repro.core.cache.cache_stats` (``plan_schedule`` for the rows,
-``plan_shape`` for the compact form).
+``plan_shape`` for the compact form); neither fills the unbounded
+``build_kbinomial_tree`` memo.
 
 The analytic half of a plan comes from the same memos as everywhere
 else: the Theorem-3 fan-out from :func:`~repro.core.optimal.optimal_k`
@@ -42,10 +48,11 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, register_cache
-from ..core.kbinomial import build_kbinomial_tree
+from ..core.cache import cached_steps_needed, register_cache
+from ..core.kbinomial import build_kbinomial_tree, one_port_shape
 from ..durable.errors import ValidationError
 from ..core.optimal import optimal_k
 from ..core.pipeline import fpfs_first_last, fpfs_steps
@@ -66,12 +73,14 @@ __all__ = [
 #: the server refuses a larger plan or amend as ``bad_request``, a
 #: journal replay skips it, and a compact payload naming more is
 #: malformed.  An exact FPFS schedule costs O(n·m) time and memory:
-#: ``n=64, m=100000`` took 0.75 s and 270 MiB.  On one port a plan
-#: reads only each node's first and last step, O(n), so at this bound
-#: a cold compact answer took (process time, one pinned vCPU of a
-#: 2-vCPU KVM guest, six runs) 0.002-0.003 s at 128 × 1024, and
-#: 0.65-1.05 s at 131,072 × 1, where the tree build dominates;
-#: expanding that answer took 0.84-1.18 s.
+#: ``n=64, m=100000`` took 0.75 s and 270 MiB.  At this bound (process
+#: time, one pinned vCPU of a 2-vCPU KVM guest, three runs each in
+#: several rounds) a cold one-port compact answer, which builds no
+#: tree, took 0.5-1.2 ms at 131,072 × 1 and at 65,536 × 2; a cold
+#: two-port one, which builds the tree and its exact step schedule,
+#: 0.43-0.51 s at 131,072 × 1; and expanding the one-port 131,072 × 1
+#: answer into rows, which builds the tree and reads each node's first
+#: and last step, 0.8-1.5 s.
 #: 1024 × 32 is the largest plan the repository's own tests, CI and
 #: benchmarks ask for.
 MAX_PLAN_WORK = 1 << 17
@@ -131,13 +140,13 @@ def plan_work(request: PlanRequest) -> int:
     return (request.n - len(request.exclude)) * request.m
 
 
-@dataclass(frozen=True)
-class NodePlan:
+class NodePlan(NamedTuple):
     """One node's row of the FPFS forwarding schedule.
 
     Nodes are chain positions ``0..n-1`` (0 = source); map them onto
     real hosts with any contention-free ordering — the schedule is
-    position-invariant.
+    position-invariant.  A row is a tuple, so it is immutable, and
+    comparing or hashing it runs in C.
     """
 
     #: Chain position of this node.
@@ -167,11 +176,8 @@ class NodePlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NodePlan":
-        """Parse the wire form back into a :class:`NodePlan`.
-
-        The row equals ``NodePlan(**fields)`` and hashes the same.
-        """
-        return _node_plan(
+        """Parse the wire form back into a :class:`NodePlan`."""
+        return cls(
             payload["node"],
             payload["parent"],
             tuple(payload["children"]),
@@ -179,26 +185,6 @@ class NodePlan:
             payload["first_recv"],
             payload["last_recv"],
         )
-
-
-def _node_plan(node, parent, children, child_first_send, first_recv, last_recv) -> NodePlan:
-    """``NodePlan(...)`` without the frozen dataclass's ``__init__``.
-
-    A schedule holds one row per node, so its builders fill the
-    instance dict directly: ``__init__`` would pay one
-    ``object.__setattr__`` per field.  The row equals the one
-    ``__init__`` makes and hashes the same.
-    """
-    row = object.__new__(NodePlan)
-    vars(row).update(
-        node=node,
-        parent=parent,
-        children=children,
-        child_first_send=child_first_send,
-        first_recv=first_recv,
-        last_recv=last_recv,
-    )
-    return row
 
 
 @dataclass(frozen=True)
@@ -290,18 +276,21 @@ class _Shape(NamedTuple):
     t1: int
 
 
-def _canonical(n: int, k: int, m: int, ports: int, build: Callable):
+def _canonical(n: int, k: int, m: int, ports: int):
     """``(tree, ends, shape)`` of the canonical k-binomial tree over
-    ``range(n)``, built by ``build(range(n), k)``.
+    ``range(n)``.
 
     ``ends`` maps each node to its first and last receive step of the
     exact FPFS schedule, all a plan reads of it: one port takes the
     O(n) :func:`~repro.core.pipeline.fpfs_first_last`, more ports the
-    ends of :func:`~repro.core.pipeline.fpfs_steps`, O(n·m).  Both
-    memos below are built from it, so they hold the same schedule in
-    two forms.
+    ends of :func:`~repro.core.pipeline.fpfs_steps`, O(n·m).  The row
+    memo is built from it, and so is the compact memo on more ports;
+    on one port the compact memo reads the same shape from
+    :func:`~repro.core.kbinomial.one_port_shape` without the tree.
+    The tree is built uncached, so no process keeps it past the memo
+    entry it was built for.
     """
-    tree = build(range(n), k)
+    tree = build_kbinomial_tree(range(n), k)
     if ports == 1:
         ends = fpfs_first_last(tree, m)
     else:
@@ -324,30 +313,62 @@ def _survivors(request: PlanRequest) -> List[int]:
     return survivors
 
 
-def _relabel(rows: Tuple[NodePlan, ...], request: PlanRequest) -> Tuple[NodePlan, ...]:
-    """Canonical rows moved onto the survivors' original positions.
+#: The slice of :attr:`_Columns.children` that is every leaf's.
+_LEAF = slice(0, 0)
+
+
+class _Columns(NamedTuple):
+    """The canonical rows column by column, in the form :func:`_relabel` reads."""
+
+    #: The parent of each node ``1..n-1`` (the source has none).
+    parents: Tuple[int, ...]
+    #: Every node's children, concatenated in node order.
+    children: Tuple[int, ...]
+    #: Each node's slice of :attr:`children`.
+    slices: Tuple[slice, ...]
+    #: The columns a relabelling leaves as they are: steps, not nodes.
+    child_first_send: Tuple[Tuple[int, ...], ...]
+    first_recv: Tuple[int, ...]
+    last_recv: Tuple[int, ...]
+
+
+def _make_rows(nodes, parents, children, columns: _Columns) -> Tuple[NodePlan, ...]:
+    """Rows from their node, parent (of nodes ``1..n-1``; the source has
+    none) and children columns and the step columns of ``columns``.
+
+    Each row is made by ``tuple.__new__`` from ``zip``'s tuple, both in
+    C, so no Python code runs per row.
+    """
+    return tuple(
+        map(
+            tuple.__new__,
+            repeat(NodePlan),
+            zip(
+                nodes,
+                chain((None,), parents),
+                children,
+                columns.child_first_send,
+                columns.first_recv,
+                columns.last_recv,
+            ),
+        )
+    )
+
+
+def _relabel(columns: _Columns, survivors: List[int]) -> Tuple[NodePlan, ...]:
+    """The canonical rows, canonical position ``i`` moved onto
+    ``survivors[i]``, the original position of the ``i``-th survivor.
 
     Callers keep addressing their pre-failure chain; the steps do not
-    change.  Below the first excluded position every survivor keeps its
-    canonical position, so a row whose node and children all lie there
-    is shared, not copied.
+    change.  The node columns are mapped through ``survivors`` by
+    C-level ``map``: the parents, and all children at once, then cut
+    into each node's slice.
     """
-    at = _survivors(request).__getitem__
-    kept = request.exclude[0]
-    moved = []
-    for row in rows:
-        fields = vars(row)
-        children = fields["children"]
-        if fields["node"] >= kept or (children and max(children) >= kept):
-            row = object.__new__(NodePlan)  # filled as _node_plan fills it
-            copy = vars(row)
-            copy.update(fields)
-            copy["node"] = at(fields["node"])
-            if fields["parent"] is not None:
-                copy["parent"] = at(fields["parent"])
-            copy["children"] = tuple(map(at, children))
-        moved.append(row)
-    return tuple(moved)
+    at = survivors.__getitem__
+    children = tuple(map(at, columns.children))
+    return _make_rows(
+        survivors, map(at, columns.parents), map(children.__getitem__, columns.slices), columns
+    )
 
 
 class _CacheInfo(NamedTuple):
@@ -425,36 +446,33 @@ class _LRUMemo:
             self._total = self._hits = self._misses = 0
 
 
-def _rows_entry(n: int, k: int, m: int, ports: int) -> Tuple[_Shape, Tuple[NodePlan, ...]]:
-    """The canonical schedule as :class:`NodePlan` rows, for :func:`plan`
-    and the compact form's expansion.
-
-    It builds its own tree rather than filling the shared tree memo,
-    which has no bound: every process that expands compact answers
-    (each client) computes rows for each size it is sent.
-    """
-    tree, ends, shape = _canonical(n, k, m, ports, build_kbinomial_tree)
-    rows = []
-    for node in range(n):
-        children = tree.children(node)
-        first, last = ends[node]
-        rows.append(
-            _node_plan(
-                node,
-                None if node == tree.root else tree.parent(node),
-                children,
-                tuple([ends[child][0] for child in children]),
-                first,
-                last,
-            )
-        )
-    return shape, tuple(rows)
+def _rows_entry(
+    n: int, k: int, m: int, ports: int
+) -> Tuple[_Shape, Tuple[NodePlan, ...], _Columns]:
+    """``(shape, rows, columns)``: the canonical schedule as
+    :class:`NodePlan` rows, and as the columns :func:`_relabel` maps,
+    for :func:`plan` and the compact form's expansion."""
+    tree, ends, shape = _canonical(n, k, m, ports)
+    kids = [tree.children(node) for node in range(n)]
+    bounds = tuple(accumulate(map(len, kids), initial=0))
+    firsts, lasts = zip(*[ends[node] for node in range(n)])
+    columns = _Columns(
+        parents=tuple([tree.parent(node) for node in range(1, n)]),
+        children=tuple(chain.from_iterable(kids)),
+        # A leaf's slice is empty wherever it starts: all leaves share one.
+        slices=tuple([slice(a, b) if a < b else _LEAF for a, b in zip(bounds, bounds[1:])]),
+        child_first_send=tuple([tuple([ends[child][0] for child in cs]) for cs in kids]),
+        first_recv=firsts,
+        last_recv=lasts,
+    )
+    return shape, _make_rows(range(n), columns.parents, kids, columns), columns
 
 
 #: The row memo, bounded by rows rather than keys: it holds at most
 #: :data:`MAX_PLAN_WORK` rows, as many as the largest plan the service
-#: accepts has (57 MiB at about 450 bytes a row).  A larger
-#: :func:`plan`'s rows are held alone until the next key evicts them.
+#: accepts has (43 MiB at about 340 bytes a row, its columns included;
+#: tracemalloc).  A larger :func:`plan`'s rows are held alone until the
+#: next key evicts them.
 _schedule_rows = _LRUMemo(_rows_entry, maxsize=MAX_PLAN_WORK, weight=lambda entry: len(entry[1]))
 register_cache("plan_schedule", _schedule_rows)
 
@@ -462,12 +480,16 @@ register_cache("plan_schedule", _schedule_rows)
 def _shape_entry(n: int, m: int, ports: int) -> Tuple[int, _Shape]:
     """``(k, shape)``: all a compact answer needs of the canonical schedule.
 
-    §4.3.1's table entry, plus the tree's fan-outs and step counts.
-    Computing it builds the canonical tree and its schedule's ends, but
-    no rows.
+    §4.3.1's table entry, plus the tree's fan-outs and step counts.  On
+    one port they come from Fig. 11's segment sizes alone
+    (:func:`~repro.core.kbinomial.one_port_shape`), with no tree; on
+    more ports from the canonical tree and its exact step schedule.
+    Neither builds rows.
     """
     k = optimal_k(n, m)
-    return k, _canonical(n, k, m, ports, cached_build_kbinomial_tree)[2]
+    if ports == 1:
+        return k, _Shape(*one_port_shape(n, k, m), cached_steps_needed(n, k))
+    return k, _canonical(n, k, m, ports)[2]
 
 
 #: The compact memo :func:`plan_compact_json` fills and
@@ -518,9 +540,9 @@ def _rows(request: PlanRequest, k: int) -> Tuple[_Shape, Tuple[NodePlan, ...]]:
     onto the survivors.
     """
     n_eff = request.n - len(request.exclude)
-    shape, rows = _schedule_rows(n_eff, k, request.m, request.params.ports)
+    shape, rows, columns = _schedule_rows(n_eff, k, request.m, request.params.ports)
     if request.exclude:
-        rows = _relabel(rows, request)
+        rows = _relabel(columns, _survivors(request))
     return shape, rows
 
 

@@ -6,6 +6,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     build_kbinomial_tree,
@@ -15,10 +17,14 @@ from repro.core import (
     check_kbinomial_depth,
     clear_caches,
     coverage,
+    fpfs_first_last,
     min_k_binomial,
+    one_port_shape,
+    optimal_k,
     optimal_k_exact,
     render_tree,
     root_fanout,
+    split_segment,
     steps_needed,
 )
 
@@ -174,6 +180,73 @@ class TestRootFanout:
         for n in range(2, 80):
             for k in range(1, 8):
                 assert root_fanout(n, k) <= k
+
+
+def tree_shape(n, k, m):
+    """The shape :func:`one_port_shape` must give, read from the built
+    tree and its one-port first/last receive steps."""
+    tree = build_kbinomial_tree(range(n), k)
+    ends = fpfs_first_last(tree, m)
+    return tree.root_fanout, tree.max_fanout, max(last for _, last in ends.values())
+
+
+@st.composite
+def shape_cases(draw):
+    """n in [2, 5000], k in [1, ceil(log2 n)] (the chain included), m in [1, 64]."""
+    n = draw(st.integers(2, 5000))
+    return n, draw(st.integers(1, min_k_binomial(n))), draw(st.integers(1, 64))
+
+
+class TestSplit:
+    def test_splits_by_lemma_1_caps(self):
+        # N(6, 3) = 52 and N(5, 3) = 28: 64 nodes need 7 steps, and the
+        # 63 destinations split 52 + 11.
+        assert split_segment(64, 3) == (52, 11)
+        assert split_segment(coverage(7, 3), 3) == tuple(coverage(7 - i, 3) for i in (1, 2, 3))
+        assert split_segment(1, 4) == ()
+        assert split_segment(10, 1) == (9,)
+
+    def test_children_cover_the_segment_within_the_cap(self):
+        for size in range(1, 300):
+            for k in range(1, 10):
+                sizes = split_segment(size, k)
+                assert sum(sizes) == size - 1 and len(sizes) <= k
+                assert all(0 < child < size for child in sizes)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            split_segment(0, 2)
+        with pytest.raises(ValueError):
+            split_segment(5, 0)
+        with pytest.raises(ValueError):
+            one_port_shape(5, 0, 1)
+        with pytest.raises(ValueError):
+            one_port_shape(5, 2, 0)
+
+
+class TestOnePortShape:
+    @settings(max_examples=60, deadline=None)
+    @given(case=shape_cases())
+    def test_shape_is_the_built_trees(self, case):
+        """Fan-outs and the exact one-port total equal the tree's and
+        :func:`fpfs_first_last`'s, without building the tree."""
+        assert one_port_shape(*case) == tree_shape(*case)
+
+    def test_small_sizes_exhaustively(self):
+        for n in range(1, 70):
+            for k in range(1, 8):
+                for m in (1, 2, 5):
+                    assert one_port_shape(n, k, m) == tree_shape(n, k, m), (n, k, m)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "n, k, m",
+        [(131072, optimal_k(131072, 1), 1), (65536, optimal_k(65536, 2), 2), (131072, 1, 1)],
+    )
+    def test_shape_at_the_plan_work_bound(self, n, k, m):
+        """The corners of the plan service's ``MAX_PLAN_WORK``: 131,072
+        × 1 (k = 17), 65,536 × 2, and a chain of 131,072 nodes."""
+        assert one_port_shape(n, k, m) == tree_shape(n, k, m)
 
 
 def recursive_kbinomial_tree(chain, k):

@@ -15,6 +15,7 @@ from repro.core import (
     cache_stats,
     cached_kbinomial_steps,
     clear_caches,
+    fpfs_first_last,
     fpfs_schedule,
     optimal_k,
     steps_needed,
@@ -136,7 +137,7 @@ class TestWireFormat:
             fields["child_first_send"] = tuple(fields["child_first_send"])
             built = NodePlan(**fields)
             assert row == built and hash(row) == hash(built)
-            assert vars(row) == vars(built)
+            assert row._asdict() == built._asdict()
 
     def test_machine_params_wire_form_is_asdict(self):
         from dataclasses import asdict
@@ -175,7 +176,7 @@ class TestCompactForm:
         assert decoded == oracle
         assert hash(decoded) == hash(oracle)
         for row in decoded.schedule:
-            built = NodePlan(**vars(row))
+            built = NodePlan(**row._asdict())
             assert row == built and hash(row) == hash(built)
 
     def test_warm_lookup_reads_the_compact_memo_only(self):
@@ -220,8 +221,7 @@ class TestCompactForm:
         def refuse(*args):
             raise AssertionError("a malformed payload built a tree")
 
-        for name in ("build_kbinomial_tree", "cached_build_kbinomial_tree"):
-            monkeypatch.setattr(planner_module, name, refuse)
+        monkeypatch.setattr(planner_module, "build_kbinomial_tree", refuse)
         planner_module._schedule_rows.cache_clear()
         with pytest.raises(ValueError, match=fragment):
             PlanResult.from_dict(payload)
@@ -352,7 +352,57 @@ class TestRequestValidation:
         assert a != PlanRequest(n=16, m=8, params=MachineParams(t_sq=2.0))
 
 
+def survivor_rows(request: PlanRequest, k: int):
+    """The rows of ``request``'s plan built straight over its surviving
+    positions: the Fig. 11 tree over the survivors' chain and its
+    one-port first/last receive steps, with no relabelling."""
+    survivors = [p for p in range(request.n) if p not in request.exclude]
+    tree = build_kbinomial_tree(survivors, k)
+    ends = fpfs_first_last(tree, request.m)
+    return tuple(
+        NodePlan(
+            node,
+            None if node == tree.root else tree.parent(node),
+            tree.children(node),
+            tuple(ends[child][0] for child in tree.children(node)),
+            *ends[node],
+        )
+        for node in survivors
+    )
+
+
+@st.composite
+def excluding_requests(draw):
+    """One-port requests, n in [3, 1500], with 1-8 excluded positions."""
+    n = draw(st.integers(3, 1500))
+    m = draw(st.integers(1, 40))
+    exclude = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 2, 8)))
+    return PlanRequest(n=n, m=m, exclude=tuple(exclude))
+
+
 class TestExclude:
+    @settings(max_examples=60, deadline=None)
+    @given(request=excluding_requests())
+    def test_rows_are_the_tree_over_the_survivors(self, request):
+        """A plan with exclusions has exactly the rows of the tree built
+        over its survivors, whether computed or expanded from the
+        compact answer."""
+        result = plan(request)
+        expected = survivor_rows(request, result.k)
+        assert result.schedule == expected
+        assert hash(result.schedule) == hash(expected)
+        assert PlanResult.from_dict(json.loads(plan_compact_json(request))).schedule == expected
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, m", [(131072, 1), (65536, 2)])
+    def test_rows_at_the_plan_work_bound(self, n, m):
+        """The largest plans the service accepts, with positions excluded
+        at both ends of the chain and in the middle."""
+        request = PlanRequest(n=n + 3, m=m, exclude=(1, n // 2, n + 2))
+        result = PlanResult.from_dict(json.loads(plan_compact_json(request)))
+        assert result.schedule == survivor_rows(request, result.k)
+        assert result == plan(request)
+
     def test_plan_over_survivors_matches_reduced_n(self):
         full = plan(PlanRequest(n=6, m=2))
         reduced = plan(PlanRequest(n=8, m=2, exclude=(3, 5)))

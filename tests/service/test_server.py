@@ -127,6 +127,39 @@ class TestEndToEnd:
         assert "surface" not in cache_stats()
 
 
+    def test_no_request_fills_the_shared_tree_memo(self):
+        """One- and two-port plans, amends and exclusions, served and
+        expanded in this process, leave the unbounded
+        ``build_kbinomial_tree`` memo empty: every tree a plan needs is
+        built for the bounded memo entry that keeps its result."""
+        from repro.core import cache_stats, clear_caches
+        from repro.membership.amend import amended_request
+
+        two = MachineParams(ports=2)
+        plans = [(64, 8, None, ()), (200, 16, None, (5, 77)), (48, 4, two, ()), (48, 4, two, (3,))]
+        amends = [(64, 8, None, (), 2, (5,)), (33, 3, two, (1,), 1, (2,))]
+
+        async def body():
+            server = await started_server()
+            async with await PlanClient.connect("127.0.0.1", server.port) as client:
+                results = [await client.plan(n, m, p, exclude=e) for n, m, p, e in plans]
+                for n, m, params, exclude, join, leave in amends:
+                    results.append(
+                        await client.amend(n, m, params, exclude=exclude, join=join, leave=leave)
+                    )
+            await server.shutdown()
+            return results
+
+        clear_caches()
+        results = run(body())
+        assert cache_stats()["build_kbinomial_tree"].currsize == 0
+        expected = [PlanRequest(n, m, p or MachineParams(), e) for n, m, p, e in plans] + [
+            amended_request(n, m, p, e, join=j, leave=lv) for n, m, p, e, j, lv in amends
+        ]
+        assert results == [plan(request) for request in expected]
+        assert cache_stats()["build_kbinomial_tree"].currsize == 0
+
+
 class TestFairness:
     @pytest.mark.usefixtures("cold_memos")
     def test_a_pipelined_burst_does_not_hold_the_loop(self, monkeypatch):

@@ -35,7 +35,6 @@ from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.core import clear_caches
 from repro.params import MachineParams
 from repro.service import (
-    NodePlan,
     PlanClient,
     PlanRequest,
     PlanResult,
@@ -383,7 +382,7 @@ def test_serving_builds_no_rows(services, monkeypatch, via):
         raise AssertionError("serving built a plan() result")
 
     monkeypatch.setattr(PlanResult, "to_dict", refuse)
-    monkeypatch.setattr(NodePlan, "__init__", refuse)
+    monkeypatch.setattr(_schedule_rows, "_fn", refuse)  # the row memo's _rows_entry
     _schedule_rows.cache_clear()
 
     async def burst():

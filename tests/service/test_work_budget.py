@@ -47,7 +47,7 @@ import pytest
 
 from repro.cluster import ClusterRouter, ShardSpec, plan_key
 from repro.cluster import router as router_module
-from repro.core import clear_caches, pipeline
+from repro.core import MulticastTree, cache_stats, clear_caches, pipeline
 from repro.params import MachineParams
 from repro.service import PlanBatcher, PlanRequest, PlanServer, framing
 from repro.service import client as client_module
@@ -305,6 +305,36 @@ def test_cold_plan_reads_step_lists_not_the_pair_dict(monkeypatch):
         )
         passes[ports] = dict(calls)
     assert passes == {1: {}, 2: {"fpfs_steps": 1}}
+
+
+@pytest.mark.parametrize("n, m", [(512, 32), (131072, 1)])
+def test_cold_one_port_plan_builds_no_tree(monkeypatch, n, m):
+    """A cold one-port compact plan reads its shape from Fig. 11's
+    segment sizes alone: it builds no tree (no ``build_kbinomial_tree``,
+    no :class:`MulticastTree` at all) and runs no first/last pass.  A
+    cold two-port plan still builds its tree and runs one step pass:
+    the multi-port path is the tree's."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_kbinomial_tree", "fpfs_first_last", "fpfs_steps"):
+        monkeypatch.setattr(planner_module, name, counted(name, getattr(planner_module, name)))
+    monkeypatch.setattr(MulticastTree, "__init__", counted("trees", MulticastTree.__init__))
+    passes = {}
+    for ports in (1, 2):
+        clear_caches()
+        calls.clear()
+        request = PlanRequest(n=n, m=m, params=MachineParams(ports=ports))
+        planner_module.plan_compact_json(request)
+        passes[ports] = dict(calls)
+        assert cache_stats()["build_kbinomial_tree"].currsize == 0
+    assert passes == {1: {}, 2: {"build_kbinomial_tree": 1, "trees": 1, "fpfs_steps": 1}}
 
 
 def test_warm_plans_are_answered_inline_at_any_n(monkeypatch):
