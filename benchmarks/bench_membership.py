@@ -8,7 +8,7 @@ Two claims, one per contract in :mod:`repro.membership`:
   a paired timing at n = 4096 shows amendment costs no more than
   starting over (the incremental graft/prune does the same O(n) key
   work as the rotation-key sort; the win is *correctness under churn*,
-  not asymptotics — the service-layer win is single-flight dedupe,
+  not asymptotics — the service-layer win is computing each key once,
   measured by A15).
 * **100% delivery to stable members** — Poisson churn (joins *and*
   leaves mid-multicast) on the 64-host irregular testbed completes

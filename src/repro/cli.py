@@ -98,12 +98,12 @@ __all__ = ["main"]
 #: after a sweep has forked processes.
 _POSITIVE_INT_ARGS = (
     "workers", "topologies", "dest_sets", "runs", "dests", "bytes",
-    "max_m", "max_inflight", "max_batch", "max_n", "ports",
+    "max_m", "max_inflight", "max_n", "ports",
     "n_max", "m_max", "count", "max_active",
     "shards", "vnodes", "replication", "fail_after",
 )
 _POSITIVE_NUMBER_ARGS = (
-    "timeout", "max_delay", "t_s", "t_r", "t_step", "t_sq",
+    "timeout", "t_s", "t_r", "t_step", "t_sq",
     "profile_hz", "probe_interval",
 )
 #: Integer options where zero is meaningful (ids, epochs).
@@ -460,8 +460,6 @@ def _cmd_serve(args) -> None:
         port=args.port,
         workers=args.workers,
         max_inflight=args.max_inflight,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
         request_timeout=args.timeout,
         max_n=args.max_n,
         tracer=args.tracer,
@@ -848,8 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decoster)
 
     p = sub.add_parser("serve", help="run the multicast plan service")
-    p.add_argument("--max-batch", type=int, default=64, help="micro-batch flush size")
-    p.add_argument("--max-delay", type=float, default=0.001, help="micro-batch window s")
     p.add_argument("--timeout", type=float, default=5.0, help="per-request deadline s")
     p.add_argument("--max-n", type=int, default=65536, help="largest accepted n")
     p.add_argument(

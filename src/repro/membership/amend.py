@@ -32,8 +32,8 @@ crash repair refuses.  The plan service surfaces it as a structured
 
 :func:`amended_request` is the service-side (positional) twin: it folds
 an ``amend`` wire delta into a fresh
-:class:`~repro.service.planner.PlanRequest`, so churn bursts coalesce
-in the batcher's single-flight dedupe exactly like repeated plans.
+:class:`~repro.service.planner.PlanRequest`, so a churn burst costs
+the plan service one computation, exactly like repeated plans.
 """
 
 from __future__ import annotations
@@ -350,8 +350,9 @@ def amended_request(
 
     Returns the equivalent :class:`~repro.service.planner.PlanRequest`;
     because amendments of the same live plan collapse onto the same
-    request value, the batcher's single-flight dedupe absorbs churn
-    bursts with one computation.
+    request value, the plan service absorbs a churn burst with one
+    computation: the first fills the compact memo and the rest hit it,
+    or, for a cold multi-port plan, share its single flight.
     """
     from ..service.planner import PlanRequest
 

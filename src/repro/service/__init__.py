@@ -18,11 +18,10 @@ Layers, innermost out:
   and the scalars without the schedule (about 150 bytes at any n),
   which :meth:`PlanResult.from_dict` expands locally.  Its ``_warm``
   twin answers from the memo alone or ``None``.
-* :mod:`~repro.service.batching` — :class:`PlanBatcher`: micro-batches
-  concurrent requests for cold keys, collapses identical keys into single-flight
-  computations, and fans distinct keys over an executor in sweep-style
-  chunks; each computation yields its encoded result once, shared by
-  all its waiters.
+* :mod:`~repro.service.batching` — :class:`PlanBatcher`: computes a
+  cold multi-port plan in one executor hop and collapses identical
+  keys in flight into one single-flight computation, whose encoded
+  result all its waiters share.
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`: counters and
   latency histograms (p50/p95/p99) plus the plan-cache hit rates from
   :func:`repro.core.cache.cache_stats`.
@@ -32,10 +31,10 @@ Layers, innermost out:
   graceful drain bounded by ``drain_timeout``, a ``(n - |exclude|) × m``
   work bound at the wire, and the ``amend`` wire type that folds a
   membership delta (:mod:`repro.membership`) into an equivalent plan
-  request — churn bursts coalesce in the batcher's single-flight
-  dedupe.  It answers a memoized plan in the connection's read
-  callback, and writes any other as the batcher's bytes behind the
-  request's id.
+  request, so a churn burst of equal deltas costs one computation.  It
+  answers a memoized plan and a cold one-port plan in the connection's
+  read callback, and writes a cold multi-port plan as the batcher's
+  bytes behind the request's id.
 * :mod:`~repro.service.client` — :class:`PlanClient` (async) and the
   :func:`plan_remote` / :func:`stats_remote` sync conveniences, which
   return the expanded result, with

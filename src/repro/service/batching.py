@@ -1,33 +1,22 @@
-"""Micro-batching and single-flight coalescing for plan requests.
+"""Single-flight executor hops for cold multi-port plans.
 
-The service's traffic is skewed: a production control plane sees the
-same few ``(n, m, params)`` keys over and over (the same reason §4.3.1
-can precompute the optimal-k table at all).  The server answers a key
-already in the planner's compact memo in its read callback, so only
-cold keys reach the batcher, which is where computing them is worth
-coalescing.  :class:`PlanBatcher` does that twice:
+The server answers a plan already in the planner's compact memo on its
+read callback, and computes a cold one-port plan right there too, since
+it builds no tree (the rule sits beside
+:data:`~repro.service.planner.MAX_PLAN_WORK`).  Only a cold multi-port
+plan, which builds its tree and exact step schedule, reaches
+:class:`PlanBatcher`, which does two things with it:
 
+* **one executor hop** — the plan is computed on a private thread pool,
+  ``plan_chunk((request,))``, so a computation of up to half a second
+  at the work bound does not hold the event loop;
 * **single-flight** — while a key is being computed, every further
-  request for it attaches to the in-flight future instead of enqueuing
+  request for it attaches to the in-flight future instead of starting
   a duplicate computation (the classic singleflight/request-collapsing
-  pattern).  This is also the churn-burst absorber: the server folds
-  every ``amend`` delta into an equivalent :class:`PlanRequest`
-  (:func:`repro.membership.amend.amended_request`), so a flash crowd
-  of identical membership changes — N joiners hitting every replica at
-  once — collapses onto one in-flight computation instead of a re-plan
-  storm through the cluster router;
-* **micro-batching** — distinct keys arriving within ``max_delay`` of
-  each other (or until ``max_batch`` uniques accumulate) are flushed
-  together and fanned over an executor in chunks, using the same
-  ``~4 chunks per worker`` split as
-  :func:`repro.analysis.sweep.run_sweep` — one executor round-trip
-  amortizes over several plans.
-
-The executor defaults to a private thread pool: a plan is dominated by
-the memoized :mod:`repro.core.cache` tables, so warm traffic is far
-cheaper than process fan-out would cost in pickling; inject a
-``ProcessPoolExecutor`` for cold, CPU-bound grids (requests and
-results are picklable by design).
+  pattern).  The server folds every ``amend`` delta into an equivalent
+  :class:`PlanRequest` (:func:`repro.membership.amend.amended_request`),
+  so a flash crowd of identical membership changes collapses onto one
+  computation too.
 
 Each computation's outcome is its answer's encoded ``"result"`` bytes,
 :func:`~repro.service.planner.plan_compact_json` of the
@@ -36,30 +25,29 @@ waiter shares one bytes object and a computation is encoded exactly
 once, in the executor.
 
 All public methods must be called from the event loop thread; the
-executor workers only run the pure encoders.
+executor workers only run the pure encoder.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional, Sequence, Union
 
 from .metrics import ServiceMetrics
 from .planner import PlanRequest, plan_compact_json
 
 __all__ = ["PlanBatcher", "plan_chunk"]
 
-#: A chunk outcome: the encoded result, or the exception the plan raised.
+#: A hop's outcome: the encoded result, or the exception the plan raised.
 _Outcome = Union[bytes, Exception]
 
 
 def plan_chunk(requests: Sequence[PlanRequest]) -> List[_Outcome]:
     """Executor-side body: encode each request's plan, capturing per-item errors.
 
-    Module-level (like the sweep engine's ``_measure_chunk``) so it
-    pickles into process pools; exceptions travel as values so one bad
-    request cannot poison its chunk-mates.
+    The batcher passes one request per hop.  An exception travels as a
+    value, so it reaches only the waiters of its own key.
     """
     outcomes: List[_Outcome] = []
     for request in requests:
@@ -71,61 +59,32 @@ def plan_chunk(requests: Sequence[PlanRequest]) -> List[_Outcome]:
 
 
 class PlanBatcher:
-    """Coalesce concurrent plan requests into batched executor calls.
+    """Compute cold plans in an executor, one hop per in-flight key.
+
+    The class batches nothing any more and keeps its name because the
+    end-to-end benchmark's layer probes (``benchmarks/e2e/layers.py``)
+    patch :meth:`submit` and read ``_inflight``.
 
     Parameters
     ----------
-    max_batch:
-        Flush as soon as this many *unique* keys are pending.
-    max_delay:
-        Seconds to wait for more keys before flushing a non-full batch
-        (the micro-batching window; 0 flushes on the next loop tick).
     workers:
-        Executor parallelism; also sets the sweep-style chunk split
-        (``ceil(pending / (workers * 4))`` per chunk).
-    chunk_size:
-        Override the chunk split with a fixed size.
-    executor:
-        Inject a custom executor (e.g. ``ProcessPoolExecutor``);
-        by default a private ``ThreadPoolExecutor(workers)`` is created
-        lazily and shut down by :meth:`close`.
+        Threads of the private executor, created on the first hop and
+        shut down by :meth:`close`.
     metrics:
-        A :class:`~repro.service.metrics.ServiceMetrics` to record
-        single-flight hits, batch sizes, and unique computations.
+        A :class:`~repro.service.metrics.ServiceMetrics` to count
+        computations (``planned``), executor hops (``batches``) and
+        single-flight hits.
     """
 
-    def __init__(
-        self,
-        *,
-        max_batch: int = 64,
-        max_delay: float = 0.001,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        executor: Optional[Executor] = None,
-        metrics: Optional[ServiceMetrics] = None,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
+    def __init__(self, *, workers: int = 1, metrics: Optional[ServiceMetrics] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.max_batch = max_batch
-        self.max_delay = max_delay
         self.workers = workers
-        self.chunk_size = chunk_size
         self.metrics = metrics
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._inflight: Dict[PlanRequest, asyncio.Future] = {}
-        self._pending: List[PlanRequest] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
-        self._chunk_tasks: "set[asyncio.Future]" = set()
         self._closed = False
 
-    # -- public API ---------------------------------------------------------
     async def submit(self, request: PlanRequest) -> bytes:
         """The encoded answer to ``request``, sharing any in-flight
         computation of the key (see the module docstring)."""
@@ -135,47 +94,37 @@ class PlanBatcher:
         if future is not None:
             if self.metrics is not None:
                 self.metrics.singleflight_hits.inc()
-            # shield: a cancelled waiter (per-request timeout) must not
-            # cancel the shared computation other waiters depend on.
-            return await asyncio.shield(future)
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._inflight[request] = future
-        self._pending.append(request)
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.max_delay, self._flush)
+        else:
+            if self.metrics is not None:
+                self.metrics.planned.inc()
+                self.metrics.batches.inc()
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.workers, thread_name_prefix="plan-worker"
+                )
+            loop = asyncio.get_running_loop()
+            future = self._inflight[request] = loop.create_future()
+            hop = loop.run_in_executor(self._executor, plan_chunk, (request,))
+            hop.add_done_callback(lambda done: self._finish(request, done))
+        # shield: a cancelled waiter (per-request timeout) must not
+        # cancel the shared computation other waiters depend on.
         return await asyncio.shield(future)
 
-    @property
-    def inflight(self) -> int:
-        """Keys currently being computed or awaiting flush."""
-        return len(self._inflight)
-
     async def drain(self) -> None:
-        """Flush pending work and wait until no computation is pending.
+        """Wait until no computation is in flight.
 
         The wait cancels nothing: a caller that gives up on it (say,
         ``asyncio.wait_for`` timing out) leaves every shared computation
         running for its waiters.
         """
-        self._flush()
-        while True:
-            pending = [
-                future
-                for future in (*self._inflight.values(), *self._chunk_tasks)
-                if not future.done()
-            ]
-            if not pending:
-                return
-            await asyncio.wait(pending)
+        while self._inflight:
+            await asyncio.wait(tuple(self._inflight.values()))
 
     async def close(self) -> None:
-        """Release the owned executor without waiting for anything.
+        """Release the executor without waiting for anything.
 
         Every waiter still pending fails with ``RuntimeError``, and an
-        owned executor that is still running a plan shuts down without
+        executor that is still running a plan shuts down without
         joining its thread (a running plan cannot be interrupted).  To
         let pending work finish, ``await`` :meth:`drain` first.
         Idempotent.
@@ -183,66 +132,30 @@ class PlanBatcher:
         if self._closed:
             return
         self._closed = True
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        self._pending.clear()
+        busy = bool(self._inflight)
         for future in self._inflight.values():
-            if not future.done():
-                future.set_exception(RuntimeError("the batcher closed before the plan finished"))
-                future.exception()  # retrieved: its waiters may be gone
+            future.set_exception(RuntimeError("the batcher closed before the plan finished"))
+            future.exception()  # retrieved: its waiters may be gone
         self._inflight.clear()
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown(wait=not self._chunk_tasks, cancel_futures=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=not busy, cancel_futures=True)
             self._executor = None
 
-    # -- internals ----------------------------------------------------------
-    def _ensure_executor(self) -> Executor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="plan-worker"
-            )
-        return self._executor
-
-    def _flush(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
-        if self.metrics is not None:
-            self.metrics.observe_batch(len(batch))
-            self.metrics.planned.inc(len(batch))
-        loop = asyncio.get_running_loop()
-        executor = self._ensure_executor()
-        # The sweep engine's split: ~4 chunks per worker amortizes the
-        # executor round-trip without starving the pool.
-        size = self.chunk_size or max(1, -(-len(batch) // (self.workers * 4)))
-        for start in range(0, len(batch), size):
-            chunk = tuple(batch[start : start + size])
-            task = loop.run_in_executor(executor, plan_chunk, chunk)
-            self._chunk_tasks.add(task)
-            task.add_done_callback(lambda done, chunk=chunk: self._finish(chunk, done))
-
-    def _finish(self, chunk: Tuple[PlanRequest, ...], done: asyncio.Future) -> None:
-        self._chunk_tasks.discard(done)
-        # Every waiter of the chunk is settled, whatever became of it.
-        if done.cancelled():
-            failure: Optional[BaseException] = RuntimeError("the plan computation was cancelled")
+    def _finish(self, request: PlanRequest, hop: asyncio.Future) -> None:
+        """Settle every waiter of ``request``, whatever became of its hop."""
+        if hop.cancelled():
+            outcome: object = RuntimeError("the plan computation was cancelled")
         else:
-            failure = done.exception()  # the executor itself failed (e.g. shutdown)
-        outcomes: Sequence[_Outcome] = (
-            done.result() if failure is None else [failure] * len(chunk)
-        )
-        for request, outcome in zip(chunk, outcomes):
-            future = self._inflight.pop(request, None)
-            if future is None or future.done():
-                continue
-            if isinstance(outcome, BaseException):
-                future.set_exception(outcome)
-                # A timed-out waiter may be gone; mark the exception
-                # retrieved so the loop doesn't log it as orphaned.
-                future.exception()
-            else:
-                future.set_result(outcome)
+            # An executor failure (e.g. shutdown), else the plan's own
+            # outcome; read even when nobody waits, so none goes unretrieved.
+            outcome = hop.exception() or hop.result()[0]
+        future = self._inflight.pop(request, None)
+        if future is None:  # the batcher closed first
+            return
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+            # A timed-out waiter may be gone; mark the exception
+            # retrieved so the loop doesn't log it as orphaned.
+            future.exception()
+        else:
+            future.set_result(outcome)

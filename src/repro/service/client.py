@@ -4,9 +4,9 @@
 over one connection — requests carry monotonically increasing ids, and
 the connection's read callback (a
 :class:`~repro.service.framing.LineProtocol`) routes each response
-line to its waiter, so N in-flight calls cost one socket (and land in
-the same server-side micro-batch).  The requests of one loop pass go
-out in one send, and deadlines cost one timer per connection, armed
+line to its waiter, so N in-flight calls cost one socket (and identical
+ones in flight together share one server-side computation).  The
+requests of one loop pass go out in one send, and deadlines cost one timer per connection, armed
 for the soonest pending request.  Service-level
 failures surface as :class:`PlanServiceError` (with
 :class:`OverloadedError` split out so callers can branch on back-off

@@ -178,21 +178,22 @@ class ServiceMetrics:
     --------
     ``requests`` — lines parsed into a request of any type;
     ``plans`` — plan requests admitted; ``amends`` — membership-delta
-    requests folded into plan requests (so ``amends`` minus the extra
-    ``singleflight_hits`` they caused is what churn actually cost);
+    requests folded into plan requests (so ``amends`` minus the memo
+    and single-flight hits they caused is what churn actually cost);
     ``memo_hits`` — admitted plans answered on the connection's read
-    loop from the wire memo, without the batcher; ``planned`` — keys
-    the batcher sent to its executor, one per key per flush (a key that
-    turned warm while it waited still counts); ``singleflight_hits`` —
-    requests attached to a computation already in the batcher;
-    ``batches`` — executor flushes; ``shed`` — requests refused with
-    ``overloaded``; ``timeouts`` — per-request deadline expiries;
-    ``errors`` — every error response sent (including shed and
-    timeouts).
+    loop from the planner's compact memo; ``planned`` — computations:
+    cold one-port plans computed on the read loop, and cold multi-port
+    keys the batcher sent to its executor (a key that turned warm while
+    its request waited to reach the batcher still counts);
+    ``singleflight_hits`` — requests attached to a computation already
+    in the executor; ``batches`` — executor hops, one per multi-port
+    computation; ``shed`` — requests refused with ``overloaded``;
+    ``timeouts`` — per-request deadline expiries; ``errors`` — every
+    error response sent (including shed and timeouts).
 
     Every admitted plan ends in exactly one of the three ways, so
-    ``plans == memo_hits + planned + singleflight_hits`` once the
-    batcher has flushed.
+    ``plans == memo_hits + planned + singleflight_hits`` once every
+    waiting plan has reached the batcher.
 
     Each instance registers its :meth:`snapshot` with
     :data:`repro.obs.GLOBAL_METRICS` under ``"service"`` (last writer
@@ -212,14 +213,10 @@ class ServiceMetrics:
         self.errors = Counter()
         #: Server-side latency of successful plan requests.
         self.plan_latency = LatencyHistogram()
-        self._batch_lock = threading.Lock()
-        self._batch_count = 0
-        self._batch_requests = 0
-        self._batch_max = 0
         GLOBAL_METRICS.register("service", self.snapshot)
 
     def reset(self) -> None:
-        """Zero every counter, histogram, and batch statistic."""
+        """Zero every counter and the histogram."""
         for counter in (
             self.requests,
             self.plans,
@@ -234,31 +231,9 @@ class ServiceMetrics:
         ):
             counter.reset()
         self.plan_latency.reset()
-        with self._batch_lock:
-            self._batch_count = 0
-            self._batch_requests = 0
-            self._batch_max = 0
-
-    def observe_batch(self, size: int) -> None:
-        """Record one flushed batch of ``size`` unique requests."""
-        if size < 1:
-            raise ValueError(f"batch size must be >= 1, got {size}")
-        self.batches.inc()
-        with self._batch_lock:
-            self._batch_count += 1
-            self._batch_requests += size
-            self._batch_max = max(self._batch_max, size)
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-serializable view of everything, cache layer included."""
-        with self._batch_lock:
-            batch = {
-                "count": self._batch_count,
-                "mean_size": (self._batch_requests / self._batch_count)
-                if self._batch_count
-                else None,
-                "max_size": self._batch_max,
-            }
         return {
             "counters": {
                 "requests": self.requests.value,
@@ -273,6 +248,5 @@ class ServiceMetrics:
                 "errors": self.errors.value,
             },
             "plan_latency": self.plan_latency.snapshot(),
-            "batch": batch,
             "cache": cache_snapshot(),
         }

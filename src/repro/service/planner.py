@@ -31,8 +31,9 @@ all; on more ports from the built tree and its exact step schedule.
 :class:`PlanResult` with the same canonical tree, row memo and survivor
 relabelling that :func:`plan` uses.  :func:`plan_compact_json_warm`
 answers from the memo only, ``None`` instead of computing, which is how
-the plan service tells a warm key, answered on its event loop, from a
-cold one it batches.  Both memos register in the :mod:`repro.core.cache`
+the plan service tells a warm key from a cold one: it answers both on
+its event loop, except a cold multi-port key, which it computes in an
+executor (see :data:`MAX_PLAN_WORK`).  Both memos register in the :mod:`repro.core.cache`
 registry, so the hit rates are observable via
 :func:`~repro.core.cache.cache_stats` (``plan_schedule`` for the rows,
 ``plan_shape`` for the compact form); neither fills the unbounded
@@ -81,6 +82,10 @@ __all__ = [
 #: 0.43-0.51 s at 131,072 × 1; and expanding the one-port 131,072 × 1
 #: answer into rows, which builds the tree and reads each node's first
 #: and last step, 0.8-1.5 s.
+#: So the plan service computes a cold one-port plan where it is asked,
+#: on its read loop, as it fills a warm one, and sends only a cold
+#: multi-port plan (0.07-0.16 ms at 8 × 2, 38-39 ms at 4,096 × 32 on
+#: two ports, up to half a second at this bound) to its executor.
 #: 1024 × 32 is the largest plan the repository's own tests, CI and
 #: benchmarks ask for.
 MAX_PLAN_WORK = 1 << 17
@@ -603,8 +608,8 @@ def plan_compact_json_warm(request: PlanRequest) -> Optional[bytes]:
 
     Never computes: a miss costs one locked dict lookup, with no tree
     build, no FPFS schedule and no Theorem-3 search, so the plan
-    service can try it on its event loop before handing a cold key to
-    the batcher.  A hit counts as a ``plan_shape`` cache hit.
+    service can try it on its event loop before computing a cold key.
+    A hit counts as a ``plan_shape`` cache hit.
     """
     n_eff = request.n - len(request.exclude)
     entry = _plan_shape.lookup(n_eff, request.m, request.params.ports)

@@ -20,9 +20,10 @@ echoes back (so clients may pipeline):
   ``{"id": 2, "ok": true, "result": ..., "amended": {"n": ...,
   "m": ..., "exclude": [...]}}`` — live plan amendment: the delta is
   folded into an equivalent plan request
-  (:func:`repro.membership.amend.amended_request`), so equal deltas
-  against the same plan collapse in the batcher's single-flight
-  dedupe and a churn burst costs one computation.  A delta whose
+  (:func:`repro.membership.amend.amended_request`), so a churn burst
+  of equal deltas against the same plan costs one computation: on one
+  port the first fills the compact memo and the rest are memo hits,
+  and a multi-port plan's waiters share its single flight.  A delta whose
   ``leave`` names position 0 (the source) is refused with the
   structured ``source_failed`` error.
 * ``{"type": "stats"}`` → ``{"ok": true, "stats": <ServiceMetrics.snapshot()>}``
@@ -77,14 +78,18 @@ decodes it once and handles it to its answer without yielding: checks,
 admission, journal, then
 :func:`~repro.service.planner.plan_compact_json_warm`.  A plan already
 in the memo is filled right there, at any n, since its fill costs
-O(|exclude|).  The answers of one received chunk go out in one write,
-and after :data:`~repro.service.framing.LINES_PER_CALLBACK` lines the
-callback hands the loop to the other connections before going on.
-Only a cold key waits in the batcher, in a task of its own: the
-batcher's worker encodes each computation's ``"result"`` once, and
-every waiter sharing the computation (single-flight followers, and
-amends that fold into the same plan) gets those bytes behind its own
-id.  Either way an amend's ``"amended"`` echo follows the result.
+O(|exclude|), and so is a cold one-port plan, which
+:func:`~repro.service.planner.plan_compact_json` computes from Fig. 11's
+segment sizes without a tree.  The answers of one received chunk go out
+in one write, and after :data:`~repro.service.framing.LINES_PER_CALLBACK`
+lines the callback hands the loop to the other connections before going
+on.  Only a cold multi-port plan waits, in a task of its own, for the
+batcher's executor: its worker encodes each computation's ``"result"``
+once, and every waiter sharing the computation (single-flight
+followers, and amends that fold into the same plan) gets those bytes
+behind its own id.  The rule sits beside
+:data:`~repro.service.planner.MAX_PLAN_WORK`, with the costs that set
+it.  Either way an amend's ``"amended"`` echo follows the result.
 
 Request size: ``max_n`` bounds ``n``, and
 :data:`~repro.service.planner.MAX_PLAN_WORK` bounds the schedule work
@@ -92,20 +97,22 @@ Request size: ``max_n`` bounds ``n``, and
 is a ``bad_request`` before admission and journaling, so no single
 request can stall the workers or exhaust memory.
 
-Overload policy: at most ``max_inflight`` plan requests may wait in
-the batcher server-wide; while that many wait, every further plan or
-amend, warm ones included, is *refused immediately* with
-``overloaded`` instead of queuing — bounded admission means bounded
-latency, and a client that sees ``overloaded`` can back off, while a
-client stuck in an invisible queue cannot.  A plan answered in the
-read callback never holds a slot, and ``request_timeout`` applies only to
-plans that wait.  ``stats``/``ping``/``health``/``metrics`` bypass
-admission so the service stays observable while saturated.
+Overload policy: at most ``max_inflight`` plan requests may wait for
+the executor server-wide (cold multi-port plans, the only ones that
+wait); while that many wait, every further plan or amend, warm and
+one-port ones included, is *refused immediately* with ``overloaded``
+instead of queuing — bounded admission means bounded latency, and a
+client that sees ``overloaded`` can back off, while a client stuck in
+an invisible queue cannot.  A plan answered in the read callback never
+holds a slot, and ``request_timeout`` applies only to plans that wait.
+``stats``/``ping``/``health``/``metrics`` bypass admission so the
+service stays observable while saturated.
 
 Shutdown: :meth:`PlanServer.shutdown` stops accepting connections,
-flushes the batcher, and waits up to ``drain_timeout`` for in-flight
-requests to answer before closing sockets — SIGTERM never drops an
-admitted request on the floor (see :meth:`run_until_signal`).
+waits up to ``drain_timeout`` for the executor's plans and the
+requests waiting on them to answer, then closes sockets — SIGTERM
+never drops an admitted request on the floor (see
+:meth:`run_until_signal`).
 """
 
 from __future__ import annotations
@@ -127,7 +134,13 @@ from . import framing
 from .batching import PlanBatcher
 from .journal import RequestJournal
 from .metrics import ServiceMetrics
-from .planner import MAX_PLAN_WORK, PlanRequest, plan_compact_json_warm, plan_work
+from .planner import (
+    MAX_PLAN_WORK,
+    PlanRequest,
+    plan_compact_json,
+    plan_compact_json_warm,
+    plan_work,
+)
 
 __all__ = ["PlanServer"]
 
@@ -137,7 +150,7 @@ class _BadRequest(ValueError):
 
 
 class _Waiting(NamedTuple):
-    """A line whose answer must wait: a cold plan or an armed fault.
+    """A line whose answer must wait: a cold multi-port plan or an armed fault.
 
     ``answer`` is the not-yet-started coroutine that resolves to the
     response; the rest is what finishing the line needs (its span and
@@ -238,13 +251,9 @@ class PlanServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port, published on
         :attr:`port` after :meth:`start`.
-    batcher:
-        Inject a configured :class:`~repro.service.batching.PlanBatcher`
-        (tests use this); by default one is built from ``workers``,
-        ``max_batch`` and ``max_delay``.
     max_inflight:
-        Admission bound on concurrent plan requests; excess load is
-        shed with ``overloaded``.
+        Admission bound on plan requests waiting for the executor;
+        excess load is shed with ``overloaded``.
     request_timeout:
         Per-request deadline in seconds; expiry answers ``timeout``
         (the shared computation keeps running for other waiters).
@@ -254,6 +263,9 @@ class PlanServer:
         Largest accepted multicast set size (the request-size half of
         admission control;
         :data:`~repro.service.planner.MAX_PLAN_WORK` bounds ``n · m``).
+    workers:
+        Threads of the executor that computes cold multi-port plans
+        (:class:`~repro.service.batching.PlanBatcher`).
     tracer:
         A wall-clock :class:`repro.obs.Tracer`: when enabled, every
         handled line gets one span (request type, id, outcome) on the
@@ -282,15 +294,12 @@ class PlanServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        batcher: Optional[PlanBatcher] = None,
         metrics: Optional[ServiceMetrics] = None,
         max_inflight: int = 256,
         request_timeout: float = 5.0,
         drain_timeout: float = 5.0,
         max_n: int = 65536,
         workers: int = 1,
-        max_batch: int = 64,
-        max_delay: float = 0.001,
         tracer: Optional[Tracer] = None,
         journal: Optional[RequestJournal] = None,
         profiler=None,
@@ -311,18 +320,7 @@ class PlanServer:
         self.host = host
         self.port = port
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.batcher = (
-            batcher
-            if batcher is not None
-            else PlanBatcher(
-                max_batch=max_batch,
-                max_delay=max_delay,
-                workers=workers,
-                metrics=self.metrics,
-            )
-        )
-        if self.batcher.metrics is None:
-            self.batcher.metrics = self.metrics
+        self.batcher = PlanBatcher(workers=workers, metrics=self.metrics)
         self.max_inflight = max_inflight
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
@@ -442,8 +440,9 @@ class PlanServer:
         """Stop accepting, optionally drain in-flight work, close sockets.
 
         Draining waits at most ``drain_timeout`` in all.  A plan still
-        computing then is abandoned: its requests get no answer, and
-        the batcher lets go of its worker without waiting for it.
+        computing in the executor then is abandoned: its requests get
+        no answer, and the batcher lets go of its worker without
+        waiting for it.
         """
         self._draining = True
         if self._server is not None:
@@ -454,7 +453,7 @@ class PlanServer:
         if drain:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + self.drain_timeout
-            # Resolve parked batches first so request tasks can answer.
+            # Let the executor's plans finish first so request tasks can answer.
             try:
                 await asyncio.wait_for(self.batcher.drain(), self.drain_timeout)
             except asyncio.TimeoutError:
@@ -509,8 +508,8 @@ class PlanServer:
         """Handle one request line up to its answer, without yielding.
 
         Returns the finished answer line, or a :class:`_Waiting` for a
-        cold plan (or an armed fault) that :meth:`_handle_line` awaits
-        in its own task.
+        cold multi-port plan (or an armed fault) that
+        :meth:`_handle_line` awaits in its own task.
         """
         self.metrics.requests.inc()
         tracer = self.tracer
@@ -644,7 +643,8 @@ class PlanServer:
         The checks run in this order: the epoch fence, an armed fault,
         parsing (form included) and size, admission, then the journal.
         An admitted request already in the compact memo is answered
-        here; any other waits in the batcher.
+        here, and so is a cold one-port one, computed here; a cold
+        multi-port one waits for the batcher's executor.
         """
         fenced = self._fence_epoch(payload, request_id)
         if fenced is not None:
@@ -688,17 +688,22 @@ class PlanServer:
         result = plan_compact_json_warm(request)
         if result is not None:
             self.metrics.memo_hits.inc()
-            self._observe_plan(started)
-            return _plan_line(request_id, result, echo)
-        # The slot is taken now, not when the task first runs, so the
-        # rest of a pipelined burst sees it at admission.
-        self._active_plans += 1
-        return self._submit_plan(request, request_id, echo, started)
+        elif request.params.ports == 1:  # cold, but builds no tree: see MAX_PLAN_WORK
+            self.metrics.planned.inc()
+            result = plan_compact_json(request)
+        else:
+            # The slot is taken now, not when the task first runs, so
+            # the rest of a pipelined burst sees it at admission.
+            self._active_plans += 1
+            return self._submit_plan(request, request_id, echo, started)
+        self._observe_plan(started)
+        return _plan_line(request_id, result, echo)
 
     async def _submit_plan(
         self, request: PlanRequest, request_id, echo: Optional[dict], started: float
     ) -> Union[bytes, dict]:
-        """Wait in the batcher for a cold plan; release its admission slot."""
+        """Wait for the executor to compute a cold multi-port plan;
+        release its admission slot."""
         try:
             result = await asyncio.wait_for(
                 self.batcher.submit(request), self.request_timeout

@@ -23,6 +23,7 @@ from repro.cluster import (
     spawn_shards,
 )
 from repro.obs import parse_prometheus
+from repro.params import MachineParams
 from repro.service import (
     PlanClient,
     PlanRequest,
@@ -46,7 +47,7 @@ async def started_cluster(n_shards: int = 2, **router_kwargs):
     servers = []
     specs = []
     for sid in range(n_shards):
-        server = PlanServer(port=0, workers=1, max_delay=0.002, shard_id=sid)
+        server = PlanServer(port=0, workers=1, shard_id=sid)
         await server.start()
         servers.append(server)
         specs.append(ShardSpec(shard_id=sid, host="127.0.0.1", port=server.port))
@@ -294,28 +295,30 @@ class TestEpochFencing:
 
 class TestRouterShutdown:
     @pytest.mark.usefixtures("cold_memos")
-    def test_shutdown_answers_forwards_in_flight(self):
+    def test_shutdown_answers_forwards_in_flight(self, plan_gate):
         """A forward whose shard is still computing when the router
         shuts down is answered before the router closes."""
+        two = MachineParams(ports=2)
 
         async def body():
-            shard = PlanServer(port=0, max_delay=0.3, shard_id=0)
+            shard = PlanServer(port=0, shard_id=0)
             await shard.start()
             router = ClusterRouter(
                 [ShardSpec(0, "127.0.0.1", shard.port)], port=0, probe_interval=3600.0
             )
             await router.start()
             client = await PlanClient.connect("127.0.0.1", router.port)
-            pending = asyncio.ensure_future(client.plan(24, 3, timeout=10))
-            await asyncio.sleep(0.05)  # forwarded, parked in the batch window
+            pending = asyncio.ensure_future(client.plan(24, 3, two, timeout=10))
+            await plan_gate.entered()  # forwarded, held in the shard's executor
             assert not pending.done()
+            asyncio.get_running_loop().call_later(0.1, plan_gate.open)
             await router.shutdown()
             result = await pending
             await client.close()
             await shard.shutdown()
             return result
 
-        assert run(body()) == plan(PlanRequest(n=24, m=3))
+        assert run(body()) == plan(PlanRequest(n=24, m=3, params=two))
 
 
 class TestFailover:

@@ -37,13 +37,24 @@ def cold_memos():
     """Start from empty memos (:func:`repro.core.clear_caches`).
 
     The memos are per process, and a plan server answers a key already
-    in its wire memo on the read loop.  A test that parks plans in the
-    batch window, or counts single-flight hits, needs keys that no
+    in its compact memo on the read loop.  A test that holds plans in
+    the executor, or counts single-flight hits, needs keys that no
     earlier test in the process has planned.
     """
     from repro.core import clear_caches
 
     clear_caches()
+
+
+@pytest.fixture
+def plan_gate(monkeypatch):
+    """A closed :class:`tests.service.helpers.PlanGate` on the plan
+    service's executor, opened at teardown."""
+    from .service.helpers import PlanGate
+
+    gate = PlanGate(monkeypatch)
+    yield gate
+    gate.open()
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+from repro.params import MachineParams
 from repro.service import (
+    PlanBatcher,
     PlanClient,
     PlanRequest,
     PlanServer,
@@ -17,6 +19,8 @@ from repro.service import (
     amend_remote,
     plan,
 )
+
+from ..service.helpers import until
 
 pytestmark = pytest.mark.service
 
@@ -150,11 +154,46 @@ class TestAmendWire:
 
 class TestChurnBurstCoalescing:
     @pytest.mark.usefixtures("cold_memos")
-    def test_identical_amends_singleflight(self):
-        """A flash crowd of equal deltas folds to one computation."""
+    def test_identical_amends_singleflight(self, plan_gate):
+        """A flash crowd of equal deltas against a two-port plan folds
+        to one computation in the executor, which the gate holds until
+        every amend has reached it."""
+        two = MachineParams(ports=2)
 
         async def body():
-            server = await started_server(max_delay=0.01)
+            server = await started_server()
+            metrics = server.metrics
+            async with await PlanClient.connect("127.0.0.1", server.port) as client:
+                crowd = asyncio.gather(
+                    *[client.amend(48, 8, two, join=3, leave=(7,)) for _ in range(16)]
+                )
+                await until(lambda: metrics.planned.value + metrics.singleflight_hits.value == 16)
+                plan_gate.open()
+                results = await crowd
+                counters = metrics.snapshot()["counters"]
+            await server.shutdown()
+            return results, counters
+
+        results, counters = run(body())
+        expected = plan(PlanRequest(n=51, m=8, params=MachineParams(ports=2), exclude=(7,)))
+        assert all(r == expected for r in results)
+        assert counters["amends"] == 16
+        assert counters["singleflight_hits"] >= 8
+
+    @pytest.mark.usefixtures("cold_memos")
+    def test_identical_one_port_amends_compute_once(self, monkeypatch):
+        """The one-port twin: the first of 16 equal deltas computes the
+        plan on the read loop and fills the compact memo, and the other
+        15 are memo hits.  Nothing waits, so nothing reaches the
+        batcher."""
+
+        async def refuse(batcher, request):
+            raise AssertionError("a one-port amend reached the batcher")
+
+        monkeypatch.setattr(PlanBatcher, "submit", refuse)
+
+        async def body():
+            server = await started_server()
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
                 results = await asyncio.gather(
                     *[client.amend(48, 8, join=3, leave=(7,)) for _ in range(16)]
@@ -167,7 +206,10 @@ class TestChurnBurstCoalescing:
         expected = plan(PlanRequest(n=51, m=8, exclude=(7,)))
         assert all(r == expected for r in results)
         assert counters["amends"] == 16
-        assert counters["singleflight_hits"] >= 8
+        assert counters["planned"] == 1
+        assert counters["memo_hits"] == 15
+        assert counters["singleflight_hits"] == 0
+        assert counters["batches"] == 0
 
     def test_amends_counter_tracks_accepted_amends(self):
         async def body():

@@ -1,32 +1,17 @@
-"""PlanBatcher: single-flight dedupe, micro-batching, chunk fan-out."""
+"""PlanBatcher: single-flight dedupe, one executor hop per key."""
 
 from __future__ import annotations
 
 import asyncio
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.service import PlanBatcher, PlanRequest, ServiceMetrics
-from repro.service.batching import plan_chunk
+from repro.service import PlanBatcher, PlanRequest, ServiceMetrics, batching
 from repro.service.planner import plan_compact_json
 
 from .helpers import compact_result
-
-
-class CountingExecutor(ThreadPoolExecutor):
-    """Thread pool that records every submitted chunk."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.chunks = []
-
-    def submit(self, fn, *args, **kwargs):
-        if args and fn is plan_chunk:
-            self.chunks.append(args[0])
-        return super().submit(fn, *args, **kwargs)
 
 
 def run(coro):
@@ -42,7 +27,7 @@ class TestSingleFlight:
     def test_duplicates_collapse_to_one_computation(self):
         async def body():
             metrics = ServiceMetrics()
-            batcher = PlanBatcher(max_delay=0.01, metrics=metrics)
+            batcher = PlanBatcher(metrics=metrics)
             request = PlanRequest(n=48, m=6)
             results = await asyncio.gather(*[batcher.submit(request) for _ in range(50)])
             await batcher.close()
@@ -54,14 +39,15 @@ class TestSingleFlight:
         assert all(r is results[0] for r in results)  # one encode, shared
         assert results[0] == oracle(PlanRequest(n=48, m=6))
 
-    def test_waiter_timeout_does_not_cancel_shared_flight(self):
+    def test_waiter_timeout_does_not_cancel_shared_flight(self, plan_gate):
         async def body():
-            batcher = PlanBatcher(max_delay=0.05)
+            batcher = PlanBatcher()
             request = PlanRequest(n=16, m=2)
             slow = asyncio.ensure_future(batcher.submit(request))
-            await asyncio.sleep(0)  # let the key enter flight
+            await plan_gate.entered()  # the key is in flight, held in the executor
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(batcher.submit(request), 0.001)
+            plan_gate.open()
             result = await slow  # survivor still gets the answer
             await batcher.close()
             return result
@@ -70,42 +56,37 @@ class TestSingleFlight:
 
 
 class TestBatching:
-    def test_full_batch_flushes_without_waiting(self):
+    def test_each_key_in_flight_is_one_executor_hop(self, monkeypatch):
+        """Distinct keys submitted together each make their own hop of
+        one request, at once: there is no window to gather them in, and
+        a duplicate rides its key's hop."""
+        hops = []
+        plan_chunk = batching.plan_chunk
+
+        def recorded(requests):
+            hops.append(tuple(requests))
+            return plan_chunk(requests)
+
+        monkeypatch.setattr(batching, "plan_chunk", recorded)
+
         async def body():
             metrics = ServiceMetrics()
-            batcher = PlanBatcher(max_batch=4, max_delay=5.0, metrics=metrics)
-            requests = [PlanRequest(n=n, m=1) for n in (4, 5, 6, 7)]
-            start = time.perf_counter()
-            await asyncio.gather(*[batcher.submit(r) for r in requests])
-            elapsed = time.perf_counter() - start
-            await batcher.close()
-            return metrics, elapsed
-
-        metrics, elapsed = run(body())
-        assert elapsed < 1.0  # did not sit out the 5 s window
-        assert metrics.batches.value == 1
-        assert metrics.snapshot()["batch"]["max_size"] == 4
-
-    def test_distinct_keys_fan_out_in_sweep_chunks(self):
-        async def body():
-            executor = CountingExecutor(max_workers=2)
-            batcher = PlanBatcher(
-                max_batch=6, max_delay=5.0, chunk_size=2, executor=executor
-            )
+            batcher = PlanBatcher(workers=2, metrics=metrics)
             requests = [PlanRequest(n=n, m=2) for n in (4, 6, 8, 10, 12, 14)]
-            results = await asyncio.gather(*[batcher.submit(r) for r in requests])
+            results = await asyncio.gather(*[batcher.submit(r) for r in requests + requests[:2]])
             await batcher.close()
-            return executor.chunks, requests, results
+            return metrics, requests, results
 
-        chunks, requests, results = run(body())
-        assert [len(c) for c in chunks] == [2, 2, 2]
-        assert [r for chunk in chunks for r in chunk] == requests
-        for request, result in zip(requests, results):
+        metrics, requests, results = run(body())
+        assert sorted(hops, key=lambda hop: hop[0].n) == [(request,) for request in requests]
+        assert metrics.batches.value == metrics.planned.value == 6
+        assert metrics.singleflight_hits.value == 2
+        for request, result in zip(requests + requests[:2], results):
             assert result == oracle(request)
 
     def test_results_follow_request_not_arrival_order(self):
         async def body():
-            batcher = PlanBatcher(max_delay=0.005, workers=4)
+            batcher = PlanBatcher(workers=4)
             pairs = [(n, m) for n in (8, 16, 32, 64) for m in (1, 4, 16)]
             results = await asyncio.gather(
                 *[batcher.submit(PlanRequest(n=n, m=m)) for n, m in pairs]
@@ -130,7 +111,7 @@ class TestFailureAndLifecycle:
         monkeypatch.setattr("repro.service.batching.plan_compact_json", exploding)
 
         async def body():
-            batcher = PlanBatcher(max_delay=0.005)
+            batcher = PlanBatcher()
             good = asyncio.ensure_future(batcher.submit(PlanRequest(n=12, m=1)))
             bad = asyncio.ensure_future(batcher.submit(PlanRequest(n=13, m=1)))
             with pytest.raises(RuntimeError, match="boom"):
@@ -141,20 +122,28 @@ class TestFailureAndLifecycle:
 
         assert run(body()) == oracle(PlanRequest(n=12, m=1))
 
-    def test_drain_flushes_immediately(self):
+    def test_drain_flushes_immediately(self, plan_gate):
+        """``drain`` waits for the computation in flight, and returns as
+        soon as it is done."""
+
         async def body():
-            batcher = PlanBatcher(max_delay=30.0)
+            batcher = PlanBatcher()
             pending = asyncio.ensure_future(batcher.submit(PlanRequest(n=9, m=3)))
-            await asyncio.sleep(0)
+            await plan_gate.entered()
+            draining = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0.05)
+            held = not draining.done()
             start = time.perf_counter()
-            await batcher.drain()
+            plan_gate.open()
+            await draining
             elapsed = time.perf_counter() - start
             result = await pending
             await batcher.close()
-            return elapsed, result
+            return held, elapsed, result
 
-        elapsed, result = run(body())
-        assert elapsed < 5.0  # did not wait out the 30 s window
+        held, elapsed, result = run(body())
+        assert held  # drain waited for the held computation
+        assert elapsed < 5.0  # and returned once it was done
         assert result == oracle(PlanRequest(n=9, m=3))
 
     def test_submit_after_close_raises(self):
@@ -166,15 +155,8 @@ class TestFailureAndLifecycle:
 
         run(body())
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_batch": 0},
-            {"max_delay": -0.1},
-            {"workers": 0},
-            {"chunk_size": 0},
-        ],
-    )
+    # Every worker count below one is refused: negative, fractional, zero.
+    @pytest.mark.parametrize("kwargs", [{"workers": -1}, {"workers": 0.5}, {"workers": 0}])
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PlanBatcher(**kwargs)

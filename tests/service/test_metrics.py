@@ -75,17 +75,6 @@ class TestLatencyHistogram:
 
 
 class TestServiceMetrics:
-    def test_batch_observation(self):
-        metrics = ServiceMetrics()
-        metrics.observe_batch(3)
-        metrics.observe_batch(5)
-        batch = metrics.snapshot()["batch"]
-        assert batch["count"] == 2
-        assert batch["mean_size"] == pytest.approx(4.0)
-        assert batch["max_size"] == 5
-        with pytest.raises(ValueError):
-            metrics.observe_batch(0)
-
     def test_snapshot_is_wired_to_core_cache(self):
         clear_caches()
         plan(PlanRequest(n=20, m=3))
@@ -140,9 +129,8 @@ class TestReset:
         metrics.requests.inc(3)
         metrics.errors.inc()
         metrics.plan_latency.record(0.001)
-        metrics.observe_batch(4)
+        metrics.batches.inc()
         metrics.reset()
         snap = metrics.snapshot()
         assert all(v == 0 for v in snap["counters"].values())
         assert snap["plan_latency"]["count"] == 0
-        assert snap["batch"] == {"count": 0, "mean_size": None, "max_size": 0}

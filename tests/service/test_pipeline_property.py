@@ -2,15 +2,16 @@
 
 Each example writes 1-40 request lines back to back on one connection,
 then a ``ping``, and reads every answer.  The lines mix warm plans (keys
-planned just before the burst), cold plans, duplicates of earlier keys,
-amends (some naming the source), plans over ``max_n`` and over
+planned just before the burst), cold plans, cold two-port plans (some
+repeating an earlier two-port key), duplicates of earlier keys, amends
+(some naming the source), plans over ``max_n`` and over
 :data:`~repro.service.planner.MAX_PLAN_WORK`, a stale epoch after a
 ``configure``, non-JSON garbage, a JSON non-object and blank lines;
 each plan and amend names ``"form": "compact"`` or no form, which are
 the same request.
-A warm plan is answered on the server's read loop and a cold one in the
-batcher, so one burst's answers come back in an order the example does
-not fix.  Whatever the order:
+Every one-port plan, warm or cold, is answered on the server's read
+loop, and a cold two-port one in the executor, so one burst's answers
+come back in an order the example does not fix.  Whatever the order:
 
 * each id gets exactly one answer, each garbage line one with a null
   id, and a blank line none;
@@ -20,6 +21,8 @@ not fix.  Whatever the order:
 * an error answer carries its typed code;
 * the final ``ping`` is answered;
 * over the burst, ``plans == memo_hits + planned + singleflight_hits``;
+* over the burst, ``batches`` (executor hops) equals the number of
+  distinct two-port keys: no one-port line reaches the executor;
 * over the burst, ``errors`` counts the error answers.
 
 The same holds through a :class:`ClusterRouter` for the plan, amend,
@@ -64,7 +67,9 @@ WARM = [(16, 4, ()), (64, 8, (3,)), (40, 2, ())]
 #: Lines that are not a request object, and what each is answered with.
 GARBAGE = [b"not json", b"[1, 2]", b'"text"', b"", b"   "]
 #: The counters the reconciliation reads.
-COUNTERS = ("plans", "memo_hits", "planned", "singleflight_hits", "errors")
+COUNTERS = ("plans", "memo_hits", "planned", "singleflight_hits", "batches", "errors")
+#: The ``params`` of a two-port line: its cold plans go to the executor.
+TWO = {"ports": 2}
 
 
 def line(answer: dict) -> bytes:
@@ -130,13 +135,21 @@ forms = st.sampled_from([{}, {"form": "compact"}])
 @st.composite
 def bursts(draw, routed: bool):
     """``[(kind, payload)]``: a dict payload gets its id later, bytes go raw."""
-    kinds = ["warm", "cold", "dup", "amend", "over_n", "over_work", "garbage"]
+    kinds = ["warm", "cold", "cold2", "dup", "amend", "over_n", "over_work", "garbage"]
     if not routed:
         kinds.append("stale")
-    keys = []
+    keys, keys2 = [], []
     out = []
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=40)):
-        if kind == "garbage":
+        if kind == "cold2":
+            if keys2 and draw(st.booleans()):
+                n, m = draw(st.sampled_from(keys2))
+            else:
+                n, m = draw(st.integers(2, 96)), draw(st.integers(1, 8))
+            keys2.append((n, m))
+            payload = {"type": "plan", "n": n, "m": m, "exclude": [], "params": TWO}
+            out.append(("plan", dict(payload, **draw(forms))))
+        elif kind == "garbage":
             out.append(("garbage", draw(st.sampled_from(GARBAGE))))
         elif kind == "over_n":
             out.append(("bad_request", {"type": "plan", "n": MAX_N + 1, "m": 1}))
@@ -174,14 +187,15 @@ def bursts(draw, routed: bool):
 
 
 def owner(services: Services, request: PlanRequest) -> int:
-    key = plan_key(request.n, request.m, MachineParams())
+    key = plan_key(request.n, request.m, request.params)
     return services.cluster.ring.chain(key, services.cluster.replication)[0]
 
 
 def expectation(services: Services, kind: str, payload: dict, routed: bool):
     """The answer line an ok request must get, or the error code it must carry."""
     if kind == "plan":
-        request = PlanRequest(n=payload["n"], m=payload["m"], exclude=tuple(payload["exclude"]))
+        params = MachineParams.from_dict(payload.get("params", {}))
+        request = PlanRequest(payload["n"], payload["m"], params, tuple(payload["exclude"]))
         extra = {}
     elif kind == "amend":
         delta = payload["delta"]
@@ -278,6 +292,8 @@ def run_burst(services: Services, burst, routed: bool) -> None:
 
     delta = counters(servers) - before
     assert delta["plans"] == delta["memo_hits"] + delta["planned"] + delta["singleflight_hits"]
+    two_port = {(p["n"], p["m"]) for kind, p in burst if kind == "plan" and "params" in p}
+    assert delta["batches"] == len(two_port)
     if routed:
         assert services.cluster.errors.value - router_errors == errors
         assert delta["errors"] == 0
@@ -307,8 +323,8 @@ def test_form_less_and_compact_twins_get_the_same_bytes(services, data, keys, ro
     """Each plan or amend goes out twice under one id, back to back in
     one pipelined burst: once naming no form and once naming
     ``"compact"``, in a drawn order.  Both twins get the one answer
-    line in-process ``plan()`` gives, whether the pair met cold (in the
-    batcher) or warm (on the read loop)."""
+    line in-process ``plan()`` gives, on the read loop: the first line
+    of a cold key computes it, and the rest are memo hits."""
     port = services.cluster.port if routed else services.single.port
     clear_caches()
     raw, expected = [], collections.Counter()

@@ -15,6 +15,7 @@ import socket
 
 import pytest
 
+from repro.params import MachineParams
 from repro.service import (
     PlanClient,
     PlanRequest,
@@ -100,13 +101,14 @@ class TestTypedFailures:
         assert error.code in RETRYABLE_CODES
 
     @pytest.mark.usefixtures("cold_memos")
-    def test_client_deadline_raises_plan_timeout_error(self):
+    def test_client_deadline_raises_plan_timeout_error(self, plan_gate):
         async def body():
-            # A long batch window parks the request past the deadline.
-            server = await started_server(max_delay=0.5)
+            # The gate holds the two-port plan in the executor past the deadline.
+            server = await started_server()
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
                 with pytest.raises(PlanTimeoutError) as info:
-                    await client.plan(12, 2, timeout=0.05)
+                    await client.plan(12, 2, MachineParams(ports=2), timeout=0.05)
+            plan_gate.open()
             await server.shutdown()
             return info.value
 

@@ -1,9 +1,11 @@
 """Plan server integration: real sockets, admission, drain (service tier).
 
 Everything here runs against an in-process server bound to an
-ephemeral port (``port=0``), with micro-batch windows of tens of
-milliseconds, so the whole module stays well inside the tier-1 time
-budget.
+ephemeral port (``port=0``).  A one-port plan is answered on the read
+loop, warm or cold, so a test that needs plans waiting asks for
+two-port ones, which the server computes in its executor, and holds
+them there with the shared gate (``plan_gate``) instead of a timer, so
+the whole module stays well inside the tier-1 time budget.
 """
 
 from __future__ import annotations
@@ -24,12 +26,16 @@ from repro.service import (
     PlanRequest,
     PlanServer,
     PlanServiceError,
-    batching,
     framing,
     plan,
 )
 
+from .helpers import until
+
 pytestmark = pytest.mark.service
+
+#: A two-port machine: its cold plans are computed in the executor.
+TWO = MachineParams(ports=2)
 
 
 def run(coro):
@@ -48,16 +54,17 @@ class TestEndToEnd:
         """The ISSUE's acceptance scenario, minus the overload half."""
 
         async def body():
-            server = await started_server(workers=2, max_delay=0.01)
+            server = await started_server(workers=2)
             # 40 duplicates of one hot key + 60 spread over 12 keys + 20
-            # distinct: 120 concurrent requests, 33 unique.
+            # distinct: 120 concurrent requests, 33 unique, on two ports
+            # so that cold keys meet in the executor.
             mix = (
                 [(64, 8)] * 40
                 + [(n, m) for n in (8, 16, 24, 32) for m in (1, 2, 4)] * 5
                 + [(n, 5) for n in range(40, 60)]
             )
             client = await PlanClient.connect("127.0.0.1", server.port)
-            results = await asyncio.gather(*[client.plan(n, m) for n, m in mix])
+            results = await asyncio.gather(*[client.plan(n, m, TWO) for n, m in mix])
             stats = await client.stats()
             await client.close()
             await server.shutdown()
@@ -66,7 +73,7 @@ class TestEndToEnd:
         mix, results, stats = run(body())
         assert len(results) == 120
         for (n, m), result in zip(mix, results):
-            assert result == plan(PlanRequest(n=n, m=m))
+            assert result == plan(PlanRequest(n=n, m=m, params=TWO))
         counters = stats["counters"]
         assert counters["plans"] == 120
         # Duplicates were answered from single-flight, observably.
@@ -230,18 +237,57 @@ class TestFairness:
         assert written.index(pong) < last_a
         assert written.index(pong) < 100
 
+    @pytest.mark.usefixtures("cold_memos")
+    def test_a_plan_in_the_executor_does_not_hold_the_loop(self, plan_gate):
+        """A cold two-port plan builds its tree and exact step schedule
+        (up to half a second at the work bound), so the server computes
+        it in its executor: while the gate holds it there, a ping, a
+        warm plan and a cold one-port plan on a second connection are
+        all answered."""
+
+        async def body():
+            server = await started_server()
+            async with await PlanClient.connect("127.0.0.1", server.port) as other:
+                await other.plan(8, 2)  # warms the one-port key
+                async with await PlanClient.connect("127.0.0.1", server.port) as client:
+                    pending = asyncio.ensure_future(client.plan(512, 32, TWO, timeout=30))
+                    await plan_gate.entered()
+                    pong = await asyncio.wait_for(other.ping(), 5)
+                    warm = await other.plan(8, 2, timeout=5)
+                    cold = await other.plan(9, 3, timeout=5)
+                    held = not pending.done()
+                    plan_gate.open()
+                    computed = await pending
+            counters = server.metrics.snapshot()["counters"]
+            await server.shutdown()
+            return pong, warm, cold, held, computed, counters
+
+        pong, warm, cold, held, computed, counters = run(body())
+        assert pong is True
+        assert held
+        assert warm == plan(PlanRequest(n=8, m=2))
+        assert cold == plan(PlanRequest(n=9, m=3))
+        assert computed == plan(PlanRequest(n=512, m=32, params=TWO))
+        assert counters["memo_hits"] == 1
+        assert counters["planned"] == 3
+        assert counters["batches"] == 1
+
 
 class TestAdmissionControl:
     @pytest.mark.usefixtures("cold_memos")
-    def test_burst_over_budget_is_shed_not_queued(self):
+    def test_burst_over_budget_is_shed_not_queued(self, plan_gate):
         async def body():
-            # A long batch window parks admitted plans in flight, so a
-            # burst larger than max_inflight must shed the excess.
-            server = await started_server(max_inflight=4, max_delay=0.3)
+            # The gate holds admitted two-port plans in the executor, so
+            # a burst larger than max_inflight must shed the excess.
+            server = await started_server(max_inflight=4)
             client = await PlanClient.connect("127.0.0.1", server.port)
-            outcomes = await asyncio.gather(
-                *[client.plan(10 + i, 2) for i in range(12)], return_exceptions=True
+            burst = asyncio.gather(
+                *[client.plan(10 + i, 2, TWO) for i in range(12)], return_exceptions=True
             )
+            metrics = server.metrics
+            await until(lambda: metrics.plans.value + metrics.shed.value == 12)
+            plan_gate.open()
+            outcomes = await burst
             stats = await client.stats()
             await client.close()
             await server.shutdown()
@@ -253,7 +299,7 @@ class TestAdmissionControl:
         assert len(shed) == 8
         assert len(served) == 4
         for result in served:
-            assert result == plan(PlanRequest(n=result.n, m=2))
+            assert result == plan(PlanRequest(n=result.n, m=2, params=TWO))
         assert stats["counters"]["shed"] == 8
 
     def test_oversized_n_rejected_at_the_boundary(self):
@@ -270,12 +316,13 @@ class TestAdmissionControl:
         assert "max_n" in error.message
 
     @pytest.mark.usefixtures("cold_memos")
-    def test_request_timeout_answers_timeout_error(self):
+    def test_request_timeout_answers_timeout_error(self, plan_gate):
         async def body():
-            server = await started_server(request_timeout=0.05, max_delay=0.3)
+            server = await started_server(request_timeout=0.05)
             async with await PlanClient.connect("127.0.0.1", server.port) as client:
                 with pytest.raises(PlanServiceError) as info:
-                    await client.plan(12, 2)
+                    await client.plan(12, 2, TWO)
+            plan_gate.open()
             await server.shutdown()
             return info.value
 
@@ -326,17 +373,18 @@ class TestBadRequests:
 
 class TestGracefulShutdown:
     @pytest.mark.usefixtures("cold_memos")
-    def test_drain_answers_inflight_requests(self):
+    def test_drain_answers_inflight_requests(self, plan_gate):
         async def body():
-            # Requests park in a 200 ms batch window; shutdown must
-            # flush and answer them, not drop them.
-            server = await started_server(max_delay=0.2)
+            # The gate holds the plans in the executor as shutdown
+            # begins; shutdown must wait and answer them, not drop them.
+            server = await started_server()
             client = await PlanClient.connect("127.0.0.1", server.port)
             pending = [
-                asyncio.ensure_future(client.plan(n, 3)) for n in (6, 12, 18, 24)
+                asyncio.ensure_future(client.plan(n, 3, TWO)) for n in (6, 12, 18, 24)
             ]
-            await asyncio.sleep(0.05)  # all admitted, none answered yet
+            await plan_gate.entered()  # all admitted, none answered yet
             assert not any(task.done() for task in pending)
+            asyncio.get_running_loop().call_later(0.1, plan_gate.open)
             await server.shutdown(drain=True)
             results = await asyncio.gather(*pending)
             await client.close()
@@ -345,37 +393,27 @@ class TestGracefulShutdown:
         results = run(body())
         assert [r.n for r in results] == [6, 12, 18, 24]
         for result in results:
-            assert result == plan(PlanRequest(n=result.n, m=3))
+            assert result == plan(PlanRequest(n=result.n, m=3, params=TWO))
 
     @pytest.mark.usefixtures("cold_memos")
     def test_shutdown_gives_up_on_a_plan_that_outlives_drain_timeout(
-        self, monkeypatch, caplog
+        self, plan_gate, caplog
     ):
         """A computation longer than ``drain_timeout`` used to leave
         ``shutdown()`` spinning on cancelled futures for ever."""
-        gate, computing = threading.Event(), threading.Event()
-        plan_chunk = batching.plan_chunk
-
-        def gated(requests):
-            computing.set()
-            gate.wait(30)
-            return plan_chunk(requests)
-
-        monkeypatch.setattr(batching, "plan_chunk", gated)
         drain_timeout = 0.5
 
         async def body():
             server = await started_server(workers=1, drain_timeout=drain_timeout)
             client = await PlanClient.connect("127.0.0.1", server.port)
-            pending = asyncio.ensure_future(client.plan(16, 4, timeout=30))
-            while not computing.is_set():
-                await asyncio.sleep(0.01)
+            pending = asyncio.ensure_future(client.plan(16, 4, TWO, timeout=30))
+            await plan_gate.entered()
             waiters = list(server.batcher._inflight.values())
             started = time.monotonic()
             try:
                 await asyncio.wait_for(server.shutdown(), drain_timeout + 3)
             finally:
-                gate.set()
+                plan_gate.open()
             elapsed = time.monotonic() - started
             outcome = (await asyncio.gather(pending, return_exceptions=True))[0]
             await client.close()

@@ -10,8 +10,9 @@ object, for any id, for ``plan`` and ``amend``; its result is
 ports, and expands into ``plan()``; a line naming ``"form": "compact"``
 gets the same bytes as one naming no form; error answers keep their
 codes, any other form is a ``bad_request``, and injected transient
-errors still fail over; N concurrent waiters on one computation cost
-one encode (one ``plan_compact_json`` call); and serving builds no
+errors still fail over; N concurrent waiters on one two-port
+computation, which the server runs in its executor, cost one encode
+(one ``plan_compact_json`` call); and serving builds no
 ``NodePlan`` rows, calls no ``PlanResult.to_dict`` and leaves
 ``plan()``'s row memo empty.
 
@@ -111,8 +112,7 @@ class Services:
         return asyncio.run_coroutine_threadsafe(coro, self.loop).result(60)
 
     async def _start(self) -> None:
-        # A 20 ms batch window lets concurrent identical requests meet.
-        self.single = PlanServer(port=0, max_delay=0.02)
+        self.single = PlanServer(port=0)
         self.shards = [PlanServer(port=0, shard_id=sid) for sid in range(2)]
         for server in [self.single, *self.shards]:
             await server.start()
@@ -324,11 +324,20 @@ def test_injected_transient_errors_fail_over(services, key, rid, code):
     amends=st.booleans(),
 )
 def test_concurrent_waiters_share_one_encode(services, key, waiters, via, amends):
-    """Identical requests (and amends folding onto the same plan) that
-    meet in one computation are encoded once for all of them."""
+    """Identical two-port requests (and amends folding onto the same
+    plan) that meet in one computation are encoded once for all of
+    them."""
     n, m, exclude = key
-    plain = {"type": "plan", "n": n + 1, "m": m, "exclude": list(exclude)}
-    folded = {"type": "amend", "n": n, "m": m, "exclude": list(exclude), "delta": {"join": 1}}
+    two = {"params": {"ports": 2}}
+    plain = {"type": "plan", "n": n + 1, "m": m, "exclude": list(exclude), **two}
+    folded = {
+        "type": "amend",
+        "n": n,
+        "m": m,
+        "exclude": list(exclude),
+        "delta": {"join": 1},
+        **two,
+    }
     payloads = [folded if amends and i % 2 else plain for i in range(waiters)]
     port = services.single.port if via == "server" else services.cluster.port
 
@@ -356,7 +365,7 @@ def test_concurrent_waiters_share_one_encode(services, key, waiters, via, amends
     assert computations >= 1
     assert len(encodes) == computations
 
-    expected = compact_result(PlanRequest(n=n + 1, m=m, exclude=exclude))
+    expected = compact_result(PlanRequest(n + 1, m, MachineParams(ports=2), exclude))
     for raw, payload in zip(lines, payloads):
         answer = json.loads(raw)
         assert raw == line(answer)
@@ -375,7 +384,7 @@ def test_serving_builds_no_rows(services, monkeypatch, via):
         payloads.append(amend_payload(rid, n, m, exclude, 2, (2,)))
         folded = tuple(sorted({*exclude, 2}))
         expected.append(compact_result(PlanRequest(n=n + 2, m=m, exclude=folded)))
-    payloads, expected = payloads * 2, expected * 2  # repeats meet in single-flight
+    payloads, expected = payloads * 2, expected * 2  # repeats are memo hits
     port = services.single.port if via == "server" else services.cluster.port
 
     def refuse(*args, **kwargs):

@@ -5,14 +5,14 @@ the cluster router relays a shard's answer bytes behind the client's
 id, so the plan path's JSON work is countable exactly: one decode of
 each request line on every process it enters, one re-encode of the
 request on the router's forward to its shard, no encode of any plan
-answer, and no decode of an id-first shard answer.  A warm plan is
-answered on the
-server's read callback, so the path's waiting is countable too: each
-cold request makes one batcher submit and one task of the server's,
-the warm repeat makes neither, and a forward the router relays from its
-shard link's read callback makes no task at all.  This test pins those
-counts, and the bytes each layer writes, for five requests sent one at
-a time:
+answer, and no decode of an id-first shard answer.  A warm plan and a
+cold one-port plan are answered on the server's read callback, so the
+path's waiting is countable too: on one port no request makes a
+batcher submit or a task of the server's, cold or warm; on two ports
+each cold request makes one of each and the warm repeat neither; and a
+forward the router relays from its shard link's read callback makes no
+task at all.  This test pins those counts, and the bytes each layer
+writes, for five requests sent one at a time, on one port and on two:
 
 * ``[server]`` — to one in-process :class:`PlanServer`;
 * ``[router]`` — to a :class:`ClusterRouter` over two in-process shards.
@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -58,8 +59,9 @@ from .helpers import compact_result
 
 pytestmark = pytest.mark.service
 
-#: (request, the plan that answers it, the server's amend echo).  The
-#: second request repeats the first, so it is the one warm key.
+#: (request, the plan that answers it, the server's amend echo), on the
+#: paper's one-port machine.  The second request repeats the first, so
+#: it is the one warm key.
 SEQUENCE = [
     ({"type": "plan", "n": 64, "m": 8}, PlanRequest(n=64, m=8), None),
     ({"type": "plan", "n": 64, "m": 8}, PlanRequest(n=64, m=8), None),
@@ -75,6 +77,22 @@ SEQUENCE = [
     ),
     ({"type": "plan", "n": 8, "m": 2}, PlanRequest(n=8, m=2), None),
 ]
+
+#: Per request, the batcher submits and the server's tasks, by ports: a
+#: one-port plan is answered on the read callback, cold or warm; on two
+#: ports the cold requests 1, 3, 4 and 5 wait for the executor.
+WAITS = {1: [0, 0, 0, 0, 0], 2: [1, 0, 1, 1, 1]}
+
+
+def sequence(ports: int):
+    """:data:`SEQUENCE` on a machine with ``ports`` ports."""
+    if ports == 1:
+        return SEQUENCE
+    params = MachineParams(ports=ports)
+    return [
+        (dict(payload, params={"ports": ports}), replace(request, params=params), echo)
+        for payload, request, echo in SEQUENCE
+    ]
 
 
 class CountingJson:
@@ -155,9 +173,11 @@ def answer_line(rid, request: PlanRequest, **extra) -> bytes:
     return (json.dumps(answer, separators=(",", ":")) + "\n").encode()
 
 
-async def run_sequence(via: str, monkeypatch, form=None):
+async def run_sequence(via: str, monkeypatch, ports: int, form=None):
     """``(work, per-request waits, answers, the shard each request routes
-    to, the shards' plan counters)``; ``form`` goes on every line."""
+    to, the shards' plan counters)`` of :func:`sequence` ``(ports)``;
+    ``form`` goes on every line."""
+    steps = sequence(ports)
     clear_caches()
     shards = [PlanServer(port=0, shard_id=sid) for sid in range(2 if via == "router" else 1)]
     for shard in shards:
@@ -180,7 +200,7 @@ async def run_sequence(via: str, monkeypatch, form=None):
     waits = count_waits(monkeypatch, asyncio.get_running_loop())
     answers = []
     per_request = {"submits": [], "tasks": [], "forward_tasks": []}
-    for rid, (payload, _, _) in enumerate(SEQUENCE, 1):
+    for rid, (payload, _, _) in enumerate(steps, 1):
         before = dict(waits)
         if form is not None:
             payload = dict(payload, form=form)
@@ -199,7 +219,7 @@ async def run_sequence(via: str, monkeypatch, form=None):
     routes = [
         router.ring.chain(plan_key(r.n, r.m, r.params), router.replication)[0]
         if router else None
-        for _, r, _ in SEQUENCE
+        for _, r, _ in steps
     ]
     writer.close()
     if router is not None:
@@ -209,7 +229,7 @@ async def run_sequence(via: str, monkeypatch, form=None):
     return work, per_request, answers, routes, counters
 
 
-def expected_lines(routes, routed: bool):
+def expected_lines(routes, routed: bool, ports: int):
     """The shards' answer lines and the router's, from in-process ``plan()``.
 
     The router names the shard and has always dropped an amend's echo.
@@ -218,7 +238,7 @@ def expected_lines(routes, routed: bool):
     """
     forward_ids = collections.Counter()
     server_lines, router_lines = [], []
-    for rid, ((_, request, echo), shard) in enumerate(zip(SEQUENCE, routes), 1):
+    for rid, ((_, request, echo), shard) in enumerate(zip(sequence(ports), routes), 1):
         amended = {} if echo is None else {"amended": echo}
         if routed:
             forward_ids[shard] += 1
@@ -229,37 +249,13 @@ def expected_lines(routes, routed: bool):
     return server_lines, router_lines
 
 
-@pytest.mark.parametrize("via", ["server", "router"])
-def test_plan_sequence_work_budget(monkeypatch, via):
-    work, waits, answers, routes, counters = asyncio.run(run_sequence(via, monkeypatch))
-    routed = via == "router"
-    server_lines, router_lines = expected_lines(routes, routed)
-    assert answers == (router_lines if routed else server_lines)
-    assert work == {
-        "server": {"decodes": 5, "encodes": 1, "bytes": sum(map(len, server_lines))},
-        "router": {"decodes": 5 * routed, "encodes": 0, "bytes": sum(map(len, router_lines))},
-        "hop": {"decodes": 0, "encodes": 5 * routed},
-    }
-    # Requests 1, 3, 4 and 5 are cold and wait in the batcher; the
-    # repeat of request 1 is answered in the read callback.  The router
-    # relays every answer from its shard link's read callback.
-    assert waits == {
-        "submits": [1, 0, 1, 1, 1],
-        "tasks": [1, 0, 1, 1, 1],
-        "forward_tasks": [0, 0, 0, 0, 0],
-        "memo_hits": 1,
-    }
-    answered = counters["memo_hits"] + counters["planned"] + counters["singleflight_hits"]
-    assert counters["plans"] == answered
-
-
-@pytest.mark.parametrize("via", ["server", "router"])
-def test_compact_sequence_work_budget(monkeypatch, via):
+def check_sequence(monkeypatch, via: str, ports: int, form=None) -> None:
+    """Run :func:`sequence` ``(ports)`` and hold it to its budgets."""
     work, waits, answers, routes, counters = asyncio.run(
-        run_sequence(via, monkeypatch, form="compact")
+        run_sequence(via, monkeypatch, ports, form)
     )
     routed = via == "router"
-    server_lines, router_lines = expected_lines(routes, routed)
+    server_lines, router_lines = expected_lines(routes, routed, ports)
     assert answers == (router_lines if routed else server_lines)
     # 512 x 32 with two positions excluded: 49.8 KB with every row.
     assert max(map(len, server_lines)) < 256
@@ -268,15 +264,36 @@ def test_compact_sequence_work_budget(monkeypatch, via):
         "router": {"decodes": 5 * routed, "encodes": 0, "bytes": sum(map(len, router_lines))},
         "hop": {"decodes": 0, "encodes": 5 * routed},
     }
-    # Naming the form changes nothing: request 1's repeat is a memo hit
-    # on the read callback, and the cold keys wait in the batcher.
+    # The repeat of request 1 is a memo hit in the read callback; the
+    # cold keys wait only on two ports.  The router relays every answer
+    # from its shard link's read callback.
     assert waits == {
-        "submits": [1, 0, 1, 1, 1],
-        "tasks": [1, 0, 1, 1, 1],
+        "submits": WAITS[ports],
+        "tasks": WAITS[ports],
         "forward_tasks": [0, 0, 0, 0, 0],
         "memo_hits": 1,
     }
     assert counters == {"plans": 5, "memo_hits": 1, "planned": 4, "singleflight_hits": 0}
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_plan_sequence_work_budget(monkeypatch, via):
+    """On one port nothing waits: no submit and no task, cold or warm."""
+    check_sequence(monkeypatch, via, ports=1)
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_two_port_sequence_work_budget(monkeypatch, via):
+    """On two ports each cold request makes one submit and one task."""
+    check_sequence(monkeypatch, via, ports=2)
+
+
+@pytest.mark.parametrize("via", ["server", "router"])
+def test_compact_sequence_work_budget(monkeypatch, via):
+    """Naming the form changes nothing, on either machine."""
+    for ports in (1, 2):
+        with monkeypatch.context() as patches:
+            check_sequence(patches, via, ports, form="compact")
 
 
 def test_cold_plan_reads_step_lists_not_the_pair_dict(monkeypatch):
@@ -341,8 +358,9 @@ def test_warm_plans_are_answered_inline_at_any_n(monkeypatch):
     """A warm plan is answered on the read callback whatever its n: a
     compact answer has no rows to fill.  A request that keeps the same
     survivors (``n - |exclude|``) is warm too, and naming the form
-    changes nothing."""
-    big = {"type": "plan", "n": 4096, "m": 2}
+    changes nothing.  The plans are two-port ones, so that the cold
+    keys among them make a batcher submit each."""
+    big = {"type": "plan", "n": 4096, "m": 2, "params": {"ports": 2}}
     lines = [
         big,
         big,
@@ -375,5 +393,6 @@ def test_warm_plans_are_answered_inline_at_any_n(monkeypatch):
     submits, answers = asyncio.run(body())
     assert submits == [1, 0, 0, 0, 1, 0]
     for rid, (payload, answer) in enumerate(zip(lines, answers), 1):
-        request = PlanRequest(n=payload["n"], m=2, exclude=tuple(payload.get("exclude", ())))
+        exclude = tuple(payload.get("exclude", ()))
+        request = PlanRequest(payload["n"], 2, MachineParams(ports=2), exclude)
         assert answer == answer_line(rid, request)
